@@ -102,13 +102,13 @@ def _build_parser() -> _Parser:
         p = evsub.add_parser(name, help=help_text)
         p.add_argument("--nu", type=float, required=True)
         p.add_argument("--x", type=float, required=True)
-        p.add_argument("--tol", type=float, default=1e-12)
+        p.add_argument("--tol", type=float, default=1e-12, help="relative series tolerance")
     p = evsub.add_parser("kstruve", help="generalized k-Struve S[k,nu,c](x)")
     p.add_argument("--nu", type=float, required=True)
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--k", type=float, default=1.0)
     p.add_argument("--x", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, default=1e-12, help="relative series tolerance")
     p = evsub.add_parser("wright", help="Fox-Wright p Psi q at real z")
     p.add_argument(
         "--upper",
@@ -129,7 +129,7 @@ def _build_parser() -> _Parser:
         help="lower pair (b, beta); repeatable",
     )
     p.add_argument("--z", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, default=1e-12, help="relative series tolerance")
 
     vf = sub.add_parser("verify", help="verify an identity numerically")
     vf.add_argument("identity", choices=("lavoie",) + IDENTITIES)
@@ -150,7 +150,7 @@ def _build_parser() -> _Parser:
 
 
 def _add_report_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=1e-10, help="quadrature tolerance")
+    p.add_argument("--tol", type=float, default=1e-10, help="relative quadrature tolerance")
     p.add_argument("--threshold", type=float, default=1e-6, help="agreement threshold")
     p.add_argument("--relaxed", action="store_true", help="accept nu > -3k/2 instead of nu > 3k/2")
     p.add_argument("--format", choices=("table", "json", "csv"), default="table")

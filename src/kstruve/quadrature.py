@@ -26,7 +26,7 @@ import math
 
 from .errors import ConvergenceError, DomainError, NonFiniteSampleError
 from .gamma import log_gamma
-from .results import IdentityReport, QuadratureResult, Verdict
+from .results import TINY, IdentityReport, QuadratureResult, Verdict
 
 _METHODS = ("adaptive_gk", "tanh_sinh")
 
@@ -168,7 +168,7 @@ def _tanh_sinh(g, tol: float, endpoint_safe: bool) -> QuadratureResult:
         total = 0.5 * previous + h * new_sum
         estimate = abs(total - previous)
         previous = total
-        if level >= 2 and estimate <= tol * max(1.0, abs(total)):
+        if level >= 2 and estimate <= max(tol * abs(total), TINY):
             floor = 1.1e-16 * abs(total)
             return QuadratureResult(total, max(estimate, floor), evaluations, True)
 
@@ -239,13 +239,13 @@ def _adaptive_gk(g, tol: float) -> QuadratureResult:
     total_value = value
     total_error = error
     while True:
-        if total_error <= tol * max(1.0, abs(total_value)):
+        if total_error <= max(tol * abs(total_value), TINY):
             # the running accumulator can drift (or be annihilated outright
             # when one interval's estimate dwarfs the rest), so convergence
             # is only declared on an exact resummation of the live heap
             total_value = math.fsum(item[4] for item in heap)
             total_error = math.fsum(item[5] for item in heap)
-            if total_error <= tol * max(1.0, abs(total_value)):
+            if total_error <= max(tol * abs(total_value), TINY):
                 return QuadratureResult(total_value, total_error, counter[0], True)
         if len(heap) >= _MAX_GK_INTERVALS:
             partial = _resummed_partial(heap, counter)
@@ -278,7 +278,10 @@ def integrate(f, tol: float, method: str = "adaptive_gk") -> QuadratureResult:
 
     ``f`` is either ``f(x)`` or ``f(x, one_minus_x)``; see the module
     docstring.  Convergence means the internal error estimate satisfies
-    ``estimate <= tol * max(1, |value|)``.  Failure to converge raises
+    ``estimate <= max(tol * |value|, 1e-280)``: relative to the value, with
+    an absolute floor that only an integrand vanishing to underflow reaches.
+    An integral that is zero only to rounding, such as that of x - 1/2,
+    therefore does not converge.  Failure to converge raises
     :class:`ConvergenceError` whose ``partial`` attribute holds the best
     :class:`QuadratureResult` so far (``converged=False``).
     """
@@ -317,7 +320,12 @@ def lavoie_trottier_check(alpha: float, beta: float, tol: float = 1e-10) -> Iden
 
     The integral int_0^1 x**(a-1) (1-x)**(2b-1) (1-x/3)**(2a-1) (1-x/4)**(b-1) dx
     is evaluated numerically and compared against :func:`lavoie_trottier_rhs`;
-    agreement within ``tol`` (relative) yields verdict BOTH_AGREE.
+    agreement within ``tol`` (relative) yields verdict BOTH_AGREE.  One
+    :func:`integrate` pass stops once its estimate is at most
+    ``max(q * |value|, 1e-280)`` with ``q = max(tol / 100, 1e-14)``.  The
+    integrand is positive, so the integral is never zero to rounding; a
+    quadrature that does not converge contributes its partial result and the
+    verdict is INCONCLUSIVE.
     """
     if not (alpha > 0.0 and beta > 0.0):
         raise DomainError(f"Lavoie-Trottier needs alpha, beta > 0, got {alpha}, {beta}")
@@ -334,14 +342,8 @@ def lavoie_trottier_check(alpha: float, beta: float, tol: float = 1e-10) -> Iden
         )
 
     method = select_method(alpha - 1.0, 2.0 * beta - 1.0)
-    quad_tol = max(tol * 1e-2, 1e-14)
     try:
-        quad = integrate(integrand, tol=quad_tol, method=method)
-        if 0.0 < abs(quad.value) < 0.5:
-            # rescale to a relative target; the closed form can be tiny
-            quad = integrate(
-                integrand, tol=max(quad_tol * abs(quad.value), 1e-280), method=method
-            )
+        quad = integrate(integrand, tol=max(tol * 1e-2, 1e-14), method=method)
     except ConvergenceError as exc:
         quad = exc.partial
     denom = max(abs(quad.value), 1e-300)

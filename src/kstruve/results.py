@@ -11,6 +11,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+# Every iterative evaluator stops on estimate <= max(tol * |value|, TINY):
+# relative to the value, with an absolute floor for values that are zero or
+# lost to underflow.
+TINY = 1e-280
+
 
 @dataclass(frozen=True)
 class EvaluationResult:

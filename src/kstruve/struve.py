@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ConvergenceError, DomainError
 from .gamma import gamma, log_k_gamma
-from .results import EvaluationResult
+from .results import TINY, EvaluationResult
 
 _LOG_DBL_MAX = 709.782712893384
 _LGAMMA_3_2 = math.lgamma(1.5)
@@ -56,6 +57,11 @@ class StruveParams:
         """Leading exponent nu/k + 1 of the series."""
         return self.nu / self.k + 1.0
 
+    @cached_property
+    def log_scale(self) -> float:
+        """log of 1 / (Gamma_k(nu + 3k/2) Gamma(3/2)), the r = 0 coefficient."""
+        return -log_k_gamma(self.nu + 1.5 * self.k, self.k) - _LGAMMA_3_2
+
 
 def k_struve(
     params: StruveParams, x: float, tol: float = 1e-12, max_terms: int = 500
@@ -64,8 +70,10 @@ def k_struve(
 
     Negative x is admitted only when the leading exponent nu/k + 1 is an
     integer, in which case S(-x) = (-1)**(nu/k + 1) S(x); otherwise the
-    fractional power has no real value and DomainError is raised.  The
-    returned ``error_bound`` majorizes the truncation error (not the
+    fractional power has no real value and DomainError is raised.  Summation
+    stops once the tail bound is at most ``max(tol * |value|, 1e-280)``,
+    relative to the value with an absolute floor for sums lost to underflow.
+    The returned ``error_bound`` majorizes the truncation error (not the
     floating-point rounding, which is a few ulps on top).
     """
     if not (math.isfinite(x) and math.isfinite(tol) and tol > 0.0):
@@ -83,19 +91,18 @@ def k_struve(
         sign = 1.0 if lam % 2.0 == 0.0 else -1.0
         return EvaluationResult(sign * flipped.value, flipped.error_bound, flipped.terms_used)
 
-    log_t0_scale = -log_k_gamma(params.nu + 1.5 * params.k, params.k) - _LGAMMA_3_2
     if x == 0.0:
         if lam > 0.0:
             return EvaluationResult(0.0, 0.0, 0)
         if lam == 0.0:
             # only the r = 0 term survives: (x/2)**0 = 1
-            return EvaluationResult(math.exp(log_t0_scale), 0.0, 1)
+            return EvaluationResult(math.exp(params.log_scale), 0.0, 1)
         raise DomainError(f"x = 0 diverges for nu/k + 1 = {lam} < 0")
 
     half = 0.5 * x
     # subnormal x can underflow the halving; take the log before scaling then
     log_half = math.log(half) if half > 0.0 else math.log(x) - math.log(2.0)
-    log_t0 = lam * log_half + log_t0_scale
+    log_t0 = lam * log_half + params.log_scale
     if log_t0 > _LOG_DBL_MAX:
         raise ConvergenceError(
             f"leading term overflows at x={x}; argument too large for the series"
@@ -115,7 +122,7 @@ def k_struve(
         rho = abs(ratio_scale) / ((r + base) * (r + 1.5))
         if rho < 1.0:
             bound = abs(term) * rho / (1.0 - rho)
-            if bound <= tol * max(1.0, abs(total)):
+            if bound <= max(tol * abs(total), TINY):
                 return EvaluationResult(total, bound, r + 1)
         term *= ratio_scale / ((r + base) * (r + 1.5))
         if not math.isfinite(term):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError, PoleError
 from .gamma import log_abs_gamma
-from .results import EvaluationResult
+from .results import TINY, EvaluationResult
 
 _POLE_SNAP = 1e-9
 
@@ -79,8 +79,10 @@ def wright_eval(
     Truncation is certified once every gamma argument has passed its last
     pole, the observed term ratios decrease over a three-term window, and the
     latest ratio drops below 1; the tail is then majorized by a geometric
-    series.  Raises ConvergenceError if delta <= -1 (outside the entire
-    regime) or if ``max_terms`` is exhausted first.
+    series, and summation stops once that bound is at most
+    ``max(tol * |value|, 1e-280)``: relative to the value, with an absolute
+    floor for sums lost to underflow.  Raises ConvergenceError if delta <= -1
+    (outside the entire regime) or if ``max_terms`` is exhausted first.
     """
     if not (math.isfinite(z) and math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"need finite z and tol > 0, got z={z!r}, tol={tol!r}")
@@ -130,7 +132,7 @@ def wright_eval(
         window_ok = len(ratios) == 3 and ratios[0] >= ratios[1] >= ratios[2]
         if window_ok and rho < 1.0 and args_positive(m):
             bound = abs(current) / (1.0 - rho)
-            if bound <= tol * max(1.0, abs(total)):
+            if bound <= max(tol * abs(total), TINY):
                 y = current - comp
                 total = total + y
                 return EvaluationResult(total, bound, m + 1)

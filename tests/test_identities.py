@@ -24,6 +24,7 @@ from kstruve import (
     verify,
     verify_grid,
 )
+from kstruve import identities
 from kstruve.gamma import log_k_gamma
 from kstruve.identities import _wright_tail
 
@@ -271,6 +272,27 @@ class TestCorollaries:
             verify("corollary1", TheoremParams(alpha=1.0, mu=0.25, nu=3.5, c=1.0, k=2.0))
 
 
+class TestWorkPerPoint:
+    """One quadrature and one Fox-Wright sum per closed form, at any scale."""
+
+    @pytest.mark.parametrize("which", ["theorem1", "theorem2"])
+    def test_verify_integrates_once_and_sums_twice(self, which, monkeypatch):
+        calls = {"integrate": 0, "wright_eval": 0}
+        for name in calls:
+            original = getattr(identities, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(identities, name, counting)
+        p = default_grid(which)[0]
+        report = verify(which, p)
+        assert report.verdict is Verdict.CONFIRMED_CORRECTED
+        assert 0.0 < abs(report.lhs_value) < 0.5  # below unit scale: relative != absolute
+        assert calls == {"integrate": 1, "wright_eval": 2}
+
+
 class TestVerifyGrid:
     def test_empty_grid(self):
         assert verify_grid("theorem1", []) == []
@@ -317,6 +339,12 @@ class TestDefaultGrid:
         points2 = default_grid("corollary2")
         assert len(points2) == 6
         assert all(p.c == -1.0 and p.k == 1.0 for p in points2)
+
+    @pytest.mark.parametrize("which", IDENTITIES)
+    def test_default_grid_corrected_forms_agree_to_1e_12(self, which):
+        pairs = verify_grid(which, default_grid(which))
+        assert all(rep.verdict is Verdict.CONFIRMED_CORRECTED for _, rep in pairs)
+        assert max(rep.rel_dev_corrected for _, rep in pairs) <= 1e-12
 
     def test_unknown_identity_rejected(self):
         with pytest.raises(DomainError):

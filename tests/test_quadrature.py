@@ -14,6 +14,7 @@ from kstruve import (
     lavoie_trottier_rhs,
     select_method,
 )
+from kstruve import quadrature
 from kstruve.errors import ConvergenceError
 from kstruve.results import QuadratureResult
 
@@ -128,6 +129,32 @@ class TestIntegrate:
             integrate(lambda x: 1.0, tol=1e-10, method="simpson")
 
 
+class TestRelativeRule:
+    """Both rules stop on estimate <= max(tol * |value|, 1e-280)."""
+
+    @pytest.mark.parametrize("method", ["adaptive_gk", "tanh_sinh"])
+    def test_small_integral_is_resolved_relative_to_itself(self, method):
+        res = integrate(lambda x: 1e-9 * x**0.5, tol=1e-10, method=method)
+        assert res.converged
+        assert res.error_estimate <= 1e-10 * abs(res.value)
+        assert res.value == pytest.approx(2e-9 / 3.0, rel=1e-10)
+
+    @pytest.mark.parametrize("method", ["adaptive_gk", "tanh_sinh"])
+    def test_integral_zero_to_rounding_does_not_converge(self, method):
+        with pytest.raises(ConvergenceError) as excinfo:
+            integrate(lambda x: x - 0.5, tol=1e-10, method=method)
+        partial = excinfo.value.partial
+        assert isinstance(partial, QuadratureResult)
+        assert not partial.converged
+        assert abs(partial.value) <= 1e-14
+
+    @pytest.mark.parametrize("method", ["adaptive_gk", "tanh_sinh"])
+    def test_exactly_zero_integrand_converges_on_the_floor(self, method):
+        res = integrate(lambda x: 0.0, tol=1e-10, method=method)
+        assert res.converged
+        assert res.value == 0.0 and res.error_estimate <= 1e-280
+
+
 class TestSelectMethod:
     def test_singular_exponent_selects_tanh_sinh(self):
         assert select_method(0.5, 1.0, 2.0) == "tanh_sinh"
@@ -163,6 +190,18 @@ class TestLavoieTrottier:
         assert report.lhs_value == pytest.approx(lavoie_trottier_rhs(1.5, 2.0), rel=1e-11)
         assert report.strict_hypotheses
         assert report.error is None
+
+    def test_check_integrates_once(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("method"))
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "integrate", counting)
+        report = lavoie_trottier_check(2.5, 1.5)
+        assert report.verdict is Verdict.BOTH_AGREE
+        assert calls == ["adaptive_gk"]
 
     @settings(max_examples=15, deadline=None)
     @given(

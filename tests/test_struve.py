@@ -159,6 +159,12 @@ class TestNegativeArgument:
 
 
 class TestSeriesBehavior:
+    def test_stopping_rule_is_relative_below_unit_scale(self):
+        # S is about 4.2e-11 here; an absolute target would stop at a bound
+        # near 2e-18, some 5e-8 of the value
+        res = k_struve(StruveParams(nu=2.0, c=1.0, k=1.0), 1e-3, tol=1e-12)
+        assert 0.0 < res.error_bound <= 1e-12 * abs(res.value)
+
     def test_l_partial_sums_increase_with_terms(self):
         # all L terms are positive, so tighter tolerances only add mass
         evals = [struve_l(0.0, 2.0, tol=tol) for tol in (1e-3, 1e-6, 1e-9, 1e-12)]

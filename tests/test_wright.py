@@ -164,6 +164,14 @@ class TestErrorBound:
         tight = wright_eval(spec, z, tol=1e-10)
         assert abs(loose.value - tight.value) <= loose.error_bound
 
+    def test_stopping_rule_is_relative_below_unit_scale(self):
+        # sum_m 1/Gamma(40 + m) is about 5e-47, far below any absolute target
+        spec = WrightSpec(upper=[(1.0, 1.0)], lower=[(40.0, 1.0)])
+        res = wright_eval(spec, 1.0, tol=1e-12)
+        exact = math.fsum(math.exp(-math.lgamma(40.0 + m)) for m in range(40))
+        assert 0.0 < res.error_bound <= 1e-12 * abs(res.value)
+        assert res.value == pytest.approx(exact, rel=1e-12)
+
     def test_terms_bounded(self):
         spec = WrightSpec(upper=[(1.0, 1.0)], lower=[(1.0, 1.0)])
         res = wright_eval(spec, 3.0, tol=1e-13, max_terms=1000)
