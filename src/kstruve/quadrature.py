@@ -120,10 +120,12 @@ def _tanh_sinh(g, tol: float, endpoint_safe: bool) -> QuadratureResult:
         evaluations += 1
         return _check_sample(g(x, omx), x)
 
-    # level 0: h = 1, nodes at integer t
+    # level 0: h = 1, nodes at integer t; level_abs estimates the integral
+    # of |f|, whose 50-ulp share is the rounding floor of every later level
     h = 1.0
     mid = sample(0.5, 0.5)
     level_sum = (math.pi / 4.0) * mid
+    level_abs = (math.pi / 4.0) * abs(mid)
     j = 1
     tiny_run = 0
     while j * h <= _TS_T_CAP:
@@ -131,7 +133,10 @@ def _tanh_sinh(g, tol: float, endpoint_safe: bool) -> QuadratureResult:
         if pair is None or pair[2] == 0.0:
             break
         small, big, weight = pair
-        contrib = weight * (sample(big, small) + sample(small, big))
+        f_big = sample(big, small)
+        f_small = sample(small, big)
+        contrib = weight * (f_big + f_small)
+        level_abs += weight * (abs(f_big) + abs(f_small))
         level_sum += contrib
         if abs(contrib) <= 1e-17 * max(abs(level_sum), 1e-300):
             tiny_run += 1
@@ -141,6 +146,7 @@ def _tanh_sinh(g, tol: float, endpoint_safe: bool) -> QuadratureResult:
             tiny_run = 0
         j += 1
     total = h * level_sum
+    floor = 50.0 * 2.220446049250313e-16 * h * level_abs
 
     previous = total
     estimate = math.inf
@@ -169,8 +175,13 @@ def _tanh_sinh(g, tol: float, endpoint_safe: bool) -> QuadratureResult:
         estimate = abs(total - previous)
         previous = total
         if level >= 2 and estimate <= max(tol * abs(total), TINY):
-            floor = 1.1e-16 * abs(total)
-            return QuadratureResult(total, max(estimate, floor), evaluations, True)
+            return QuadratureResult(total, max(estimate, 1.1e-16 * abs(total)), evaluations, True)
+        if level >= 2 and estimate <= floor:
+            raise ConvergenceError(
+                f"tanh_sinh estimate {estimate:.3e} is below the rounding floor "
+                f"{floor:.3e} but above tol * |value|",
+                partial=QuadratureResult(total, estimate, evaluations, False),
+            )
 
     partial = QuadratureResult(total, estimate, evaluations, False)
     raise ConvergenceError(
@@ -179,14 +190,15 @@ def _tanh_sinh(g, tol: float, endpoint_safe: bool) -> QuadratureResult:
     )
 
 
-def _gk_rule(g, a: float, b: float, counter: list) -> tuple[float, float]:
-    """15-point Kronrod value and error estimate on [a, b].
+def _gk_rule(g, a: float, b: float, counter: list) -> tuple[float, float, bool]:
+    """15-point Kronrod value, error estimate and floor flag on [a, b].
 
     The estimate follows QUADPACK dqk15: the raw Gauss/Kronrod difference is
     sharpened through (200 d / resasc)**1.5 only relative to resasc, the
     integral of |f - mean|, so agreement by accident on a large-scale
     integrand is not mistaken for convergence; a 50-ulp floor on the
-    integral of |f| covers plain rounding.
+    integral of |f| covers plain rounding.  The flag is True when that floor
+    set the estimate, so that bisection cannot lower it.
     """
     center = 0.5 * (a + b)
     half = 0.5 * (b - a)
@@ -218,9 +230,13 @@ def _gk_rule(g, a: float, b: float, counter: list) -> tuple[float, float]:
     error = abs((res_kronrod - res_gauss) * half)
     if res_asc != 0.0 and error != 0.0:
         error = res_asc * min(1.0, (200.0 * error / res_asc) ** 1.5)
+    floored = False
     if res_abs > 1e-290:
-        error = max(error, 50.0 * 2.220446049250313e-16 * res_abs)
-    return res_kronrod * half, error
+        floor = 50.0 * 2.220446049250313e-16 * res_abs
+        if floor >= error:
+            error = floor
+            floored = True
+    return res_kronrod * half, error, floored
 
 
 def _resummed_partial(heap, counter) -> QuadratureResult:
@@ -233,13 +249,14 @@ def _resummed_partial(heap, counter) -> QuadratureResult:
 def _adaptive_gk(g, tol: float) -> QuadratureResult:
     """Globally adaptive bisection on (0, 1) with a worst-interval heap."""
     counter = [0]
-    value, error = _gk_rule(g, 0.0, 1.0, counter)
-    heap = [(-error, 0, 0.0, 1.0, value, error)]
+    value, error, floored = _gk_rule(g, 0.0, 1.0, counter)
+    heap = [(-error, 0, 0.0, 1.0, value, error, floored)]
     seq = 1
+    rough = 0 if floored else 1  # live intervals above their rounding floor
     total_value = value
     total_error = error
     while True:
-        if total_error <= max(tol * abs(total_value), TINY):
+        if total_error <= max(tol * abs(total_value), TINY) or not rough:
             # the running accumulator can drift (or be annihilated outright
             # when one interval's estimate dwarfs the rest), so convergence
             # is only declared on an exact resummation of the live heap
@@ -247,6 +264,13 @@ def _adaptive_gk(g, tol: float) -> QuadratureResult:
             total_error = math.fsum(item[5] for item in heap)
             if total_error <= max(tol * abs(total_value), TINY):
                 return QuadratureResult(total_value, total_error, counter[0], True)
+            if not rough:
+                partial = _resummed_partial(heap, counter)
+                raise ConvergenceError(
+                    f"adaptive_gk estimate {partial.error_estimate:.3e} is the rounding "
+                    f"floor of every interval, above tol * |value|",
+                    partial=partial,
+                )
         if len(heap) >= _MAX_GK_INTERVALS:
             partial = _resummed_partial(heap, counter)
             raise ConvergenceError(
@@ -254,21 +278,22 @@ def _adaptive_gk(g, tol: float) -> QuadratureResult:
                 f"at estimate {partial.error_estimate:.3e}",
                 partial=partial,
             )
-        _, _, a, b, val, err = heapq.heappop(heap)
+        item = heapq.heappop(heap)
+        _, _, a, b, val, err, floored = item
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:
-            heapq.heappush(heap, (-err, seq, a, b, val, err))
-            seq += 1
+            heapq.heappush(heap, item)
             partial = _resummed_partial(heap, counter)
             raise ConvergenceError(
                 f"adaptive_gk interval at [{a}, {b}] is too small to bisect",
                 partial=partial,
             )
-        v1, e1 = _gk_rule(g, a, mid, counter)
-        v2, e2 = _gk_rule(g, mid, b, counter)
-        heapq.heappush(heap, (-e1, seq, a, mid, v1, e1))
-        heapq.heappush(heap, (-e2, seq + 1, mid, b, v2, e2))
+        v1, e1, f1 = _gk_rule(g, a, mid, counter)
+        v2, e2, f2 = _gk_rule(g, mid, b, counter)
+        heapq.heappush(heap, (-e1, seq, a, mid, v1, e1, f1))
+        heapq.heappush(heap, (-e2, seq + 1, mid, b, v2, e2, f2))
         seq += 2
+        rough += (not f1) + (not f2) - (not floored)
         total_value += v1 + v2 - val
         total_error += e1 + e2 - err
 

@@ -6,16 +6,21 @@
 with all alpha_i, beta_j > 0.  The series is entire whenever the convergence
 index  delta = sum(beta_j) - sum(alpha_i)  exceeds -1; at delta = -1 it has a
 finite radius and below that it is purely asymptotic, so evaluation is
-refused there.  Terms are assembled in log space with explicit sign tracking,
-which keeps gamma factors with large or negative arguments out of trouble.
+refused there.  With integer slopes (every identity in the package) the terms
+follow their exact ratio recurrence, re-summed in fixed point when they cancel
+beyond double precision; other slopes assemble each term in log space with
+explicit sign tracking.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ConvergenceError, DomainError, PoleError
+from .fixedpoint import UNIT as _UNIT
+from .fixedpoint import LinearRatio, sum_fixed
 from .gamma import log_abs_gamma
 from .results import TINY, EvaluationResult
 
@@ -39,6 +44,11 @@ class WrightSpec:
             if not (math.isfinite(b) and math.isfinite(be) and be > 0.0):
                 raise DomainError(f"lower pair ({b}, {be}) needs finite b and beta > 0")
 
+    @cached_property
+    def _plan(self) -> "_Plan":
+        """The integer-slope evaluator, built on first use."""
+        return _Plan(self)
+
 
 def convergence_index(spec: WrightSpec) -> float:
     """delta = sum of lower slopes minus sum of upper slopes."""
@@ -50,16 +60,18 @@ def _near_nonpositive_integer(v: float) -> bool:
     return nearest <= 0 and abs(v - nearest) <= _POLE_SNAP
 
 
-def _log_term(spec: WrightSpec, m: int) -> tuple[float, float]:
-    """(log magnitude, sign) of the m-th term without the z**m / m! factor."""
+def _log_term(spec: WrightSpec, m: int) -> tuple[float, float, float]:
+    """(log magnitude, sign, sum of |log Gamma|) of the m-th term without z**m / m!."""
     log_mag = 0.0
     sign = 1.0
+    size = 0.0
     for a, al in spec.upper:
         arg = a + al * m
         if _near_nonpositive_integer(arg):
             raise PoleError(f"upper gamma argument {arg} at term {m} hits a pole")
         lg, s = log_abs_gamma(arg)
         log_mag += lg
+        size += abs(lg)
         sign *= s
     for b, be in spec.lower:
         arg = b + be * m
@@ -67,22 +79,98 @@ def _log_term(spec: WrightSpec, m: int) -> tuple[float, float]:
             raise PoleError(f"lower gamma argument {arg} at term {m} hits a pole")
         lg, s = log_abs_gamma(arg)
         log_mag -= lg
+        size += abs(lg)
         sign *= s
-    return log_mag, sign
+    return log_mag, sign, size
+
+
+def _first_positive(forms) -> int:
+    """Smallest m >= 0 with p*m + q > 0 for every (p, q) in forms."""
+    first = 0
+    for p, q in forms:
+        m = max(0, math.floor(-q / p) + 1) if q <= 0.0 else 0
+        while p * m + q <= 0.0:
+            m += 1
+        first = max(first, m)
+    return first
+
+
+class _Plan:
+    """Integer-slope evaluator of one spec, built once.
+
+    With integer slopes Gamma(a + alpha (m + 1)) / Gamma(a + alpha m) is the
+    product of alpha linear factors, so the term ratio is z times a ratio of
+    linear factors in m; a factor shared by both sides (such as m + 1 from
+    m!) cancels.  From ``tail_start`` on every factor is positive and the
+    ratio magnitude is non-increasing, which certifies a geometric tail.
+    """
+
+    def __init__(self, spec: WrightSpec):
+        num = [(int(al), a + s) for a, al in spec.upper for s in range(int(al))]
+        den = [(int(be), b + s) for b, be in spec.lower for s in range(int(be))]
+        den.append((1, 1.0))  # m + 1 from z**m / m!
+        for form in list(num):
+            if form in den:
+                num.remove(form)
+                den.remove(form)
+        start = _first_positive(num + den)
+        if num:
+            low = min(q / p for p, q in num)
+            high = max(q / p for p, q in den)
+            # sum 1/(m + q/p) upstairs <= downstairs once this holds
+            edge = (len(num) * high - len(den) * low) / (len(den) - len(num))
+            start = max(start, math.ceil(edge) + 1)
+        self.num_forms = tuple(num)
+        self.den_forms = tuple(den)
+        # roundings per step: one per factor and product, the quotient, the update
+        self.step_ulps = 2.0 * (len(num) + len(den)) + 1.0
+        self.tail_start = start
+
+        log_mag, sign, size = _log_term(spec, 0)
+        count = len(spec.upper) + len(spec.lower)
+        self.lead = sign * math.exp(log_mag) if -700.0 < log_mag < 700.0 else 0.0
+        # each log Gamma within 2 ulps (plus 4 ulps absolute), the sum, exp
+        self.lead_err = _UNIT * ((4.0 + count) * size + 4.0 * count + 2.0)
+
+    @cached_property
+    def table(self) -> LinearRatio:
+        """The factors as exact integers, for the fixed-point path."""
+        # p*m + qn/qd: the denominators qd are powers of two, moved across
+        num_const = den_const = 1
+        exact_num, exact_den = [], []
+        for p, q in self.num_forms:
+            qn, qd = q.as_integer_ratio()
+            exact_num.append((p * qd, qn))
+            den_const *= qd
+        for p, q in self.den_forms:
+            qn, qd = q.as_integer_ratio()
+            exact_den.append((p * qd, qn))
+            num_const *= qd
+        return LinearRatio(exact_num, exact_den, num_const, den_const, self.tail_start)
 
 
 def wright_eval(
     spec: WrightSpec, z: float, tol: float = 1e-12, max_terms: int = 1000
 ) -> EvaluationResult:
-    """Sum the Fox-Wright series at real z with a geometric tail bound.
+    """Sum the Fox-Wright series at real z with a certified error bound.
 
-    Truncation is certified once every gamma argument has passed its last
-    pole, the observed term ratios decrease over a three-term window, and the
-    latest ratio drops below 1; the tail is then majorized by a geometric
-    series, and summation stops once that bound is at most
+    Summation stops once the error bound is at most
     ``max(tol * |value|, 1e-280)``: relative to the value, with an absolute
-    floor for sums lost to underflow.  Raises ConvergenceError if delta <= -1
-    (outside the entire regime) or if ``max_terms`` is exhausted first.
+    floor for sums lost to underflow.  The bound covers the truncated tail
+    and the rounding of every term and of the sum.
+
+    When every slope is an integer the terms follow their exact ratio
+    recurrence; from the index at which every factor is positive and the
+    ratio magnitude can no longer rise, the tail is majorized by a geometric
+    series.  If the rounding of the double loop alone would break the rule,
+    the series is re-summed in fixed point on integers (see
+    :mod:`kstruve.fixedpoint`).  Other slopes assemble each term from log
+    Gamma values; the tail is certified once every gamma argument is
+    positive, the observed term ratios decrease over a three-term window and
+    the latest ratio is below 1, and a rounding bound the rule cannot absorb
+    raises ConvergenceError naming the cancellation.  ConvergenceError is
+    also raised if delta <= -1 (outside the entire regime) or if
+    ``max_terms`` is exhausted first.
     """
     if not (math.isfinite(z) and math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"need finite z and tol > 0, got z={z!r}, tol={tol!r}")
@@ -91,52 +179,151 @@ def wright_eval(
         raise ConvergenceError(
             f"convergence index {delta} <= -1: series is not entire, refusing to sum"
         )
+    if all(w.is_integer() for _, w in spec.upper + spec.lower):
+        plan = spec._plan
+        if plan.lead != 0.0:
+            return _ratio_sum(plan, z, tol, max_terms)
+    return _log_sum(spec, z, tol, max_terms)
 
-    def term_value(m: int) -> float:
-        log_mag, sign = _log_term(spec, m)
-        if m > 0:
-            if z == 0.0:
-                return 0.0
-            log_mag += m * math.log(abs(z)) - math.lgamma(m + 1.0)
-            if z < 0.0 and m % 2 == 1:
-                sign = -sign
-        if log_mag < -745.0:
-            return 0.0
-        return sign * math.exp(log_mag)
 
-    def args_positive(m: int) -> bool:
-        return all(a + al * m > 0.0 for a, al in spec.upper) and all(
-            b + be * m > 0.0 for b, be in spec.lower
-        )
-
+def _ratio_sum(plan: _Plan, z: float, tol: float, max_terms: int) -> EvaluationResult:
+    """Integer-slope series by its exact term ratio, in doubles or fixed point."""
+    lead = plan.lead
+    if z == 0.0:
+        return EvaluationResult(lead, abs(lead) * plan.lead_err, 1)
+    num_forms, den_forms = plan.num_forms, plan.den_forms
+    start = plan.tail_start
+    term = lead
     total = 0.0
     comp = 0.0
-    previous = term_value(0)
+    mags = 0.0  # sum of |t_m|
+    moments = 0.0  # sum of m |t_m|
+    for m in range(max_terms):
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        mag = abs(term)
+        mags += mag
+        moments += m * mag
+        num = z
+        for p, q in num_forms:
+            num *= p * m + q
+        den = 1.0
+        for p, q in den_forms:
+            den *= p * m + q
+        ratio = num / den
+        rho = abs(ratio)
+        term *= ratio
+        if not math.isfinite(term):
+            raise ConvergenceError(f"Fox-Wright term overflowed at m={m + 1} for z={z}")
+        if m < start or rho >= 1.0:
+            continue
+        # t_m carries step_ulps per step and the leading term's error; Kahan
+        # summation adds 2
+        rounding = _UNIT * (plan.step_ulps * moments + 2.0 * mags) + plan.lead_err * abs(total)
+        reach = abs(total) + abs(term) / (1.0 - rho)  # bounds |sum| from here on
+        if abs(term) <= (1.0 - rho) * max(tol * abs(total), TINY):
+            # the next term and all after it are within tol: add it as well,
+            # which leaves a tail of at most |t_{m+1}| rho / (1 - rho)
+            total += term - comp
+            mag = abs(term)
+            mags += mag
+            moments += (m + 1) * mag
+            bound = mag * rho / (1.0 - rho)
+            rounding = _UNIT * (plan.step_ulps * moments + 2.0 * mags) + plan.lead_err * abs(total)
+            if bound + rounding <= max(tol * abs(total), TINY):
+                return EvaluationResult(total, bound + rounding, m + 2)
+        elif rounding <= 0.5 * tol * reach:
+            continue
+        # the rounding cannot fit under tol * |value| any more
+        cond_bits = math.ceil(math.log2(mags / abs(total))) if total else 0
+        zn, zd = z.as_integer_ratio()
+        try:
+            return sum_fixed(
+                plan.table,
+                abs(zn),
+                zd.bit_length() - 1,
+                z < 0.0,
+                lead,
+                plan.lead_err,
+                cond_bits,
+                tol,
+                max_terms,
+            )
+        except ConvergenceError as exc:
+            raise ConvergenceError(f"Fox-Wright series at z={z}: {exc}") from None
+    raise ConvergenceError(
+        f"Fox-Wright series needed more than {max_terms} terms at z={z} for tol={tol}"
+    )
+
+
+def _log_sum(spec: WrightSpec, z: float, tol: float, max_terms: int) -> EvaluationResult:
+    """Any slopes: each term from log Gamma values, with a running rounding bound."""
+    count = len(spec.upper) + len(spec.lower)
+    log_z = math.log(abs(z)) if z != 0.0 else 0.0
+
+    def term_value(m: int) -> tuple[float, float]:
+        """The m-th term and a bound on its relative rounding error."""
+        log_mag, sign, size = _log_term(spec, m)
+        if m > 0:
+            if z == 0.0:
+                return 0.0, 0.0
+            power = m * log_z
+            lg_fact = math.lgamma(m + 1.0)
+            log_mag += power - lg_fact
+            size += abs(power) + abs(lg_fact)
+            if z < 0.0 and m % 2 == 1:
+                sign = -sign
+        # each log within 2 ulps (plus 4 ulps absolute), the sums, exp
+        err = _UNIT * ((6.0 + count) * size + 4.0 * (count + 1) + 2.0)
+        if log_mag < -745.0:
+            return 0.0, 0.0
+        return sign * math.exp(log_mag), err
+
+    positive_from = _first_positive([(w, a) for a, w in spec.upper + spec.lower])
+    total = 0.0
+    comp = 0.0
+    previous, previous_err = term_value(0)
     if z == 0.0:
-        return EvaluationResult(previous, 0.0, 1)
+        return EvaluationResult(previous, abs(previous) * previous_err, 1)
+    mags = 0.0
+    rounding = 0.0
     ratios: list[float] = []
     for m in range(1, max_terms + 1):
         y = previous - comp
         t = total + y
         comp = (t - total) - y
         total = t
-        current = term_value(m)
+        mags += abs(previous)
+        rounding += abs(previous) * previous_err
+        current, current_err = term_value(m)
         if previous != 0.0 and math.isfinite(current / previous):
             ratios.append(abs(current / previous))
             if len(ratios) > 3:
                 ratios.pop(0)
         elif current == 0.0 and previous == 0.0:
             # underflowed into the flat tail: nothing left to add
-            return EvaluationResult(total, 0.0, m)
+            return EvaluationResult(total, _UNIT * 2.0 * mags + rounding, m)
         rho = ratios[-1] if ratios else math.inf
         window_ok = len(ratios) == 3 and ratios[0] >= ratios[1] >= ratios[2]
-        if window_ok and rho < 1.0 and args_positive(m):
+        if window_ok and rho < 1.0 and m >= positive_from:
             bound = abs(current) / (1.0 - rho)
-            if bound <= max(tol * abs(total), TINY):
-                y = current - comp
-                total = total + y
-                return EvaluationResult(total, bound, m + 1)
-        previous = current
+            limit = max(tol * abs(total), TINY)
+            if bound <= limit:
+                rounding += abs(current) * current_err + _UNIT * 2.0 * (mags + abs(current))
+                error = bound + rounding
+                if error <= limit:
+                    y = current - comp
+                    total = total + y
+                    return EvaluationResult(total, error, m + 1)
+                if rounding > 0.5 * limit:
+                    raise ConvergenceError(
+                        f"Fox-Wright series at z={z}: the terms cancel "
+                        f"(sum |t| / |sum t| = {mags / max(abs(total), TINY):.2e}) and their "
+                        f"rounding {rounding:.2e} exceeds tol * |value| = {limit:.2e}"
+                    )
+        previous, previous_err = current, current_err
     raise ConvergenceError(
         f"Fox-Wright series needed more than {max_terms} terms at z={z} for tol={tol}"
     )

@@ -211,6 +211,86 @@ def test_criterion_09_error_bound_soundness(capsys):
              ok, f"{violations} violations")
 
 
+def _mp_k_struve(mp, nu, c, k, x):
+    """The k-Struve series at the exact double inputs, summed in mpmath."""
+    nu, c, k, x = (mp.mpf(v) for v in (nu, c, k, x))
+    # the terms outgrow the sum by about e**(x sqrt(|c|/k)): carry those digits too
+    digits = 40 + int(float(x * mp.sqrt(abs(c) / k)) / 2.3)
+    with mp.workdps(digits):
+        base = nu / k + mp.mpf(3) / 2
+        term = (x / 2) ** (base - mp.mpf(1) / 2) / (
+            k ** (base - 1) * mp.gamma(base) * mp.gamma(mp.mpf(3) / 2)
+        )
+        ratio = -c * (x / 2) ** 2 / k
+        total, r = mp.mpf(0), 0
+        while r < 6 or abs(term) > abs(total) * mp.mpf(10) ** -35:
+            total += term
+            term *= ratio / ((r + base) * (r + mp.mpf(3) / 2))
+            r += 1
+        return +total
+
+
+def _mp_wright(mp, spec, z):
+    """The Fox-Wright series at the exact double inputs, summed in mpmath."""
+    z = mp.mpf(z)
+    with mp.workdps(60 + int(3.0 * math.sqrt(abs(float(z))) / 2.3)):
+        total, m = mp.mpf(0), 0
+        while True:
+            term = z**m / mp.factorial(m)
+            for a, al in spec.upper:
+                term *= mp.gamma(mp.mpf(a) + mp.mpf(al) * m)
+            for b, be in spec.lower:
+                term /= mp.gamma(mp.mpf(b) + mp.mpf(be) * m)
+            total += term
+            m += 1
+            if m > 10 and abs(term) < abs(total) * mp.mpf(10) ** -40:
+                return +total
+
+
+def test_k_struve_bounds_hold_against_mpmath_oracle():
+    """error_bound >= |value - S| for x up to 100, rounding included."""
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(91)
+    for i in range(60):
+        c = rng.choice([-1.0, 1.0, 2.0])
+        k = rng.choice([0.5, 1.0, 2.0])
+        # every fourth point sits in the relaxed corner nu/k in (-1.35, -1.15)
+        nu = k * rng.uniform(-1.35, -1.15) if i % 4 == 0 else rng.uniform(-0.5, 6.0)
+        x = rng.choice([rng.uniform(0.01, 8.0), rng.uniform(8.0, 100.0), 100.0])
+        tol = rng.choice([1e-8, 1e-10, 1e-12])
+        res = k_struve(StruveParams(nu=nu, c=c, k=k), x, tol=tol)
+        error = abs(mp.mpf(res.value) - _mp_k_struve(mp, nu, c, k, x))
+        assert error <= res.error_bound, (nu, c, k, x, tol, res)
+        assert res.error_bound <= tol * abs(res.value)
+
+
+def test_wright_bounds_hold_against_mpmath_oracle():
+    """error_bound >= |value - Psi| on the theorem specs, z down to -2500."""
+    mp = pytest.importorskip("mpmath")
+    from kstruve.identities import _wright_tail
+
+    rng = random.Random(92)
+    for i in range(16):
+        p = TheoremParams(
+            alpha=rng.uniform(0.3, 3.0), mu=rng.uniform(0.1, 1.5), nu=rng.uniform(1.6, 4.0),
+            c=1.0, k=rng.choice([0.5, 1.0, 2.0]), y=1.0,
+        )
+        spec = _wright_tail(p, corrected=i % 2 == 0)
+        z = -rng.choice([rng.uniform(0.0, 3.0), rng.uniform(3.0, 400.0), 2500.0])
+        tol = rng.choice([1e-8, 1e-11, 1e-12])
+        res = wright_eval(spec, z, tol=tol)
+        error = abs(mp.mpf(res.value) - _mp_wright(mp, spec, z))
+        assert error <= res.error_bound, (p, z, tol, res)
+        assert res.error_bound <= tol * abs(res.value)
+
+
+def test_struve_h_at_60_matches_mpmath():
+    pytest.importorskip("mpmath")
+    res = struve_h(2.0, 60.0)
+    assert res.value == pytest.approx(12.698717974725534, rel=1e-12)
+    assert abs(res.value - 12.698717974725534) <= res.error_bound
+
+
 def test_criterion_10_cli_determinism_and_exit_codes(capsys):
     def run(*argv):
         out, err = io.StringIO(), io.StringIO()

@@ -292,6 +292,48 @@ class TestWorkPerPoint:
         assert 0.0 < abs(report.lhs_value) < 0.5  # below unit scale: relative != absolute
         assert calls == {"integrate": 1, "wright_eval": 2}
 
+    # integrand evaluations at the first default point before the exact-ratio
+    # series evaluators; the new ones may use no more
+    @pytest.mark.parametrize("which, evaluations", [("theorem1", 135), ("theorem2", 113)])
+    def test_default_point_evaluations_do_not_grow(self, which, evaluations, monkeypatch):
+        results = []
+        original = identities.integrate
+
+        def recording(*args, **kwargs):
+            results.append(original(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(identities, "integrate", recording)
+        verify(which, default_grid(which)[0])
+        assert len(results) == 1
+        assert results[0].converged
+        assert results[0].evaluations <= evaluations
+
+
+class TestLargeArgument:
+    """c = 1, y = 40: both series cancel by 10**7 and more."""
+
+    def test_theorem1_at_y40_is_confirmed_with_little_work(self, monkeypatch):
+        results = []
+        original = identities.integrate
+
+        def recording(*args, **kwargs):
+            results.append(original(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(identities, "integrate", recording)
+        p = TheoremParams(alpha=1.0, mu=0.5, nu=2.0, c=1.0, k=1.0, y=40.0)
+        report = verify("theorem1", p)
+        assert report.verdict is Verdict.CONFIRMED_CORRECTED
+        assert report.lhs_value == pytest.approx(0.68182872966053, rel=1e-10)
+        assert results[0].converged and results[0].evaluations < 1000
+
+    def test_gauss_kronrod_point_at_y40_converges(self):
+        p = TheoremParams(alpha=2.0, mu=0.25, nu=2.0, c=1.0, k=1.0, y=40.0)
+        quad = theorem1_lhs(p)
+        assert quad.converged
+        assert quad.evaluations < 2000
+
 
 class TestVerifyGrid:
     def test_empty_grid(self):

@@ -149,6 +149,16 @@ class TestRelativeRule:
         assert abs(partial.value) <= 1e-14
 
     @pytest.mark.parametrize("method", ["adaptive_gk", "tanh_sinh"])
+    def test_rounding_floor_ends_the_search_early(self, method):
+        # every estimate of x - 1/2 sits on the 50-ulp floor of the integral
+        # of |f|, which refinement cannot lower
+        with pytest.raises(ConvergenceError) as excinfo:
+            integrate(lambda x: x - 0.5, tol=1e-10, method=method)
+        partial = excinfo.value.partial
+        assert not partial.converged
+        assert partial.evaluations < 100
+
+    @pytest.mark.parametrize("method", ["adaptive_gk", "tanh_sinh"])
     def test_exactly_zero_integrand_converges_on_the_floor(self, method):
         res = integrate(lambda x: 0.0, tol=1e-10, method=method)
         assert res.converged

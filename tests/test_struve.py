@@ -1,6 +1,7 @@
 """Tests for the k-Struve series and its classical specializations."""
 
 import math
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -191,6 +192,14 @@ class TestSeriesBehavior:
     def test_extreme_argument_fails_loudly(self):
         with pytest.raises(ConvergenceError):
             k_struve(StruveParams(nu=0.0, c=1.0, k=1.0), 1e8)
+
+    def test_extreme_argument_is_refused_before_summing(self):
+        # the terms peak near r = x/2: the term count is checked before the
+        # fixed-point path allocates anything
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError, match="more than 500 terms"):
+            k_struve(StruveParams(nu=0.0, c=1.0, k=1.0), 1e8)
+        assert time.perf_counter() - start < 1.0
 
     def test_bad_tol_rejected(self):
         with pytest.raises(DomainError):

@@ -172,6 +172,12 @@ class TestErrorBound:
         assert 0.0 < res.error_bound <= 1e-12 * abs(res.value)
         assert res.value == pytest.approx(exact, rel=1e-12)
 
+    def test_tail_waits_for_positive_arguments(self):
+        # Gamma(-2.3 + m/2) changes sign until m = 5; mpmath nsum at 30 digits
+        spec = WrightSpec(upper=[(-2.3, 0.5)], lower=[(1.0, 0.7)])
+        res = wright_eval(spec, 0.8, tol=1e-10)
+        assert abs(res.value - 1.979766626757970525) <= res.error_bound
+
     def test_terms_bounded(self):
         spec = WrightSpec(upper=[(1.0, 1.0)], lower=[(1.0, 1.0)])
         res = wright_eval(spec, 3.0, tol=1e-13, max_terms=1000)
