@@ -75,7 +75,6 @@ class LinearRatio:
         self.shift = den_twos - num_twos
         self.num_const = num_const
         self.tail_start = tail_start
-        self.positive = all(p >= 0 and q > 0 for p, q in (*num_forms, *den_forms))
         self._num = _differences(num_const, num_forms) if num_forms else None
         self._den = _differences(den_const, den_forms)
         self.nums: list[int] | None = [] if num_forms else None
@@ -89,7 +88,7 @@ class LinearRatio:
             return
         dens = _advance(self._den, count)
         if self._num is None:
-            flips = [v < 0 for v in dens] if not self.positive else [False] * count
+            flips = [v < 0 for v in dens]
         else:
             nums = _advance(self._num, count)
             flips = [(a < 0) != (b < 0) for a, b in zip(nums, dens)]
@@ -108,80 +107,48 @@ def _advance(state: list[int], count: int) -> list[int]:
     return seq[:count]
 
 
-def _alternating_pass(table, step, shift, bits, gap, settle, max_terms):
-    """Positive factors, tail from 0, alternating signs; ratios <= 1/4 from ``settle``.
+def _pass(table, step, shift, negate, bits, gap, max_terms):
+    """One summation at ``bits`` bits: (sum, bound in units of 2**-bits, terms), or None.
 
-    The hot loop of the c > 0 k-Struve series: the even- and odd-indexed
-    terms go to separate sums, so no step tests a sign or the stopping rule
-    before index ``settle``.
+    The tail is certified once the ratio is at most 1/4 past ``tail_start``.
+    Positive and negative terms go to separate sums, whose total is sum |u|.
     """
-    dens = table.dens
-    head = settle + (settle & 1)  # phase 2 starts even and at or past settle
-    if head >= max_terms:
-        raise ConvergenceError(f"{max_terms} terms were not enough for the fixed-point sum")
-    if len(dens) < head + 32:
-        table.grow(head + 32)
-    size = len(dens)
     a = 1 << bits
-    even = a
-    odd = 0
-    for m in range(0, head, 2):
-        a = (a * step >> shift) // dens[m]
-        odd += a
-        a = (a * step >> shift) // dens[m + 1]
-        even += a
-    thresh = abs(even - odd) >> gap
-    for m in range(head, max_terms):
-        if m == size:
-            table.grow(m + 32)
-            size = len(dens)
-        a = (a * step >> shift) // dens[m]
-        if a <= thresh:
-            total = even - odd
-            if a.bit_length() + gap <= total.bit_length():
-                floors = 4.0 * (m + 1) * ((even + odd) / (1 << bits))
-                return total, 2.0 * (a + 1) + 3.0 * floors, m + 1
-            if not a:
-                return None
-            thresh = abs(total) >> gap
-        if m & 1:
-            even += a
-        else:
-            odd += a
-    raise ConvergenceError(f"{max_terms} terms were not enough for the fixed-point sum")
-
-
-def _generic_pass(table, step, shift, negate, bits, gap, max_terms):
-    """Any signs; the tail is certified once the ratio is at most 1/4 past ``tail_start``."""
-    a = 1 << bits
-    total = a
-    magnitude = a
+    plus, minus = a, 0
     positive = True
     start = table.tail_start
     early = []  # u_j for 1 <= j < start
     anchor = a  # u_start
     nums, dens, flips = table.nums, table.dens, table.flips
+    size = len(dens)
+    # a term can pass the bit-length test only if it is at most |sum| >> (gap - 1);
+    # this bound is refreshed whenever a term falls under it
+    thresh = a >> (gap - 1)
     for m in range(max_terms):
-        if m == len(dens):
+        if m == size:
             table.grow(m + 32)
-        mul = step if nums is None else step * nums[m]
-        nxt = (a * mul >> shift) // dens[m]
-        if m >= start and nxt.bit_length() + gap <= total.bit_length() and (nxt + 1) << 2 <= a:
-            floors = 4.0 * (math.fsum(magnitude / u for u in early) + (m + 1) * (magnitude / anchor))
-            return total, 2.0 * (nxt + 1) + 3.0 * floors, m + 1
-        if not nxt:
-            return None  # the terms ran out of bits before the sum was resolved
+            size = len(dens)
+        nxt = (a * (step if nums is None else step * nums[m]) >> shift) // dens[m]
+        if nxt <= thresh:
+            total = plus - minus
+            if m >= start and nxt.bit_length() + gap <= total.bit_length() and (nxt + 1) << 2 <= a:
+                magnitude = plus + minus
+                floors = 4.0 * (math.fsum(magnitude / u for u in early) + (m + 1) * (magnitude / anchor))
+                return total, 2.0 * (nxt + 1) + 3.0 * floors, m + 1
+            if not nxt:
+                return None  # the terms ran out of bits before the sum was resolved
+            thresh = abs(total) >> (gap - 1)
         if negate != flips[m]:
             positive = not positive
         if positive:
-            total += nxt
+            plus += nxt
         else:
-            total -= nxt
-        magnitude += nxt
-        if m + 1 < start:
-            early.append(nxt)
-        elif m + 1 == start:
-            anchor = nxt
+            minus += nxt
+        if m < start:
+            if m + 1 < start:
+                early.append(nxt)
+            else:
+                anchor = nxt
         a = nxt
     raise ConvergenceError(f"{max_terms} terms were not enough for the fixed-point sum")
 
@@ -196,17 +163,14 @@ def sum_fixed(
     cond_bits: int,
     tol: float,
     max_terms: int,
-    settle: int | None = None,
 ) -> EvaluationResult:
     """lead * sum_m u_m / 2**bits with a bound that covers truncation and rounding.
 
     ``lead`` is t_0 with relative error at most ``lead_err``; ``cond_bits``
     estimates log2(sum |t_m| / |sum t_m|) and sets the working precision.
-    ``negate`` flips the sign of every ratio.  ``settle``, when given, is an
-    index from which every ratio is at most 1/4; with positive factors and
-    alternating signs it selects a faster loop.  The pass is repeated with
+    ``negate`` flips the sign of every ratio.  The pass is repeated with
     more bits while the fixed-point rounding, not the leading term, keeps the
-    bound above ``max(tol * |value|, 1e-280)``.
+    bound above ``max(tol * |value|, 1e-280 * min(|lead|, 1))``.
     """
     precision = max(0, 1 - math.frexp(tol)[1])  # smallest b >= 0 with 2**-b <= tol
     gap = 3 + precision
@@ -216,15 +180,10 @@ def sum_fixed(
     if shift < 0:
         step <<= -shift
         shift = 0
-    fast = settle is not None and negate and table.positive and table.nums is None
-    fast = fast and table.tail_start == 0
     for _ in range(4):
         if bits > MAX_BITS:
             break
-        if fast:
-            out = _alternating_pass(table, step, shift, bits, gap, settle, max_terms)
-        else:
-            out = _generic_pass(table, step, shift, negate, bits, gap, max_terms)
+        out = _pass(table, step, shift, negate, bits, gap, max_terms)
         if out is None:
             bits *= 2
             continue
@@ -236,7 +195,7 @@ def sum_fixed(
             break
         error = abs(lead) * math.ldexp(units, -bits) * (1.0 + 8.0 * UNIT)
         error += abs(value) * (lead_err + 3.0 * UNIT)
-        limit = max(tol * abs(value), TINY)
+        limit = max(tol * abs(value), TINY * min(abs(lead), 1.0))
         if error <= limit:
             return EvaluationResult(value, error, terms)
         if abs(value) * (lead_err + 3.0 * UNIT) > 0.5 * limit:

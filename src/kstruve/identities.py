@@ -139,7 +139,9 @@ def _rhs(p: TheoremParams, which: str, corrected: bool, tol: float) -> float:
     y_power = _signed_power(0.5 * p.y, lam)
     if y_power == 0.0:
         return 0.0
-    series = wright_eval(_wright_tail(p, corrected), z, tol=tol)
+    spec = _wright_tail(p, corrected)
+    # no tighter than the accuracy of the series' first term allows
+    series = wright_eval(spec, z, tol=max(tol, 4.0 * spec.lead_error))
     return y_power * math.exp(log_pref) * series.value
 
 
@@ -177,9 +179,18 @@ def theorem2_integrand(p: TheoremParams, x: float, tol: float = 1e-12) -> float:
     return _integrand2(p, tol)(x, 1.0 - x)
 
 
+def _series_tol(sp: StruveParams, tol: float) -> float:
+    """Integrand series tolerance: tol / 100, but no tighter than the leading term allows.
+
+    The leading coefficient's error is a smooth factor across the interval,
+    not quadrature noise, so it need not sit below tol / 100.
+    """
+    return max(tol * 0.01, 4.0 * sp.lead_error)
+
+
 def _integrand1(p: TheoremParams, tol: float):
     sp = p.struve_params()
-    series_tol = tol * 0.01
+    series_tol = _series_tol(sp, tol)
 
     def f(x: float, omx: float) -> float:
         weight = (
@@ -196,7 +207,7 @@ def _integrand1(p: TheoremParams, tol: float):
 
 def _integrand2(p: TheoremParams, tol: float):
     sp = p.struve_params()
-    series_tol = tol * 0.01
+    series_tol = _series_tol(sp, tol)
 
     def f(x: float, omx: float) -> float:
         q = 1.0 - x / 3.0
@@ -269,7 +280,8 @@ def verify(
     quadrature value: a side is confirmed when its deviation is at most
     ``threshold``.  If the quadrature failed to converge, or its error
     estimate is itself larger than ``threshold`` relative, the point is
-    INCONCLUSIVE rather than evidence either way.
+    INCONCLUSIVE rather than evidence either way.  A ConvergenceError of the
+    integrand itself, which leaves no estimate, propagates.
     """
     if not (math.isfinite(tol) and tol > 0.0 and math.isfinite(threshold) and threshold > 0.0):
         raise DomainError(f"tol and threshold must be positive, got {tol!r}, {threshold!r}")
@@ -280,6 +292,8 @@ def verify(
     try:
         quad = lhs_fn(p, tol=tol)
     except ConvergenceError as exc:
+        if exc.partial is None:
+            raise  # the integrand failed: there is no estimate to judge
         quad = exc.partial
     rhs_paper = _rhs(p, which, corrected=False, tol=rhs_tol)
     rhs_corrected = _rhs(p, which, corrected=True, tol=rhs_tol)

@@ -41,9 +41,9 @@ _LOG2_E = 1.4426950408889634
 
 
 def _gap(f: float, num: int, den: int) -> float:
-    """|f - num/den| for a double f, without rounding before the subtraction."""
+    """num/den - f for a double f, without rounding before the subtraction."""
     fn, fd = f.as_integer_ratio()
-    return abs(fn * den - num * fd) / (fd * den)
+    return (num * fd - fn * den) / (fd * den)
 
 
 class _SeriesConstants:
@@ -52,8 +52,8 @@ class _SeriesConstants:
     ``table`` holds the exact ratio -c x**2 bd / (2k (r bd + bn)(2r + 3)) with
     base = nu/k + 3/2 = bn/bd read exactly from the doubles nu and k;
     ``num_const`` times xn**2 is its numerator for x = xn / 2**e.
-    ``power_err`` and ``scale_err`` bound the absolute errors of the double
-    leading power nu/k + 1 and of ``log_scale``.
+    ``power_delta`` is the exact leading power nu/k + 1 minus its double,
+    and ``scale_err`` bounds the absolute error of ``log_scale``.
     """
 
     def __init__(self, p: "StruveParams"):
@@ -67,14 +67,14 @@ class _SeriesConstants:
         # ulps a term of the double loop gains per step: 3 from ratio_scale,
         # 4 from the ratio and the product, and the error of the double base,
         # a relative error of at most |base error| / base in each r + base
-        self.step_ulps = 7.0 + _gap(self.base, bn, bd) / self.base / UNIT
-        self.power_err = _gap(p.power, 2 * bn - bd, 2 * bd)
+        self.step_ulps = 7.0 + abs(_gap(self.base, bn, bd)) / self.base / UNIT
+        self.power_delta = _gap(p.power, 2 * bn - bd, 2 * bd)
         self._exact = (bn, bd, abs(cn) * kd * bd, 2 * cd * kn)
         # log_scale = -((t - 1) log k + lgamma(t)) - lgamma(3/2), t = (nu + 1.5k)/k:
         # the error of t moves lgamma by at most |psi(t)| <= 1/t + log(t + 1) + 1,
         # each libm call is within 2 ulps and each operation within one
         t = (p.nu + 1.5 * p.k) / p.k
-        t_err = _gap(t, bn, bd)
+        t_err = abs(_gap(t, bn, bd))
         log_k = math.log(p.k)
         lg = math.lgamma(t)
         prod = (t - 1.0) * log_k
@@ -86,9 +86,10 @@ class _SeriesConstants:
             + UNIT * (4.0 * abs(_LGAMMA_3_2) + abs(p.log_scale))
         )
         # 1 / (Gamma_k(nu + 3k/2) Gamma(3/2)) as a double, when that is normal,
-        # and the error of (x/2)**power * scale0: pow, exp and the product
+        # and the error of (x/2)**power * scale0: pow, exp and the product, and
+        # the power correction 1 + t and its product
         self.scale0 = math.exp(p.log_scale) if abs(p.log_scale) < 690.0 else 0.0
-        self.lead_err = self.scale_err + 5.0 * UNIT
+        self.lead_err = self.scale_err + 7.0 * UNIT
         self.power = p.power
 
     @cached_property
@@ -133,6 +134,14 @@ class StruveParams:
     def _series(self) -> _SeriesConstants:
         return _SeriesConstants(self)
 
+    @property
+    def lead_error(self) -> float:
+        """Relative error bound of the computed r = 0 coefficient.
+
+        :func:`k_struve` cannot meet a relative tolerance much below it.
+        """
+        return self._series.lead_err
+
 
 def k_struve(
     params: StruveParams, x: float, tol: float = 1e-12, max_terms: int = 500
@@ -146,8 +155,9 @@ def k_struve(
     relative to the value with an absolute floor for sums lost to underflow.
 
     The returned ``error_bound`` covers the truncated tail and the rounding:
-    the error of the leading term, about (7 r + 2) ulps of each term |t_r| for
-    the double loop, and the fixed-point floors when that path runs.  The
+    the error of the leading term, (s n + 2) ulps of sum |t_r| for the double
+    loop after n + 1 terms, with s about 7 roundings a step, and the
+    fixed-point floors when that path runs.  The
     series is summed in fixed point on integers, at about
     64 + log2(sum |t_r| / |S|) bits, when c > 0 and x sqrt(c/k) >= 8, or when
     the rounding of the double loop alone would break the rule above.
@@ -184,21 +194,25 @@ def k_struve(
         lead = 0.0
     if 1e-300 < lead < 1e300:
         lead_err = consts.lead_err
-        if consts.power_err:
-            lead_err += consts.power_err * abs(math.log(half))
+        if consts.power_delta:
+            # the exact power: (x/2)**delta = exp(t), within t**2 of 1 + t for
+            # |t| < 1/2; delta is a few ulps of nu/k, so t is of order 1e-13
+            t = consts.power_delta * math.log(half)
+            lead *= 1.0 + t
+            lead_err += t * t + 3.0 * UNIT * abs(t)
     else:
         # subnormal x can underflow the halving; take the log before scaling then
         log_half = math.log(half) if half > 0.0 else math.log(x) - math.log(2.0)
-        log_t0 = lam * log_half + params.log_scale
+        log_t0 = (lam * log_half + consts.power_delta * log_half) + params.log_scale
         if log_t0 > _LOG_DBL_MAX:
             raise ConvergenceError(
                 f"leading term overflows at x={x}; argument too large for the series"
             )
         lead = math.exp(log_t0)
-        # the power, log and product, the sum, exp
+        # the log and products, the two sums, exp
         lead_err = (
-            consts.power_err * abs(log_half)
-            + UNIT * (3.0 * abs(lam * log_half) + abs(log_t0) + 2.0)
+            UNIT * (4.0 * abs(lam * log_half) + 3.0 * abs(consts.power_delta * log_half))
+            + UNIT * (abs(log_t0) + 2.0)
             + consts.scale_err
         )
     ratio_scale = -params.c * half * half / params.k
@@ -210,7 +224,6 @@ def k_struve(
     total = 0.0
     comp = 0.0  # Kahan carry
     mags = 0.0  # sum of |t_r|
-    moments = 0.0  # sum of r |t_r|
     for r in range(max_terms):
         # compensated add of the current term
         y = term - comp
@@ -219,15 +232,15 @@ def k_struve(
         total = t
         mag = abs(term)
         mags += mag
-        moments += r * mag
         ratio = ratio_scale / ((r + base) * (r + 1.5))
         rho = abs(ratio)
         if rho < 1.0:
             bound = mag * rho / (1.0 - rho)
             limit = max(tol * abs(total), TINY)
             if bound <= limit:
-                # t_r carries r * step_ulps; Kahan summation adds 2 ulps
-                rounding = UNIT * (consts.step_ulps * moments + 2.0 * mags)
+                # each t_j, j <= r, carries at most r * step_ulps; Kahan
+                # summation adds 2 ulps
+                rounding = UNIT * (consts.step_ulps * r + 2.0) * mags
                 rounding += lead_err * abs(total)
                 if bound + rounding <= limit:
                     return EvaluationResult(total, bound + rounding, r + 1)
@@ -256,9 +269,6 @@ def _fixed(params, x, lead, lead_err, ratio_scale, cond_bits, tol, max_terms):
     if params.c > 0.0:
         cond_bits = max(cond_bits, math.ceil(2.0 * _LOG2_E * peak) + 8)
     consts = params._series
-    # every ratio is at most 1/4 once (r + base)(r + 3/2) >= 4|ratio_scale|
-    base = consts.base
-    settle = math.ceil((math.sqrt((base - 1.5) ** 2 + 16.0 * q) - base - 1.5) / 2.0) + 1
     xn, xd = x.as_integer_ratio()
     try:
         return sum_fixed(
@@ -271,7 +281,6 @@ def _fixed(params, x, lead, lead_err, ratio_scale, cond_bits, tol, max_terms):
             cond_bits,
             tol,
             max_terms,
-            max(settle, 0),
         )
     except ConvergenceError as exc:
         raise ConvergenceError(f"k-Struve series at x={x}: {exc}") from None

@@ -49,6 +49,18 @@ class WrightSpec:
         """The integer-slope evaluator, built on first use."""
         return _Plan(self)
 
+    @property
+    def lead_error(self) -> float:
+        """Relative error bound of the computed m = 0 term.
+
+        :func:`wright_eval` cannot meet a relative tolerance much below it.
+        """
+        if all(w.is_integer() for _, w in self.upper + self.lower):
+            return self._plan.lead_err
+        _, _, size = _log_term(self, 0)
+        count = len(self.upper) + len(self.lower)
+        return _UNIT * ((6.0 + count) * size + 4.0 * (count + 1) + 2.0)
+
 
 def convergence_index(spec: WrightSpec) -> float:
     """delta = sum of lower slopes minus sum of upper slopes."""
@@ -95,6 +107,16 @@ def _first_positive(forms) -> int:
     return first
 
 
+def _factor(slope: float, a: float, s: int):
+    """The factor slope*m + a + s, exactly as (slope, n, d) and as a double pair.
+
+    a + s = n / d with d a power of two; the double a + s can round, and then
+    it is positive, since for |a| < 2**53 a + s is exact whenever |a + s| <= |a|.
+    """
+    n, d = a.as_integer_ratio()
+    return (int(slope), n + s * d, d), (int(slope), a + s)
+
+
 class _Plan:
     """Integer-slope evaluator of one spec, built once.
 
@@ -106,13 +128,17 @@ class _Plan:
     """
 
     def __init__(self, spec: WrightSpec):
-        num = [(int(al), a + s) for a, al in spec.upper for s in range(int(al))]
-        den = [(int(be), b + s) for b, be in spec.lower for s in range(int(be))]
-        den.append((1, 1.0))  # m + 1 from z**m / m!
+        num = [_factor(al, a, s) for a, al in spec.upper for s in range(int(al))]
+        den = [_factor(be, b, s) for b, be in spec.lower for s in range(int(be))]
+        den.append(_factor(1.0, 1.0, 0))  # m + 1 from z**m / m!
         for form in list(num):
             if form in den:
                 num.remove(form)
                 den.remove(form)
+        exact_num = [exact for exact, _ in num]
+        exact_den = [exact for exact, _ in den]
+        num = [form for _, form in num]
+        den = [form for _, form in den]
         start = _first_positive(num + den)
         if num:
             low = min(q / p for p, q in num)
@@ -122,8 +148,14 @@ class _Plan:
             start = max(start, math.ceil(edge) + 1)
         self.num_forms = tuple(num)
         self.den_forms = tuple(den)
-        # roundings per step: one per factor and product, the quotient, the update
-        self.step_ulps = 2.0 * (len(num) + len(den)) + 1.0
+        self._exact = (exact_num, exact_den)
+        # roundings per step: one per factor and product, the quotient, the
+        # update, and one for each q = a + s that is not a double
+        inexact = sum(
+            q.as_integer_ratio() != (n, d)
+            for (_, n, d), (_, q) in zip(exact_num + exact_den, num + den)
+        )
+        self.step_ulps = 2.0 * (len(num) + len(den)) + 1.0 + inexact
         self.tail_start = start
 
         log_mag, sign, size = _log_term(spec, 0)
@@ -135,18 +167,18 @@ class _Plan:
     @cached_property
     def table(self) -> LinearRatio:
         """The factors as exact integers, for the fixed-point path."""
-        # p*m + qn/qd: the denominators qd are powers of two, moved across
-        num_const = den_const = 1
-        exact_num, exact_den = [], []
-        for p, q in self.num_forms:
-            qn, qd = q.as_integer_ratio()
-            exact_num.append((p * qd, qn))
-            den_const *= qd
-        for p, q in self.den_forms:
-            qn, qd = q.as_integer_ratio()
-            exact_den.append((p * qd, qn))
-            num_const *= qd
-        return LinearRatio(exact_num, exact_den, num_const, den_const, self.tail_start)
+        # p*m + n/d = (p*d*m + n) / d: the denominators d are powers of two,
+        # moved across
+        exact_num, exact_den = self._exact
+        num_const = math.prod(d for _, _, d in exact_den)
+        den_const = math.prod(d for _, _, d in exact_num)
+        return LinearRatio(
+            [(p * d, n) for p, n, d in exact_num],
+            [(p * d, n) for p, n, d in exact_den],
+            num_const,
+            den_const,
+            self.tail_start,
+        )
 
 
 def wright_eval(
@@ -156,8 +188,11 @@ def wright_eval(
 
     Summation stops once the error bound is at most
     ``max(tol * |value|, 1e-280)``: relative to the value, with an absolute
-    floor for sums lost to underflow.  The bound covers the truncated tail
-    and the rounding of every term and of the sum.
+    floor for sums lost to underflow.  With integer slopes that floor is
+    multiplied by the first term's magnitude when it is below 1, so a small
+    sum that a large prefactor scales back up keeps its relative accuracy.
+    The bound covers the truncated tail and the rounding of every term and of
+    the sum.
 
     When every slope is an integer the terms follow their exact ratio
     recurrence; from the index at which every factor is positive and the
@@ -193,11 +228,13 @@ def _ratio_sum(plan: _Plan, z: float, tol: float, max_terms: int) -> EvaluationR
         return EvaluationResult(lead, abs(lead) * plan.lead_err, 1)
     num_forms, den_forms = plan.num_forms, plan.den_forms
     start = plan.tail_start
+    # below |t_0| = 1 the absolute floor shrinks with it: a small sum that a
+    # large prefactor scales back up keeps its relative accuracy
+    floor = TINY * min(abs(lead), 1.0)
     term = lead
     total = 0.0
     comp = 0.0
     mags = 0.0  # sum of |t_m|
-    moments = 0.0  # sum of m |t_m|
     for m in range(max_terms):
         y = term - comp
         t = total + y
@@ -205,7 +242,6 @@ def _ratio_sum(plan: _Plan, z: float, tol: float, max_terms: int) -> EvaluationR
         total = t
         mag = abs(term)
         mags += mag
-        moments += m * mag
         num = z
         for p, q in num_forms:
             num *= p * m + q
@@ -219,20 +255,19 @@ def _ratio_sum(plan: _Plan, z: float, tol: float, max_terms: int) -> EvaluationR
             raise ConvergenceError(f"Fox-Wright term overflowed at m={m + 1} for z={z}")
         if m < start or rho >= 1.0:
             continue
-        # t_m carries step_ulps per step and the leading term's error; Kahan
-        # summation adds 2
-        rounding = _UNIT * (plan.step_ulps * moments + 2.0 * mags) + plan.lead_err * abs(total)
+        # each t_j, j <= m, carries at most m * step_ulps and the leading
+        # term's error; Kahan summation adds 2
+        rounding = _UNIT * (plan.step_ulps * m + 2.0) * mags + plan.lead_err * abs(total)
         reach = abs(total) + abs(term) / (1.0 - rho)  # bounds |sum| from here on
-        if abs(term) <= (1.0 - rho) * max(tol * abs(total), TINY):
+        if abs(term) <= (1.0 - rho) * max(tol * abs(total), floor):
             # the next term and all after it are within tol: add it as well,
             # which leaves a tail of at most |t_{m+1}| rho / (1 - rho)
             total += term - comp
             mag = abs(term)
             mags += mag
-            moments += (m + 1) * mag
             bound = mag * rho / (1.0 - rho)
-            rounding = _UNIT * (plan.step_ulps * moments + 2.0 * mags) + plan.lead_err * abs(total)
-            if bound + rounding <= max(tol * abs(total), TINY):
+            rounding = _UNIT * (plan.step_ulps * (m + 1) + 2.0) * mags + plan.lead_err * abs(total)
+            if bound + rounding <= max(tol * abs(total), floor):
                 return EvaluationResult(total, bound + rounding, m + 2)
         elif rounding <= 0.5 * tol * reach:
             continue

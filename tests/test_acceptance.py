@@ -284,6 +284,31 @@ def test_wright_bounds_hold_against_mpmath_oracle():
         assert res.error_bound <= tol * abs(res.value)
 
 
+def test_k_struve_tiny_argument_carries_the_exact_power():
+    """nu/k + 1 is not a double here; at x = 1e-20 its error alone is 6.5e-15."""
+    mp = pytest.importorskip("mpmath")
+    params = StruveParams(nu=3.1, c=2.0, k=0.7)
+    for x in (1e-20, 1e-12, 1e-5):
+        res = k_struve(params, x, tol=1e-14)
+        error = abs(mp.mpf(res.value) - _mp_k_struve(mp, 3.1, 2.0, 0.7, x))
+        assert error <= res.error_bound <= 1e-14 * abs(res.value), (x, res)
+
+
+def test_wright_small_sum_keeps_its_relative_accuracy():
+    """A sum near 1e-300 that a large prefactor scales back up: the floor must not cut it short."""
+    mp = pytest.importorskip("mpmath")
+    from kstruve.identities import _wright_tail
+
+    p = TheoremParams(alpha=2.1930734314213707, mu=0.6328100443815208, nu=81.61266224641241,
+                      c=-1.0, k=0.5, y=2.165686070521333)
+    spec = _wright_tail(p, corrected=True)
+    z = p.y * p.y / (4.0 * p.k)
+    res = wright_eval(spec, z, tol=1e-11)
+    exact = _mp_wright(mp, spec, z)
+    assert abs(mp.mpf(res.value) - exact) <= res.error_bound <= 1e-11 * abs(res.value)
+    assert verify("theorem1", p, strict=False).verdict is Verdict.CONFIRMED_CORRECTED
+
+
 def test_struve_h_at_60_matches_mpmath():
     pytest.importorskip("mpmath")
     res = struve_h(2.0, 60.0)

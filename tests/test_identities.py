@@ -6,6 +6,7 @@ import pytest
 
 from kstruve import (
     IDENTITIES,
+    ConvergenceError,
     DomainError,
     TheoremParams,
     Verdict,
@@ -242,6 +243,24 @@ class TestVerify:
             verify("theorem1", BASE, tol=0.0)
         with pytest.raises(DomainError):
             verify("theorem1", BASE, threshold=-1.0)
+
+
+    def test_tol_below_the_series_leading_term_accuracy_still_reports(self):
+        # the integrand series is asked for tol / 100 = 1e-14, below the
+        # 1.45e-14 relative accuracy of its leading coefficient here
+        p = TheoremParams(alpha=1.0, mu=0.5, nu=5.27, c=2.0, k=0.5, y=2.0)
+        report = verify("theorem1", p, tol=1e-12, strict=False)
+        assert report.verdict is Verdict.CONFIRMED_CORRECTED
+        assert report.rel_dev_corrected < 1e-12
+
+    def test_integrand_failure_raises_convergence_error(self):
+        # the series at x ~ 2e7 needs far more than its term budget
+        p = TheoremParams(alpha=1.0, mu=0.5, nu=2.0, c=1.0, k=1.0, y=1e8)
+        with pytest.raises(ConvergenceError, match="k-Struve"):
+            verify("theorem1", p)
+        (_, report), = verify_grid("theorem1", [p])
+        assert report.verdict is Verdict.INCONCLUSIVE
+        assert "k-Struve" in report.error
 
 
 class TestCorollaries:

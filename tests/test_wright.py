@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -177,6 +178,22 @@ class TestErrorBound:
         spec = WrightSpec(upper=[(-2.3, 0.5)], lower=[(1.0, 0.7)])
         res = wright_eval(spec, 0.8, tol=1e-10)
         assert abs(res.value - 1.979766626757970525) <= res.error_bound
+
+    def test_shifted_factors_are_exact(self):
+        # Gamma(a + 2(m + 1)) / Gamma(a + 2m) = (2m + a)(2m + a + 1), and
+        # a + 1 is not a double here: the fixed-point ratio takes the exact sum
+        a = 0.7000000000000001
+        an, ad = a.as_integer_ratio()
+        assert (a + 1.0).as_integer_ratio() != (an + ad, ad)
+        spec = WrightSpec(upper=[(a, 2.0), (1.0, 1.0)], lower=[(1.5, 1.0), (3.25, 2.0)])
+        table = spec._plan.table
+        table.grow(2)
+        q = Fraction(an, ad)
+        for m in range(2):
+            exact = (2 * m + q) * (2 * m + q + 1) / (
+                (m + Fraction(3, 2)) * (2 * m + Fraction(13, 4)) * (2 * m + Fraction(17, 4))
+            )
+            assert Fraction(table.nums[m], table.dens[m]) / Fraction(2) ** table.shift == exact
 
     def test_terms_bounded(self):
         spec = WrightSpec(upper=[(1.0, 1.0)], lower=[(1.0, 1.0)])
