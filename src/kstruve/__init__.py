@@ -6,7 +6,6 @@ special cases) and the Fox-Wright series p Psi q, and cross-checks
 closed-form integral identities built from them against adaptive quadrature.
 """
 
-from .cli import RunConfig
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -57,7 +56,6 @@ __all__ = [
     "OverflowRangeError",
     "PoleError",
     "QuadratureResult",
-    "RunConfig",
     "StruveParams",
     "TheoremParams",
     "UsageError",

@@ -33,6 +33,11 @@ from .results import TINY, EvaluationResult
 # unit roundoff of a double, 2**-53
 UNIT = 2.0**-53
 
+# spacing of the subnormal doubles, 2**-1074: below the normal range, where
+# UNIT * |value| underflows, each term and the sum may be off by this much.
+# Every returned bound adds (terms + 2) of it, after the stopping test
+SUBNORMAL_ULP = math.ulp(0.0)
+
 # the working precision never exceeds this many bits; beyond it the argument
 # is out of reach and the caller is told so instead of allocating huge integers
 MAX_BITS = 4096
@@ -197,7 +202,7 @@ def sum_fixed(
         error += abs(value) * (lead_err + 3.0 * UNIT)
         limit = max(tol * abs(value), TINY * min(abs(lead), 1.0))
         if error <= limit:
-            return EvaluationResult(value, error, terms)
+            return EvaluationResult(value, error + (terms + 2) * SUBNORMAL_ULP, terms)
         if abs(value) * (lead_err + 3.0 * UNIT) > 0.5 * limit:
             raise ConvergenceError(
                 f"tol={tol} is below the accuracy of the leading term "

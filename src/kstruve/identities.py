@@ -26,6 +26,7 @@ grids without aborting on individual failures.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -107,6 +108,17 @@ def _signed_power(base: float, exponent: float) -> float:
     return sign * (-base) ** exponent
 
 
+def _normal(value: float, what: str) -> float:
+    """value itself; ConvergenceError when it is not a normal double.
+
+    A factor that overflowed, or underflowed to zero or a subnormal, has
+    lost its relative accuracy, so no verdict can rest on it.
+    """
+    if math.isfinite(value) and abs(value) >= sys.float_info.min:
+        return value
+    raise ConvergenceError(f"{what} is {value!r}, outside the normal double range")
+
+
 def _wright_tail(p: TheoremParams, corrected: bool) -> WrightSpec:
     nuk = p.nu / p.k
     third = 2.0 * p.alpha + p.mu + nuk + (1.0 if corrected else 0.0)
@@ -117,7 +129,12 @@ def _wright_tail(p: TheoremParams, corrected: bool) -> WrightSpec:
 
 
 def _rhs(p: TheoremParams, which: str, corrected: bool, tol: float) -> float:
-    """Common evaluator for all four closed forms."""
+    """Common evaluator for all four closed forms.
+
+    Raises ConvergenceError when (y/2)**lam, the gamma prefactor, the
+    Fox-Wright sum or their product is not a normal double; only y = 0
+    gives an exact 0.0.
+    """
     nuk = p.nu / p.k
     lam = p.lam
     log_pref = log_gamma(p.alpha + p.mu)
@@ -136,13 +153,20 @@ def _rhs(p: TheoremParams, which: str, corrected: bool, tol: float) -> float:
             log_pref += 2.0 * (p.alpha + p.mu) * math.log(2.0 / 3.0)
         else:
             log_pref += 2.0 * p.alpha * math.log(2.0 / 3.0) - (2.0 * nuk + 2.0) * math.log(3.0)
-    y_power = _signed_power(0.5 * p.y, lam)
-    if y_power == 0.0:
+    try:
+        y_power = _signed_power(0.5 * p.y, lam)
+        scale = math.exp(log_pref)
+    except OverflowError:
+        raise ConvergenceError(
+            f"a factor of the {which} closed form overflows the double range"
+        ) from None
+    if y_power == 0.0 and p.y == 0.0:
         return 0.0
+    prefactor = _normal(y_power, "(y/2)**lam") * _normal(scale, "the gamma prefactor")
     spec = _wright_tail(p, corrected)
     # no tighter than the accuracy of the series' first term allows
     series = wright_eval(spec, z, tol=max(tol, 4.0 * spec.lead_error))
-    return y_power * math.exp(log_pref) * series.value
+    return _normal(prefactor * _normal(series.value, "the Fox-Wright sum"), "the closed form")
 
 
 def theorem1_rhs_paper(p: TheoremParams, tol: float = 1e-12) -> float:
@@ -224,13 +248,15 @@ def _integrand2(p: TheoremParams, tol: float):
 
 def theorem1_lhs(p: TheoremParams, tol: float = 1e-10) -> QuadratureResult:
     """Quadrature of the first theorem's integral over (0, 1)."""
-    method = select_method(p.alpha + p.mu - 1.0, 2.0 * p.alpha - 1.0)
+    # S(w) is w**lam times a series in w**2, and w ~ (1-x)**2 at x = 1
+    method = select_method(p.alpha + p.mu - 1.0, 2.0 * p.alpha - 1.0 + 2.0 * p.lam)
     return integrate(_integrand1(p, tol), tol=tol, method=method)
 
 
 def theorem2_lhs(p: TheoremParams, tol: float = 1e-10) -> QuadratureResult:
     """Quadrature of the second theorem's integral over (0, 1)."""
-    method = select_method(p.alpha - 1.0, 2.0 * (p.alpha + p.mu) - 1.0)
+    # S(w) is w**lam times a series in w**2, and w ~ x at x = 0
+    method = select_method(p.alpha - 1.0 + p.lam, 2.0 * (p.alpha + p.mu) - 1.0)
     return integrate(_integrand2(p, tol), tol=tol, method=method)
 
 

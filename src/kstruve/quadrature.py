@@ -3,11 +3,15 @@
 Two engines cover everything the identity checks need:
 
 * ``adaptive_gk``: globally adaptive bisection driven by a Gauss-Kronrod
-  7/15 pair (the classic QUADPACK dqk15 nodes).  Fast and sharp for smooth
-  integrands.
+  7/15 pair (the classic QUADPACK dqk15 nodes).  Fast and sharp for
+  integrands analytic on [0, 1].
 * ``tanh_sinh``: the double-exponential transform x = (1 + tanh((pi/2)
   sinh t)) / 2, which crushes integrable endpoint singularities like
   x**p or (1-x)**q with p, q > -1.
+
+``select_method`` picks between them from the integrand's endpoint powers:
+Gauss-Kronrod when every power is a non-negative integer (an analytic
+integrand), tanh-sinh for any non-integer power, however large.
 
 Endpoint precision.  Near x = 1 the quantity 1 - x loses all precision in
 double arithmetic, which ruins weights like (1-x)**(2*beta-1) exactly where
@@ -120,68 +124,52 @@ def _tanh_sinh(g, tol: float, endpoint_safe: bool) -> QuadratureResult:
         evaluations += 1
         return _check_sample(g(x, omx), x)
 
-    # level 0: h = 1, nodes at integer t; level_abs estimates the integral
-    # of |f|, whose 50-ulp share is the rounding floor of every later level
+    # level 0 has step h = 1 and the node t = 0; each later level halves h
+    # and adds the odd multiples of it, the even ones being known.  level_abs
+    # is level 0's estimate of the integral of |f|, whose 50-ulp share is the
+    # rounding floor of every later level
     h = 1.0
-    mid = sample(0.5, 0.5)
-    level_sum = (math.pi / 4.0) * mid
-    level_abs = (math.pi / 4.0) * abs(mid)
-    j = 1
-    tiny_run = 0
-    while j * h <= _TS_T_CAP:
-        pair = node(j * h)
-        if pair is None or pair[2] == 0.0:
-            break
-        small, big, weight = pair
-        f_big = sample(big, small)
-        f_small = sample(small, big)
-        contrib = weight * (f_big + f_small)
-        level_abs += weight * (abs(f_big) + abs(f_small))
-        level_sum += contrib
-        if abs(contrib) <= 1e-17 * max(abs(level_sum), 1e-300):
-            tiny_run += 1
-            if tiny_run >= 2:
-                break
-        else:
-            tiny_run = 0
-        j += 1
-    total = h * level_sum
-    floor = 50.0 * 2.220446049250313e-16 * h * level_abs
-
-    previous = total
-    estimate = math.inf
-    for level in range(1, _TS_MAX_LEVEL + 1):
-        h *= 0.5
-        new_sum = 0.0
+    level_sum = (math.pi / 4.0) * sample(0.5, 0.5)
+    level_abs = abs(level_sum)
+    j, stride = 1, 1
+    previous = 0.0
+    for level in range(_TS_MAX_LEVEL + 1):
         tiny_run = 0
-        j = 1
         while j * h <= _TS_T_CAP:
             pair = node(j * h)
             if pair is None or pair[2] == 0.0:
                 break
             small, big, weight = pair
-            contrib = weight * (sample(big, small) + sample(small, big))
-            new_sum += contrib
-            if j * h >= 2.0 and abs(contrib) <= 1e-17 * max(
-                abs(new_sum), abs(previous) / h, 1e-300
+            f_big = sample(big, small)
+            f_small = sample(small, big)
+            contrib = weight * (f_big + f_small)
+            level_sum += contrib
+            if not level:
+                level_abs += weight * (abs(f_big) + abs(f_small))
+            if (not level or j * h >= 2.0) and abs(contrib) <= 1e-17 * max(
+                abs(level_sum), abs(previous) / h, 1e-300
             ):
                 tiny_run += 1
                 if tiny_run >= 2:
                     break
             else:
                 tiny_run = 0
-            j += 2  # odd multiples only; even ones were seen at coarser levels
-        total = 0.5 * previous + h * new_sum
+            j += stride
+        total = 0.5 * previous + h * level_sum
         estimate = abs(total - previous)
         previous = total
         if level >= 2 and estimate <= max(tol * abs(total), TINY):
             return QuadratureResult(total, max(estimate, 1.1e-16 * abs(total)), evaluations, True)
+        floor = 50.0 * 2.220446049250313e-16 * level_abs
         if level >= 2 and estimate <= floor:
             raise ConvergenceError(
                 f"tanh_sinh estimate {estimate:.3e} is below the rounding floor "
                 f"{floor:.3e} but above tol * |value|",
                 partial=QuadratureResult(total, estimate, evaluations, False),
             )
+        h *= 0.5
+        level_sum = 0.0
+        j, stride = 1, 2
 
     partial = QuadratureResult(total, estimate, evaluations, False)
     raise ConvergenceError(
@@ -321,15 +309,18 @@ def integrate(f, tol: float, method: str = "adaptive_gk") -> QuadratureResult:
 
 
 def select_method(*endpoint_exponents: float) -> str:
-    """Pick a rule from the power-law exponents of the endpoint weights.
+    """Pick a rule from the powers of the whole integrand at its endpoints.
 
-    Any exponent below 1 means the integrand (or one of its low derivatives)
-    is unbounded at an endpoint, which is tanh-sinh territory; otherwise the
-    cheaper Gauss-Kronrod engine wins.
+    Gauss-Kronrod runs only when every power is a non-negative integer, so
+    that the integrand is analytic on [0, 1] and the 15-point rule converges
+    geometrically.  Any other power, even one above 1, leaves a derivative
+    unbounded at an endpoint: Gauss-Kronrod then converges only algebraically
+    there and its estimate under-reports, while tanh-sinh keeps its
+    double-exponential rate.
     """
-    if any(e < 1.0 for e in endpoint_exponents):
-        return "tanh_sinh"
-    return "adaptive_gk"
+    if all(e >= 0.0 and e == math.floor(e) for e in endpoint_exponents):
+        return "adaptive_gk"
+    return "tanh_sinh"
 
 
 def lavoie_trottier_rhs(alpha: float, beta: float) -> float:

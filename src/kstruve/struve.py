@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ConvergenceError, DomainError
-from .fixedpoint import UNIT, LinearRatio, sum_fixed
+from .fixedpoint import SUBNORMAL_ULP, UNIT, LinearRatio, sum_fixed
 from .gamma import gamma, log_k_gamma
 from .results import TINY, EvaluationResult
 
@@ -156,8 +156,9 @@ def k_struve(
 
     The returned ``error_bound`` covers the truncated tail and the rounding:
     the error of the leading term, (s n + 2) ulps of sum |t_r| for the double
-    loop after n + 1 terms, with s about 7 roundings a step, and the
-    fixed-point floors when that path runs.  The
+    loop after n + 1 terms, with s about 7 roundings a step, the
+    fixed-point floors when that path runs, and (terms + 2) * 2**-1074 for
+    results below the normal range.  The
     series is summed in fixed point on integers, at about
     64 + log2(sum |t_r| / |S|) bits, when c > 0 and x sqrt(c/k) >= 8, or when
     the rounding of the double loop alone would break the rule above.
@@ -184,7 +185,8 @@ def k_struve(
         if lam == 0.0:
             # only the r = 0 term survives: (x/2)**0 = 1
             value = math.exp(params.log_scale)
-            return EvaluationResult(value, value * (consts.scale_err + 2.0 * UNIT), 1)
+            bound = value * (consts.scale_err + 2.0 * UNIT) + 3.0 * SUBNORMAL_ULP
+            return EvaluationResult(value, bound, 1)
         raise DomainError(f"x = 0 diverges for nu/k + 1 = {lam} < 0")
 
     half = 0.5 * x
@@ -243,7 +245,8 @@ def k_struve(
                 rounding = UNIT * (consts.step_ulps * r + 2.0) * mags
                 rounding += lead_err * abs(total)
                 if bound + rounding <= limit:
-                    return EvaluationResult(total, bound + rounding, r + 1)
+                    error = bound + rounding + (r + 3) * SUBNORMAL_ULP
+                    return EvaluationResult(total, error, r + 1)
                 if rounding > 0.5 * limit:
                     cond_bits = math.ceil(math.log2(mags / abs(total))) if total else 0
                     return _fixed(params, x, lead, lead_err, ratio_scale, cond_bits, tol, max_terms)

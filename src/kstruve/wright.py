@@ -20,7 +20,7 @@ from functools import cached_property
 
 from .errors import ConvergenceError, DomainError, PoleError
 from .fixedpoint import UNIT as _UNIT
-from .fixedpoint import LinearRatio, sum_fixed
+from .fixedpoint import SUBNORMAL_ULP, LinearRatio, sum_fixed
 from .gamma import log_abs_gamma
 from .results import TINY, EvaluationResult
 
@@ -192,7 +192,7 @@ def wright_eval(
     multiplied by the first term's magnitude when it is below 1, so a small
     sum that a large prefactor scales back up keeps its relative accuracy.
     The bound covers the truncated tail and the rounding of every term and of
-    the sum.
+    the sum, with (terms + 2) * 2**-1074 for results below the normal range.
 
     When every slope is an integer the terms follow their exact ratio
     recurrence; from the index at which every factor is positive and the
@@ -225,7 +225,7 @@ def _ratio_sum(plan: _Plan, z: float, tol: float, max_terms: int) -> EvaluationR
     """Integer-slope series by its exact term ratio, in doubles or fixed point."""
     lead = plan.lead
     if z == 0.0:
-        return EvaluationResult(lead, abs(lead) * plan.lead_err, 1)
+        return EvaluationResult(lead, abs(lead) * plan.lead_err + 3.0 * SUBNORMAL_ULP, 1)
     num_forms, den_forms = plan.num_forms, plan.den_forms
     start = plan.tail_start
     # below |t_0| = 1 the absolute floor shrinks with it: a small sum that a
@@ -268,7 +268,8 @@ def _ratio_sum(plan: _Plan, z: float, tol: float, max_terms: int) -> EvaluationR
             bound = mag * rho / (1.0 - rho)
             rounding = _UNIT * (plan.step_ulps * (m + 1) + 2.0) * mags + plan.lead_err * abs(total)
             if bound + rounding <= max(tol * abs(total), floor):
-                return EvaluationResult(total, bound + rounding, m + 2)
+                error = bound + rounding + (m + 4) * SUBNORMAL_ULP
+                return EvaluationResult(total, error, m + 2)
         elif rounding <= 0.5 * tol * reach:
             continue
         # the rounding cannot fit under tol * |value| any more
@@ -321,7 +322,7 @@ def _log_sum(spec: WrightSpec, z: float, tol: float, max_terms: int) -> Evaluati
     comp = 0.0
     previous, previous_err = term_value(0)
     if z == 0.0:
-        return EvaluationResult(previous, abs(previous) * previous_err, 1)
+        return EvaluationResult(previous, abs(previous) * previous_err + 3.0 * SUBNORMAL_ULP, 1)
     mags = 0.0
     rounding = 0.0
     ratios: list[float] = []
@@ -339,7 +340,7 @@ def _log_sum(spec: WrightSpec, z: float, tol: float, max_terms: int) -> Evaluati
                 ratios.pop(0)
         elif current == 0.0 and previous == 0.0:
             # underflowed into the flat tail: nothing left to add
-            return EvaluationResult(total, _UNIT * 2.0 * mags + rounding, m)
+            return EvaluationResult(total, _UNIT * 2.0 * mags + rounding + (m + 2) * SUBNORMAL_ULP, m)
         rho = ratios[-1] if ratios else math.inf
         window_ok = len(ratios) == 3 and ratios[0] >= ratios[1] >= ratios[2]
         if window_ok and rho < 1.0 and m >= positive_from:
@@ -351,7 +352,7 @@ def _log_sum(spec: WrightSpec, z: float, tol: float, max_terms: int) -> Evaluati
                 if error <= limit:
                     y = current - comp
                     total = total + y
-                    return EvaluationResult(total, error, m + 1)
+                    return EvaluationResult(total, error + (m + 3) * SUBNORMAL_ULP, m + 1)
                 if rounding > 0.5 * limit:
                     raise ConvergenceError(
                         f"Fox-Wright series at z={z}: the terms cancel "

@@ -8,6 +8,7 @@ import io
 import json
 import math
 import random
+import sys
 import time
 
 import pytest
@@ -292,6 +293,20 @@ def test_k_struve_tiny_argument_carries_the_exact_power():
         res = k_struve(params, x, tol=1e-14)
         error = abs(mp.mpf(res.value) - _mp_k_struve(mp, 3.1, 2.0, 0.7, x))
         assert error <= res.error_bound <= 1e-14 * abs(res.value), (x, res)
+
+
+def test_subnormal_results_carry_a_nonzero_bound():
+    """Below the normal range rounding is absolute, a subnormal spacing per step."""
+    mp = pytest.importorskip("mpmath")
+    res = k_struve(StruveParams(nu=4.80, c=1.0, k=0.5), 1.55e-30)
+    assert 0.0 < res.value < sys.float_info.min
+    error = abs(mp.mpf(res.value) - _mp_k_struve(mp, 4.80, 1.0, 0.5, 1.55e-30))
+    assert 0.0 < error <= res.error_bound, res
+    spec = WrightSpec(upper=((1.0, 1.0),), lower=((175.5, 1.0), (1.5, 1.0)))
+    res = wright_eval(spec, -1.0)
+    assert 0.0 < res.value < sys.float_info.min
+    error = abs(mp.mpf(res.value) - _mp_wright(mp, spec, -1.0))
+    assert 0.0 < error <= res.error_bound, res
 
 
 def test_wright_small_sum_keeps_its_relative_accuracy():

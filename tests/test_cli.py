@@ -3,9 +3,14 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kstruve
 from kstruve import TheoremParams, verify
 from kstruve.cli import CONFIG_ENV, RunConfig, main
 from kstruve.errors import UsageError
@@ -292,3 +297,24 @@ class TestRunConfig:
         pt = TheoremParams(alpha=1.0, mu=0.5, nu=2.0)
         with pytest.raises(UsageError):
             RunConfig(identity="theorem1", points=(pt,), **{field: value})
+
+
+class TestModuleEntry:
+    """``python -m kstruve.cli`` runs clean: the package does not load the CLI."""
+
+    @staticmethod
+    def run_python(*argv):
+        src = str(Path(kstruve.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=60)
+
+    def test_module_entry_has_no_warning(self):
+        proc = self.run_python("-W", "error", "-m", "kstruve.cli", "eval", "struve_h", "--nu", "2", "--x", "1")
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert proc.stdout
+
+    def test_import_leaves_the_cli_unloaded(self):
+        proc = self.run_python("-c", "import sys, kstruve; print('kstruve.cli' in sys.modules)")
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "False"

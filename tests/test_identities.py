@@ -328,6 +328,52 @@ class TestWorkPerPoint:
         assert results[0].converged
         assert results[0].evaluations <= evaluations
 
+    def test_default_grid_evaluations_do_not_grow(self, monkeypatch):
+        evaluations = []
+        original = identities.integrate
+
+        def recording(*args, **kwargs):
+            result = original(*args, **kwargs)
+            evaluations.append(result.evaluations)
+            return result
+
+        monkeypatch.setattr(identities, "integrate", recording)
+        verify_grid("theorem1", default_grid("theorem1"))
+        assert len(evaluations) == 24
+        assert sum(evaluations) <= 2566
+
+
+class TestRuleSelection:
+    """Gauss-Kronrod only for an analytic integrand, tanh-sinh otherwise."""
+
+    def test_non_integer_power_above_one_has_an_honest_error(self):
+        # endpoint powers 2.32 and 3.19 once w**lam is counted; Gauss-Kronrod
+        # accepted a single interval here with an estimate 50x too small
+        p = TheoremParams(alpha=2.3247, mu=0.9944, nu=-2.4614, c=1.0, k=2.0, y=1.5809)
+        report = verify("theorem1", p, strict=False)
+        assert report.verdict is Verdict.CONFIRMED_CORRECTED
+        assert report.rel_dev_corrected <= 1e-11
+        assert abs(report.lhs_value - report.rhs_corrected) <= (
+            report.lhs_error_estimate + 1e-13 * abs(report.rhs_corrected)
+        )
+
+    def test_analytic_integrand_runs_gauss_kronrod(self, monkeypatch):
+        # powers alpha - 1 + lam = 5 at x = 0 and 2(alpha + mu) - 1 = 3 at x = 1
+        calls = []
+        original = identities.integrate
+
+        def recording(*args, **kwargs):
+            calls.append((kwargs.get("method"), original(*args, **kwargs)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(identities, "integrate", recording)
+        p = TheoremParams(alpha=1.0, mu=1.0, nu=2.0, c=1.0, k=0.5, y=1.0)
+        report = verify("theorem2", p)
+        assert report.verdict is Verdict.CONFIRMED_CORRECTED
+        ((method, quad),) = calls
+        assert method == "adaptive_gk"
+        assert quad.converged and quad.evaluations <= 45
+
 
 class TestLargeArgument:
     """c = 1, y = 40: both series cancel by 10**7 and more."""
@@ -380,6 +426,18 @@ class TestVerifyGrid:
         assert pairs[1][1].error is not None
         assert pairs[1][1].lhs_value is None
         assert pairs[2][1] == pairs[0][1]
+
+    @pytest.mark.parametrize(
+        "point, reason",
+        [
+            ((1.5, 0.5, 300.0, 1.0, 1.0, 40.0), "overflows the double range"),  # (y/2)**lam
+            ((1.0, 0.5, 100.0, 1.0, 0.5, 30.0), "outside the normal double range"),  # sum -> 0.0
+        ],
+    )
+    def test_closed_form_outside_the_double_range_is_inconclusive(self, point, reason):
+        ((_, rep),) = verify_grid("theorem1", [TheoremParams(*point)], strict=False)
+        assert rep.verdict is Verdict.INCONCLUSIVE
+        assert rep.error.startswith("ConvergenceError") and reason in rep.error
 
 
 class TestDefaultGrid:

@@ -170,10 +170,12 @@ class TestSelectMethod:
         assert select_method(0.5, 1.0, 2.0) == "tanh_sinh"
         assert select_method(0.999) == "tanh_sinh"
         assert select_method(-0.25, 3.0) == "tanh_sinh"
+        assert select_method(2.0, 5.5) == "tanh_sinh"
 
     def test_regular_exponents_select_gk(self):
         assert select_method(1.0, 1.0) == "adaptive_gk"
-        assert select_method(2.0, 5.5) == "adaptive_gk"
+        assert select_method(2.0, 5.0) == "adaptive_gk"
+        assert select_method(0.0, 3.0) == "adaptive_gk"
         assert select_method() == "adaptive_gk"
 
 
@@ -211,7 +213,7 @@ class TestLavoieTrottier:
         monkeypatch.setattr(quadrature, "integrate", counting)
         report = lavoie_trottier_check(2.5, 1.5)
         assert report.verdict is Verdict.BOTH_AGREE
-        assert calls == ["adaptive_gk"]
+        assert calls == ["tanh_sinh"]
 
     @settings(max_examples=15, deadline=None)
     @given(
