@@ -27,14 +27,15 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .errors import ConvergenceError, DomainError, KStruveError
+from .fixedpoint import UNIT
 from .gamma import log_gamma
 from .quadrature import integrate, select_method
 from .results import IdentityReport, QuadratureResult, Verdict
-from .struve import StruveParams, k_struve
+from .struve import StruveParams, k_struve, k_struve_poly
 from .wright import WrightSpec, wright_eval
 
 IDENTITIES = ("theorem1", "theorem2", "corollary1", "corollary2")
@@ -193,14 +194,14 @@ def theorem1_integrand(p: TheoremParams, x: float, tol: float = 1e-12) -> float:
     """Value of the first theorem's integrand at interior point x."""
     if not 0.0 < x < 1.0:
         raise DomainError(f"integrand is defined on (0, 1), got x={x}")
-    return _integrand1(p, tol)(x, 1.0 - x)
+    return _integrand1(p, tol)[0](x, 1.0 - x)
 
 
 def theorem2_integrand(p: TheoremParams, x: float, tol: float = 1e-12) -> float:
     """Value of the second theorem's integrand at interior point x."""
     if not 0.0 < x < 1.0:
         raise DomainError(f"integrand is defined on (0, 1), got x={x}")
-    return _integrand2(p, tol)(x, 1.0 - x)
+    return _integrand2(p, tol)[0](x, 1.0 - x)
 
 
 def _series_tol(sp: StruveParams, tol: float) -> float:
@@ -212,9 +213,37 @@ def _series_tol(sp: StruveParams, tol: float) -> float:
     return max(tol * 0.01, 4.0 * sp.lead_error)
 
 
-def _integrand1(p: TheoremParams, tol: float):
+# the rounding of each integrand's weight and argument, in ulps of its value
+_WEIGHT_ULPS = 16.0
+# the computed arguments reach their exact maximum |y| or 4|y|/9 to a few ulps
+_ARGUMENT_MARGIN = 1.0 + 8.0 * UNIT
+
+
+def _series(p: TheoremParams, tol: float, wmax: float):
+    """(S, series_tol): S(w) for the integrand's arguments |w| <= wmax, and its tolerance.
+
+    S evaluates the point's k-Struve polynomial (:func:`k_struve_poly`),
+    built once, and calls :func:`k_struve` wherever the polynomial declines;
+    either way each value has the error bound of :func:`k_struve`, at most
+    ``max(series_tol * |S(w)|, 1e-280)``.
+    """
     sp = p.struve_params()
     series_tol = _series_tol(sp, tol)
+    poly = k_struve_poly(sp, wmax * _ARGUMENT_MARGIN, series_tol)
+
+    def series(w: float) -> float:
+        if poly is not None:
+            result = poly(w)
+            if result is not None:
+                return result[0]
+        return k_struve(sp, w, tol=series_tol).value
+
+    return series, series_tol
+
+
+def _integrand1(p: TheoremParams, tol: float):
+    """(f, series_tol) for the first theorem; w = y (1-x/4)(1-x)**2 <= |y|."""
+    series, series_tol = _series(p, tol, abs(p.y))
 
     def f(x: float, omx: float) -> float:
         weight = (
@@ -223,15 +252,14 @@ def _integrand1(p: TheoremParams, tol: float):
             * (1.0 - x / 3.0) ** (2.0 * (p.alpha + p.mu) - 1.0)
             * (1.0 - x / 4.0) ** (p.alpha - 1.0)
         )
-        w = p.y * (1.0 - x / 4.0) * omx * omx
-        return weight * k_struve(sp, w, tol=series_tol).value
+        return weight * series(p.y * (1.0 - x / 4.0) * omx * omx)
 
-    return f
+    return f, series_tol
 
 
 def _integrand2(p: TheoremParams, tol: float):
-    sp = p.struve_params()
-    series_tol = _series_tol(sp, tol)
+    """(f, series_tol) for the second theorem; w = y x (1-x/3)**2 <= 4|y|/9."""
+    series, series_tol = _series(p, tol, abs(p.y) * (4.0 / 9.0))
 
     def f(x: float, omx: float) -> float:
         q = 1.0 - x / 3.0
@@ -241,23 +269,48 @@ def _integrand2(p: TheoremParams, tol: float):
             * q ** (2.0 * p.alpha - 1.0)
             * (1.0 - x / 4.0) ** (p.alpha + p.mu - 1.0)
         )
-        return weight * k_struve(sp, p.y * x * q * q, tol=series_tol).value
+        return weight * series(p.y * x * q * q)
 
-    return f
+    return f, series_tol
+
+
+def _with_series_error(quad: QuadratureResult, series_tol: float) -> QuadratureResult:
+    """quad with the integrand's own error, (series_tol + weight ulps) * integral of |f|, added."""
+    extra = (series_tol + _WEIGHT_ULPS * UNIT) * quad.abs_integral
+    return replace(quad, error_estimate=quad.error_estimate + extra)
+
+
+def _lhs(f, series_tol: float, tol: float, method: str) -> QuadratureResult:
+    """One integration of f; the estimate, partials included, covers the series error."""
+    try:
+        quad = integrate(f, tol=tol, method=method)
+    except ConvergenceError as exc:
+        if exc.partial is None:
+            raise
+        raise ConvergenceError(
+            str(exc), partial=_with_series_error(exc.partial, series_tol)
+        ) from None
+    return _with_series_error(quad, series_tol)
 
 
 def theorem1_lhs(p: TheoremParams, tol: float = 1e-10) -> QuadratureResult:
-    """Quadrature of the first theorem's integral over (0, 1)."""
+    """Quadrature of the first theorem's integral over (0, 1).
+
+    The error estimate adds the integrand's series error to the rule's.
+    """
     # S(w) is w**lam times a series in w**2, and w ~ (1-x)**2 at x = 1
     method = select_method(p.alpha + p.mu - 1.0, 2.0 * p.alpha - 1.0 + 2.0 * p.lam)
-    return integrate(_integrand1(p, tol), tol=tol, method=method)
+    return _lhs(*_integrand1(p, tol), tol, method)
 
 
 def theorem2_lhs(p: TheoremParams, tol: float = 1e-10) -> QuadratureResult:
-    """Quadrature of the second theorem's integral over (0, 1)."""
+    """Quadrature of the second theorem's integral over (0, 1).
+
+    The error estimate adds the integrand's series error to the rule's.
+    """
     # S(w) is w**lam times a series in w**2, and w ~ x at x = 0
     method = select_method(p.alpha - 1.0 + p.lam, 2.0 * (p.alpha + p.mu) - 1.0)
-    return integrate(_integrand2(p, tol), tol=tol, method=method)
+    return _lhs(*_integrand2(p, tol), tol, method)
 
 
 def _resolve(which: str, p: TheoremParams) -> tuple[str, TheoremParams]:

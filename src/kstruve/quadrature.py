@@ -24,6 +24,7 @@ handed abscissae that round to exactly 0.0 or 1.0.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import inspect
 import math
@@ -101,21 +102,29 @@ def _check_sample(value: float, x: float) -> float:
     return value
 
 
+@functools.cache
+def _ts_node(t: float):
+    """Tanh-sinh abscissa pair at +-t: (x, 1 - x, weight), or None past underflow.
+
+    Every level's nodes t = j h are binary fractions, so the same few
+    hundred values recur in every integration and are computed once; the
+    cache holds at most one entry per multiple of 2**-12 up to 6.8.
+    """
+    # e2 = exp(-pi sinh t) gives both the point and its complement without
+    # cancellation
+    e2 = math.exp(-math.pi * math.sinh(t))
+    if e2 == 0.0:
+        return None
+    denom = 1.0 + e2
+    small = e2 / denom
+    big = 1.0 / denom
+    weight = math.pi * math.cosh(t) * e2 / (denom * denom)
+    return small, big, weight
+
+
 def _tanh_sinh(g, tol: float, endpoint_safe: bool) -> QuadratureResult:
     """Double-exponential rule on (0, 1) with successive level refinement."""
     evaluations = 0
-
-    def node(t: float):
-        # abscissa pair at +-t; e2 = exp(-pi sinh t) gives both the point
-        # and its complement without cancellation
-        e2 = math.exp(-math.pi * math.sinh(t))
-        if e2 == 0.0:
-            return None
-        denom = 1.0 + e2
-        small = e2 / denom
-        big = 1.0 / denom
-        weight = math.pi * math.cosh(t) * e2 / (denom * denom)
-        return small, big, weight
 
     def sample(x: float, omx: float) -> float:
         nonlocal evaluations
@@ -125,18 +134,18 @@ def _tanh_sinh(g, tol: float, endpoint_safe: bool) -> QuadratureResult:
         return _check_sample(g(x, omx), x)
 
     # level 0 has step h = 1 and the node t = 0; each later level halves h
-    # and adds the odd multiples of it, the even ones being known.  level_abs
-    # is level 0's estimate of the integral of |f|, whose 50-ulp share is the
-    # rounding floor of every later level
+    # and adds the odd multiples of it, the even ones being known.  The
+    # integral of |f| follows the same recurrence; level 0's estimate of it,
+    # times 50 ulps, is the rounding floor of every later level
     h = 1.0
     level_sum = (math.pi / 4.0) * sample(0.5, 0.5)
     level_abs = abs(level_sum)
     j, stride = 1, 1
-    previous = 0.0
+    previous = previous_abs = floor = 0.0
     for level in range(_TS_MAX_LEVEL + 1):
         tiny_run = 0
         while j * h <= _TS_T_CAP:
-            pair = node(j * h)
+            pair = _ts_node(j * h)
             if pair is None or pair[2] == 0.0:
                 break
             small, big, weight = pair
@@ -144,8 +153,7 @@ def _tanh_sinh(g, tol: float, endpoint_safe: bool) -> QuadratureResult:
             f_small = sample(small, big)
             contrib = weight * (f_big + f_small)
             level_sum += contrib
-            if not level:
-                level_abs += weight * (abs(f_big) + abs(f_small))
+            level_abs += weight * (abs(f_big) + abs(f_small))
             if (not level or j * h >= 2.0) and abs(contrib) <= 1e-17 * max(
                 abs(level_sum), abs(previous) / h, 1e-300
             ):
@@ -156,30 +164,34 @@ def _tanh_sinh(g, tol: float, endpoint_safe: bool) -> QuadratureResult:
                 tiny_run = 0
             j += stride
         total = 0.5 * previous + h * level_sum
+        total_abs = 0.5 * previous_abs + h * level_abs
         estimate = abs(total - previous)
-        previous = total
+        previous, previous_abs = total, total_abs
         if level >= 2 and estimate <= max(tol * abs(total), TINY):
-            return QuadratureResult(total, max(estimate, 1.1e-16 * abs(total)), evaluations, True)
-        floor = 50.0 * 2.220446049250313e-16 * level_abs
+            return QuadratureResult(
+                total, max(estimate, 1.1e-16 * abs(total)), evaluations, True, total_abs
+            )
+        if not level:
+            floor = 50.0 * 2.220446049250313e-16 * total_abs
         if level >= 2 and estimate <= floor:
             raise ConvergenceError(
                 f"tanh_sinh estimate {estimate:.3e} is below the rounding floor "
                 f"{floor:.3e} but above tol * |value|",
-                partial=QuadratureResult(total, estimate, evaluations, False),
+                partial=QuadratureResult(total, estimate, evaluations, False, total_abs),
             )
         h *= 0.5
-        level_sum = 0.0
+        level_sum = level_abs = 0.0
         j, stride = 1, 2
 
-    partial = QuadratureResult(total, estimate, evaluations, False)
+    partial = QuadratureResult(total, estimate, evaluations, False, total_abs)
     raise ConvergenceError(
         f"tanh_sinh stalled at estimate {estimate:.3e} after level {_TS_MAX_LEVEL}",
         partial=partial,
     )
 
 
-def _gk_rule(g, a: float, b: float, counter: list) -> tuple[float, float, bool]:
-    """15-point Kronrod value, error estimate and floor flag on [a, b].
+def _gk_rule(g, a: float, b: float, counter: list) -> tuple[float, float, bool, float]:
+    """15-point Kronrod value, error estimate, floor flag and integral of |f| on [a, b].
 
     The estimate follows QUADPACK dqk15: the raw Gauss/Kronrod difference is
     sharpened through (200 d / resasc)**1.5 only relative to resasc, the
@@ -224,21 +236,21 @@ def _gk_rule(g, a: float, b: float, counter: list) -> tuple[float, float, bool]:
         if floor >= error:
             error = floor
             floored = True
-    return res_kronrod * half, error, floored
+    return res_kronrod * half, error, floored, res_abs
 
 
 def _resummed_partial(heap, counter) -> QuadratureResult:
     """Exact heap totals for a non-converged result."""
     value = math.fsum(item[4] for item in heap)
     error = math.fsum(item[5] for item in heap)
-    return QuadratureResult(value, error, counter[0], False)
+    return QuadratureResult(value, error, counter[0], False, math.fsum(item[7] for item in heap))
 
 
 def _adaptive_gk(g, tol: float) -> QuadratureResult:
     """Globally adaptive bisection on (0, 1) with a worst-interval heap."""
     counter = [0]
-    value, error, floored = _gk_rule(g, 0.0, 1.0, counter)
-    heap = [(-error, 0, 0.0, 1.0, value, error, floored)]
+    value, error, floored, mag = _gk_rule(g, 0.0, 1.0, counter)
+    heap = [(-error, 0, 0.0, 1.0, value, error, floored, mag)]
     seq = 1
     rough = 0 if floored else 1  # live intervals above their rounding floor
     total_value = value
@@ -251,7 +263,8 @@ def _adaptive_gk(g, tol: float) -> QuadratureResult:
             total_value = math.fsum(item[4] for item in heap)
             total_error = math.fsum(item[5] for item in heap)
             if total_error <= max(tol * abs(total_value), TINY):
-                return QuadratureResult(total_value, total_error, counter[0], True)
+                total_abs = math.fsum(item[7] for item in heap)
+                return QuadratureResult(total_value, total_error, counter[0], True, total_abs)
             if not rough:
                 partial = _resummed_partial(heap, counter)
                 raise ConvergenceError(
@@ -267,7 +280,7 @@ def _adaptive_gk(g, tol: float) -> QuadratureResult:
                 partial=partial,
             )
         item = heapq.heappop(heap)
-        _, _, a, b, val, err, floored = item
+        _, _, a, b, val, err, floored, _ = item
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:
             heapq.heappush(heap, item)
@@ -276,10 +289,10 @@ def _adaptive_gk(g, tol: float) -> QuadratureResult:
                 f"adaptive_gk interval at [{a}, {b}] is too small to bisect",
                 partial=partial,
             )
-        v1, e1, f1 = _gk_rule(g, a, mid, counter)
-        v2, e2, f2 = _gk_rule(g, mid, b, counter)
-        heapq.heappush(heap, (-e1, seq, a, mid, v1, e1, f1))
-        heapq.heappush(heap, (-e2, seq + 1, mid, b, v2, e2, f2))
+        v1, e1, f1, m1 = _gk_rule(g, a, mid, counter)
+        v2, e2, f2, m2 = _gk_rule(g, mid, b, counter)
+        heapq.heappush(heap, (-e1, seq, a, mid, v1, e1, f1, m1))
+        heapq.heappush(heap, (-e2, seq + 1, mid, b, v2, e2, f2, m2))
         seq += 2
         rough += (not f1) + (not f2) - (not floored)
         total_value += v1 + v2 - val

@@ -65,7 +65,7 @@ def summarize(records: Iterable[dict]) -> dict:
         total += 1
         verdict = rec["verdict"]
         counts[verdict] = counts.get(verdict, 0) + 1
-        if verdict in (Verdict.BOTH_AGREE.value, Verdict.CONFIRMED_CORRECTED.value):
+        if Verdict(verdict) in PASSING:
             passed += 1
     return {
         "total": total,

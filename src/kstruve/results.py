@@ -28,12 +28,18 @@ class EvaluationResult:
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Value of a definite integral with an a-posteriori error estimate."""
+    """Value of a definite integral with an a-posteriori error estimate.
+
+    ``abs_integral`` is the rule's estimate of the integral of |f|: an error
+    of at most e |f(x)| in every sample moves the value by about
+    e * abs_integral.
+    """
 
     value: float
     error_estimate: float
     evaluations: int
     converged: bool
+    abs_integral: float
 
 
 class Verdict(str, enum.Enum):

@@ -16,6 +16,14 @@ a rigorous truncation bound.  The returned bound adds the rounding of the
 double-precision loop; where the terms cancel too much for doubles (c > 0 and
 large x sqrt(c/k)) the same ratio, read as an exact rational, is summed in
 fixed point on integers (see :mod:`kstruve.fixedpoint`).
+
+A caller that needs S at many x in (0, X] builds :func:`k_struve_poly` once:
+the leading term times a polynomial in (x/2)**2 whose degree makes the tail
+at X small, evaluated by Horner's rule.  Each value carries its own bound
+(tail, Horner and coefficient rounding, leading term), at most tol times the
+value.  Where that bound fails, where the leading term leaves
+(1e-300, 1e300), or where X reaches the fixed-point regime, the caller falls
+back to :func:`k_struve`.
 """
 
 from __future__ import annotations
@@ -143,6 +151,28 @@ class StruveParams:
         return self._series.lead_err
 
 
+def _lead(consts: _SeriesConstants, half: float) -> tuple[float, float] | None:
+    """(x/2)**power * scale0 with the exact-power correction, and its relative error.
+
+    ``half`` is x/2.  None when the term is outside (1e-300, 1e300), where
+    it must be taken from its logarithm.
+    """
+    try:
+        lead = half**consts.power * consts.scale0
+    except OverflowError:
+        return None
+    if not 1e-300 < lead < 1e300:
+        return None
+    lead_err = consts.lead_err
+    if consts.power_delta:
+        # the exact power: (x/2)**delta = exp(t), within t**2 of 1 + t for
+        # |t| < 1/2; delta is a few ulps of nu/k, so t is of order 1e-13
+        t = consts.power_delta * math.log(half)
+        lead *= 1.0 + t
+        lead_err += t * t + 3.0 * UNIT * abs(t)
+    return lead, lead_err
+
+
 def k_struve(
     params: StruveParams, x: float, tol: float = 1e-12, max_terms: int = 500
 ) -> EvaluationResult:
@@ -190,18 +220,9 @@ def k_struve(
         raise DomainError(f"x = 0 diverges for nu/k + 1 = {lam} < 0")
 
     half = 0.5 * x
-    try:
-        lead = half**lam * consts.scale0
-    except OverflowError:
-        lead = 0.0
-    if 1e-300 < lead < 1e300:
-        lead_err = consts.lead_err
-        if consts.power_delta:
-            # the exact power: (x/2)**delta = exp(t), within t**2 of 1 + t for
-            # |t| < 1/2; delta is a few ulps of nu/k, so t is of order 1e-13
-            t = consts.power_delta * math.log(half)
-            lead *= 1.0 + t
-            lead_err += t * t + 3.0 * UNIT * abs(t)
+    leading = _lead(consts, half)
+    if leading is not None:
+        lead, lead_err = leading
     else:
         # subnormal x can underflow the halving; take the log before scaling then
         log_half = math.log(half) if half > 0.0 else math.log(x) - math.log(2.0)
@@ -257,6 +278,87 @@ def k_struve(
     raise ConvergenceError(
         f"k-Struve series needed more than {max_terms} terms at x={x} for tol={tol}"
     )
+
+
+def k_struve_poly(params: StruveParams, xmax: float, tol: float):
+    """The k-Struve series on (0, xmax] as its leading term times a polynomial, built once.
+
+    With v = (x/2)**2, S(x) = lead(x) g(v), where lead(x) is the r = 0 term
+    that :func:`k_struve` computes and g(v) = sum_{r <= R} a_r v**r has
+    a_0 = 1 and a_{r+1} = a_r (-c/k) / ((r + nu/k + 3/2)(r + 3/2)), the
+    series' exact term ratio.  R is the first index whose geometric tail at
+    V = (xmax/2)**2 is at most tol / 8.
+
+    Returns None where :func:`k_struve` would sum in fixed point (c > 0 and
+    xmax sqrt(c/k) >= 8), or when no R up to 500 meets that tail.  Otherwise
+    returns ``evaluate(x)``, which gives ``(value, error_bound)`` with
+    ``error_bound <= tol * |value|``, or None when x is not in (0, xmax],
+    when the leading term is outside (1e-300, 1e300), or when that bound
+    fails; the caller then calls :func:`k_struve`.
+
+    g is evaluated by Horner's rule in s = v**2 on the even and the odd
+    coefficients.  Each half has coefficients |a_r| of one sign, so the same
+    pass gives sum |a_r| v**r, and Higham's bound (Accuracy and Stability of
+    Numerical Algorithms, sec. 5.1) for the two halves, the product and the
+    sum is (R + 2) ulps of it.  The bound adds the tail
+    |a_R| v**R rho / (1 - rho), rho the ratio at V; ``step_ulps`` of
+    sum |a_r| v**r per index for the coefficients and the argument; and the
+    leading term's error and the final product.
+    """
+    if not 0.0 < xmax < math.inf:
+        return None
+    half_max = 0.5 * xmax
+    if -params.c * half_max * half_max / params.k <= _FIXED_RATIO_SCALE:
+        return None
+    consts = params._series
+    base = consts.base
+    ck = abs(params.c) / params.k
+    vmax = half_max * half_max
+    coefs = [1.0]  # |a_r|
+    mag = 1.0  # |a_r| V**r
+    for r in range(500):
+        rho = ck * vmax / ((r + base) * (r + 1.5))
+        if rho < 1.0 and mag * rho / (1.0 - rho) <= 0.125 * tol:
+            break
+        coefs.append(coefs[-1] * (ck / ((r + base) * (r + 1.5))))
+        mag *= rho
+    else:
+        return None
+    degree = len(coefs) - 1
+    tail = mag * rho / (1.0 - rho)  # at V; (v / V)**R scales it to v
+    evens = coefs[::2]
+    odds = coefs[1::2]
+    if len(odds) < len(evens):
+        odds.append(0.0)
+    pairs = tuple(zip(reversed(evens), reversed(odds)))
+    sign = -1.0 if params.c > 0.0 else 1.0
+    rounding = UNIT * (consts.step_ulps * degree + degree + 2.0)
+    inf = math.inf
+
+    def evaluate(x: float) -> tuple[float, float] | None:
+        if not 0.0 < x <= xmax:
+            return None
+        half = 0.5 * x
+        leading = _lead(consts, half)
+        if leading is None:
+            return None
+        lead, lead_err = leading
+        v = half * half
+        s = v * v
+        even = odd = 0.0
+        for a_even, a_odd in pairs:
+            even = even * s + a_even
+            odd = odd * s + a_odd
+        odd *= v
+        mags = even + odd
+        value = lead * (even + sign * odd)
+        size = abs(value)
+        bound = lead * (tail * (v / vmax) ** degree + rounding * mags) + (lead_err + UNIT) * size
+        if bound <= tol * size < inf:  # an overflowed value fails
+            return value, bound
+        return None
+
+    return evaluate
 
 
 def _fixed(params, x, lead, lead_err, ratio_scale, cond_bits, tol, max_terms):

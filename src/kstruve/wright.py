@@ -323,6 +323,8 @@ def _log_sum(spec: WrightSpec, z: float, tol: float, max_terms: int) -> Evaluati
     previous, previous_err = term_value(0)
     if z == 0.0:
         return EvaluationResult(previous, abs(previous) * previous_err + 3.0 * SUBNORMAL_ULP, 1)
+    # as in _ratio_sum, the absolute floor shrinks with a first term below 1
+    floor = TINY * min(abs(previous), 1.0)
     mags = 0.0
     rounding = 0.0
     ratios: list[float] = []
@@ -345,7 +347,7 @@ def _log_sum(spec: WrightSpec, z: float, tol: float, max_terms: int) -> Evaluati
         window_ok = len(ratios) == 3 and ratios[0] >= ratios[1] >= ratios[2]
         if window_ok and rho < 1.0 and m >= positive_from:
             bound = abs(current) / (1.0 - rho)
-            limit = max(tol * abs(total), TINY)
+            limit = max(tol * abs(total), floor)
             if bound <= limit:
                 rounding += abs(current) * current_err + _UNIT * 2.0 * (mags + abs(current))
                 error = bound + rounding

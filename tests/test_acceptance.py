@@ -14,6 +14,7 @@ import time
 import pytest
 
 from kstruve import (
+    ConvergenceError,
     StruveParams,
     TheoremParams,
     Verdict,
@@ -33,6 +34,7 @@ from kstruve import (
     wright_eval,
 )
 from kstruve.cli import main
+from kstruve.struve import k_struve_poly
 
 
 def announce(capsys, number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -263,6 +265,48 @@ def test_k_struve_bounds_hold_against_mpmath_oracle():
         error = abs(mp.mpf(res.value) - _mp_k_struve(mp, nu, c, k, x))
         assert error <= res.error_bound, (nu, c, k, x, tol, res)
         assert res.error_bound <= tol * abs(res.value)
+
+
+def test_k_struve_poly_bounds_hold_against_mpmath_oracle():
+    """Each polynomial value is within its bound, and the bound within tol, on (0, W]."""
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(93)
+    returned = calls = 0
+    for c in (-1.0, 1.0, 2.0):
+        for k in (0.5, 1.0, 2.0):
+            for tol in (1e-8, 1e-12):
+                nu = k * rng.uniform(-1.35, -1.15) if rng.random() < 0.25 else rng.uniform(-0.5, 6.0)
+                # below the fixed-point regime, W sqrt(|c|/k) < 8
+                wmax = rng.uniform(0.5, 7.9) * math.sqrt(k / abs(c))
+                poly = k_struve_poly(StruveParams(nu=nu, c=c, k=k), wmax, tol)
+                for w in (1e-3 * wmax, *(wmax * j / 5.0 for j in range(1, 6))):
+                    calls += 1
+                    res = poly(w)
+                    if res is None:
+                        continue
+                    returned += 1
+                    value, bound = res
+                    error = abs(mp.mpf(value) - _mp_k_struve(mp, nu, c, k, w))
+                    assert error <= bound <= tol * abs(value), (nu, c, k, w, tol, res)
+    assert returned >= 0.9 * calls, (returned, calls)
+
+
+def test_wright_log_sum_floor_is_relative():
+    """Integer slopes with |t_0| < 1e-304 take the log-space path; 1e-280 once cut it short."""
+    mp = pytest.importorskip("mpmath")
+    spec = WrightSpec(upper=((1.0, 1.0),), lower=((170.5, 1.0),))
+    for z in (-30.0, -100.0):
+        exact = _mp_wright(mp, spec, z)
+        # at tol = 1e-12 the first term's own error leaves no room: refuse or be right
+        try:
+            res = wright_eval(spec, z, tol=1e-12)
+        except ConvergenceError:
+            pass
+        else:
+            assert abs(mp.mpf(res.value) - exact) <= res.error_bound <= 1e-12 * abs(res.value)
+        res = wright_eval(spec, z, tol=1e-11)
+        error = abs(mp.mpf(res.value) - exact)
+        assert error <= res.error_bound and error <= 1e-12 * abs(exact), (z, res)
 
 
 def test_wright_bounds_hold_against_mpmath_oracle():

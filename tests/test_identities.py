@@ -1,6 +1,7 @@
 """Tests for the identity engine: integrands, closed forms, and verdicts."""
 
 import math
+import random
 
 import pytest
 
@@ -328,6 +329,30 @@ class TestWorkPerPoint:
         assert results[0].converged
         assert results[0].evaluations <= evaluations
 
+    @pytest.mark.parametrize("which", ["theorem1", "theorem2"])
+    def test_integrand_rarely_calls_k_struve(self, which, monkeypatch):
+        # the point's polynomial serves the integrand, where the parent called
+        # k_struve at every node.  At the theorem1 point 7 of 135 nodes still
+        # do: six within 2e-31 of x = 1, whose leading term (w/2)**5 is
+        # below 1e-300, and one where w underflows to 0
+        counts = {"k_struve": 0, "evaluations": 0}
+        series, quadrature = identities.k_struve, identities.integrate
+
+        def counting(*args, **kwargs):
+            counts["k_struve"] += 1
+            return series(*args, **kwargs)
+
+        def recording(*args, **kwargs):
+            result = quadrature(*args, **kwargs)
+            counts["evaluations"] += result.evaluations
+            return result
+
+        monkeypatch.setattr(identities, "k_struve", counting)
+        monkeypatch.setattr(identities, "integrate", recording)
+        verify(which, default_grid(which)[0])
+        assert counts["evaluations"] > 0
+        assert counts["k_struve"] <= 0.06 * counts["evaluations"]
+
     def test_default_grid_evaluations_do_not_grow(self, monkeypatch):
         evaluations = []
         original = identities.integrate
@@ -341,6 +366,47 @@ class TestWorkPerPoint:
         verify_grid("theorem1", default_grid("theorem1"))
         assert len(evaluations) == 24
         assert sum(evaluations) <= 2566
+
+
+class TestLhsError:
+    """lhs_err bounds |lhs - R|, R the corrected closed form at tol 1e-14.
+
+    Each integrand call is within series_tol of S(w), relative, and that
+    error is smooth in x: it does not average out, so lhs_err carries it.
+    """
+
+    @pytest.mark.parametrize(
+        "which, point",
+        [
+            # integral of |f| about 200 times the integral
+            ("theorem1", (1.4426050301681523, 0.17768287397679122, -2.6044496948770925,
+                          1.0, 2.0, 3.6255426848379546)),
+            ("theorem2", (1.2654, 1.0185, 1.8445, -1.0, 2.0, 1.8907)),
+            ("theorem1", (1.0, 0.5, 2.0, 1.0, 1.0, 1.0)),
+        ],
+    )
+    def test_lhs_err_covers_the_closed_form(self, which, point):
+        p = TheoremParams(*point)
+        report = verify(which, p, strict=False)
+        exact = identities._rhs(p, which, True, 1e-14)
+        assert abs(report.lhs_value - exact) <= report.lhs_error_estimate
+        assert report.rel_dev_corrected <= 1e-12
+
+    def test_seeded_scan_finds_no_under_report(self):
+        rng = random.Random(2024)
+        for _ in range(40):
+            which = rng.choice(["theorem1", "theorem2"])
+            k = rng.choice([0.5, 1.0, 2.0])
+            if which == "theorem1" and rng.random() < 0.1:
+                # the relaxed corner nu/k + 1 < 0, where alpha >= 1 converges
+                alpha, nu = rng.uniform(1.15, 2.6), k * rng.uniform(-1.35, -1.15)
+            else:
+                alpha, nu = rng.uniform(0.55, 2.6), rng.uniform(1.8, 3.2)
+            p = TheoremParams(alpha=alpha, mu=rng.uniform(0.1, 1.1), nu=nu,
+                              c=rng.choice([-1.0, 1.0]), k=k, y=rng.uniform(0.5, 5.0))
+            report = verify(which, p, strict=False)
+            exact = identities._rhs(p, which, True, 1e-14)
+            assert abs(report.lhs_value - exact) <= report.lhs_error_estimate, (which, p)
 
 
 class TestRuleSelection:

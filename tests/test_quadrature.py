@@ -84,6 +84,16 @@ class TestIntegrate:
         assert res.evaluations > 0
         assert res.error_estimate >= 0.0
 
+    @pytest.mark.parametrize("method", ["adaptive_gk", "tanh_sinh"])
+    def test_abs_integral_estimates_the_integral_of_abs_f(self, method):
+        # int_0^1 sin(5 pi x) = 2/(5 pi), int_0^1 |sin(5 pi x)| = 2/pi
+        res = integrate(lambda x: math.sin(5.0 * math.pi * x), tol=1e-12, method=method)
+        assert res.value == pytest.approx(0.4 / math.pi, rel=1e-11)
+        assert res.abs_integral == pytest.approx(2.0 / math.pi, rel=1e-2)
+        with pytest.raises(ConvergenceError) as excinfo:
+            integrate(lambda x: x - 0.5, tol=1e-10, method=method)
+        assert excinfo.value.partial.abs_integral == pytest.approx(0.25, rel=5e-2)
+
     def test_unary_integrand_never_sees_endpoints(self):
         def f(x):
             assert 0.0 < x < 1.0, f"endpoint abscissa {x}"

@@ -15,6 +15,7 @@ from kstruve import (
     struve_l,
     struve_ode_residual,
 )
+from kstruve.struve import k_struve_poly
 
 # mpmath struveh/struvel at 40 digits, rounded to double precision
 STRUVE_H_GOLDEN = {
@@ -208,6 +209,32 @@ class TestSeriesBehavior:
     def test_terms_used_bounded(self):
         res = k_struve(StruveParams(nu=0.0, c=1.0, k=1.0), 10.0, tol=1e-12)
         assert 0 < res.terms_used <= 500
+
+
+class TestPolynomial:
+    """k_struve_poly: the series on (0, W] built once, evaluated by Horner."""
+
+    @pytest.mark.parametrize("c, k", [(1.0, 1.0), (2.0, 0.5), (1.0, 2.0), (0.3, 1.0)])
+    def test_fixed_point_regime_yields_none(self, c, k):
+        params = StruveParams(nu=2.0, c=c, k=k)
+        edge = 8.0 * math.sqrt(k / c)  # W sqrt(c/k) = 8
+        assert k_struve_poly(params, edge, 1e-12) is None
+        assert k_struve_poly(params, 2.0 * edge, 1e-12) is None
+        assert k_struve_poly(params, 0.99 * edge, 1e-12) is not None
+
+    def test_negative_c_has_no_fixed_point_limit(self):
+        assert k_struve_poly(StruveParams(nu=2.0, c=-1.0, k=1.0), 20.0, 1e-12) is not None
+
+    def test_agrees_with_k_struve_inside_and_declines_outside(self):
+        params = StruveParams(nu=2.3, c=1.0, k=1.0)
+        poly = k_struve_poly(params, 5.0, 1e-12)
+        for w in (1e-6, 0.1, 1.0, 2.5, 4.9, 5.0):
+            value, bound = poly(w)
+            ref = k_struve(params, w, tol=1e-12)
+            assert abs(value - ref.value) <= bound + ref.error_bound
+            assert bound <= 1e-12 * abs(value)
+        for w in (0.0, -1.0, math.nextafter(5.0, 6.0), math.nan):
+            assert poly(w) is None
 
 
 class TestOdeResidual:
