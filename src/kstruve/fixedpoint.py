@@ -20,6 +20,10 @@ terms themselves, which gives the bound
 in units of 2**-bits.  Summation stops on a bit-length test: the first
 dropped term is below 2**-gap of the partial sum and the ratio there is at
 most 1/4, so the tail is at most twice that term.
+
+:func:`fixed_terms` hands out the kept terms u_m of one such pass, with
+the tail and floor bounds, for a caller that evaluates the series at
+smaller arguments as a polynomial in the ratio of the squared arguments.
 """
 
 from __future__ import annotations
@@ -112,11 +116,14 @@ def _advance(state: list[int], count: int) -> list[int]:
     return seq[:count]
 
 
-def _pass(table, step, shift, negate, bits, gap, max_terms):
-    """One summation at ``bits`` bits: (sum, bound in units of 2**-bits, terms), or None.
+def _pass(table, step, shift, negate, bits, gap, max_terms, keep=None):
+    """One summation at ``bits`` bits: (sum, tail, floors, terms), or None.
 
-    The tail is certified once the ratio is at most 1/4 past ``tail_start``.
-    Positive and negative terms go to separate sums, whose total is sum |u|.
+    ``tail`` bounds the dropped terms and ``floors`` the summed floor errors,
+    both in units of 2**-bits.  The tail is certified once the ratio is at
+    most 1/4 past ``tail_start``.  Positive and negative terms go to separate
+    sums, whose total is sum |u|.  A list ``keep`` receives the signed kept
+    terms u_1, u_2, ...
     """
     a = 1 << bits
     plus, minus = a, 0
@@ -124,6 +131,8 @@ def _pass(table, step, shift, negate, bits, gap, max_terms):
     start = table.tail_start
     early = []  # u_j for 1 <= j < start
     anchor = a  # u_start
+    # the bookkeeping of the first terms runs on every term while keeping
+    stop = start if keep is None else max_terms
     nums, dens, flips = table.nums, table.dens, table.flips
     size = len(dens)
     # a term can pass the bit-length test only if it is at most |sum| >> (gap - 1);
@@ -139,7 +148,7 @@ def _pass(table, step, shift, negate, bits, gap, max_terms):
             if m >= start and nxt.bit_length() + gap <= total.bit_length() and (nxt + 1) << 2 <= a:
                 magnitude = plus + minus
                 floors = 4.0 * (math.fsum(magnitude / u for u in early) + (m + 1) * (magnitude / anchor))
-                return total, 2.0 * (nxt + 1) + 3.0 * floors, m + 1
+                return total, 2.0 * (nxt + 1), 3.0 * floors, m + 1
             if not nxt:
                 return None  # the terms ran out of bits before the sum was resolved
             thresh = abs(total) >> (gap - 1)
@@ -149,13 +158,63 @@ def _pass(table, step, shift, negate, bits, gap, max_terms):
             plus += nxt
         else:
             minus += nxt
-        if m < start:
+        if m < stop:
+            if keep is not None:
+                keep.append(nxt if positive else -nxt)
             if m + 1 < start:
                 early.append(nxt)
-            else:
+            elif m + 1 == start:
                 anchor = nxt
         a = nxt
     raise ConvergenceError(f"{max_terms} terms were not enough for the fixed-point sum")
+
+
+def _setup(table, scale, shift, cond_bits, tol, max_terms):
+    """The precision rule: (step, shift, gap, bits) of the first pass.
+
+    ``bits`` leaves 8 guard bits, one per bit of ``max_terms``, ``cond_bits``
+    for the cancellation and the bits of ``tol``; the pass stops once a term
+    is ``gap`` bits below the sum.
+    """
+    precision = max(0, 1 - math.frexp(tol)[1])  # smallest b >= 0 with 2**-b <= tol
+    gap = 3 + precision
+    bits = 8 + max_terms.bit_length() + max(cond_bits, 0) + precision
+    step = scale * table.num_const if table.nums is None else scale
+    shift += table.shift
+    if shift < 0:
+        step <<= -shift
+        shift = 0
+    return step, shift, gap, bits
+
+
+def fixed_terms(
+    table: LinearRatio,
+    scale: int,
+    shift: int,
+    negate: bool,
+    cond_bits: int,
+    tol: float,
+    max_terms: int,
+) -> tuple[list[int], int, float, float]:
+    """The kept terms of one :func:`sum_fixed` pass: (terms, bits, tail, floors).
+
+    ``terms`` are the signed integers u_0 = 2**bits, u_1, ..., u_R, each
+    within its floor error of 2**bits t_m / t_0.  ``tail`` bounds
+    sum_{m > R} |t_m| / t_0 and ``floors`` the summed floor errors, both in
+    units of 2**-bits.  The arguments and the precision are those of
+    :func:`sum_fixed`, whose retry with doubled bits is kept for terms that
+    run out of bits; ConvergenceError when that fails too.
+    """
+    step, shift, gap, bits = _setup(table, scale, shift, cond_bits, tol, max_terms)
+    for _ in range(4):
+        if bits > MAX_BITS:
+            break
+        terms = [1 << bits]
+        out = _pass(table, step, shift, negate, bits, gap, max_terms, terms)
+        if out is not None:
+            return terms, bits, out[1], out[2]
+        bits *= 2
+    raise ConvergenceError(f"the terms cancel or grow beyond {MAX_BITS} bits of precision")
 
 
 def sum_fixed(
@@ -177,14 +236,7 @@ def sum_fixed(
     more bits while the fixed-point rounding, not the leading term, keeps the
     bound above ``max(tol * |value|, 1e-280 * min(|lead|, 1))``.
     """
-    precision = max(0, 1 - math.frexp(tol)[1])  # smallest b >= 0 with 2**-b <= tol
-    gap = 3 + precision
-    bits = 8 + max_terms.bit_length() + max(cond_bits, 0) + precision
-    step = scale * table.num_const if table.nums is None else scale
-    shift += table.shift
-    if shift < 0:
-        step <<= -shift
-        shift = 0
+    step, shift, gap, bits = _setup(table, scale, shift, cond_bits, tol, max_terms)
     for _ in range(4):
         if bits > MAX_BITS:
             break
@@ -192,7 +244,8 @@ def sum_fixed(
         if out is None:
             bits *= 2
             continue
-        total, units, terms = out
+        total, tail, floors, terms = out
+        units = tail + floors
         if total.bit_length() - bits > 1000 or not math.isfinite(units):
             break
         value = lead * (total / (1 << bits))

@@ -28,6 +28,7 @@ import functools
 import heapq
 import inspect
 import math
+import types
 
 from .errors import ConvergenceError, DomainError, NonFiniteSampleError
 from .gamma import log_gamma
@@ -68,26 +69,40 @@ _TS_MAX_LEVEL = 12
 _TS_T_CAP = 6.8  # exp(-pi*sinh t) underflows to 0.0 just beyond this
 
 
+# attributes through which inspect.signature departs from a function's code
+_SIGNATURE_OVERRIDES = frozenset(("__wrapped__", "__signature__"))
+
+
+def _takes_two(f) -> bool:
+    """Whether f accepts two positional arguments.
+
+    A plain function that ``inspect`` would not unwrap or override is read
+    from its code object, which is much cheaper than ``inspect.signature``;
+    every other callable goes through ``inspect``.
+    """
+    if type(f) is types.FunctionType and not (_SIGNATURE_OVERRIDES & f.__dict__.keys()):
+        code = f.__code__
+        return code.co_argcount >= 2 or bool(code.co_flags & inspect.CO_VARARGS)
+    try:
+        sig = inspect.signature(f)
+    except (TypeError, ValueError):
+        return False
+    positional = 0
+    for par in sig.parameters.values():
+        if par.kind in (par.POSITIONAL_ONLY, par.POSITIONAL_OR_KEYWORD):
+            positional += 1
+        elif par.kind == par.VAR_POSITIONAL:
+            positional = 2
+    return positional >= 2
+
+
 def _normalize_integrand(f):
     """Return (g, endpoint_safe) where g(x, one_minus_x) wraps f.
 
     ``endpoint_safe`` is True when f itself takes the complement argument and
     can therefore be trusted arbitrarily close to x = 1.
     """
-    try:
-        sig = inspect.signature(f)
-    except (TypeError, ValueError):
-        sig = None
-    takes_two = False
-    if sig is not None:
-        positional = 0
-        for par in sig.parameters.values():
-            if par.kind in (par.POSITIONAL_ONLY, par.POSITIONAL_OR_KEYWORD):
-                positional += 1
-            elif par.kind == par.VAR_POSITIONAL:
-                positional = 2
-        takes_two = positional >= 2
-    if takes_two:
+    if _takes_two(f):
         return f, True
 
     def unary(x, omx, _f=f):

@@ -21,23 +21,27 @@ A caller that needs S at many x in (0, X] builds :func:`k_struve_poly` once:
 the leading term times a polynomial in (x/2)**2 whose degree makes the tail
 at X small, evaluated by Horner's rule.  Each value carries its own bound
 (tail, Horner and coefficient rounding, leading term), at most tol times the
-value.  Where that bound fails, where the leading term leaves
-(1e-300, 1e300), or where X reaches the fixed-point regime, the caller falls
-back to :func:`k_struve`.
+value.  Where X reaches the fixed-point regime (c > 0, X sqrt(c/k) >= 8),
+the polynomial is a double one up to a split w* and, above w*, the integer
+terms of one fixed-point pass at X, evaluated by integer Horner's rule.
+Where a value's bound fails, or where the leading term leaves
+(1e-300, 1e300), the caller falls back to :func:`k_struve`.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ConvergenceError, DomainError
-from .fixedpoint import SUBNORMAL_ULP, UNIT, LinearRatio, sum_fixed
+from .fixedpoint import SUBNORMAL_ULP, UNIT, LinearRatio, fixed_terms, sum_fixed
 from .gamma import gamma, log_k_gamma
 from .results import TINY, EvaluationResult
 
 _LOG_DBL_MAX = 709.782712893384
+_MIN_NORMAL = sys.float_info.min
 _LGAMMA_3_2 = math.lgamma(1.5)
 _SQRT_PI = math.sqrt(math.pi)
 # from x sqrt(c/k) = 8 (ratio_scale = -16) on, with c > 0, the terms outgrow
@@ -46,6 +50,10 @@ _SQRT_PI = math.sqrt(math.pi)
 _FIXED_RATIO_SCALE = -16.0
 # log2(e): the terms of the c > 0 series outgrow their sum by about e**(x sqrt(c/k))
 _LOG2_E = 1.4426950408889634
+# the polynomials' degree cap, k_struve's default max_terms
+_MAX_DEGREE = 500
+# s = (x/xmax)**2 <= r*r * (1 + 8 ulps) for the rounded quotient r = x / xmax
+_S_PAD = 1.0 + 8.0 * UNIT
 
 
 def _gap(f: float, num: int, den: int) -> float:
@@ -155,8 +163,12 @@ def _lead(consts: _SeriesConstants, half: float) -> tuple[float, float] | None:
     """(x/2)**power * scale0 with the exact-power correction, and its relative error.
 
     ``half`` is x/2.  None when the term is outside (1e-300, 1e300), where
-    it must be taken from its logarithm.
+    it must be taken from its logarithm, and when half is below the normal
+    range: there 0.5 * x may have rounded, and a negative power would carry
+    that error or divide by a half rounded to 0.
     """
+    if not half >= _MIN_NORMAL:
+        return None
     try:
         lead = half**consts.power * consts.scale0
     except OverflowError:
@@ -224,8 +236,8 @@ def k_struve(
     if leading is not None:
         lead, lead_err = leading
     else:
-        # subnormal x can underflow the halving; take the log before scaling then
-        log_half = math.log(half) if half > 0.0 else math.log(x) - math.log(2.0)
+        # below the normal range the halving may round; take the log before scaling then
+        log_half = math.log(half) if half >= _MIN_NORMAL else math.log(x) - math.log(2.0)
         log_t0 = (lam * log_half + consts.power_delta * log_half) + params.log_scale
         if log_t0 > _LOG_DBL_MAX:
             raise ConvergenceError(
@@ -284,39 +296,67 @@ def k_struve_poly(params: StruveParams, xmax: float, tol: float):
     """The k-Struve series on (0, xmax] as its leading term times a polynomial, built once.
 
     With v = (x/2)**2, S(x) = lead(x) g(v), where lead(x) is the r = 0 term
-    that :func:`k_struve` computes and g(v) = sum_{r <= R} a_r v**r has
-    a_0 = 1 and a_{r+1} = a_r (-c/k) / ((r + nu/k + 3/2)(r + 3/2)), the
-    series' exact term ratio.  R is the first index whose geometric tail at
-    V = (xmax/2)**2 is at most tol / 8.
+    that :func:`k_struve` computes and g(v) = sum_r a_r v**r has a_0 = 1 and
+    a_{r+1} = a_r (-c/k) / ((r + nu/k + 3/2)(r + 3/2)), the series' exact
+    term ratio.
 
-    Returns None where :func:`k_struve` would sum in fixed point (c > 0 and
-    xmax sqrt(c/k) >= 8), or when no R up to 500 meets that tail.  Otherwise
-    returns ``evaluate(x)``, which gives ``(value, error_bound)`` with
+    Returns ``evaluate(x)``, which gives ``(value, error_bound)`` with
     ``error_bound <= tol * |value|``, or None when x is not in (0, xmax],
-    when the leading term is outside (1e-300, 1e300), or when that bound
-    fails; the caller then calls :func:`k_struve`.
+    when the leading term is outside (1e-300, 1e300) or x/2 is below the
+    normal range, or when that bound fails; the caller then calls
+    :func:`k_struve`.  k_struve_poly itself returns None when no degree up
+    to 500 serves.
 
-    g is evaluated by Horner's rule in s = v**2 on the even and the odd
-    coefficients.  Each half has coefficients |a_r| of one sign, so the same
-    pass gives sum |a_r| v**r, and Higham's bound (Accuracy and Stability of
-    Numerical Algorithms, sec. 5.1) for the two halves, the product and the
-    sum is (R + 2) ulps of it.  The bound adds the tail
-    |a_R| v**R rho / (1 - rho), rho the ratio at V; ``step_ulps`` of
-    sum |a_r| v**r per index for the coefficients and the argument; and the
-    leading term's error and the final product.
+    Below the fixed-point regime (c < 0, or xmax sqrt(c/k) < 8) g is one
+    double polynomial on (0, xmax] (:func:`_double_horner`).  In that regime
+    a split w* <= 8 sqrt(k/c), the largest argument at which the double
+    polynomial's bound still fits tol, divides the interval: (0, w*] keeps a
+    double polynomial of its own degree, and (w*, xmax] evaluates the
+    integer terms of one fixed-point pass at xmax (:func:`_integer_horner`).
+    A double value whose bound fails tries the integer polynomial as well.
     """
     if not 0.0 < xmax < math.inf:
         return None
     half_max = 0.5 * xmax
-    if -params.c * half_max * half_max / params.k <= _FIXED_RATIO_SCALE:
-        return None
+    if -params.c * half_max * half_max / params.k > _FIXED_RATIO_SCALE:
+        return _double_horner(params, xmax, tol)
+    integer = _integer_horner(params, xmax, tol)
+    split = _split(params, tol)
+    double = _double_horner(params, split, tol) if split else None
+    if integer is None or double is None:
+        return integer or double
+
+    def evaluate(x: float) -> tuple[float, float] | None:
+        if x <= split:
+            out = double(x)
+            if out is not None:
+                return out
+        return integer(x)
+
+    return evaluate
+
+
+def _double_horner(params: StruveParams, xmax: float, tol: float):
+    """g in doubles on (0, xmax]: the evaluator of :func:`k_struve_poly`, or None.
+
+    The degree R is the first index whose geometric tail at V = (xmax/2)**2
+    is at most tol / 8.  g is evaluated by Horner's rule in s = v**2 on the
+    even and the odd coefficients.  Each half has coefficients |a_r| of one
+    sign, so the same pass gives sum |a_r| v**r, and Higham's bound
+    (Accuracy and Stability of Numerical Algorithms, sec. 5.1) for the two
+    halves, the product and the sum is (R + 2) ulps of it.  The bound adds
+    the tail |a_R| v**R rho / (1 - rho), rho the ratio at V; ``step_ulps`` of
+    sum |a_r| v**r per index for the coefficients and the argument; and the
+    leading term's error and the final product.
+    """
     consts = params._series
     base = consts.base
     ck = abs(params.c) / params.k
+    half_max = 0.5 * xmax
     vmax = half_max * half_max
     coefs = [1.0]  # |a_r|
     mag = 1.0  # |a_r| V**r
-    for r in range(500):
+    for r in range(_MAX_DEGREE):
         rho = ck * vmax / ((r + base) * (r + 1.5))
         if rho < 1.0 and mag * rho / (1.0 - rho) <= 0.125 * tol:
             break
@@ -361,6 +401,104 @@ def k_struve_poly(params: StruveParams, xmax: float, tol: float):
     return evaluate
 
 
+def _split(params: StruveParams, tol: float) -> float:
+    """w* for c > 0: the largest of 8 sqrt(k/c) * 0.9**j, j < 40, where g in doubles fits tol.
+
+    The probe is the double polynomial on (0, 8 sqrt(k/c)] at tol / 2, which
+    leaves room for the larger tail of the polynomial of degree R(w*).
+    0.0 when no probe returns.
+    """
+    cap = 8.0 * math.sqrt(params.k / params.c)
+    probe = _double_horner(params, cap, 0.5 * tol)
+    if probe is None:
+        return 0.0
+    return next((w for w in (cap * 0.9**j for j in range(40)) if probe(w) is not None), 0.0)
+
+
+def _integer_horner(params: StruveParams, xmax: float, tol: float):
+    """g on (0, xmax] from the integer terms of one fixed-point pass at xmax, or None.
+
+    :func:`kstruve.fixedpoint.fixed_terms` at x = xmax and tol / 8 gives
+    u_m, within e_m of 2**bits a_m V**m, so that
+    2**bits g(v) = sum_m u_m s**m with s = (x / xmax)**2 <= 1.  Each node
+    reads s exactly from the doubles x and xmax as S = floor(s 2**bits), to
+    within 1.25 units, by one multiply with a reciprocal and a shift, and
+    Horner's rule runs on integers: acc = (acc * S >> bits) + u_m, with no
+    division.  In units of 2**-bits, the bound adds the coefficient floors
+    (sum e_m s**m <= sum e_m, the pass's floor bound), one unit per Horner
+    floor, the rounding of s (1.25 * 2**-bits * sum m (|u_m| + e_m)),
+    and the pass's tail at xmax times s**(R + 1); then the leading term's
+    error, the conversion of acc and the product, as :func:`sum_fixed`
+    does, and a subnormal ulp.
+    """
+    consts = params._series
+    half_max = 0.5 * xmax
+    xn, xd = xmax.as_integer_ratio()
+    try:
+        terms, bits, tail, floors = fixed_terms(
+            consts.table,
+            xn * xn,
+            2 * (xd.bit_length() - 1),
+            True,
+            _cancellation_bits(half_max * math.sqrt(params.c / params.k)),
+            0.125 * tol,
+            _MAX_DEGREE,
+        )
+    except ConvergenceError:
+        return None
+    magnitude = sum(map(abs, terms))
+    if magnitude.bit_length() > 1000:
+        return None  # |acc| and the bound must stay in the double range
+    degree = len(terms) - 1
+    # sum m (|u_m| + e_m) <= R (sum |u_m| + R floors), times 1.25 units of s
+    s_units = 1.25 * degree * math.ldexp(float(magnitude) + floors * degree, -bits)
+    units_fixed = floors + (degree + 1) + s_units
+    # S = floor(xn'**2 inv / 2**(guard + 2 log2 xd')) for x = xn' / xd', where
+    # inv = floor(xd**2 2**(bits + guard) / xn**2); dropping inv's fraction
+    # costs below x**2 / 2**guard <= 1/4 unit
+    guard = max(2 * math.frexp(xmax)[1] + 2, 0)
+    inv = (xd * xd << (bits + guard)) // (xn * xn)
+    top = terms[-1]
+    rest = tuple(reversed(terms[:-1]))
+    power = degree + 1
+    inf = math.inf
+
+    def evaluate(x: float) -> tuple[float, float] | None:
+        if not 0.0 < x <= xmax:
+            return None
+        leading = _lead(consts, 0.5 * x)
+        if leading is None:
+            return None
+        lead, lead_err = leading
+        n, d = x.as_integer_ratio()
+        s = n * n * inv >> (guard + 2 * d.bit_length() - 2)
+        acc = top
+        for u in rest:
+            acc = (acc * s >> bits) + u
+        r = x / xmax
+        units = units_fixed + tail * (r * r * _S_PAD) ** power
+        value = lead * math.ldexp(float(acc), -bits)
+        size = abs(value)
+        bound = (
+            lead * math.ldexp(units, -bits) * (1.0 + 8.0 * UNIT)
+            + size * (lead_err + 3.0 * UNIT)
+            + SUBNORMAL_ULP
+        )
+        if bound <= tol * size < inf:
+            return value, bound
+        return None
+
+    return evaluate
+
+
+def _cancellation_bits(peak: float) -> int:
+    """Working bits for the c > 0 terms, which outgrow their sum by about e**(2 peak).
+
+    ``peak`` is sqrt|ratio_scale| = (x/2) sqrt(c/k), the index of the largest term.
+    """
+    return math.ceil(2.0 * _LOG2_E * peak) + 8
+
+
 def _fixed(params, x, lead, lead_err, ratio_scale, cond_bits, tol, max_terms):
     """The fixed-point path of :func:`k_struve`, after its guards."""
     # the terms grow while (r + base)(r + 3/2) < |ratio_scale|, that is up to
@@ -372,7 +510,7 @@ def _fixed(params, x, lead, lead_err, ratio_scale, cond_bits, tol, max_terms):
             f"k-Struve series needed more than {max_terms} terms at x={x} for tol={tol}"
         )
     if params.c > 0.0:
-        cond_bits = max(cond_bits, math.ceil(2.0 * _LOG2_E * peak) + 8)
+        cond_bits = max(cond_bits, _cancellation_bits(peak))
     consts = params._series
     xn, xd = x.as_integer_ratio()
     try:

@@ -356,9 +356,10 @@ def _log_sum(spec: WrightSpec, z: float, tol: float, max_terms: int) -> Evaluati
                     total = total + y
                     return EvaluationResult(total, error + (m + 3) * SUBNORMAL_ULP, m + 1)
                 if rounding > 0.5 * limit:
+                    cancellation = mags / abs(total) if total else math.inf
                     raise ConvergenceError(
                         f"Fox-Wright series at z={z}: the terms cancel "
-                        f"(sum |t| / |sum t| = {mags / max(abs(total), TINY):.2e}) and their "
+                        f"(sum |t| / |sum t| = {cancellation:.2e}) and their "
                         f"rounding {rounding:.2e} exceeds tol * |value| = {limit:.2e}"
                     )
         previous, previous_err = current, current_err

@@ -34,7 +34,7 @@ from kstruve import (
     wright_eval,
 )
 from kstruve.cli import main
-from kstruve.struve import k_struve_poly
+from kstruve.struve import _split, k_struve_poly
 
 
 def announce(capsys, number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -291,6 +291,36 @@ def test_k_struve_poly_bounds_hold_against_mpmath_oracle():
     assert returned >= 0.9 * calls, (returned, calls)
 
 
+def test_k_struve_poly_fixed_point_regime_against_mpmath_oracle():
+    """W sqrt(c/k) in [8, 60]: the double part below w*, the integer part above it."""
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(95)
+    returned = calls = above = 0
+    for c in (0.3, 1.0, 2.0):
+        for k in (0.5, 1.0, 2.0):
+            for tol in (1e-8, 1e-12):
+                nu = k * rng.uniform(-1.35, -1.15) if rng.random() < 0.25 else rng.uniform(-0.5, 6.0)
+                params = StruveParams(nu=nu, c=c, k=k)
+                wmax = rng.uniform(8.0, 60.0) * math.sqrt(k / c)
+                poly = k_struve_poly(params, wmax, tol)
+                split = _split(params, tol)
+                assert 0.0 < split <= 8.0 * math.sqrt(k / c)
+                below = (1e-3 * split, 0.5 * split, split)
+                beyond = (split + (wmax - split) * j / 4.0 for j in (0.01, 1, 2, 3, 4))
+                for w in (*below, *beyond):
+                    calls += 1
+                    res = poly(w)
+                    if res is None:
+                        continue
+                    returned += 1
+                    above += w > split
+                    value, bound = res
+                    error = abs(mp.mpf(value) - _mp_k_struve(mp, nu, c, k, w))
+                    assert error <= bound <= tol * abs(value), (nu, c, k, wmax, w, tol, res)
+    assert returned >= 0.9 * calls, (returned, calls)
+    assert above >= 0.5 * calls, (above, calls)
+
+
 def test_wright_log_sum_floor_is_relative():
     """Integer slopes with |t_0| < 1e-304 take the log-space path; 1e-280 once cut it short."""
     mp = pytest.importorskip("mpmath")
@@ -337,6 +367,18 @@ def test_k_struve_tiny_argument_carries_the_exact_power():
         res = k_struve(params, x, tol=1e-14)
         error = abs(mp.mpf(res.value) - _mp_k_struve(mp, 3.1, 2.0, 0.7, x))
         assert error <= res.error_bound <= 1e-14 * abs(res.value), (x, res)
+
+
+def test_k_struve_subnormal_argument_under_a_negative_power():
+    """x/2 rounds below the normal range; with nu/k + 1 < 0 that error reaches the value."""
+    mp = pytest.importorskip("mpmath")
+    params = StruveParams(nu=-1.2, c=1.0, k=1.0)
+    poly = k_struve_poly(params, 1.0, 1e-12)
+    for x in (1e-310, 3e-310, 1.5e-323, 5e-324):
+        res = k_struve(params, x)
+        error = abs(mp.mpf(res.value) - _mp_k_struve(mp, -1.2, 1.0, 1.0, x))
+        assert error <= res.error_bound <= 1e-12 * abs(res.value), (x, res)
+        assert poly(x) is None  # the caller falls back to k_struve
 
 
 def test_subnormal_results_carry_a_nonzero_bound():

@@ -459,11 +459,27 @@ class TestLargeArgument:
         assert report.lhs_value == pytest.approx(0.68182872966053, rel=1e-10)
         assert results[0].converged and results[0].evaluations < 1000
 
-    def test_gauss_kronrod_point_at_y40_converges(self):
+    def test_theorem1_lhs_at_y40_converges(self):
         p = TheoremParams(alpha=2.0, mu=0.25, nu=2.0, c=1.0, k=1.0, y=40.0)
         quad = theorem1_lhs(p)
         assert quad.converged
         assert quad.evaluations < 2000
+
+    def test_fixed_point_regime_is_served_by_the_polynomial(self, monkeypatch):
+        # W sqrt(c/k) = 40, deep in the fixed-point regime
+        p = TheoremParams(alpha=2.0, mu=0.25, nu=2.0, c=1.0, k=1.0, y=40.0)
+        calls = 0
+        series = identities.k_struve
+
+        def counting(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return series(*args, **kwargs)
+
+        monkeypatch.setattr(identities, "k_struve", counting)
+        quad = theorem1_lhs(p)
+        assert quad.converged
+        assert calls < 0.5 * quad.evaluations
 
 
 class TestVerifyGrid:

@@ -1,5 +1,6 @@
 """Tests for the quadrature engine and the Lavoie-Trottier self-check."""
 
+import functools
 import math
 
 import pytest
@@ -173,6 +174,56 @@ class TestRelativeRule:
         res = integrate(lambda x: 0.0, tol=1e-10, method=method)
         assert res.converged
         assert res.value == 0.0 and res.error_estimate <= 1e-280
+
+
+def _one(x):
+    return x
+
+
+def _two(x, omx):
+    return x
+
+
+def _with_defaults(x, omx=0.0, scale=1.0):
+    return x
+
+
+def _varargs(*args):
+    return args[0]
+
+
+@functools.wraps(_one)
+def _wraps_one(*args):
+    return _one(*args)
+
+
+class _Integrands:
+    def method(self, x, omx):
+        return x
+
+    def __call__(self, x):
+        return x
+
+
+class TestEndpointSafe:
+    """Which callables get the complement 1 - x: those taking two positional arguments."""
+
+    @pytest.mark.parametrize(
+        "f, safe",
+        [
+            (_one, False),
+            (_two, True),
+            (_with_defaults, True),
+            (_varargs, True),
+            (functools.partial(_two, omx=0.0), False),
+            (_wraps_one, False),  # inspect follows __wrapped__ to _one
+            (_Integrands().method, True),  # self is bound
+            (_Integrands(), False),
+            (math.sin, False),
+        ],
+    )
+    def test_arity(self, f, safe):
+        assert quadrature._normalize_integrand(f)[1] is safe
 
 
 class TestSelectMethod:

@@ -215,12 +215,17 @@ class TestPolynomial:
     """k_struve_poly: the series on (0, W] built once, evaluated by Horner."""
 
     @pytest.mark.parametrize("c, k", [(1.0, 1.0), (2.0, 0.5), (1.0, 2.0), (0.3, 1.0)])
-    def test_fixed_point_regime_yields_none(self, c, k):
+    def test_fixed_point_regime_is_served(self, c, k):
         params = StruveParams(nu=2.0, c=c, k=k)
         edge = 8.0 * math.sqrt(k / c)  # W sqrt(c/k) = 8
-        assert k_struve_poly(params, edge, 1e-12) is None
-        assert k_struve_poly(params, 2.0 * edge, 1e-12) is None
         assert k_struve_poly(params, 0.99 * edge, 1e-12) is not None
+        for wmax in (edge, 2.0 * edge, 5.0 * edge):
+            poly = k_struve_poly(params, wmax, 1e-12)
+            for w in (0.1 * wmax, 0.5 * wmax, 0.9 * wmax, wmax):
+                value, bound = poly(w)
+                ref = k_struve(params, w, tol=1e-12)
+                assert abs(value - ref.value) <= bound + ref.error_bound
+                assert bound <= 1e-12 * abs(value)
 
     def test_negative_c_has_no_fixed_point_limit(self):
         assert k_struve_poly(StruveParams(nu=2.0, c=-1.0, k=1.0), 20.0, 1e-12) is not None

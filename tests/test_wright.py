@@ -146,6 +146,14 @@ class TestErrorPaths:
         with pytest.raises(PoleError):
             wright_eval(spec, 0.5)
 
+    def test_cancellation_message_reports_a_ratio_of_at_least_one(self):
+        # the sum here is about 1.5e-306, below TINY = 1e-280
+        spec = WrightSpec(upper=((1.0, 1.0),), lower=((170.5, 1.0),))
+        with pytest.raises(ConvergenceError, match="terms cancel") as info:
+            wright_eval(spec, -30.0, tol=1e-12)
+        ratio = float(str(info.value).split("sum |t| / |sum t| = ")[1].split(")")[0])
+        assert ratio >= 1.0
+
     def test_bad_z_rejected(self):
         spec = WrightSpec(upper=[(1.0, 1.0)], lower=[(1.0, 1.0)])
         with pytest.raises(DomainError):
