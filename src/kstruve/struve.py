@@ -19,11 +19,17 @@ fixed point on integers (see :mod:`kstruve.fixedpoint`).
 
 A caller that needs S at many x in (0, X] builds :func:`k_struve_poly` once:
 the leading term times a polynomial in (x/2)**2 whose degree makes the tail
-at X small, evaluated by Horner's rule.  Each value carries its own bound
-(tail, Horner and coefficient rounding, leading term), at most tol times the
-value.  Where X reaches the fixed-point regime (c > 0, X sqrt(c/k) >= 8),
-the polynomial is a double one up to a split w* and, above w*, the integer
-terms of one fixed-point pass at X, evaluated by integer Horner's rule.
+at X small.  Each value carries its own bound (tail, Horner and coefficient
+rounding, leading term), at most tol times the value.  The polynomial runs
+in one of three regimes:
+
+- double: Horner's rule on double coefficients, on all of (0, X] below the
+  fixed-point regime (c < 0, or X sqrt(c/k) < 8) and up to a split w* in it;
+- integer: above w*, the integer terms u_m of one fixed-point pass at X,
+  evaluated by integer Horner's rule in s = (x/X)**2;
+- Taylor at X: next to X, where sigma = 1 - s is small, the same integer
+  polynomial shifted exactly to s = 1 and evaluated in doubles in -sigma.
+
 Where a value's bound fails, or where the leading term leaves
 (1e-300, 1e300), the caller falls back to :func:`k_struve`.
 """
@@ -34,6 +40,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 from .errors import ConvergenceError, DomainError
 from .fixedpoint import SUBNORMAL_ULP, UNIT, LinearRatio, fixed_terms, sum_fixed
@@ -54,6 +61,11 @@ _LOG2_E = 1.4426950408889634
 _MAX_DEGREE = 500
 # s = (x/xmax)**2 <= r*r * (1 + 8 ulps) for the rounded quotient r = x / xmax
 _S_PAD = 1.0 + 8.0 * UNIT
+# nodes with sigma = 1 - (x/xmax)**2 up to this evaluate the integer terms'
+# Taylor shift to s = 1 in doubles (see _taylor_at_one); the shifted terms'
+# rounding grows with it, and at xmax sqrt(c/k) = 20-57 bounds start to fail
+# from about 0.5 on
+_SIGMA_MAX = 0.2
 
 
 def _gap(f: float, num: int, den: int) -> float:
@@ -313,7 +325,10 @@ def k_struve_poly(params: StruveParams, xmax: float, tol: float):
     polynomial's bound still fits tol, divides the interval: (0, w*] keeps a
     double polynomial of its own degree, and (w*, xmax] evaluates the
     integer terms of one fixed-point pass at xmax (:func:`_integer_horner`).
-    A double value whose bound fails tries the integer polynomial as well.
+    There, nodes with 1 - (x/xmax)**2 <= ``_SIGMA_MAX`` first try the
+    terms' exact Taylor shift to x = xmax in doubles, and the others, or
+    those whose shifted bound fails, run integer Horner's rule.  A double
+    value whose bound fails tries the integer polynomial as well.
     """
     if not 0.0 < xmax < math.inf:
         return None
@@ -430,6 +445,16 @@ def _integer_horner(params: StruveParams, xmax: float, tol: float):
     and the pass's tail at xmax times s**(R + 1); then the leading term's
     error, the conversion of acc and the product, as :func:`sum_fixed`
     does, and a subnormal ulp.
+
+    Next to xmax, where sigma = 1 - s <= ``_SIGMA_MAX``, a node first tries
+    the same polynomial shifted to s = 1 (:func:`_taylor_at_one`) in doubles:
+    sum_n b_n (-sigma)**n, b_n = B_n 2**-bits.  sigma = (xmax - x)(xmax + x)
+    / xmax**2, with xmax - x exact for x >= xmax / 2 (Sterbenz), is within 4
+    ulps.  The shift is exact, so the floors and the pass's tail carry over;
+    the bound adds the shift's remainder sigma**(N + 1) sum |q_j| and
+    (6N + 8) ulps of sum |b_n| sigma_max**n for Horner's rule (2N; Higham,
+    sec. 5.1), the rounding of sigma (4N) and the conversion of each B_n.
+    A value whose bound fails runs integer Horner instead.
     """
     consts = params._series
     half_max = 0.5 * xmax
@@ -461,6 +486,14 @@ def _integer_horner(params: StruveParams, xmax: float, tol: float):
     top = terms[-1]
     rest = tuple(reversed(terms[:-1]))
     power = degree + 1
+    xmax_sq = xmax * xmax
+    taylor = _taylor_at_one(terms, bits, tol)
+    if taylor is None:
+        shifted, order, rest_units, taylor_rounding = (), 0, 0.0, 0.0
+        sigma_max = -1.0  # no node takes the shifted polynomial
+    else:
+        shifted, order, rest_units, taylor_rounding = taylor
+        sigma_max = _SIGMA_MAX
     inf = math.inf
 
     def evaluate(x: float) -> tuple[float, float] | None:
@@ -470,17 +503,33 @@ def _integer_horner(params: StruveParams, xmax: float, tol: float):
         if leading is None:
             return None
         lead, lead_err = leading
+        r = x / xmax
+        pass_units = tail * (r * r * _S_PAD) ** power
+        sigma = (xmax - x) * (xmax + x) / xmax_sq
+        if sigma <= sigma_max:
+            t = -sigma
+            acc = 0.0
+            for b in shifted:
+                acc = acc * t + b
+            value = lead * acc
+            size = abs(value)
+            units = floors + pass_units + rest_units * (sigma * _S_PAD) ** order
+            bound = (
+                lead * (math.ldexp(units, -bits) * (1.0 + 8.0 * UNIT) + taylor_rounding)
+                + size * (lead_err + 3.0 * UNIT)
+                + SUBNORMAL_ULP
+            )
+            if bound <= tol * size < inf:
+                return value, bound
         n, d = x.as_integer_ratio()
         s = n * n * inv >> (guard + 2 * d.bit_length() - 2)
         acc = top
         for u in rest:
             acc = (acc * s >> bits) + u
-        r = x / xmax
-        units = units_fixed + tail * (r * r * _S_PAD) ** power
         value = lead * math.ldexp(float(acc), -bits)
         size = abs(value)
         bound = (
-            lead * math.ldexp(units, -bits) * (1.0 + 8.0 * UNIT)
+            lead * math.ldexp(units_fixed + pass_units, -bits) * (1.0 + 8.0 * UNIT)
             + size * (lead_err + 3.0 * UNIT)
             + SUBNORMAL_ULP
         )
@@ -489,6 +538,47 @@ def _integer_horner(params: StruveParams, xmax: float, tol: float):
         return None
 
     return evaluate
+
+
+def _taylor_at_one(terms: list[int], bits: int, tol: float):
+    """sum_m u_m s**m shifted to s = 1, for sigma = 1 - s <= ``_SIGMA_MAX``, or None.
+
+    Each pass of synthetic division by s - 1 (integer additions only; von
+    zur Gathen and Gerhard, ISSAC 1997) gives the next B_n = sum_m C(m, n)
+    u_m and leaves the exact remainder (s - 1)**(N + 1) q(s), at most
+    sigma**(N + 1) sum_j |q_j| on s in [0, 1].  The passes stop at the first
+    N whose remainder at ``_SIGMA_MAX`` is at most tol / 16 of
+    sum_n |B_n| sigma_max**n.  Returns (b_N, ..., b_0) with b_n = B_n 2**-bits
+    for Horner's rule in -sigma, the order N + 1, sum |q_j| in units of
+    2**-bits, and the rounding term: (6N + 8) ulps of sum |b_n| sigma_max**n
+    plus N + 1 subnormal ulps for the conversions, to be scaled by the
+    leading term.
+    """
+    unit = 1 << bits
+    rev = terms[::-1]
+    shifted = []
+    limit = 0.0625 * tol
+    try:
+        reach = 0.0  # sum |B_n| sigma_max**n, in units of 2**-bits
+        for n in range(len(terms)):
+            rev = list(accumulate(rev))
+            shifted.append(rev.pop())
+            scale = _SIGMA_MAX**n
+            term = float(abs(shifted[-1])) * scale
+            reach += term
+            # the remainder is summed only once the shifted terms have become small
+            if term <= limit * reach or not rev:
+                remainder = sum(map(abs, rev))
+                if float(remainder) * scale * _SIGMA_MAX <= limit * reach:
+                    break
+        coefs = [b / unit for b in reversed(shifted)]
+        majorant = math.fsum(abs(b) * _SIGMA_MAX**i for i, b in enumerate(reversed(coefs)))
+        remainder = float(remainder)
+    except OverflowError:
+        return None
+    order = len(coefs)
+    rounding = (6.0 * (order - 1) + 8.0) * UNIT * majorant + order * SUBNORMAL_ULP
+    return tuple(coefs), order, remainder, rounding
 
 
 def _cancellation_bits(peak: float) -> int:

@@ -20,11 +20,15 @@ from functools import cached_property
 
 from .errors import ConvergenceError, DomainError, PoleError
 from .fixedpoint import UNIT as _UNIT
-from .fixedpoint import SUBNORMAL_ULP, LinearRatio, sum_fixed
+from .fixedpoint import MAX_BITS, SUBNORMAL_ULP, LinearRatio, sum_fixed
 from .gamma import log_abs_gamma
 from .results import TINY, EvaluationResult
 
 _POLE_SNAP = 1e-9
+_LOG2_E = 1.4426950408889634
+# beyond a peak of e**this times the first term the fixed-point pass would
+# need more than MAX_BITS bits: the double loop runs and reports the overflow
+_MAX_LOG_PEAK = MAX_BITS / _LOG2_E
 
 
 @dataclass(frozen=True)
@@ -157,12 +161,30 @@ class _Plan:
         )
         self.step_ulps = 2.0 * (len(num) + len(den)) + 1.0 + inexact
         self.tail_start = start
+        # |t_m / t_0| is about (|z| kappa)**m / m!**order for large m, which
+        # peaks near m = (|z| kappa)**(1/order) at about e**(order m)
+        self.order = len(den) - len(num)
+        self.kappa = math.prod([p for p, _ in num]) / math.prod([p for p, _ in den])
 
         log_mag, sign, size = _log_term(spec, 0)
         count = len(spec.upper) + len(spec.lower)
         self.lead = sign * math.exp(log_mag) if -700.0 < log_mag < 700.0 else 0.0
         # each log Gamma within 2 ulps (plus 4 ulps absolute), the sum, exp
         self.lead_err = _UNIT * ((4.0 + count) * size + 4.0 * count + 2.0)
+
+    @cached_property
+    def log_forms(self) -> tuple[tuple[float, float, float, float], ...] | None:
+        """(sign, log p, q/p, lgamma(q/p)) of each factor, upstairs +1; None unless every q > 0.
+
+        Then prod_{j<m} (p j + q) = p**m Gamma(m + q/p) / Gamma(q/p), which
+        gives log |t_m / t_0| from log-gamma values.
+        """
+        groups = ((1.0, self.num_forms), (-1.0, self.den_forms))
+        if any(q <= 0.0 for _, forms in groups for _, q in forms):
+            return None
+        return tuple(
+            (sign, math.log(p), q / p, math.lgamma(q / p)) for sign, forms in groups for p, q in forms
+        )
 
     @cached_property
     def table(self) -> LinearRatio:
@@ -199,11 +221,13 @@ def wright_eval(
     ratio magnitude can no longer rise, the tail is majorized by a geometric
     series.  If the rounding of the double loop alone would break the rule,
     the series is re-summed in fixed point on integers (see
-    :mod:`kstruve.fixedpoint`).  Other slopes assemble each term from log
-    Gamma values; the tail is certified once every gamma argument is
-    positive, the observed term ratios decrease over a three-term window and
-    the latest ratio is below 1, and a rounding bound the rule cannot absorb
-    raises ConvergenceError naming the cancellation.  ConvergenceError is
+    :mod:`kstruve.fixedpoint`); for z < 0 whose largest term exceeds
+    tol / 2**-53 times the first, which an O(1) estimate detects, the
+    fixed-point pass runs without the double loop.  Other slopes assemble
+    each term from log Gamma values; the tail is certified once every gamma
+    argument is positive, the observed term ratios decrease over a
+    three-term window and the latest ratio is below 1, and a rounding bound
+    the rule cannot absorb raises ConvergenceError naming the cancellation.  ConvergenceError is
     also raised if delta <= -1 (outside the entire regime) or if
     ``max_terms`` is exhausted first.
     """
@@ -221,11 +245,38 @@ def wright_eval(
     return _log_sum(spec, z, tol, max_terms)
 
 
+def _peak_bits(plan: _Plan, z: float, tol: float) -> int:
+    """log2 max |t_m / t_0| at z < 0 when it is too large for doubles, else 0.
+
+    Doubles cannot serve once UNIT times the largest term exceeds tol * |t_0|,
+    since the sum of the alternating terms is below |t_0| there.  The test
+    costs O(1) in z: the upper estimate order (|z| kappa)**(1/order) of the
+    log peak screens out small |z|, and only then is log |t_m / t_0| taken
+    from log-gamma values at m = round((|z| kappa)**(1/order)), at or near
+    the peak.
+    """
+    budget = math.log(tol / _UNIT)
+    root = (-z * plan.kappa) ** (1.0 / plan.order)
+    if not budget < plan.order * root <= _MAX_LOG_PEAK or plan.log_forms is None:
+        return 0
+    m = round(root)
+    log_peak = m * math.log(-z)
+    for sign, log_p, shift, lgamma_shift in plan.log_forms:
+        log_peak += sign * (m * log_p + math.lgamma(m + shift) - lgamma_shift)
+    if log_peak <= budget:
+        return 0
+    return math.ceil(log_peak * _LOG2_E)
+
+
 def _ratio_sum(plan: _Plan, z: float, tol: float, max_terms: int) -> EvaluationResult:
     """Integer-slope series by its exact term ratio, in doubles or fixed point."""
     lead = plan.lead
     if z == 0.0:
         return EvaluationResult(lead, abs(lead) * plan.lead_err + 3.0 * SUBNORMAL_ULP, 1)
+    if z < 0.0:
+        peak_bits = _peak_bits(plan, z, tol)
+        if peak_bits:
+            return _fixed(plan, z, peak_bits, tol, max_terms)
     num_forms, den_forms = plan.num_forms, plan.den_forms
     start = plan.tail_start
     # below |t_0| = 1 the absolute floor shrinks with it: a small sum that a
@@ -274,24 +325,29 @@ def _ratio_sum(plan: _Plan, z: float, tol: float, max_terms: int) -> EvaluationR
             continue
         # the rounding cannot fit under tol * |value| any more
         cond_bits = math.ceil(math.log2(mags / abs(total))) if total else 0
-        zn, zd = z.as_integer_ratio()
-        try:
-            return sum_fixed(
-                plan.table,
-                abs(zn),
-                zd.bit_length() - 1,
-                z < 0.0,
-                lead,
-                plan.lead_err,
-                cond_bits,
-                tol,
-                max_terms,
-            )
-        except ConvergenceError as exc:
-            raise ConvergenceError(f"Fox-Wright series at z={z}: {exc}") from None
+        return _fixed(plan, z, cond_bits, tol, max_terms)
     raise ConvergenceError(
         f"Fox-Wright series needed more than {max_terms} terms at z={z} for tol={tol}"
     )
+
+
+def _fixed(plan: _Plan, z: float, cond_bits: int, tol: float, max_terms: int) -> EvaluationResult:
+    """The fixed-point path of :func:`_ratio_sum`."""
+    zn, zd = z.as_integer_ratio()
+    try:
+        return sum_fixed(
+            plan.table,
+            abs(zn),
+            zd.bit_length() - 1,
+            z < 0.0,
+            plan.lead,
+            plan.lead_err,
+            cond_bits,
+            tol,
+            max_terms,
+        )
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"Fox-Wright series at z={z}: {exc}") from None
 
 
 def _log_sum(spec: WrightSpec, z: float, tol: float, max_terms: int) -> EvaluationResult:

@@ -33,8 +33,9 @@ from kstruve import (
     verify_grid,
     wright_eval,
 )
+from kstruve import struve as struve_module
 from kstruve.cli import main
-from kstruve.struve import _split, k_struve_poly
+from kstruve.struve import _SIGMA_MAX, _split, k_struve_poly
 
 
 def announce(capsys, number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -321,6 +322,41 @@ def test_k_struve_poly_fixed_point_regime_against_mpmath_oracle():
     assert above >= 0.5 * calls, (above, calls)
 
 
+def test_k_struve_poly_taylor_at_w_against_mpmath_oracle(monkeypatch):
+    """Next to W the shifted polynomial serves, within its bound, and only for sigma <= sigma_max."""
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(97)
+    sigmas = (0.0, 1e-9, 1e-4, 0.01, 0.5 * _SIGMA_MAX, _SIGMA_MAX * (1.0 - 1e-6), _SIGMA_MAX * (1.0 + 1e-6))
+    cases = []
+    for c in (0.3, 1.0, 2.0):
+        for k in (0.5, 1.0, 2.0):
+            for tol in (1e-8, 1e-12):
+                nu = k * rng.uniform(-1.35, -1.15) if rng.random() < 0.25 else rng.uniform(-0.5, 6.0)
+                cases.append((StruveParams(nu=nu, c=c, k=k), rng.uniform(8.0, 60.0) * math.sqrt(k / c), tol))
+    polys = [k_struve_poly(p, wmax, tol) for p, wmax, tol in cases]
+    # the same polynomials without the shift: a node that the shift serves reads differently
+    monkeypatch.setattr(struve_module, "_taylor_at_one", lambda *args: None)
+    plain = [k_struve_poly(p, wmax, tol) for p, wmax, tol in cases]
+    near = served = 0
+    for (p, wmax, tol), poly, unshifted in zip(cases, polys, plain):
+        split = _split(p, tol)
+        for sigma in sigmas:
+            w = wmax * math.sqrt(1.0 - sigma)
+            res = poly(w)
+            assert res is not None, (p, wmax, w, tol)
+            value, bound = res
+            error = abs(mp.mpf(value) - _mp_k_struve(mp, p.nu, p.c, p.k, w))
+            assert error <= bound <= tol * abs(value), (p, wmax, w, tol, res)
+            computed = (wmax - w) * (wmax + w) / (wmax * wmax)
+            if computed > _SIGMA_MAX:
+                assert res == unshifted(w), (p, wmax, w, tol)
+            elif w > split:
+                near += 1
+                served += res != unshifted(w)
+    assert near >= 0.5 * len(cases) * len(sigmas), near
+    assert served >= 0.9 * near, (served, near)
+
+
 def test_wright_log_sum_floor_is_relative():
     """Integer slopes with |t_0| < 1e-304 take the log-space path; 1e-280 once cut it short."""
     mp = pytest.importorskip("mpmath")
@@ -337,6 +373,26 @@ def test_wright_log_sum_floor_is_relative():
         res = wright_eval(spec, z, tol=1e-11)
         error = abs(mp.mpf(res.value) - exact)
         assert error <= res.error_bound and error <= 1e-12 * abs(exact), (z, res)
+
+
+def test_wright_large_negative_z_against_mpmath_oracle():
+    """z = -100 and -400 on both theorem specs; at -400 the fixed-point pass runs directly."""
+    mp = pytest.importorskip("mpmath")
+    from kstruve.identities import _wright_tail
+    from kstruve.wright import _peak_bits
+
+    p = TheoremParams(alpha=0.5, mu=0.25, nu=2.0, c=1.0, k=0.5, y=40.0)
+    for corrected in (False, True):
+        spec = _wright_tail(p, corrected)
+        assert _peak_bits(spec._plan, -12.5, 1e-10) == 0  # small |z| keeps the double loop
+        for z in (-100.0, -400.0):
+            exact = _mp_wright(mp, spec, z)
+            for tol in (1e-8, 1e-11, 1e-12):
+                direct = _peak_bits(spec._plan, z, tol)
+                assert (direct > 0) == (z == -400.0), (corrected, z, tol, direct)
+                res = wright_eval(spec, z, tol=tol)
+                error = abs(mp.mpf(res.value) - exact)
+                assert error <= res.error_bound <= tol * abs(res.value), (corrected, z, tol, res)
 
 
 def test_wright_bounds_hold_against_mpmath_oracle():
