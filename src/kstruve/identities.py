@@ -244,15 +244,16 @@ def _series(p: TheoremParams, tol: float, wmax: float):
 def _integrand1(p: TheoremParams, tol: float):
     """(f, series_tol) for the first theorem; w = y (1-x/4)(1-x)**2 <= |y|."""
     series, series_tol = _series(p, tol, abs(p.y))
+    e_x = p.alpha + p.mu - 1.0
+    e_omx = 2.0 * p.alpha - 1.0
+    e_third = 2.0 * (p.alpha + p.mu) - 1.0
+    e_quarter = p.alpha - 1.0
+    y = p.y
 
     def f(x: float, omx: float) -> float:
-        weight = (
-            x ** (p.alpha + p.mu - 1.0)
-            * omx ** (2.0 * p.alpha - 1.0)
-            * (1.0 - x / 3.0) ** (2.0 * (p.alpha + p.mu) - 1.0)
-            * (1.0 - x / 4.0) ** (p.alpha - 1.0)
-        )
-        return weight * series(p.y * (1.0 - x / 4.0) * omx * omx)
+        r = 1.0 - x / 4.0
+        weight = x**e_x * omx**e_omx * (1.0 - x / 3.0) ** e_third * r**e_quarter
+        return weight * series(y * r * omx * omx)
 
     return f, series_tol
 
@@ -260,16 +261,16 @@ def _integrand1(p: TheoremParams, tol: float):
 def _integrand2(p: TheoremParams, tol: float):
     """(f, series_tol) for the second theorem; w = y x (1-x/3)**2 <= 4|y|/9."""
     series, series_tol = _series(p, tol, abs(p.y) * (4.0 / 9.0))
+    e_x = p.alpha - 1.0
+    e_omx = 2.0 * (p.alpha + p.mu) - 1.0
+    e_third = 2.0 * p.alpha - 1.0
+    e_quarter = p.alpha + p.mu - 1.0
+    y = p.y
 
     def f(x: float, omx: float) -> float:
         q = 1.0 - x / 3.0
-        weight = (
-            x ** (p.alpha - 1.0)
-            * omx ** (2.0 * (p.alpha + p.mu) - 1.0)
-            * q ** (2.0 * p.alpha - 1.0)
-            * (1.0 - x / 4.0) ** (p.alpha + p.mu - 1.0)
-        )
-        return weight * series(p.y * x * q * q)
+        weight = x**e_x * omx**e_omx * q**e_third * (1.0 - x / 4.0) ** e_quarter
+        return weight * series(y * x * q * q)
 
     return f, series_tol
 

@@ -1,13 +1,12 @@
 """Definite integration on (0, 1) with two complementary rules.
 
-Two engines cover everything the identity checks need:
-
 * ``adaptive_gk``: globally adaptive bisection driven by a Gauss-Kronrod
   7/15 pair (the classic QUADPACK dqk15 nodes).  Fast and sharp for
   integrands analytic on [0, 1].
 * ``tanh_sinh``: the double-exponential transform x = (1 + tanh((pi/2)
   sinh t)) / 2, which crushes integrable endpoint singularities like
-  x**p or (1-x)**q with p, q > -1.
+  x**p or (1-x)**q with p, q > -1.  Each level's nodes form one table,
+  built on the level's first use and shared by every later integration.
 
 ``select_method`` picks between them from the integrand's endpoint powers:
 Gauss-Kronrod when every power is a non-negative integer (an analytic
@@ -18,13 +17,12 @@ double arithmetic, which ruins weights like (1-x)**(2*beta-1) exactly where
 tanh-sinh places its most delicate nodes.  Integrands may therefore accept a
 second positional argument and will be called as ``f(x, 1 - x)`` with the
 complement computed analytically from the transform (accurate down to about
-1e-308).  Plain single-argument callables keep working; they are simply never
-handed abscissae that round to exactly 0.0 or 1.0.
+1e-308).  Plain single-argument callables are never handed abscissae that
+round to exactly 0.0 or 1.0.  A non-finite sample raises at once.
 """
 
 from __future__ import annotations
 
-import functools
 import heapq
 import inspect
 import math
@@ -104,80 +102,80 @@ def _normalize_integrand(f):
     """
     if _takes_two(f):
         return f, True
-
-    def unary(x, omx, _f=f):
-        return _f(x)
-
-    return unary, False
+    return (lambda x, omx: f(x)), False
 
 
-def _check_sample(value: float, x: float) -> float:
-    if not math.isfinite(value):
-        raise NonFiniteSampleError(f"integrand returned {value!r} at x = {x!r}")
-    return value
+def _bad_sample(value: float, x: float) -> NonFiniteSampleError:
+    return NonFiniteSampleError(f"integrand returned {value!r} at x = {x!r}")
 
 
-@functools.cache
-def _ts_node(t: float):
-    """Tanh-sinh abscissa pair at +-t: (x, 1 - x, weight), or None past underflow.
+# each tanh-sinh level's nodes, built on first use (a race only builds one twice)
+_TS_LEVELS: list[tuple | None] = [None] * (_TS_MAX_LEVEL + 1)
 
-    Every level's nodes t = j h are binary fractions, so the same few
-    hundred values recur in every integration and are computed once; the
-    cache holds at most one entry per multiple of 2**-12 up to 6.8.
+
+def _ts_level(level: int) -> tuple[tuple[float, float, float, bool], ...]:
+    """Nodes (x, 1 - x, weight, past_two) at t = j h, h = 2**-level, up to underflow.
+
+    Level 0 takes every j >= 1, later levels the odd j only.  ``past_two``
+    marks where a negligible contribution may end the level: level 0 and t >= 2.
     """
-    # e2 = exp(-pi sinh t) gives both the point and its complement without
-    # cancellation
-    e2 = math.exp(-math.pi * math.sinh(t))
-    if e2 == 0.0:
-        return None
-    denom = 1.0 + e2
-    small = e2 / denom
-    big = 1.0 / denom
-    weight = math.pi * math.cosh(t) * e2 / (denom * denom)
-    return small, big, weight
+    h = 0.5**level
+    nodes = []
+    for j in range(1, int(_TS_T_CAP / h) + 1, 2 if level else 1):
+        t = j * h
+        # e2 gives both the point and its complement without cancellation
+        e2 = math.exp(-math.pi * math.sinh(t))
+        denom = 1.0 + e2
+        weight = math.pi * math.cosh(t) * e2 / (denom * denom)
+        if weight == 0.0:
+            break
+        nodes.append((e2 / denom, 1.0 / denom, weight, not level or t >= 2.0))
+    return tuple(nodes)
 
 
 def _tanh_sinh(g, tol: float, endpoint_safe: bool) -> QuadratureResult:
     """Double-exponential rule on (0, 1) with successive level refinement."""
-    evaluations = 0
-
-    def sample(x: float, omx: float) -> float:
-        nonlocal evaluations
-        if not endpoint_safe and (x == 0.0 or x == 1.0):
-            return 0.0  # unrepresentable abscissa for a plain f(x)
-        evaluations += 1
-        return _check_sample(g(x, omx), x)
-
+    isfinite = math.isfinite
+    f_mid = g(0.5, 0.5)
+    if not isfinite(f_mid):
+        raise _bad_sample(f_mid, 0.5)
+    evaluations = 1
     # level 0 has step h = 1 and the node t = 0; each later level halves h
     # and adds the odd multiples of it, the even ones being known.  The
     # integral of |f| follows the same recurrence; level 0's estimate of it,
     # times 50 ulps, is the rounding floor of every later level
-    h = 1.0
-    level_sum = (math.pi / 4.0) * sample(0.5, 0.5)
+    level_sum = (math.pi / 4.0) * f_mid
     level_abs = abs(level_sum)
-    j, stride = 1, 1
     previous = previous_abs = floor = 0.0
     for level in range(_TS_MAX_LEVEL + 1):
+        h = 0.5**level
+        nodes = _TS_LEVELS[level]
+        if nodes is None:
+            nodes = _TS_LEVELS[level] = _ts_level(level)
+        previous_scale = abs(previous) / h
         tiny_run = 0
-        while j * h <= _TS_T_CAP:
-            pair = _ts_node(j * h)
-            if pair is None or pair[2] == 0.0:
-                break
-            small, big, weight = pair
-            f_big = sample(big, small)
-            f_small = sample(small, big)
+        for small, big, weight, past_two in nodes:
+            # small is never 0.0; a plain f(x) gets 0.0 where big rounds to 1.0
+            if endpoint_safe or big != 1.0:
+                f_big = g(big, small)
+                if not isfinite(f_big):
+                    raise _bad_sample(f_big, big)
+                evaluations += 2
+            else:
+                f_big = 0.0
+                evaluations += 1
+            f_small = g(small, big)
+            if not isfinite(f_small):
+                raise _bad_sample(f_small, small)
             contrib = weight * (f_big + f_small)
             level_sum += contrib
             level_abs += weight * (abs(f_big) + abs(f_small))
-            if (not level or j * h >= 2.0) and abs(contrib) <= 1e-17 * max(
-                abs(level_sum), abs(previous) / h, 1e-300
-            ):
+            if past_two and abs(contrib) <= 1e-17 * max(abs(level_sum), previous_scale, 1e-300):
                 tiny_run += 1
                 if tiny_run >= 2:
                     break
             else:
                 tiny_run = 0
-            j += stride
         total = 0.5 * previous + h * level_sum
         total_abs = 0.5 * previous_abs + h * level_abs
         estimate = abs(total - previous)
@@ -194,14 +192,11 @@ def _tanh_sinh(g, tol: float, endpoint_safe: bool) -> QuadratureResult:
                 f"{floor:.3e} but above tol * |value|",
                 partial=QuadratureResult(total, estimate, evaluations, False, total_abs),
             )
-        h *= 0.5
         level_sum = level_abs = 0.0
-        j, stride = 1, 2
 
-    partial = QuadratureResult(total, estimate, evaluations, False, total_abs)
     raise ConvergenceError(
         f"tanh_sinh stalled at estimate {estimate:.3e} after level {_TS_MAX_LEVEL}",
-        partial=partial,
+        partial=QuadratureResult(total, estimate, evaluations, False, total_abs),
     )
 
 
@@ -217,8 +212,10 @@ def _gk_rule(g, a: float, b: float, counter: list) -> tuple[float, float, bool, 
     """
     center = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    fc = _check_sample(g(center, 1.0 - center), center)
-    counter[0] += 1
+    counter[0] += 15  # the rule samples f at 15 points
+    fc = g(center, 1.0 - center)
+    if not math.isfinite(fc):
+        raise _bad_sample(fc, center)
     res_gauss = _WG[3] * fc
     res_kronrod = _WGK[7] * fc
     res_abs = _WGK[7] * abs(fc)
@@ -227,9 +224,12 @@ def _gk_rule(g, a: float, b: float, counter: list) -> tuple[float, float, bool, 
         dx = half * _XGK[i]
         x1 = center - dx
         x2 = center + dx
-        f1 = _check_sample(g(x1, 1.0 - x1), x1)
-        f2 = _check_sample(g(x2, 1.0 - x2), x2)
-        counter[0] += 2
+        f1 = g(x1, 1.0 - x1)
+        if not math.isfinite(f1):
+            raise _bad_sample(f1, x1)
+        f2 = g(x2, 1.0 - x2)
+        if not math.isfinite(f2):
+            raise _bad_sample(f2, x2)
         samples.append((f1, f2))
         res_kronrod += _WGK[i] * (f1 + f2)
         res_abs += _WGK[i] * (abs(f1) + abs(f2))
@@ -377,15 +377,15 @@ def lavoie_trottier_check(alpha: float, beta: float, tol: float = 1e-10) -> Iden
         raise DomainError(f"tol must be a finite positive number, got {tol!r}")
     rhs = lavoie_trottier_rhs(alpha, beta)
 
-    def integrand(x, omx):
-        return (
-            x ** (alpha - 1.0)
-            * omx ** (2.0 * beta - 1.0)
-            * (1.0 - x / 3.0) ** (2.0 * alpha - 1.0)
-            * (1.0 - x / 4.0) ** (beta - 1.0)
-        )
+    e_x = alpha - 1.0
+    e_omx = 2.0 * beta - 1.0
+    e_third = 2.0 * alpha - 1.0
+    e_quarter = beta - 1.0
 
-    method = select_method(alpha - 1.0, 2.0 * beta - 1.0)
+    def integrand(x, omx):
+        return x**e_x * omx**e_omx * (1.0 - x / 3.0) ** e_third * (1.0 - x / 4.0) ** e_quarter
+
+    method = select_method(e_x, e_omx)
     try:
         quad = integrate(integrand, tol=max(tol * 1e-2, 1e-14), method=method)
     except ConvergenceError as exc:

@@ -104,21 +104,44 @@ def _first_positive(forms) -> int:
     """Smallest m >= 0 with p*m + q > 0 for every (p, q) in forms."""
     first = 0
     for p, q in forms:
-        m = max(0, math.floor(-q / p) + 1) if q <= 0.0 else 0
+        if q > 0.0:
+            continue
+        m = max(0, math.floor(-q / p) + 1)
         while p * m + q <= 0.0:
             m += 1
         first = max(first, m)
     return first
 
 
-def _factor(slope: float, a: float, s: int):
-    """The factor slope*m + a + s, exactly as (slope, n, d) and as a double pair.
+def _forms(pairs) -> list[tuple[int, float, float]]:
+    """The factors slope*m + a + s, 0 <= s < slope, of the pairs as (slope, q, r).
 
-    a + s = n / d with d a power of two; the double a + s can round, and then
-    it is positive, since for |a| < 2**53 a + s is exact whenever |a + s| <= |a|.
+    q is a + s rounded and r its error by TwoSum (Knuth, TAOCP 4.2.2), so
+    q + r = a + s exactly and equal triples are equal factors.  A q that
+    rounds is positive: for |a| < 2**53, a + s is exact if |a + s| <= |a|.
     """
-    n, d = a.as_integer_ratio()
-    return (int(slope), n + s * d, d), (int(slope), a + s)
+    forms = []
+    for a, slope in pairs:
+        p = int(slope)
+        forms.append((p, a, 0.0))
+        for s in range(1, p):
+            q = a + s
+            b = q - a
+            forms.append((p, q, (a - (q - b)) + (s - b)))
+    return forms
+
+
+def _integer_forms(forms) -> list[tuple[int, int, int]]:
+    """Each (p, q, r) of forms as (p, n, d) with n / d = q + r and d a power of two."""
+    exact = []
+    for p, q, r in forms:
+        n, d = q.as_integer_ratio()
+        if r:
+            rn, rd = r.as_integer_ratio()
+            common = max(d, rd)
+            n, d = n * (common // d) + rn * (common // rd), common
+        exact.append((p, n, d))
+    return exact
 
 
 class _Plan:
@@ -132,17 +155,17 @@ class _Plan:
     """
 
     def __init__(self, spec: WrightSpec):
-        num = [_factor(al, a, s) for a, al in spec.upper for s in range(int(al))]
-        den = [_factor(be, b, s) for b, be in spec.lower for s in range(int(be))]
-        den.append(_factor(1.0, 1.0, 0))  # m + 1 from z**m / m!
-        for form in list(num):
-            if form in den:
-                num.remove(form)
-                den.remove(form)
-        exact_num = [exact for exact, _ in num]
-        exact_den = [exact for exact, _ in den]
-        num = [form for _, form in num]
-        den = [form for _, form in den]
+        exact_num = []
+        exact_den = _forms(spec.lower)
+        exact_den.append((1, 1.0, 0.0))  # m + 1 from z**m / m!
+        for form in _forms(spec.upper):
+            if form in exact_den:  # the factor cancels
+                exact_den.remove(form)
+            else:
+                exact_num.append(form)
+        self._exact = (exact_num, exact_den)
+        num = [(p, q) for p, q, _ in exact_num]
+        den = [(p, q) for p, q, _ in exact_den]
         start = _first_positive(num + den)
         if num:
             low = min(q / p for p, q in num)
@@ -152,13 +175,9 @@ class _Plan:
             start = max(start, math.ceil(edge) + 1)
         self.num_forms = tuple(num)
         self.den_forms = tuple(den)
-        self._exact = (exact_num, exact_den)
         # roundings per step: one per factor and product, the quotient, the
         # update, and one for each q = a + s that is not a double
-        inexact = sum(
-            q.as_integer_ratio() != (n, d)
-            for (_, n, d), (_, q) in zip(exact_num + exact_den, num + den)
-        )
+        inexact = sum(r != 0.0 for _, _, r in exact_num + exact_den)
         self.step_ulps = 2.0 * (len(num) + len(den)) + 1.0 + inexact
         self.tail_start = start
         # |t_m / t_0| is about (|z| kappa)**m / m!**order for large m, which
@@ -191,7 +210,7 @@ class _Plan:
         """The factors as exact integers, for the fixed-point path."""
         # p*m + n/d = (p*d*m + n) / d: the denominators d are powers of two,
         # moved across
-        exact_num, exact_den = self._exact
+        exact_num, exact_den = map(_integer_forms, self._exact)
         num_const = math.prod(d for _, _, d in exact_den)
         den_const = math.prod(d for _, _, d in exact_num)
         return LinearRatio(

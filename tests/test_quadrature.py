@@ -1,7 +1,11 @@
 """Tests for the quadrature engine and the Lavoie-Trottier self-check."""
 
 import functools
+import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +19,7 @@ from kstruve import (
     lavoie_trottier_rhs,
     select_method,
 )
+import kstruve
 from kstruve import quadrature
 from kstruve.errors import ConvergenceError
 from kstruve.results import QuadratureResult
@@ -138,6 +143,138 @@ class TestIntegrate:
     def test_unknown_method_rejected(self):
         with pytest.raises(DomainError):
             integrate(lambda x: 1.0, tol=1e-10, method="simpson")
+
+
+# Results of both rules pinned as (value, error_estimate, evaluations,
+# abs_integral, converged), floats as float.hex: a change to a rule's
+# arithmetic, its nodes or its evaluation count shows here.  A case that
+# raises ConvergenceError pins the partial result.
+PINNED = [
+    (
+        "two_arg", "tanh_sinh", 1e-12,
+        lambda x, omx: x**-0.25 * omx**0.5 * math.exp(-x),
+        ("0x1.6b2f2617cf99cp-1", "0x1.67d706a881ac7p-54", 133, "0x1.6b2f2617cf99cp-1", True),
+    ),
+    (
+        "two_arg", "adaptive_gk", 1e-12,
+        lambda x, omx: omx**3 * math.exp(x),
+        ("0x1.3d1fa13d063bep-2", "0x1.ef816bef59bd9p-49", 15, "0x1.3d1fa13d063bep-2", True),
+    ),
+    (
+        # a plain f(x): the outer nodes at which 1 - x rounds to 0 give 0.0
+        "unary", "tanh_sinh", 1e-10,
+        lambda x: (1.0 - x) ** -0.5 * math.cos(x),
+        ("0x1.7fe590097e2d2p+0", "0x1.34b8c00000000p-33", 6486, "0x1.7fe590097e2d2p+0", True),
+    ),
+    (
+        "unary", "adaptive_gk", 1e-12,
+        lambda x: 1.0 / (1.0 + x * x),
+        ("0x1.921fb54442d18p-1", "0x1.3a28c59d5433bp-47", 45, "0x1.921fb54442d18p-1", True),
+    ),
+    (
+        "floor", "tanh_sinh", 1e-10,
+        lambda x: x - 0.5,
+        ("-0x1.070935170e41fp-57", "0x1.8652891b7695ep-57", 34, "0x1.f29d6ac9dbc97p-3", False),
+    ),
+    (
+        "floor", "adaptive_gk", 1e-10,
+        lambda x: x - 0.5,
+        ("-0x1.ab0a3d9a3ab70p-57", "0x1.8d1093cf468f6p-49", 15, "0x1.fc3e2dd61ce08p-3", False),
+    ),
+    (
+        # an interior kink: tanh-sinh gains only algebraically and stalls
+        "stall", "tanh_sinh", 1e-13,
+        lambda x: abs(x - 1.0 / math.pi) ** 0.5,
+        ("0x1.fad399fcbfb2dp-2", "0x1.3bac79ce00000p-23", 25697, "0x1.fad399fcbfb2dp-2", False),
+    ),
+    (
+        "stall", "adaptive_gk", 1e-12,
+        lambda x: (abs(x - 1.0 / math.pi) + 1e-300) ** -0.95,
+        ("0x1.05ea98d3de9edp+5", "0x1.2625fe708e704p-22", 122865, "0x1.05ea98d3de9edp+5", False),
+    ),
+]
+
+
+class TestPinnedResults:
+    @pytest.mark.parametrize(
+        "name, method, tol, f, pinned", PINNED, ids=[f"{c[0]}-{c[1]}" for c in PINNED]
+    )
+    def test_result_is_bit_identical(self, name, method, tol, f, pinned):
+        try:
+            res = integrate(f, tol=tol, method=method)
+        except ConvergenceError as exc:
+            res = exc.partial
+        value, estimate, evaluations, abs_integral, converged = pinned
+        assert res.value == float.fromhex(value)
+        assert res.error_estimate == float.fromhex(estimate)
+        assert res.evaluations == evaluations
+        assert res.abs_integral == float.fromhex(abs_integral)
+        assert res.converged is converged
+        if not converged:
+            with pytest.raises(ConvergenceError):
+                integrate(f, tol=tol, method=method)
+
+    @pytest.mark.parametrize("method", ["adaptive_gk", "tanh_sinh"])
+    def test_non_finite_sample_names_its_abscissa_and_stops(self, method):
+        calls = []
+
+        def f(x, omx):
+            calls.append(x)
+            return math.nan if x > 0.8 else 1.0
+
+        with pytest.raises(NonFiniteSampleError) as excinfo:
+            integrate(f, tol=1e-10, method=method)
+        bad = calls[-1]
+        assert bad > 0.8 and all(x <= 0.8 for x in calls[:-1])
+        assert f"at x = {bad!r}" in str(excinfo.value)
+        if method == "tanh_sinh":
+            # t = 0, then x = 1 - small at t = 1: the node's small half, x
+            # = small, is never sampled once its big half failed
+            assert len(calls) == 2
+
+
+# a fresh interpreter: the level tables are built on first use, not at import
+_LAZY_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import kstruve
+from kstruve import quadrature
+levels = quadrature._TS_LEVELS
+out = {"import": [table is not None for table in levels]}
+sampled = set()
+
+def f(x, omx):
+    sampled.add(x)
+    return x**-0.5
+
+kstruve.integrate(f, tol=1e-10, method="tanh_sinh")
+out["built"] = [table is not None for table in levels]
+built = [table for table in levels if table is not None]
+# the loop starts each level at its first node, so a used level has it sampled
+out["used"] = [table[0][1] in sampled for table in built]
+nodes = {x for table in built for node in table for x in node[:2]}
+out["unbuilt_samples"] = len(sampled - nodes - {0.5})
+kstruve.integrate(lambda x: abs(x - 0.3) ** 0.5, tol=1e-6, method="tanh_sinh")
+out["after_harder"] = sum(table is not None for table in levels)
+print(json.dumps(out))
+"""
+
+
+def test_tanh_sinh_level_tables_are_built_on_first_use():
+    src = Path(kstruve.__file__).resolve().parent.parent
+    run = subprocess.run(
+        [sys.executable, "-I", "-c", _LAZY_PROBE, str(src)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    out = json.loads(run.stdout)
+    levels = quadrature._TS_MAX_LEVEL + 1
+    assert out["import"] == [False] * levels
+    # x**-0.5 at 1e-10 stops at level 3; the later levels stay unbuilt
+    assert out["built"] == [True] * 4 + [False] * (levels - 4)
+    assert out["used"] == [True] * 4
+    assert out["unbuilt_samples"] == 0
+    assert 4 < out["after_harder"] <= levels
 
 
 class TestRelativeRule:

@@ -194,6 +194,9 @@ class TestErrorBound:
         an, ad = a.as_integer_ratio()
         assert (a + 1.0).as_integer_ratio() != (an + ad, ad)
         spec = WrightSpec(upper=[(a, 2.0), (1.0, 1.0)], lower=[(1.5, 1.0), (3.25, 2.0)])
+        # 2 + 3 factors once m + 1 cancels; the double loop counts one more
+        # rounding per step for the inexact a + 1
+        assert spec._plan.step_ulps == 2.0 * 5 + 1.0 + 1.0
         table = spec._plan.table
         table.grow(2)
         q = Fraction(an, ad)
