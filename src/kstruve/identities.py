@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ConvergenceError, DomainError, KStruveError
@@ -219,31 +219,29 @@ _WEIGHT_ULPS = 16.0
 _ARGUMENT_MARGIN = 1.0 + 8.0 * UNIT
 
 
-def _series(p: TheoremParams, tol: float, wmax: float):
-    """(S, series_tol): S(w) for the integrand's arguments |w| <= wmax, and its tolerance.
+def _decline(w: float) -> None:
+    """The evaluator used when a point has no polynomial: every node calls k_struve."""
+    return None
 
-    S evaluates the point's k-Struve polynomial (:func:`k_struve_poly`),
-    built once, and calls :func:`k_struve` wherever the polynomial declines;
-    either way each value has the error bound of :func:`k_struve`, at most
-    ``max(series_tol * |S(w)|, 1e-280)``.
+
+def _series(p: TheoremParams, tol: float, wmax: float):
+    """(sp, poly, series_tol) for the integrand's arguments |w| <= wmax.
+
+    ``poly`` is the point's k-Struve polynomial (:func:`k_struve_poly`),
+    built once, or :func:`_decline` when there is none.  The integrands call
+    it at each node and call :func:`k_struve` at ``series_tol`` wherever it
+    returns None; either way each value has the error bound of
+    :func:`k_struve`, at most ``max(series_tol * |S(w)|, 1e-280)``.
     """
     sp = p.struve_params()
     series_tol = _series_tol(sp, tol)
-    poly = k_struve_poly(sp, wmax * _ARGUMENT_MARGIN, series_tol)
-
-    def series(w: float) -> float:
-        if poly is not None:
-            result = poly(w)
-            if result is not None:
-                return result[0]
-        return k_struve(sp, w, tol=series_tol).value
-
-    return series, series_tol
+    poly = k_struve_poly(sp, wmax * _ARGUMENT_MARGIN, series_tol) or _decline
+    return sp, poly, series_tol
 
 
 def _integrand1(p: TheoremParams, tol: float):
     """(f, series_tol) for the first theorem; w = y (1-x/4)(1-x)**2 <= |y|."""
-    series, series_tol = _series(p, tol, abs(p.y))
+    sp, poly, series_tol = _series(p, tol, abs(p.y))
     e_x = p.alpha + p.mu - 1.0
     e_omx = 2.0 * p.alpha - 1.0
     e_third = 2.0 * (p.alpha + p.mu) - 1.0
@@ -253,14 +251,18 @@ def _integrand1(p: TheoremParams, tol: float):
     def f(x: float, omx: float) -> float:
         r = 1.0 - x / 4.0
         weight = x**e_x * omx**e_omx * (1.0 - x / 3.0) ** e_third * r**e_quarter
-        return weight * series(y * r * omx * omx)
+        w = y * r * omx * omx
+        out = poly(w)
+        if out is None:
+            return weight * k_struve(sp, w, tol=series_tol).value
+        return weight * out[0]
 
     return f, series_tol
 
 
 def _integrand2(p: TheoremParams, tol: float):
     """(f, series_tol) for the second theorem; w = y x (1-x/3)**2 <= 4|y|/9."""
-    series, series_tol = _series(p, tol, abs(p.y) * (4.0 / 9.0))
+    sp, poly, series_tol = _series(p, tol, abs(p.y) * (4.0 / 9.0))
     e_x = p.alpha - 1.0
     e_omx = 2.0 * (p.alpha + p.mu) - 1.0
     e_third = 2.0 * p.alpha - 1.0
@@ -270,7 +272,11 @@ def _integrand2(p: TheoremParams, tol: float):
     def f(x: float, omx: float) -> float:
         q = 1.0 - x / 3.0
         weight = x**e_x * omx**e_omx * q**e_third * (1.0 - x / 4.0) ** e_quarter
-        return weight * series(y * x * q * q)
+        w = y * x * q * q
+        out = poly(w)
+        if out is None:
+            return weight * k_struve(sp, w, tol=series_tol).value
+        return weight * out[0]
 
     return f, series_tol
 
@@ -278,7 +284,9 @@ def _integrand2(p: TheoremParams, tol: float):
 def _with_series_error(quad: QuadratureResult, series_tol: float) -> QuadratureResult:
     """quad with the integrand's own error, (series_tol + weight ulps) * integral of |f|, added."""
     extra = (series_tol + _WEIGHT_ULPS * UNIT) * quad.abs_integral
-    return replace(quad, error_estimate=quad.error_estimate + extra)
+    return QuadratureResult(
+        quad.value, quad.error_estimate + extra, quad.evaluations, quad.converged, quad.abs_integral
+    )
 
 
 def _lhs(f, series_tol: float, tol: float, method: str) -> QuadratureResult:

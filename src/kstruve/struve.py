@@ -19,12 +19,15 @@ fixed point on integers (see :mod:`kstruve.fixedpoint`).
 
 A caller that needs S at many x in (0, X] builds :func:`k_struve_poly` once:
 the leading term times a polynomial in (x/2)**2 whose degree makes the tail
-at X small.  Each value carries its own bound (tail, Horner and coefficient
+at X small.  Each value carries a bound (tail, Horner and coefficient
 rounding, leading term), at most tol times the value.  The polynomial runs
 in one of three regimes:
 
 - double: Horner's rule on double coefficients, on all of (0, X] below the
-  fixed-point regime (c < 0, or X sqrt(c/k) < 8) and up to a split w* in it;
+  fixed-point regime (c < 0, or X sqrt(c/k) < 8) and up to a split w* in it.
+  Where the terms cannot cancel much (c <= 0, or a first term ratio below 1
+  at X), one relative bound, proved once for the whole interval, serves
+  every node; otherwise each node computes its own;
 - integer: above w*, the integer terms u_m of one fixed-point pass at X,
   evaluated by integer Horner's rule in s = (x/X)**2;
 - Taylor at X: next to X, where sigma = 1 - s is small, the same integer
@@ -320,7 +323,13 @@ def k_struve_poly(params: StruveParams, xmax: float, tol: float):
     to 500 serves.
 
     Below the fixed-point regime (c < 0, or xmax sqrt(c/k) < 8) g is one
-    double polynomial on (0, xmax] (:func:`_double_horner`).  In that regime
+    double polynomial on (0, xmax] (:func:`_double_horner`).  When its
+    certificate, a relative bound rel proved once for all of (0, xmax], is
+    at most tol, every value's bound is rel |value|; rel exists for c <= 0,
+    and for c > 0 when the first term ratio at xmax,
+    (c/k)(xmax/2)**2 / ((nu/k + 3/2) 3/2), is below 1.  The certificate
+    implies the per-node test, so the same nodes are served with the same
+    values either way.  In the fixed-point regime
     a split w* <= 8 sqrt(k/c), the largest argument at which the double
     polynomial's bound still fits tol, divides the interval: (0, w*] keeps a
     double polynomial of its own degree, and (w*, xmax] evaluates the
@@ -357,12 +366,47 @@ def _double_horner(params: StruveParams, xmax: float, tol: float):
     The degree R is the first index whose geometric tail at V = (xmax/2)**2
     is at most tol / 8.  g is evaluated by Horner's rule in s = v**2 on the
     even and the odd coefficients.  Each half has coefficients |a_r| of one
-    sign, so the same pass gives sum |a_r| v**r, and Higham's bound
+    sign, so the same pass gives M = sum |a_r| v**r, and Higham's bound
     (Accuracy and Stability of Numerical Algorithms, sec. 5.1) for the two
-    halves, the product and the sum is (R + 2) ulps of it.  The bound adds
-    the tail |a_R| v**R rho / (1 - rho), rho the ratio at V; ``step_ulps`` of
-    sum |a_r| v**r per index for the coefficients and the argument; and the
-    leading term's error and the final product.
+    halves, the product and the sum is (R + 2) ulps of it.  A node's bound,
+    relative to the leading term, adds the tail T (x/xmax)**(2R), with
+    T = |a_R| V**R rho / (1 - rho) and rho the ratio at V; eps M, where
+    eps = (step_ulps R + R + 2) ulps also counts ``step_ulps`` per index for
+    the coefficients and the argument; and the leading term's error L(x)
+    and the final product, (L(x) + u) |value|, with u the unit roundoff.
+
+    The evaluator computes the leading term inline, as :func:`_lead` does.
+
+    Certificate.  Once per polynomial, rel bounds that node bound over
+    |value| at every x in (0, xmax] where the leading term is in range:
+
+    - c <= 0: every a_r >= 0, so the computed g is the computed M, and it is
+      at least 1 (Horner's rule on nonnegative numbers ending in + 1).  With
+      (x/xmax)**(2R) <= 1, rel = T + eps + L_max + u.
+    - c > 0 and rho0 = (c/k) V / ((nu/k + 3/2) 3/2) < 1: the ratio's
+      denominators grow with r, so each ratio |a_{r+1}| v / |a_r| of the
+      computed coefficients at a computed v <= V is at most rho0 (1 + 4u),
+      and r0 = rho0 (1 + 8u) bounds it.  The terms alternate and decrease,
+      so the exact sums of the computed coefficients obey g >= d = 1 - r0
+      and M <= 1/d.  The computed g and M are within eps M of them (eps is
+      at least Horner's (2R + 4) ulps with the argument's rounding), so
+      |g| >= d (1 - kappa) and M <= (1 + kappa) / d, with kappa = eps / d**2.
+      For kappa <= 1/4, (1 + kappa) / (1 - kappa) <= 1 + 3 kappa, and
+      rel = (T/d + kappa)(1 + 3 kappa) + L_max + u.  Otherwise rel = inf.
+    - L_max = lead_err + t**2 + 3u t at t = |power_delta| max(|log m|,
+      |log(xmax/2)|), m the smallest normal: the power correction
+      t = power_delta log(x/2) for every served x/2 in [m, xmax/2].
+    - Slack: every quantity above is nonnegative, and each rounding moves
+      the sum, product or quotient it makes by at most u of itself (a libm
+      log by at most 2u).  rel, the node's bound with its L(x), |value| and
+      tol |value| take fewer than 40 roundings between them, d's counted
+      twice; the factor 1 + 64u covers them.
+
+    So rel <= tol implies, in floating point, the per-node test at every
+    node, and then every node returns rel |value|, skipping the tail, the
+    power of x/xmax and the rounding arithmetic.  Otherwise each node
+    computes its own bound.  The evaluator's ``rel`` attribute holds the
+    certificate.
     """
     consts = params._series
     base = consts.base
@@ -380,7 +424,7 @@ def _double_horner(params: StruveParams, xmax: float, tol: float):
     else:
         return None
     degree = len(coefs) - 1
-    tail = mag * rho / (1.0 - rho)  # at V; (v / V)**R scales it to v
+    tail = mag * rho / (1.0 - rho)  # at V
     evens = coefs[::2]
     odds = coefs[1::2]
     if len(odds) < len(evens):
@@ -388,16 +432,47 @@ def _double_horner(params: StruveParams, xmax: float, tol: float):
     pairs = tuple(zip(reversed(evens), reversed(odds)))
     sign = -1.0 if params.c > 0.0 else 1.0
     rounding = UNIT * (consts.step_ulps * degree + degree + 2.0)
+
+    log_extent = max(-math.log(_MIN_NORMAL), abs(math.log(max(half_max, _MIN_NORMAL))))
+    t_max = abs(consts.power_delta) * log_extent
+    lead_err_max = consts.lead_err + (t_max * t_max + 3.0 * UNIT * t_max)
+    rel = math.inf
+    if params.c <= 0.0:
+        rel = tail + rounding
+    else:
+        rho0 = ck * vmax / (base * 1.5)
+        d = 1.0 - rho0 * (1.0 + 8.0 * UNIT)
+        if d > 0.0 and rounding <= 0.25 * d * d:
+            kappa = rounding / (d * d)
+            rel = (tail / d + kappa) * (1.0 + 3.0 * kappa)
+    rel = (rel + lead_err_max + UNIT) * (1.0 + 64.0 * UNIT)
+    certified = rel <= tol
+
+    power = consts.power
+    scale0 = consts.scale0
+    delta = consts.power_delta
+    lead_err0 = consts.lead_err
+    # the tail scales by (x/xmax)**(2R), not (v/V)**R: V is 0.0 for xmax below about 3e-162
+    span = 2 * degree
+    log = math.log
     inf = math.inf
 
     def evaluate(x: float) -> tuple[float, float] | None:
         if not 0.0 < x <= xmax:
             return None
         half = 0.5 * x
-        leading = _lead(consts, half)
-        if leading is None:
+        if not half >= _MIN_NORMAL:
             return None
-        lead, lead_err = leading
+        try:
+            lead = half**power * scale0
+        except OverflowError:
+            return None
+        if not 1e-300 < lead < 1e300:
+            return None
+        t = 0.0
+        if delta:
+            t = delta * log(half)
+            lead *= 1.0 + t
         v = half * half
         s = v * v
         even = odd = 0.0
@@ -405,14 +480,22 @@ def _double_horner(params: StruveParams, xmax: float, tol: float):
             even = even * s + a_even
             odd = odd * s + a_odd
         odd *= v
-        mags = even + odd
         value = lead * (even + sign * odd)
         size = abs(value)
-        bound = lead * (tail * (v / vmax) ** degree + rounding * mags) + (lead_err + UNIT) * size
-        if bound <= tol * size < inf:  # an overflowed value fails
+        if certified:
+            if size < inf:  # an overflowed value fails
+                return value, rel * size
+            return None
+        lead_err = lead_err0 + (t * t + 3.0 * UNIT * abs(t))
+        bound = (
+            lead * (tail * (x / xmax) ** span + rounding * (even + odd))
+            + (lead_err + UNIT) * size
+        )
+        if bound <= tol * size < inf:
             return value, bound
         return None
 
+    evaluate.rel = rel
     return evaluate
 
 

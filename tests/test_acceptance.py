@@ -357,6 +357,89 @@ def test_k_struve_poly_taylor_at_w_against_mpmath_oracle(monkeypatch):
     assert served >= 0.9 * near, (served, near)
 
 
+def _per_node(params, xmax, tol, x):
+    """(value, bound) of the double polynomial at x, with the bound computed at the node.
+
+    The polynomial is rebuilt as ``struve._double_horner`` builds it, the
+    leading term is taken from ``struve._lead``, and the bound is the
+    per-node formula that served every node before the certificate: the
+    tail scaled by (v / V)**R, the rounding of M and the leading term's
+    error.  The caller passes only nodes that the polynomial served.
+    """
+    consts = params._series
+    base = consts.base
+    ck = abs(params.c) / params.k
+    half_max = 0.5 * xmax
+    vmax = half_max * half_max
+    coefs, mag = [1.0], 1.0
+    for r in range(500):
+        rho = ck * vmax / ((r + base) * (r + 1.5))
+        if rho < 1.0 and mag * rho / (1.0 - rho) <= 0.125 * tol:
+            break
+        coefs.append(coefs[-1] * (ck / ((r + base) * (r + 1.5))))
+        mag *= rho
+    degree = len(coefs) - 1
+    tail = mag * rho / (1.0 - rho)
+    evens, odds = coefs[::2], coefs[1::2] + [0.0] * (len(coefs) % 2)
+    half = 0.5 * x
+    lead, lead_err = struve_module._lead(consts, half)
+    v = half * half
+    s = v * v
+    even = odd = 0.0
+    for a_even, a_odd in zip(reversed(evens), reversed(odds)):
+        even = even * s + a_even
+        odd = odd * s + a_odd
+    odd *= v
+    mags = even + odd
+    value = lead * (even + (-1.0 if params.c > 0.0 else 1.0) * odd)
+    size = abs(value)
+    unit = struve_module.UNIT
+    rounding = unit * (consts.step_ulps * degree + degree + 2.0)
+    bound = lead * (tail * (v / vmax) ** degree + rounding * mags) + (lead_err + unit) * size
+    return value, bound
+
+
+def test_double_polynomial_certificate_against_mpmath_oracle():
+    """Where rel <= tol every node returns rel |value|: a true bound, and above the per-node one.
+
+    xmax puts rho0 = (|c|/k) V / ((nu/k + 3/2) 3/2) on both sides of 1; the
+    nodes are xmax, its neighbour, x/2 at the smallest normal and a leading
+    term next to 1e-300.
+    """
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(99)
+    certified = per_node = 0
+    for c in (-2.0, -1.0, -0.3, 0.3, 1.0, 2.0):
+        for k in (0.5, 1.0, 2.0):
+            for nuk in (-1.4, rng.uniform(-1.4, 8.0), 8.0):
+                params = StruveParams(nu=nuk * k, c=c, k=k)
+                base = nuk + 1.5
+                scale0 = math.exp(params.log_scale)
+                for rho0 in (rng.uniform(0.5, 0.97), rng.uniform(1.05, 2.0)):
+                    xmax = 2.0 * math.sqrt(rho0 * base * 1.5 * k / abs(c))
+                    nodes = [xmax, xmax * (1.0 - 1e-12), 2.0 * sys.float_info.min]
+                    if params.power > 0.0:
+                        nodes.append(2.0 * (2e-300 / scale0) ** (1.0 / params.power))
+                    for tol in (1e-8, 1e-12):
+                        poly = struve_module._double_horner(params, xmax, tol)
+                        for x in nodes:
+                            res = poly(x) if 0.0 < x <= xmax else None
+                            if res is None:
+                                continue
+                            value, bound = res
+                            error = abs(mp.mpf(value) - _mp_k_struve(mp, params.nu, c, k, x))
+                            assert error <= bound <= tol * abs(value), (params, xmax, x, tol, res)
+                            node_value, node_bound = _per_node(params, xmax, tol, x)
+                            assert value == node_value, (params, xmax, x, tol)
+                            if poly.rel <= tol:
+                                certified += 1
+                                assert node_bound <= tol * abs(node_value), (params, xmax, x, tol)
+                                assert node_bound <= bound, (params, xmax, x, tol, node_bound, bound)
+                            else:
+                                per_node += 1
+    assert certified >= 300 and per_node >= 100, (certified, per_node)
+
+
 def test_wright_log_sum_floor_is_relative():
     """Integer slopes with |t_0| < 1e-304 take the log-space path; 1e-280 once cut it short."""
     mp = pytest.importorskip("mpmath")
@@ -435,6 +518,18 @@ def test_k_struve_subnormal_argument_under_a_negative_power():
         error = abs(mp.mpf(res.value) - _mp_k_struve(mp, -1.2, 1.0, 1.0, x))
         assert error <= res.error_bound <= 1e-12 * abs(res.value), (x, res)
         assert poly(x) is None  # the caller falls back to k_struve
+
+
+def test_k_struve_poly_where_the_squared_argument_underflows():
+    """At W = 1e-170, (W/2)**2 is 0.0 while (x/2)**-0.2 is about 1e34."""
+    mp = pytest.importorskip("mpmath")
+    for c in (1.0, -1.0):
+        params = StruveParams(nu=-1.2, c=c, k=1.0)
+        poly = k_struve_poly(params, 1e-170, 1e-12)
+        for x in (1e-170, 3e-171, 1e-200):
+            value, bound = poly(x)
+            error = abs(mp.mpf(value) - _mp_k_struve(mp, -1.2, c, 1.0, x))
+            assert error <= bound <= 1e-12 * abs(value), (c, x, value, bound)
 
 
 def test_subnormal_results_carry_a_nonzero_bound():

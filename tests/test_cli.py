@@ -200,6 +200,17 @@ class TestVerify:
         rec = json.loads(out.splitlines()[0])
         assert rec["strict"] is False
 
+    @pytest.mark.parametrize("which, c", [("theorem1", "1"), ("theorem2", "-1")])
+    def test_tiny_y_under_a_negative_power_reports(self, which, c):
+        # (y/2)**2 underflows to 0 while the leading term (y/2)**-0.2 stays in range
+        code, out, _ = run_cli(
+            "verify", which, "--alpha", "1.3", "--mu", "0.15", "--nu", "-1.2", "--c", c,
+            "--k", "1", "--y", "1e-170", "--relaxed", "--format", "json",
+        )
+        assert code == 0
+        rec = json.loads(out.splitlines()[0])
+        assert rec["verdict"] == "CONFIRMED_CORRECTED"
+
     def test_strict_rejects_weak_nu(self):
         # grid points never abort the run; the violation lands in the record
         code, out, _ = run_cli(

@@ -263,6 +263,15 @@ class TestVerify:
         assert report.verdict is Verdict.INCONCLUSIVE
         assert "k-Struve" in report.error
 
+    @pytest.mark.parametrize("which, c", [("theorem1", 1.0), ("theorem2", -1.0)])
+    def test_tiny_y_under_a_negative_power(self, which, c):
+        # (y/2)**2 underflows to 0.0; the polynomial must not divide by it
+        p = TheoremParams(alpha=1.3, mu=0.15, nu=-1.2, c=c, k=1.0, y=1e-170)
+        report = verify(which, p, strict=False)
+        assert report.verdict is Verdict.CONFIRMED_CORRECTED
+        (_, row), = verify_grid(which, [p], strict=False)
+        assert row == report
+
 
 class TestCorollaries:
     def test_corollary1_delegates_bit_identically(self):
@@ -480,6 +489,43 @@ class TestLargeArgument:
         quad = theorem1_lhs(p)
         assert quad.converged
         assert calls < 0.5 * quad.evaluations
+
+
+# (which, (alpha, mu, nu, c, k, y), branch, (value, error_estimate, evaluations,
+# abs_integral)), recorded with float.hex before the integrands called the
+# polynomial directly.  branch names how the point's double polynomial
+# bounds its nodes: once per point, at each node, or (in the fixed-point
+# regime) through the split polynomial.
+PINNED_LHS = [
+    ("theorem2", (1.3, 0.5, 2.1, -1.0, 1.0, 2.0), "certified",
+     ("0x1.fe4294747812ap-12", "0x1.19144969b0d3dp-51", 85, "0x1.fe4294747812ap-12")),
+    ("theorem1", (1.2, 0.4, 2.3, 1.0, 1.0, 1.5), "certified",
+     ("0x1.cb849a930a316p-10", "0x1.fa32cce985946p-50", 111, "0x1.cb849a930a316p-10")),
+    ("theorem1", (1.2, 0.4, 2.2, 1.0, 0.5, 5.0), "per-node",
+     ("0x1.be9f5c3b88900p-3", "0x1.4dbc17a3664b4p-41", 113, "0x1.be9f5c3b88900p-3")),
+    ("theorem2", (1.0, 0.25, 2.0, 1.0, 1.0, 20.0), "fixed-point",
+     ("0x1.54aa8e5eab205p-2", "0x1.baa5ad446259bp-41", 95, "0x1.54aa8e5eab205p-2")),
+]
+
+
+class TestPinnedTheoremResults:
+    @pytest.mark.parametrize(
+        "which, point, branch, pinned", PINNED_LHS, ids=[f"{c[0]}-{c[2]}" for c in PINNED_LHS]
+    )
+    def test_lhs_is_bit_identical(self, which, point, branch, pinned):
+        p = TheoremParams(*point)
+        lhs = theorem1_lhs if which == "theorem1" else theorem2_lhs
+        wmax = abs(p.y) * (1.0 if which == "theorem1" else 4.0 / 9.0)
+        _, poly, series_tol = identities._series(p, 1e-10, wmax)
+        rel = getattr(poly, "rel", None)
+        assert branch == ("fixed-point" if rel is None else "certified" if rel <= series_tol else "per-node")
+        quad = lhs(p)
+        value, estimate, evaluations, abs_integral = pinned
+        assert quad.value == float.fromhex(value)
+        assert quad.error_estimate == float.fromhex(estimate)
+        assert quad.evaluations == evaluations
+        assert quad.abs_integral == float.fromhex(abs_integral)
+        assert quad.converged
 
 
 class TestVerifyGrid:

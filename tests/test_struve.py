@@ -15,6 +15,7 @@ from kstruve import (
     struve_l,
     struve_ode_residual,
 )
+from kstruve import struve as struve_module
 from kstruve.struve import k_struve_poly
 
 # mpmath struveh/struvel at 40 digits, rounded to double precision
@@ -240,6 +241,20 @@ class TestPolynomial:
             assert bound <= 1e-12 * abs(value)
         for w in (0.0, -1.0, math.nextafter(5.0, 6.0), math.nan):
             assert poly(w) is None
+
+    @pytest.mark.parametrize("c, wmax", [(-1.0, 3.0), (1.0, 1.5), (1.0, 5.0)])
+    def test_double_polynomial_computes_its_leading_term_inline(self, c, wmax, monkeypatch):
+        # a certified point (c = -1; c = 1 at W = 1.5) and a per-node one (c = 1 at W = 5)
+        params = StruveParams(nu=2.3, c=c, k=1.0)
+        expected = [k_struve_poly(params, wmax, 1e-12)(w) for w in (1e-3, 0.7, wmax)]
+
+        def refuse(*args):
+            raise AssertionError("_lead called")
+
+        monkeypatch.setattr(struve_module, "_lead", refuse)
+        poly = k_struve_poly(params, wmax, 1e-12)
+        assert (poly.rel <= 1e-12) is (wmax < 5.0)
+        assert [poly(w) for w in (1e-3, 0.7, wmax)] == expected
 
 
 class TestOdeResidual:
