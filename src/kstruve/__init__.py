@@ -15,21 +15,16 @@ from .errors import (
     PoleError,
     UsageError,
 )
-from .gamma import gamma, k_gamma, k_gamma_integral_oracle, log_abs_gamma, log_gamma
+from .gamma import gamma, k_gamma, log_abs_gamma, log_gamma
 from .identities import (
     IDENTITIES,
     TheoremParams,
     corollary_modified,
     corollary_struve,
     default_grid,
-    theorem1_integrand,
-    theorem1_lhs,
-    theorem1_rhs_corrected,
-    theorem1_rhs_paper,
-    theorem2_integrand,
-    theorem2_lhs,
-    theorem2_rhs_corrected,
-    theorem2_rhs_paper,
+    integrand,
+    lhs,
+    rhs,
     verify,
     verify_grid,
 )
@@ -66,26 +61,20 @@ __all__ = [
     "corollary_struve",
     "default_grid",
     "gamma",
+    "integrand",
     "integrate",
     "k_gamma",
-    "k_gamma_integral_oracle",
     "k_struve",
     "lavoie_trottier_check",
     "lavoie_trottier_rhs",
+    "lhs",
     "log_abs_gamma",
     "log_gamma",
+    "rhs",
     "select_method",
     "struve_h",
     "struve_l",
     "struve_ode_residual",
-    "theorem1_integrand",
-    "theorem1_lhs",
-    "theorem1_rhs_corrected",
-    "theorem1_rhs_paper",
-    "theorem2_integrand",
-    "theorem2_lhs",
-    "theorem2_rhs_corrected",
-    "theorem2_rhs_paper",
     "verify",
     "verify_grid",
     "wright_eval",

@@ -5,9 +5,11 @@ Three subcommands:
 * ``eval``: evaluate one special function at a point and print the value
   (plus the certified tail bound and term count for series results).
 * ``verify``: check one identity, either at a single parameter point or on
-  the built-in default grid, and emit a report.
-* ``grid``: sweep parameter grids described by an INI config file (or the
-  built-in defaults) across identities.
+  its default grid, and emit a report; a flag that would be ignored is a
+  usage error.
+* ``grid``: sweep the grids of an INI config file, one section per identity
+  expanded by :func:`~kstruve.identities.default_grid`, or with no config
+  every identity's default grid.
 
 Exit codes: 0 success / all points confirmed, 1 usage error, 2 domain or
 pole or overflow error, 3 convergence failure or non-finite sample, 4 at
@@ -19,12 +21,11 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import itertools
 import math
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import (
     ConvergenceError,
@@ -34,7 +35,9 @@ from .errors import (
     UsageError,
 )
 from .gamma import gamma, k_gamma
-from .identities import IDENTITIES, TheoremParams, default_grid, verify_grid
+from .identities import (
+    COROLLARY_PINS, DEFAULT_AXES, IDENTITIES, TheoremParams, default_grid, grid_axes, verify_grid
+)
 from .quadrature import lavoie_trottier_check
 from .report import PASSING, emit_csv, emit_json, emit_table, format_number, record
 from .struve import StruveParams, k_struve, struve_h, struve_l
@@ -48,7 +51,6 @@ _EXIT_DOMAIN = 2
 _EXIT_CONVERGENCE = 3
 _EXIT_REFUTED = 4
 
-_PARAM_KEYS = ("alpha", "mu", "nu", "c", "k", "y")
 _MAX_GRID_POINTS = 10000
 
 
@@ -139,7 +141,7 @@ def _build_parser() -> _Parser:
     vf.add_argument("--nu", type=float)
     vf.add_argument("--c", type=float)
     vf.add_argument("--k", type=float)
-    vf.add_argument("--y", type=float, default=1.0)
+    vf.add_argument("--y", type=float, help="default 1")
     vf.add_argument("--grid", choices=("default",), help="sweep the built-in grid")
     _add_report_flags(vf)
 
@@ -157,17 +159,20 @@ def _add_report_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write the report to this file instead of stdout")
 
 
-def _emit(records: list[dict], fmt: str, out: str | None, stdout) -> None:
+def _report(records: list[dict], fmt: str, out: str | None, stdout) -> int:
+    """Emit the records; exit 0 when every verdict passes, else 4."""
     emitter = {"json": emit_json, "csv": emit_csv, "table": emit_table}[fmt]
     if out:
-        with open(out, "w", encoding="utf-8") as handle:
+        try:
+            handle = open(out, "w", encoding="utf-8")
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {out!r}: {exc.strerror}") from None
+        with handle:
             emitter(records, handle)
     else:
         emitter(records, stdout)
-
-
-def _params_dict(p: TheoremParams) -> dict:
-    return {"alpha": p.alpha, "mu": p.mu, "nu": p.nu, "c": p.c, "k": p.k, "y": p.y}
+    ok = all(rec["verdict"] in {v.value for v in PASSING} for rec in records)
+    return _EXIT_OK if ok else _EXIT_REFUTED
 
 
 def _cmd_eval(args, stdout) -> int:
@@ -196,21 +201,38 @@ def _cmd_eval(args, stdout) -> int:
 
 
 def _single_point(args) -> TheoremParams:
+    """The flags' point; a corollary's c and k default to its pins, else as in TheoremParams."""
     missing = [n for n in ("alpha", "mu", "nu") if getattr(args, n) is None]
     if missing:
         raise UsageError(
             f"verify {args.identity} needs --{' --'.join(missing)} (or --grid default)"
         )
-    c = args.c
-    k = args.k
-    if c is None:
-        c = -1.0 if args.identity == "corollary2" else 1.0
-    if k is None:
-        k = 1.0
-    return TheoremParams(alpha=args.alpha, mu=args.mu, nu=args.nu, c=c, k=k, y=args.y)
+    pins = COROLLARY_PINS.get(args.identity, {})
+    point = {n: pins[n] for n in ("c", "k") if n in pins}
+    point.update((n, getattr(args, n)) for n in DEFAULT_AXES if getattr(args, n) is not None)
+    return TheoremParams(**point)
 
 
-def _run_configs(configs, fmt, out, stdout) -> int:
+def _reject_stray_flags(args) -> None:
+    """UsageError for any flag that this form of ``verify`` would ignore."""
+    if args.identity == "lavoie":
+        used, form = ("alpha", "beta"), "verify lavoie"
+    elif args.grid:
+        used, form = ("grid",), f"verify {args.identity} --grid {args.grid}"
+    else:
+        used, form = DEFAULT_AXES, f"verify {args.identity}"
+    names = ("beta", *DEFAULT_AXES, "grid")
+    stray = [f"--{n}" for n in names if n not in used and getattr(args, n) is not None]
+    if stray:
+        raise UsageError(f"{form} does not take {', '.join(stray)}")
+
+
+def _run_plan(plan, args, stdout) -> int:
+    """Verify every (identity, points) pair of ``plan`` and report all the records."""
+    configs = [
+        RunConfig(which, tuple(points), args.tol, args.threshold, strict=not args.relaxed)
+        for which, points in plan
+    ]
     records: list[dict] = []
     for config in configs:
         pairs = verify_grid(
@@ -220,50 +242,42 @@ def _run_configs(configs, fmt, out, stdout) -> int:
             threshold=config.threshold,
             strict=config.strict,
         )
-        records += [record(config.identity, _params_dict(p), rep) for p, rep in pairs]
-    _emit(records, fmt, out, stdout)
-    ok = all(rec["verdict"] in {v.value for v in PASSING} for rec in records)
-    return _EXIT_OK if ok else _EXIT_REFUTED
+        records += [record(config.identity, asdict(p), rep) for p, rep in pairs]
+    return _report(records, args.format, args.out, stdout)
 
 
 def _cmd_verify(args, stdout) -> int:
+    _reject_stray_flags(args)
     if args.identity == "lavoie":
         if args.alpha is None or args.beta is None:
             raise UsageError("verify lavoie needs --alpha and --beta")
         report = lavoie_trottier_check(args.alpha, args.beta, tol=args.tol)
         records = [record("lavoie", {"alpha": args.alpha, "beta": args.beta}, report)]
-        _emit(records, args.format, args.out, stdout)
-        ok = all(rec["verdict"] in {v.value for v in PASSING} for rec in records)
-        return _EXIT_OK if ok else _EXIT_REFUTED
-    if args.grid == "default":
-        points = default_grid(args.identity)
-    else:
-        points = [_single_point(args)]
-    config = RunConfig(
-        identity=args.identity,
-        points=tuple(points),
-        tol=args.tol,
-        threshold=args.threshold,
-        strict=not args.relaxed,
-    )
-    return _run_configs([config], args.format, args.out, stdout)
+        return _report(records, args.format, args.out, stdout)
+    points = default_grid(args.identity) if args.grid else [_single_point(args)]
+    return _run_plan([(args.identity, points)], args, stdout)
 
 
 def _parse_config(path: str) -> list[tuple[str, list[TheoremParams]]]:
+    """(identity, points) per section; each section expands through :func:`default_grid`."""
     parser = configparser.ConfigParser()
-    loaded = parser.read(path)
+    try:
+        loaded = parser.read(path)
+        sections = {name: parser.items(name) for name in parser.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise UsageError(f"config file {path!r} is malformed: {exc}") from None
     if not loaded:
         raise UsageError(f"config file {path!r} not found or unreadable")
     plan: list[tuple[str, list[TheoremParams]]] = []
-    for section in parser.sections():
+    for section, items in sections.items():
         if section not in IDENTITIES:
             raise UsageError(
                 f"config section [{section}] is not one of {IDENTITIES}; "
                 "use 'verify lavoie' for the scalar identity"
             )
         values: dict[str, list[float]] = {}
-        for key, raw in parser.items(section):
-            if key not in _PARAM_KEYS:
+        for key, raw in items:
+            if key not in DEFAULT_AXES:
                 raise UsageError(f"unknown key {key!r} in section [{section}]")
             tokens = [tok for tok in re.split(r"[,\s]+", raw.strip()) if tok]
             if not tokens:
@@ -272,32 +286,12 @@ def _parse_config(path: str) -> list[tuple[str, list[TheoremParams]]]:
                 values[key] = [float(tok) for tok in tokens]
             except ValueError:
                 raise UsageError(f"non-numeric value for {key!r} in section [{section}]") from None
-        if section == "corollary1":
-            values.setdefault("c", [1.0])
-            values.setdefault("k", [1.0])
-        elif section == "corollary2":
-            values.setdefault("c", [-1.0])
-            values.setdefault("k", [1.0])
-        axes = [
-            values.get("alpha", [0.5, 1.0, 2.0]),
-            values.get("mu", [0.25, 1.0]),
-            values.get("nu", [2.0, 3.0]),
-            values.get("c", [1.0]),
-            values.get("k", [0.5, 1.0]),
-            values.get("y", [1.0]),
-        ]
-        count = 1
-        for axis in axes:
-            count *= len(axis)
+        count = math.prod(len(axis) for axis in grid_axes(section, **values).values())
         if count > _MAX_GRID_POINTS:
             raise UsageError(
                 f"section [{section}] expands to {count} points (limit {_MAX_GRID_POINTS})"
             )
-        points = [
-            TheoremParams(alpha=a, mu=m, nu=n, c=c, k=k, y=y)
-            for a, m, n, c, k, y in itertools.product(*axes)
-        ]
-        plan.append((section, points))
+        plan.append((section, default_grid(section, **values)))
     if not plan:
         raise UsageError(f"config file {path!r} has no identity sections")
     return plan
@@ -305,21 +299,8 @@ def _parse_config(path: str) -> list[tuple[str, list[TheoremParams]]]:
 
 def _cmd_grid(args, stdout) -> int:
     path = args.config or os.environ.get(CONFIG_ENV)
-    if path:
-        plan = _parse_config(path)
-    else:
-        plan = [(which, default_grid(which)) for which in ("theorem1", "theorem2")]
-    configs = [
-        RunConfig(
-            identity=which,
-            points=tuple(points),
-            tol=args.tol,
-            threshold=args.threshold,
-            strict=not args.relaxed,
-        )
-        for which, points in plan
-    ]
-    return _run_configs(configs, args.format, args.out, stdout)
+    plan = _parse_config(path) if path else [(which, default_grid(which)) for which in IDENTITIES]
+    return _run_plan(plan, args, stdout)
 
 
 def main(argv=None, stdout=None, stderr=None) -> int:

@@ -7,28 +7,29 @@ Two theorems are checked, both of Lavoie-Trottier type on (0, 1):
 * theorem2:  weight x**(a-1) (1-x)**(2(a+u)-1) (1-x/3)**(2a-1)
   (1-x/4)**(a+u-1), series argument y x (1-x/3)**2
 
-(a = alpha, u = mu).  Each has two candidate right-hand sides built on a
-2 Psi 3 Fox-Wright series: ``rhs_paper`` is the closed form exactly as
-printed in the source theorem, and ``rhs_corrected`` is the re-derived form
-in which the third lower parameter gains +1, the power of k is
--(nu/k + 1/2), and (for theorem2) the argument carries the (2/3)**4 factor
-that the substitution w -> y x (1-x/3)**2 actually produces.  The printed
-series argument includes a spurious halving of the integrand argument as
-well; the weights above follow the substitution used in the proofs, which is
-the reading under which the corrected forms agree with quadrature to full
-precision.
+(a = alpha, u = mu); the corollaries are the theorems at the (c, k) of
+:data:`COROLLARY_PINS`.  Each has two candidate right-hand sides built on a
+2 Psi 3 Fox-Wright series: the paper's, exactly as printed in the source
+theorem, and the corrected, re-derived form in which the third lower
+parameter gains +1, the power of k is -(nu/k + 1/2), and (for theorem2)
+the argument carries the (2/3)**4 factor that the substitution
+w -> y x (1-x/3)**2 actually produces.  The printed series argument
+includes a spurious halving of the integrand argument as well; the weights
+above follow the substitution used in the proofs, which is the reading under
+which the corrected forms agree with quadrature to full precision.
 
-``verify`` evaluates the left side by adaptive quadrature and both right
-sides by series, then classifies the point; ``verify_grid`` sweeps parameter
-grids without aborting on individual failures.
+``lhs``, ``rhs`` and ``integrand`` serve either side of every identity;
+``verify`` evaluates both sides, then classifies the point; ``verify_grid``
+sweeps parameter grids without aborting on individual failures.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import ConvergenceError, DomainError, KStruveError
 from .fixedpoint import UNIT
@@ -40,10 +41,17 @@ from .wright import WrightSpec, wright_eval
 
 IDENTITIES = ("theorem1", "theorem2", "corollary1", "corollary2")
 
-_DEFAULT_ALPHAS = (0.5, 1.0, 2.0)
-_DEFAULT_MUS = (0.25, 1.0)
-_DEFAULT_NUS = (2.0, 3.0)
-_DEFAULT_KS = (0.5, 1.0, 2.0)
+# the default values of each grid axis, in the order of default_grid's product
+DEFAULT_AXES = {
+    "alpha": (0.5, 1.0, 2.0), "mu": (0.25, 1.0), "nu": (2.0, 3.0),
+    "c": (1.0,), "k": (0.5, 1.0), "y": (1.0,),
+}
+# each corollary is its theorem at a pinned (c, k); nu is pinned in its default grid only
+COROLLARY_PINS = {
+    "corollary1": {"nu": 2.0, "c": 1.0, "k": 1.0},
+    "corollary2": {"nu": 2.0, "c": -1.0, "k": 1.0},
+}
+_THEOREM_OF = {"corollary1": "theorem1", "corollary2": "theorem2"}
 
 
 @dataclass(frozen=True)
@@ -129,13 +137,14 @@ def _wright_tail(p: TheoremParams, corrected: bool) -> WrightSpec:
     )
 
 
-def _rhs(p: TheoremParams, which: str, corrected: bool, tol: float) -> float:
-    """Common evaluator for all four closed forms.
+def rhs(which: str, p: TheoremParams, corrected: bool = True, tol: float = 1e-12) -> float:
+    """Right side of identity ``which`` at p: as printed, or re-derived when ``corrected``.
 
     Raises ConvergenceError when (y/2)**lam, the gamma prefactor, the
     Fox-Wright sum or their product is not a normal double; only y = 0
     gives an exact 0.0.
     """
+    which, p = _resolve(which, p)
     nuk = p.nu / p.k
     lam = p.lam
     log_pref = log_gamma(p.alpha + p.mu)
@@ -168,40 +177,6 @@ def _rhs(p: TheoremParams, which: str, corrected: bool, tol: float) -> float:
     # no tighter than the accuracy of the series' first term allows
     series = wright_eval(spec, z, tol=max(tol, 4.0 * spec.lead_error))
     return _normal(prefactor * _normal(series.value, "the Fox-Wright sum"), "the closed form")
-
-
-def theorem1_rhs_paper(p: TheoremParams, tol: float = 1e-12) -> float:
-    """Right side of the first theorem exactly as printed."""
-    return _rhs(p, "theorem1", corrected=False, tol=tol)
-
-
-def theorem1_rhs_corrected(p: TheoremParams, tol: float = 1e-12) -> float:
-    """Re-derived right side of the first theorem."""
-    return _rhs(p, "theorem1", corrected=True, tol=tol)
-
-
-def theorem2_rhs_paper(p: TheoremParams, tol: float = 1e-12) -> float:
-    """Right side of the second theorem exactly as printed."""
-    return _rhs(p, "theorem2", corrected=False, tol=tol)
-
-
-def theorem2_rhs_corrected(p: TheoremParams, tol: float = 1e-12) -> float:
-    """Re-derived right side of the second theorem."""
-    return _rhs(p, "theorem2", corrected=True, tol=tol)
-
-
-def theorem1_integrand(p: TheoremParams, x: float, tol: float = 1e-12) -> float:
-    """Value of the first theorem's integrand at interior point x."""
-    if not 0.0 < x < 1.0:
-        raise DomainError(f"integrand is defined on (0, 1), got x={x}")
-    return _integrand1(p, tol)[0](x, 1.0 - x)
-
-
-def theorem2_integrand(p: TheoremParams, x: float, tol: float = 1e-12) -> float:
-    """Value of the second theorem's integrand at interior point x."""
-    if not 0.0 < x < 1.0:
-        raise DomainError(f"integrand is defined on (0, 1), got x={x}")
-    return _integrand2(p, tol)[0](x, 1.0 - x)
 
 
 def _series_tol(sp: StruveParams, tol: float) -> float:
@@ -289,8 +264,17 @@ def _with_series_error(quad: QuadratureResult, series_tol: float) -> QuadratureR
     )
 
 
-def _lhs(f, series_tol: float, tol: float, method: str) -> QuadratureResult:
-    """One integration of f; the estimate, partials included, covers the series error."""
+def lhs(which: str, p: TheoremParams, tol: float = 1e-10) -> QuadratureResult:
+    """Quadrature of the left side of ``which``; its estimates add the integrand's series error."""
+    which, p = _resolve(which, p)
+    # S(w) is w**lam times a series in w**2: w ~ (1-x)**2 at x = 1 for
+    # the first theorem, w ~ x at x = 0 for the second
+    if which == "theorem1":
+        method = select_method(p.alpha + p.mu - 1.0, 2.0 * p.alpha - 1.0 + 2.0 * p.lam)
+        f, series_tol = _integrand1(p, tol)
+    else:
+        method = select_method(p.alpha - 1.0 + p.lam, 2.0 * (p.alpha + p.mu) - 1.0)
+        f, series_tol = _integrand2(p, tol)
     try:
         quad = integrate(f, tol=tol, method=method)
     except ConvergenceError as exc:
@@ -302,46 +286,35 @@ def _lhs(f, series_tol: float, tol: float, method: str) -> QuadratureResult:
     return _with_series_error(quad, series_tol)
 
 
-def theorem1_lhs(p: TheoremParams, tol: float = 1e-10) -> QuadratureResult:
-    """Quadrature of the first theorem's integral over (0, 1).
-
-    The error estimate adds the integrand's series error to the rule's.
-    """
-    # S(w) is w**lam times a series in w**2, and w ~ (1-x)**2 at x = 1
-    method = select_method(p.alpha + p.mu - 1.0, 2.0 * p.alpha - 1.0 + 2.0 * p.lam)
-    return _lhs(*_integrand1(p, tol), tol, method)
-
-
-def theorem2_lhs(p: TheoremParams, tol: float = 1e-10) -> QuadratureResult:
-    """Quadrature of the second theorem's integral over (0, 1).
-
-    The error estimate adds the integrand's series error to the rule's.
-    """
-    # S(w) is w**lam times a series in w**2, and w ~ x at x = 0
-    method = select_method(p.alpha - 1.0 + p.lam, 2.0 * (p.alpha + p.mu) - 1.0)
-    return _lhs(*_integrand2(p, tol), tol, method)
+def integrand(which: str, p: TheoremParams, x: float, tol: float = 1e-12) -> float:
+    """Value of the integrand of identity ``which`` at interior point x."""
+    if not 0.0 < x < 1.0:
+        raise DomainError(f"integrand is defined on (0, 1), got x={x}")
+    which, p = _resolve(which, p)
+    make = _integrand1 if which == "theorem1" else _integrand2
+    return make(p, tol)[0](x, 1.0 - x)
 
 
 def _resolve(which: str, p: TheoremParams) -> tuple[str, TheoremParams]:
     """Map corollaries onto the theorem they specialize, checking c and k."""
     if which not in IDENTITIES:
         raise DomainError(f"unknown identity {which!r}, expected one of {IDENTITIES}")
-    if which == "corollary1":
-        if not (p.c == 1.0 and p.k == 1.0):
-            raise DomainError(f"corollary1 is the c = k = 1 case, got c={p.c}, k={p.k}")
-        return "theorem1", p
-    if which == "corollary2":
-        if not (p.c == -1.0 and p.k == 1.0):
-            raise DomainError(f"corollary2 is the c = -1, k = 1 case, got c={p.c}, k={p.k}")
-        return "theorem2", p
-    return which, p
+    pins = COROLLARY_PINS.get(which)
+    if pins is None:
+        return which, p
+    if not (p.c == pins["c"] and p.k == pins["k"]):
+        raise DomainError(
+            f"{which} is the c = {pins['c']:g}, k = {pins['k']:g} case, got c={p.c}, k={p.k}"
+        )
+    return _THEOREM_OF[which], p
 
 
 def corollary_struve(
     alpha: float, mu: float, nu: float, y: float = 1.0, tol: float = 1e-10
 ) -> IdentityReport:
     """First theorem specialized to the Struve function H_nu (c = k = 1)."""
-    p = TheoremParams(alpha=alpha, mu=mu, nu=nu, c=1.0, k=1.0, y=y)
+    pins = COROLLARY_PINS["corollary1"]
+    p = TheoremParams(alpha=alpha, mu=mu, nu=nu, c=pins["c"], k=pins["k"], y=y)
     return verify("corollary1", p, tol=tol)
 
 
@@ -349,7 +322,8 @@ def corollary_modified(
     alpha: float, mu: float, nu: float, y: float = 1.0, tol: float = 1e-10
 ) -> IdentityReport:
     """Second theorem specialized to the modified Struve L_nu (c = -1, k = 1)."""
-    p = TheoremParams(alpha=alpha, mu=mu, nu=nu, c=-1.0, k=1.0, y=y)
+    pins = COROLLARY_PINS["corollary2"]
+    p = TheoremParams(alpha=alpha, mu=mu, nu=nu, c=pins["c"], k=pins["k"], y=y)
     return verify("corollary2", p, tol=tol)
 
 
@@ -375,16 +349,15 @@ def verify(
         raise DomainError(f"tol and threshold must be positive, got {tol!r}, {threshold!r}")
     which, p = _resolve(which, p)
     p.validate(strict=strict)
-    lhs_fn = theorem1_lhs if which == "theorem1" else theorem2_lhs
     rhs_tol = tol * 0.1
     try:
-        quad = lhs_fn(p, tol=tol)
+        quad = lhs(which, p, tol=tol)
     except ConvergenceError as exc:
         if exc.partial is None:
             raise  # the integrand failed: there is no estimate to judge
         quad = exc.partial
-    rhs_paper = _rhs(p, which, corrected=False, tol=rhs_tol)
-    rhs_corrected = _rhs(p, which, corrected=True, tol=rhs_tol)
+    rhs_paper = rhs(which, p, corrected=False, tol=rhs_tol)
+    rhs_corrected = rhs(which, p, corrected=True, tol=rhs_tol)
     denom = max(abs(quad.value), 1e-300)
     dev_paper = abs(quad.value - rhs_paper) / denom
     dev_corrected = abs(quad.value - rhs_corrected) / denom
@@ -450,34 +423,20 @@ def verify_grid(
     return out
 
 
-def default_grid(
-    which: str = "theorem1",
-    alphas: Sequence[float] = _DEFAULT_ALPHAS,
-    mus: Sequence[float] = _DEFAULT_MUS,
-    nus: Sequence[float] = _DEFAULT_NUS,
-    ks: Sequence[float] = _DEFAULT_KS,
-    c: float = 1.0,
-    y: float = 1.0,
-) -> list[TheoremParams]:
-    """Deterministic default sweep: the cartesian product filtered to strict points.
-
-    With the stock values the filter nu > 3k/2 keeps k in {0.5, 1} only,
-    giving 24 points per theorem.  Corollaries pin c and k, leaving the
-    6-point alpha x mu product at nu = 2.
-    """
+def grid_axes(which: str, **axes) -> dict[str, tuple]:
+    """The axes of ``default_grid``: from ``axes``, else the corollary's pin, else the default."""
     if which not in IDENTITIES:
         raise DomainError(f"unknown identity {which!r}, expected one of {IDENTITIES}")
-    points: list[TheoremParams] = []
-    if which in ("corollary1", "corollary2"):
-        c_fixed = 1.0 if which == "corollary1" else -1.0
-        for alpha in alphas:
-            for mu in mus:
-                points.append(TheoremParams(alpha=alpha, mu=mu, nu=2.0, c=c_fixed, k=1.0, y=y))
-        return points
-    for alpha in alphas:
-        for mu in mus:
-            for nu in nus:
-                for k in ks:
-                    if nu > 1.5 * k:
-                        points.append(TheoremParams(alpha=alpha, mu=mu, nu=nu, c=c, k=k, y=y))
-    return points
+    if not set(axes) <= set(DEFAULT_AXES):
+        raise DomainError(f"grid axes are {tuple(DEFAULT_AXES)}, got {tuple(axes)}")
+    pins = COROLLARY_PINS.get(which, {})
+    return {
+        name: tuple(axes[name]) if name in axes else (pins[name],) if name in pins else default
+        for name, default in DEFAULT_AXES.items()
+    }
+
+
+def default_grid(which: str = "theorem1", **axes) -> list[TheoremParams]:
+    """The product of the :func:`grid_axes`: by default 24 points a theorem, 6 a corollary."""
+    columns = grid_axes(which, **axes)
+    return [TheoremParams(**dict(zip(columns, v))) for v in itertools.product(*columns.values())]

@@ -22,7 +22,6 @@ from kstruve import (
     convergence_index,
     default_grid,
     k_gamma,
-    k_gamma_integral_oracle,
     k_struve,
     lavoie_trottier_check,
     lavoie_trottier_rhs,
@@ -36,6 +35,8 @@ from kstruve import (
 from kstruve import struve as struve_module
 from kstruve.cli import main
 from kstruve.struve import _SIGMA_MAX, _split, k_struve_poly
+
+from oracles import k_gamma_integral_oracle
 
 
 def announce(capsys, number: int, name: str, ok: bool, detail: str = "") -> None:

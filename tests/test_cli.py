@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 import kstruve
-from kstruve import TheoremParams, verify
-from kstruve.cli import CONFIG_ENV, RunConfig, main
+from kstruve import IDENTITIES, TheoremParams, default_grid, verify
+from kstruve.cli import CONFIG_ENV, RunConfig, _parse_config, main
 from kstruve.errors import UsageError
 from kstruve.report import record
 
@@ -181,6 +181,42 @@ class TestVerify:
         assert cells[0] == "theorem2"
         assert math.isfinite(float(cells[7]))  # lhs column round-trips
 
+    def test_out_into_a_missing_directory_is_a_usage_error(self, tmp_path):
+        target = tmp_path / "missing" / "report.json"
+        code, out, err = run_cli(
+            "verify", "lavoie", "--alpha", "1", "--beta", "2", "--out", str(target)
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error: ") and "--out" in err
+        assert not target.exists()
+
+    @pytest.mark.parametrize(
+        "argv, stray",
+        [
+            (("theorem1", "--grid", "default", "--alpha", "7"), "--alpha"),
+            (("corollary1", "--grid", "default", "--y", "2"), "--y"),
+            (("theorem2", "--grid", "default", "--beta", "1"), "--beta"),
+            (("lavoie", "--alpha", "1", "--beta", "1", "--mu", "1"), "--mu"),
+            (("lavoie", "--alpha", "1", "--beta", "1", "--nu", "2"), "--nu"),
+            (("lavoie", "--alpha", "1", "--beta", "1", "--c", "1"), "--c"),
+            (("lavoie", "--alpha", "1", "--beta", "1", "--k", "1"), "--k"),
+            (("lavoie", "--alpha", "1", "--beta", "1", "--y", "1"), "--y"),
+            (("lavoie", "--alpha", "1", "--beta", "1", "--grid", "default"), "--grid"),
+            (("theorem1", "--alpha", "1", "--mu", "0.5", "--nu", "2", "--beta", "1"), "--beta"),
+            (("corollary2", "--alpha", "1", "--mu", "0.5", "--nu", "2", "--beta", "1"), "--beta"),
+        ],
+    )
+    def test_ignored_flag_is_a_usage_error(self, argv, stray):
+        code, out, err = run_cli("verify", *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error: ") and stray in err
+
+    def test_explicit_y_of_one_matches_the_default(self):
+        argv = ("verify", "theorem1", "--alpha", "1", "--mu", "0.5", "--nu", "2", "--format", "csv")
+        assert run_cli(*argv, "--y", "1") == run_cli(*argv)
+
     def test_out_writes_file(self, tmp_path):
         target = tmp_path / "report.json"
         code, out, _ = run_cli(
@@ -224,13 +260,44 @@ class TestVerify:
 
 
 class TestGridCommand:
-    def test_default_plan_covers_both_theorems(self):
+    def test_default_plan_covers_every_identity(self):
         code, out, _ = run_cli("grid", "--format", "json")
         assert code == 0
         lines = out.splitlines()
-        assert json.loads(lines[-1])["summary"]["total"] == 48
+        assert json.loads(lines[-1])["summary"]["total"] == 60
         identities = {json.loads(line)["identity"] for line in lines[:-1]}
-        assert identities == {"theorem1", "theorem2"}
+        assert identities == set(IDENTITIES)
+
+    @pytest.mark.parametrize("which", IDENTITIES)
+    def test_empty_section_expands_to_the_default_grid(self, which, tmp_path):
+        cfg = tmp_path / "grid.ini"
+        cfg.write_text(f"[{which}]\n")
+        assert _parse_config(str(cfg)) == [(which, default_grid(which))]
+
+    def test_corollary_section_without_nu_runs_at_the_pinned_nu(self, tmp_path):
+        cfg = tmp_path / "grid.ini"
+        cfg.write_text("[corollary2]\nalpha = 1\nmu = 0.25\n")
+        code, out, _ = run_cli("grid", "--config", str(cfg), "--format", "json")
+        assert code == 0
+        params = [json.loads(line)["params"] for line in out.splitlines()[:-1]]
+        assert params == [{"alpha": 1.0, "mu": 0.25, "nu": 2.0, "c": -1.0, "k": 1.0, "y": 1.0}]
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("[theorem1]\nalpha = 1\n[theorem1]\nmu = 1\n", "already exists"),
+            ("[theorem1]\nalpha = 1\nalpha = 2\n", "already exists"),
+            ("alpha = 1\n", "no section headers"),
+        ],
+        ids=["duplicate-section", "duplicate-key", "no-section-header"],
+    )
+    def test_malformed_config_is_a_usage_error(self, text, reason, tmp_path):
+        cfg = tmp_path / "grid.ini"
+        cfg.write_text(text)
+        code, out, err = run_cli("grid", "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error: ") and reason in err
 
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "grid.ini"
@@ -255,6 +322,14 @@ class TestGridCommand:
     def test_missing_config_file(self):
         code, _, err = run_cli("grid", "--config", "/nonexistent/grid.ini")
         assert code == 1
+
+    def test_undecodable_config_is_a_usage_error(self, tmp_path):
+        cfg = tmp_path / "grid.ini"
+        cfg.write_bytes(b"[theorem1]\nalpha = \xff\xfe\n")
+        code, out, err = run_cli("grid", "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error: ")
 
     def test_lavoie_section_rejected(self, tmp_path):
         cfg = tmp_path / "grid.ini"

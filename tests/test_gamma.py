@@ -12,11 +12,12 @@ from kstruve import (
     PoleError,
     gamma,
     k_gamma,
-    k_gamma_integral_oracle,
     log_abs_gamma,
     log_gamma,
 )
 from kstruve.gamma import log_k_gamma
+
+from oracles import k_gamma_integral_oracle
 
 SQRT_PI = math.sqrt(math.pi)
 

@@ -15,14 +15,9 @@ from kstruve import (
     corollary_modified,
     corollary_struve,
     default_grid,
-    theorem1_integrand,
-    theorem1_lhs,
-    theorem1_rhs_corrected,
-    theorem1_rhs_paper,
-    theorem2_integrand,
-    theorem2_lhs,
-    theorem2_rhs_corrected,
-    theorem2_rhs_paper,
+    integrand,
+    lhs,
+    rhs,
     verify,
     verify_grid,
 )
@@ -102,44 +97,44 @@ class TestTheoremParams:
 
 class TestIntegrands:
     def test_golden_midpoint_values(self):
-        assert theorem1_integrand(BASE, 0.5) == pytest.approx(
+        assert integrand("theorem1", BASE, 0.5) == pytest.approx(
             GOLDEN["thm1_integrand_half"], rel=1e-10
         )
-        assert theorem2_integrand(BASE, 0.5) == pytest.approx(
+        assert integrand("theorem2", BASE, 0.5) == pytest.approx(
             GOLDEN["thm2_integrand_half"], rel=1e-10
         )
 
     def test_zero_y_kills_the_series_factor(self):
         p = TheoremParams(alpha=1.0, mu=0.5, nu=2.0, y=0.0)
-        assert theorem1_integrand(p, 0.3) == 0.0
-        assert theorem2_integrand(p, 0.7) == 0.0
+        assert integrand("theorem1", p, 0.3) == 0.0
+        assert integrand("theorem2", p, 0.7) == 0.0
 
     def test_domain_is_open_interval(self):
         for bad in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(DomainError):
-                theorem1_integrand(BASE, bad)
+                integrand("theorem1", BASE, bad)
             with pytest.raises(DomainError):
-                theorem2_integrand(BASE, bad)
+                integrand("theorem2", BASE, bad)
 
 
 class TestLhs:
     def test_golden_values(self):
-        quad1 = theorem1_lhs(BASE, tol=1e-12)
+        quad1 = lhs("theorem1", BASE, tol=1e-12)
         assert quad1.converged
         assert quad1.value == pytest.approx(GOLDEN["thm1_lhs"], rel=1e-9)
-        quad2 = theorem2_lhs(BASE, tol=1e-12)
+        quad2 = lhs("theorem2", BASE, tol=1e-12)
         assert quad2.value == pytest.approx(GOLDEN["thm2_lhs"], rel=1e-9)
 
     def test_singular_endpoint_weight(self):
         # alpha + mu - 1 = -0.4 power at x = 0 forces the tanh_sinh path
         p = TheoremParams(alpha=0.4, mu=0.2, nu=2.0, c=1.0, k=1.0, y=1.0)
-        quad = theorem1_lhs(p, tol=1e-12)
+        quad = lhs("theorem1", p, tol=1e-12)
         assert quad.converged
         assert quad.value == pytest.approx(GOLDEN["thm1_lhs_singular"], rel=1e-9)
 
     def test_zero_y_integrates_to_zero(self):
         p = TheoremParams(alpha=1.0, mu=0.5, nu=2.0, y=0.0)
-        quad = theorem1_lhs(p)
+        quad = lhs("theorem1", p)
         assert quad.value == 0.0
         assert quad.error_estimate <= 1e-15
 
@@ -152,29 +147,33 @@ class TestLhs:
             TheoremParams(alpha=1.0, mu=0.25, nu=2.0, c=-1.0, k=1.0, y=0.5),
         ]
         for p in points:
-            quad = theorem1_lhs(p, tol=1e-12)
+            quad = lhs("theorem1", p, tol=1e-12)
             oracle = lt_sum_oracle(p)
             assert abs(quad.value - oracle) / abs(oracle) <= 1e-9
 
 
 class TestRhs:
     def test_paper_forms_match_pinned_values(self):
-        assert theorem1_rhs_paper(BASE) == pytest.approx(GOLDEN["thm1_rhs_paper"], rel=1e-11)
-        assert theorem2_rhs_paper(BASE) == pytest.approx(GOLDEN["thm2_rhs_paper"], rel=1e-11)
+        paper1 = rhs("theorem1", BASE, corrected=False)
+        paper2 = rhs("theorem2", BASE, corrected=False)
+        assert paper1 == pytest.approx(GOLDEN["thm1_rhs_paper"], rel=1e-11)
+        assert paper2 == pytest.approx(GOLDEN["thm2_rhs_paper"], rel=1e-11)
 
     def test_corrected_forms_match_quadrature(self):
-        assert theorem1_rhs_corrected(BASE) == pytest.approx(GOLDEN["thm1_lhs"], rel=1e-8)
-        assert theorem2_rhs_corrected(BASE) == pytest.approx(GOLDEN["thm2_lhs"], rel=1e-8)
+        assert rhs("theorem1", BASE) == pytest.approx(GOLDEN["thm1_lhs"], rel=1e-8)
+        assert rhs("theorem2", BASE) == pytest.approx(GOLDEN["thm2_lhs"], rel=1e-8)
 
     def test_paper_forms_are_far_from_quadrature(self):
-        assert abs(theorem1_rhs_paper(BASE) - GOLDEN["thm1_lhs"]) > 1e-3 * GOLDEN["thm1_lhs"]
-        assert abs(theorem2_rhs_paper(BASE) - GOLDEN["thm2_lhs"]) > 1e-3 * GOLDEN["thm2_lhs"]
+        paper1 = rhs("theorem1", BASE, corrected=False)
+        paper2 = rhs("theorem2", BASE, corrected=False)
+        assert abs(paper1 - GOLDEN["thm1_lhs"]) > 1e-3 * GOLDEN["thm1_lhs"]
+        assert abs(paper2 - GOLDEN["thm2_lhs"]) > 1e-3 * GOLDEN["thm2_lhs"]
 
     def test_zero_y_gives_zero(self):
         p = TheoremParams(alpha=1.0, mu=0.5, nu=2.0, y=0.0)
-        assert theorem1_rhs_paper(p) == 0.0
-        assert theorem1_rhs_corrected(p) == 0.0
-        assert theorem2_rhs_corrected(p) == 0.0
+        assert rhs("theorem1", p, corrected=False) == 0.0
+        assert rhs("theorem1", p) == 0.0
+        assert rhs("theorem2", p) == 0.0
 
     def test_wright_spec_is_entire(self):
         # every 2Psi3 tail the engine builds has convergence index 1
@@ -301,6 +300,33 @@ class TestCorollaries:
             verify("corollary1", TheoremParams(alpha=1.0, mu=0.25, nu=3.5, c=1.0, k=2.0))
 
 
+    @pytest.mark.parametrize(
+        "corollary, theorem, c", [("corollary1", "theorem1", 1.0), ("corollary2", "theorem2", -1.0)]
+    )
+    def test_entries_delegate_bit_identically(self, corollary, theorem, c):
+        p = TheoremParams(alpha=1.0, mu=0.25, nu=2.0, c=c, k=1.0, y=1.5)
+        for corrected in (False, True):
+            assert rhs(corollary, p, corrected) == rhs(theorem, p, corrected)
+        assert lhs(corollary, p) == lhs(theorem, p)
+        assert integrand(corollary, p, 0.3) == integrand(theorem, p, 0.3)
+
+    @pytest.mark.parametrize(
+        "corollary, c, k",
+        [("corollary1", -1.0, 1.0), ("corollary1", 1.0, 0.5),
+         ("corollary2", 1.0, 1.0), ("corollary2", -1.0, 0.5)],
+    )
+    def test_entries_reject_a_point_off_the_pins(self, corollary, c, k):
+        p = TheoremParams(alpha=1.0, mu=0.25, nu=2.0, c=c, k=k)
+        for entry in (rhs, lhs, lambda which, q: integrand(which, q, 0.5)):
+            with pytest.raises(DomainError, match=corollary):
+                entry(corollary, p)
+
+    def test_entries_reject_an_unknown_identity(self):
+        for entry in (rhs, lhs, lambda which, q: integrand(which, q, 0.5)):
+            with pytest.raises(DomainError, match="lemma1"):
+                entry("lemma1", BASE)
+
+
 class TestWorkPerPoint:
     """One quadrature and one Fox-Wright sum per closed form, at any scale."""
 
@@ -397,7 +423,7 @@ class TestLhsError:
     def test_lhs_err_covers_the_closed_form(self, which, point):
         p = TheoremParams(*point)
         report = verify(which, p, strict=False)
-        exact = identities._rhs(p, which, True, 1e-14)
+        exact = rhs(which, p, True, 1e-14)
         assert abs(report.lhs_value - exact) <= report.lhs_error_estimate
         assert report.rel_dev_corrected <= 1e-12
 
@@ -414,7 +440,7 @@ class TestLhsError:
             p = TheoremParams(alpha=alpha, mu=rng.uniform(0.1, 1.1), nu=nu,
                               c=rng.choice([-1.0, 1.0]), k=k, y=rng.uniform(0.5, 5.0))
             report = verify(which, p, strict=False)
-            exact = identities._rhs(p, which, True, 1e-14)
+            exact = rhs(which, p, True, 1e-14)
             assert abs(report.lhs_value - exact) <= report.lhs_error_estimate, (which, p)
 
 
@@ -470,7 +496,7 @@ class TestLargeArgument:
 
     def test_theorem1_lhs_at_y40_converges(self):
         p = TheoremParams(alpha=2.0, mu=0.25, nu=2.0, c=1.0, k=1.0, y=40.0)
-        quad = theorem1_lhs(p)
+        quad = lhs("theorem1", p)
         assert quad.converged
         assert quad.evaluations < 2000
 
@@ -486,7 +512,7 @@ class TestLargeArgument:
             return series(*args, **kwargs)
 
         monkeypatch.setattr(identities, "k_struve", counting)
-        quad = theorem1_lhs(p)
+        quad = lhs("theorem1", p)
         assert quad.converged
         assert calls < 0.5 * quad.evaluations
 
@@ -514,12 +540,11 @@ class TestPinnedTheoremResults:
     )
     def test_lhs_is_bit_identical(self, which, point, branch, pinned):
         p = TheoremParams(*point)
-        lhs = theorem1_lhs if which == "theorem1" else theorem2_lhs
         wmax = abs(p.y) * (1.0 if which == "theorem1" else 4.0 / 9.0)
         _, poly, series_tol = identities._series(p, 1e-10, wmax)
         rel = getattr(poly, "rel", None)
         assert branch == ("fixed-point" if rel is None else "certified" if rel <= series_tol else "per-node")
-        quad = lhs(p)
+        quad = lhs(which, p)
         value, estimate, evaluations, abs_integral = pinned
         assert quad.value == float.fromhex(value)
         assert quad.error_estimate == float.fromhex(estimate)
@@ -596,3 +621,15 @@ class TestDefaultGrid:
     def test_unknown_identity_rejected(self):
         with pytest.raises(DomainError):
             default_grid("lemma1")
+
+    def test_axes_come_from_arguments_then_pins_then_defaults(self):
+        points = default_grid("corollary2", mu=(0.5,), y=(2.0, 3.0))
+        assert [(p.alpha, p.mu, p.nu, p.c, p.k, p.y) for p in points] == [
+            (alpha, 0.5, 2.0, -1.0, 1.0, y) for alpha in (0.5, 1.0, 2.0) for y in (2.0, 3.0)
+        ]
+        assert {p.nu for p in default_grid("corollary1", nu=(2.5, 3.0))} == {2.5, 3.0}
+        assert {p.k for p in default_grid("theorem2", k=(0.25,))} == {0.25}
+
+    def test_unknown_axis_rejected(self):
+        with pytest.raises(DomainError, match="beta"):
+            default_grid("theorem1", beta=(1.0,))
