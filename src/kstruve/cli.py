@@ -153,8 +153,11 @@ def _build_parser() -> _Parser:
 
 def _add_report_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=1e-10, help="relative quadrature tolerance")
-    p.add_argument("--threshold", type=float, default=1e-6, help="agreement threshold")
-    p.add_argument("--relaxed", action="store_true", help="accept nu > -3k/2 instead of nu > 3k/2")
+    # None marks a flag not given, so that verify lavoie can reject both
+    p.add_argument("--threshold", type=float, help="agreement threshold (default 1e-6)")
+    p.add_argument(
+        "--relaxed", action="store_true", default=None, help="accept nu > -3k/2 instead of nu > 3k/2"
+    )
     p.add_argument("--format", choices=("table", "json", "csv"), default="table")
     p.add_argument("--out", help="write the report to this file instead of stdout")
 
@@ -218,10 +221,10 @@ def _reject_stray_flags(args) -> None:
     if args.identity == "lavoie":
         used, form = ("alpha", "beta"), "verify lavoie"
     elif args.grid:
-        used, form = ("grid",), f"verify {args.identity} --grid {args.grid}"
+        used, form = ("grid", "threshold", "relaxed"), f"verify {args.identity} --grid {args.grid}"
     else:
-        used, form = DEFAULT_AXES, f"verify {args.identity}"
-    names = ("beta", *DEFAULT_AXES, "grid")
+        used, form = (*DEFAULT_AXES, "threshold", "relaxed"), f"verify {args.identity}"
+    names = ("beta", *DEFAULT_AXES, "grid", "threshold", "relaxed")
     stray = [f"--{n}" for n in names if n not in used and getattr(args, n) is not None]
     if stray:
         raise UsageError(f"{form} does not take {', '.join(stray)}")
@@ -229,8 +232,9 @@ def _reject_stray_flags(args) -> None:
 
 def _run_plan(plan, args, stdout) -> int:
     """Verify every (identity, points) pair of ``plan`` and report all the records."""
+    threshold = 1e-6 if args.threshold is None else args.threshold
     configs = [
-        RunConfig(which, tuple(points), args.tol, args.threshold, strict=not args.relaxed)
+        RunConfig(which, tuple(points), args.tol, threshold, strict=not args.relaxed)
         for which, points in plan
     ]
     records: list[dict] = []

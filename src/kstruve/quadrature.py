@@ -7,6 +7,8 @@
   sinh t)) / 2, which crushes integrable endpoint singularities like
   x**p or (1-x)**q with p, q > -1.  Each level's nodes form one table,
   built on the level's first use and shared by every later integration.
+  Each tail of a level ends on its own negligible samples, so an endpoint
+  where f decays fast is sampled less than one where it decays slowly.
 
 ``select_method`` picks between them from the integrand's endpoint powers:
 Gauss-Kronrod when every power is a non-negative integer (an analytic
@@ -117,7 +119,8 @@ def _ts_level(level: int) -> tuple[tuple[float, float, float, bool], ...]:
     """Nodes (x, 1 - x, weight, past_two) at t = j h, h = 2**-level, up to underflow.
 
     Level 0 takes every j >= 1, later levels the odd j only.  ``past_two``
-    marks where a negligible contribution may end the level: level 0 and t >= 2.
+    marks where a negligible sample may end one side of the level, x or 1 - x:
+    level 0 and t >= 2.
     """
     h = 0.5**level
     nodes = []
@@ -134,7 +137,16 @@ def _ts_level(level: int) -> tuple[tuple[float, float, float, bool], ...]:
 
 
 def _tanh_sinh(g, tol: float, endpoint_safe: bool) -> QuadratureResult:
-    """Double-exponential rule on (0, 1) with successive level refinement."""
+    """Double-exponential rule on (0, 1) with successive level refinement.
+
+    Each level walks its node table from t = h outwards and samples both
+    abscissae of a node, x near 0 and 1 - x near 1.  The two sides end
+    apart: at ``past_two`` nodes a sample w |f| is negligible when it is at
+    most 1e-17 max(|level sum|, |previous total| / h, 1e-300), and a side
+    with two negligible samples in a row is not sampled again in that level,
+    so a fast-decaying tail stops while the slow one goes on.  The level
+    ends when both sides have ended or its table runs out.
+    """
     isfinite = math.isfinite
     f_mid = g(0.5, 0.5)
     if not isfinite(f_mid):
@@ -152,9 +164,12 @@ def _tanh_sinh(g, tol: float, endpoint_safe: bool) -> QuadratureResult:
         nodes = _TS_LEVELS[level]
         if nodes is None:
             nodes = _TS_LEVELS[level] = _ts_level(level)
-        previous_scale = abs(previous) / h
-        tiny_run = 0
-        for small, big, weight, past_two in nodes:
+        # rounding is monotone, so 1e-17 max(|level_sum|, |previous| / h,
+        # 1e-300) is the larger of 1e-17 |level_sum| and this, exactly
+        cut_floor = 1e-17 * max(abs(previous) / h, 1e-300)
+        run_big = run_small = 0
+        walk = iter(nodes)
+        for small, big, weight, past_two in walk:
             # small is never 0.0; a plain f(x) gets 0.0 where big rounds to 1.0
             if endpoint_safe or big != 1.0:
                 f_big = g(big, small)
@@ -167,15 +182,45 @@ def _tanh_sinh(g, tol: float, endpoint_safe: bool) -> QuadratureResult:
             f_small = g(small, big)
             if not isfinite(f_small):
                 raise _bad_sample(f_small, small)
-            contrib = weight * (f_big + f_small)
-            level_sum += contrib
+            level_sum += weight * (f_big + f_small)
             level_abs += weight * (abs(f_big) + abs(f_small))
-            if past_two and abs(contrib) <= 1e-17 * max(abs(level_sum), previous_scale, 1e-300):
-                tiny_run += 1
-                if tiny_run >= 2:
+            if past_two:
+                cut = 1e-17 * abs(level_sum)
+                if cut < cut_floor:
+                    cut = cut_floor
+                run_big = run_big + 1 if weight * abs(f_big) <= cut else 0
+                run_small = run_small + 1 if weight * abs(f_small) <= cut else 0
+                if run_big >= 2 or run_small >= 2:
+                    break
+        # a side with two negligible samples in a row is done; the other one
+        # walks the rest of the table alone, keeping its run (every node left
+        # is past_two, and only a big abscissa can round to 1.0)
+        if run_big < 2 <= run_small:
+            big_live, run = True, run_big
+        elif run_small < 2 <= run_big:
+            big_live, run = False, run_small
+        else:
+            walk = ()
+        for small, big, weight, _ in walk:
+            x, omx = (big, small) if big_live else (small, big)
+            if endpoint_safe or x != 1.0:
+                f_x = g(x, omx)
+                if not isfinite(f_x):
+                    raise _bad_sample(f_x, x)
+                evaluations += 1
+            else:
+                f_x = 0.0
+            level_sum += weight * f_x
+            level_abs += weight * abs(f_x)
+            cut = 1e-17 * abs(level_sum)
+            if cut < cut_floor:
+                cut = cut_floor
+            if weight * abs(f_x) <= cut:
+                run += 1
+                if run >= 2:
                     break
             else:
-                tiny_run = 0
+                run = 0
         total = 0.5 * previous + h * level_sum
         total_abs = 0.5 * previous_abs + h * level_abs
         estimate = abs(total - previous)

@@ -4,7 +4,15 @@ import math
 
 from kstruve.errors import ConvergenceError, DomainError
 from kstruve.gamma import _LOG_DBL_MAX
-from kstruve.quadrature import integrate
+from kstruve.quadrature import (
+    _TS_LEVELS,
+    _TS_MAX_LEVEL,
+    _bad_sample,
+    _normalize_integrand,
+    _ts_level,
+    integrate,
+)
+from kstruve.results import TINY, QuadratureResult
 
 
 def k_gamma_integral_oracle(z: float, k: float, tol: float = 1e-10) -> float:
@@ -36,3 +44,74 @@ def k_gamma_integral_oracle(z: float, k: float, tol: float = 1e-10) -> float:
             f"k_gamma integral for z={z}, k={k} did not reach tol={tol}",
             partial=exc.partial,
         ) from None
+
+
+def tanh_sinh_pair_rule(f, tol: float) -> QuadratureResult:
+    """``integrate(f, tol, "tanh_sinh")`` with the pair truncation rule.
+
+    The rule the package replaced: a level ends once the weighted sum of a
+    node pair, w (f(1 - x) + f(x)), is negligible at two ``past_two`` nodes
+    in a row, so the faster-decaying tail is sampled until the slower one
+    dies too.  It walks the package's node tables with the package's sums,
+    estimates and stopping tests, so the package's per-side rule should
+    return the same result to the bit from a subset of these samples.
+    """
+    g, endpoint_safe = _normalize_integrand(f)
+    isfinite = math.isfinite
+    f_mid = g(0.5, 0.5)
+    if not isfinite(f_mid):
+        raise _bad_sample(f_mid, 0.5)
+    evaluations = 1
+    level_sum = (math.pi / 4.0) * f_mid
+    level_abs = abs(level_sum)
+    previous = previous_abs = floor = 0.0
+    for level in range(_TS_MAX_LEVEL + 1):
+        h = 0.5**level
+        nodes = _TS_LEVELS[level]
+        if nodes is None:
+            nodes = _TS_LEVELS[level] = _ts_level(level)
+        previous_scale = abs(previous) / h
+        tiny_run = 0
+        for small, big, weight, past_two in nodes:
+            if endpoint_safe or big != 1.0:
+                f_big = g(big, small)
+                if not isfinite(f_big):
+                    raise _bad_sample(f_big, big)
+                evaluations += 2
+            else:
+                f_big = 0.0
+                evaluations += 1
+            f_small = g(small, big)
+            if not isfinite(f_small):
+                raise _bad_sample(f_small, small)
+            contrib = weight * (f_big + f_small)
+            level_sum += contrib
+            level_abs += weight * (abs(f_big) + abs(f_small))
+            if past_two and abs(contrib) <= 1e-17 * max(abs(level_sum), previous_scale, 1e-300):
+                tiny_run += 1
+                if tiny_run >= 2:
+                    break
+            else:
+                tiny_run = 0
+        total = 0.5 * previous + h * level_sum
+        total_abs = 0.5 * previous_abs + h * level_abs
+        estimate = abs(total - previous)
+        previous, previous_abs = total, total_abs
+        if level >= 2 and estimate <= max(tol * abs(total), TINY):
+            return QuadratureResult(
+                total, max(estimate, 1.1e-16 * abs(total)), evaluations, True, total_abs
+            )
+        if not level:
+            floor = 50.0 * 2.220446049250313e-16 * total_abs
+        if level >= 2 and estimate <= floor:
+            raise ConvergenceError(
+                f"tanh_sinh estimate {estimate:.3e} is below the rounding floor "
+                f"{floor:.3e} but above tol * |value|",
+                partial=QuadratureResult(total, estimate, evaluations, False, total_abs),
+            )
+        level_sum = level_abs = 0.0
+
+    raise ConvergenceError(
+        f"tanh_sinh stalled at estimate {estimate:.3e} after level {_TS_MAX_LEVEL}",
+        partial=QuadratureResult(total, estimate, evaluations, False, total_abs),
+    )

@@ -205,6 +205,8 @@ class TestVerify:
             (("lavoie", "--alpha", "1", "--beta", "1", "--grid", "default"), "--grid"),
             (("theorem1", "--alpha", "1", "--mu", "0.5", "--nu", "2", "--beta", "1"), "--beta"),
             (("corollary2", "--alpha", "1", "--mu", "0.5", "--nu", "2", "--beta", "1"), "--beta"),
+            (("lavoie", "--alpha", "1", "--beta", "1", "--threshold", "1e-300"), "--threshold"),
+            (("lavoie", "--alpha", "1", "--beta", "1", "--relaxed"), "--relaxed"),
         ],
     )
     def test_ignored_flag_is_a_usage_error(self, argv, stray):
@@ -216,6 +218,10 @@ class TestVerify:
     def test_explicit_y_of_one_matches_the_default(self):
         argv = ("verify", "theorem1", "--alpha", "1", "--mu", "0.5", "--nu", "2", "--format", "csv")
         assert run_cli(*argv, "--y", "1") == run_cli(*argv)
+
+    def test_explicit_threshold_of_1e6_matches_the_default(self):
+        argv = ("verify", "theorem1", "--alpha", "1", "--mu", "0.5", "--nu", "2", "--format", "csv")
+        assert run_cli(*argv, "--threshold", "1e-6") == run_cli(*argv)
 
     def test_out_writes_file(self, tmp_path):
         target = tmp_path / "report.json"
