@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -35,7 +34,7 @@ from .errors import ConvergenceError, DomainError, KStruveError
 from .fixedpoint import UNIT
 from .gamma import log_gamma
 from .quadrature import integrate, select_method
-from .results import IdentityReport, QuadratureResult, Verdict
+from .results import IdentityReport, QuadratureResult, Verdict, require_normal
 from .struve import StruveParams, k_struve, k_struve_poly
 from .wright import WrightSpec, wright_eval
 
@@ -117,17 +116,6 @@ def _signed_power(base: float, exponent: float) -> float:
     return sign * (-base) ** exponent
 
 
-def _normal(value: float, what: str) -> float:
-    """value itself; ConvergenceError when it is not a normal double.
-
-    A factor that overflowed, or underflowed to zero or a subnormal, has
-    lost its relative accuracy, so no verdict can rest on it.
-    """
-    if math.isfinite(value) and abs(value) >= sys.float_info.min:
-        return value
-    raise ConvergenceError(f"{what} is {value!r}, outside the normal double range")
-
-
 def _wright_tail(p: TheoremParams, corrected: bool) -> WrightSpec:
     nuk = p.nu / p.k
     third = 2.0 * p.alpha + p.mu + nuk + (1.0 if corrected else 0.0)
@@ -172,11 +160,13 @@ def rhs(which: str, p: TheoremParams, corrected: bool = True, tol: float = 1e-12
         ) from None
     if y_power == 0.0 and p.y == 0.0:
         return 0.0
-    prefactor = _normal(y_power, "(y/2)**lam") * _normal(scale, "the gamma prefactor")
+    prefactor = require_normal(y_power, "(y/2)**lam")
+    prefactor *= require_normal(scale, "the gamma prefactor")
     spec = _wright_tail(p, corrected)
     # no tighter than the accuracy of the series' first term allows
     series = wright_eval(spec, z, tol=max(tol, 4.0 * spec.lead_error))
-    return _normal(prefactor * _normal(series.value, "the Fox-Wright sum"), "the closed form")
+    series_value = require_normal(series.value, "the Fox-Wright sum")
+    return require_normal(prefactor * series_value, "the closed form")
 
 
 def _series_tol(sp: StruveParams, tol: float) -> float:

@@ -9,12 +9,27 @@ closed-form identity into an :class:`IdentityReport`.
 from __future__ import annotations
 
 import enum
+import math
+import sys
 from dataclasses import dataclass
+
+from .errors import ConvergenceError
 
 # Every iterative evaluator stops on estimate <= max(tol * |value|, TINY):
 # relative to the value, with an absolute floor for values that are zero or
 # lost to underflow.
 TINY = 1e-280
+
+
+def require_normal(value: float, what: str) -> float:
+    """value itself; ConvergenceError when it is not a normal double.
+
+    A factor that overflowed, or underflowed to zero or a subnormal, has
+    lost its relative accuracy, so no verdict can rest on it.
+    """
+    if math.isfinite(value) and abs(value) >= sys.float_info.min:
+        return value
+    raise ConvergenceError(f"{what} is {value!r}, outside the normal double range")
 
 
 @dataclass(frozen=True)

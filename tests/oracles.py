@@ -115,3 +115,22 @@ def tanh_sinh_pair_rule(f, tol: float) -> QuadratureResult:
         f"tanh_sinh stalled at estimate {estimate:.3e} after level {_TS_MAX_LEVEL}",
         partial=QuadratureResult(total, estimate, evaluations, False, total_abs),
     )
+
+
+def jacobi_moment_oracle(p: float, q: float, k: int, digits: int = 50):
+    """m_k = int x**(p-1) (1-x)**(q-1) T_k(2x - 1) dx / B(p, q), summed exactly in mpmath.
+
+    T_k(1 - 2u) = 2F1(-k, k; 1/2; u) with u = 1 - x, and u**j averages to
+    (q)_j / (p + q)_j under the weight, so m_k is the terminating sum
+    sum_j (-k)_j (k)_j / ((1/2)_j j!) (q)_j / (p + q)_j at the exact double
+    inputs.  Independent of the package's recurrence.
+    """
+    import mpmath
+
+    with mpmath.workdps(digits):
+        p, q = mpmath.mpf(p), mpmath.mpf(q)
+        total = term = mpmath.mpf(1)
+        for j in range(k):
+            term *= (j - k) * (k + j) * (q + j) / ((j + mpmath.mpf(1) / 2) * (j + 1) * (p + q + j))
+            total += term
+        return total

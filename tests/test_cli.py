@@ -99,6 +99,28 @@ class TestVerify:
         assert code == 0
         assert "BOTH_AGREE" in out
 
+    def test_lavoie_tiny_exponents_confirm(self):
+        # tanh-sinh overflowed on x**(alpha - 1) near x = 5e-324 here
+        code, out, _ = run_cli("verify", "lavoie", "--alpha", "0.001", "--beta", "0.001")
+        assert code == 0
+        assert "BOTH_AGREE" in out
+
+    def test_lavoie_underflowing_closed_form_is_a_convergence_error(self):
+        # (2/3)**2000 makes both sides 0.0, which confirms nothing
+        code, out, err = run_cli("verify", "lavoie", "--alpha", "1000", "--beta", "1")
+        assert code == 3
+        assert out == "" and "outside the normal double range" in err
+
+    def test_overflowing_integrand_is_recorded(self):
+        code, out, _ = run_cli(
+            "verify", "theorem1", "--alpha", "0.002", "--mu", "0.0005", "--nu", "2",
+            "--relaxed", "--format", "json",
+        )
+        assert code == 4
+        rec = json.loads(out.splitlines()[0])
+        assert rec["verdict"] == "INCONCLUSIVE"
+        assert rec["error"].startswith("NonFiniteSampleError: integrand overflowed")
+
     def test_lavoie_requires_both_parameters(self):
         code, _, _ = run_cli("verify", "lavoie", "--alpha", "1")
         assert code == 1

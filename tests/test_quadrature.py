@@ -24,6 +24,7 @@ from kstruve import (
 import kstruve
 from kstruve import identities, quadrature
 from kstruve.errors import ConvergenceError, KStruveError
+from kstruve.fixedpoint import UNIT
 from kstruve.results import QuadratureResult
 from oracles import tanh_sinh_pair_rule
 
@@ -362,20 +363,22 @@ class TestPerSideTruncation:
             raised += err is not None
         assert saved > 0 and raised > 0
 
-    def test_lavoie_integrands_match_the_pair_rule(self, monkeypatch):
-        captured = []
-
-        def capture(f, tol, method):
-            captured.append((f, tol))
-            return integrate(f, tol=tol, method=method)
-
-        monkeypatch.setattr(quadrature, "integrate", capture)
+    def test_lavoie_integrands_match_the_pair_rule(self):
+        # the whole Lavoie-Trottier integrands at the check's tolerance, built
+        # here: the check itself integrates their smooth factor with a weight
         rng = random.Random(20240615)
+        integrands = []
         for _ in range(200):
-            lavoie_trottier_check(rng.uniform(0.3, 3.7), rng.uniform(0.3, 2.7))
-        monkeypatch.undo()
-        assert len(captured) == 200
-        assert sum(_assert_matches_pair_rule(f, tol)[0] for f, tol in captured) > 0
+            alpha, beta = rng.uniform(0.3, 3.7), rng.uniform(0.3, 2.7)
+
+            def f(x, omx, alpha=alpha, beta=beta):
+                return (
+                    x ** (alpha - 1.0) * omx ** (2.0 * beta - 1.0)
+                    * (1.0 - x / 3.0) ** (2.0 * alpha - 1.0) * (1.0 - x / 4.0) ** (beta - 1.0)
+                )
+
+            integrands.append(f)
+        assert sum(_assert_matches_pair_rule(f, 1e-12)[0] for f in integrands) > 0
 
 
 # a fresh interpreter: the level tables are built on first use, not at import
@@ -550,13 +553,15 @@ class TestLavoieTrottier:
         calls = []
 
         def counting(*args, **kwargs):
-            calls.append(kwargs.get("method"))
-            return integrate(*args, **kwargs)
+            result = integrate(*args, **kwargs)
+            calls.append((kwargs.get("method"), kwargs.get("weight"), result.evaluations))
+            return result
 
         monkeypatch.setattr(quadrature, "integrate", counting)
         report = lavoie_trottier_check(2.5, 1.5)
         assert report.verdict is Verdict.BOTH_AGREE
-        assert calls == ["tanh_sinh"]
+        # one Clenshaw-Curtis pass at 17 points, with the weight (alpha, 2 beta)
+        assert calls == [(None, (2.5, 3.0), 17)]
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -566,3 +571,263 @@ class TestLavoieTrottier:
     def test_check_confirms_property(self, alpha, beta):
         report = lavoie_trottier_check(alpha, beta, tol=1e-10)
         assert report.verdict is Verdict.BOTH_AGREE
+
+
+def _cos_moment(p, q, omega):
+    """int_0^1 x**(p-1) (1-x)**(q-1) cos(omega x) dx = B(p, q) Re 1F1(p; p + q; i omega), in mpmath."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        p, q = mp.mpf(p), mp.mpf(q)
+        return mp.beta(p, q) * mp.re(mp.hyp1f1(p, p + q, 1j * omega))
+
+
+class TestJacobiClenshawCurtis:
+    """integrate(h, tol, weight=(p, q)): x**(p-1) (1-x)**(q-1) h(x) by Clenshaw-Curtis."""
+
+    def test_moments_match_the_hypergeometric_oracle(self):
+        pytest.importorskip("mpmath")
+        from oracles import jacobi_moment_oracle
+
+        rng = random.Random(20240701)
+        worst = 0.0
+        for _ in range(40):
+            p = math.exp(rng.uniform(math.log(0.05), math.log(40.0)))
+            q = math.exp(rng.uniform(math.log(0.05), math.log(40.0)))
+            moments = quadrature._jacobi_moments(p, q, 32)
+            assert len(moments) == 33 and moments[0] == 1.0
+            for k in range(1, 33):
+                err = abs(moments[k] - float(jacobi_moment_oracle(p, q, k)))
+                # the drift the rule's rounding term allows for
+                assert err <= 3.0 * k * k * UNIT, (p, q, k, err)
+                worst = max(worst, err / (k * k * UNIT))
+        assert worst > 0.0
+
+    @pytest.mark.parametrize(
+        "p, q, omega, evaluations",
+        [(0.5, 1.5, 2.0, 17), (1e-8, 3.0, 1.0, 17), (0.3, 2.0, 5.0, 17), (0.5, 1.5, 8.0, 33)],
+    )
+    def test_estimate_bounds_the_error(self, p, q, omega, evaluations):
+        exact = _cos_moment(p, q, omega)
+        res = integrate(lambda x: math.cos(omega * x), tol=1e-10, weight=(p, q))
+        assert res.converged and res.evaluations == evaluations
+        assert abs(res.value - exact) <= res.error_estimate <= 1e-10 * abs(res.value)
+        assert res.abs_integral >= abs(res.value)
+
+    def test_samples_the_chebyshev_extrema_with_their_complements(self):
+        sampled = []
+
+        def h(x, omx):
+            sampled.append((x, omx))
+            return 1.0 + x
+
+        res = integrate(h, tol=1e-12, weight=(2.0, 3.0))
+        # B(2, 3) (1 + E[x]) = (1/12) (1 + 2/5)
+        assert res.value == pytest.approx(1.4 / 12.0, rel=1e-14)
+        assert res.evaluations == len(sampled) == 17
+        assert sampled[0] == (1.0, 0.0) and sampled[-1] == (0.0, 1.0)
+        for j, (x, omx) in enumerate(sampled):
+            # x = cos(j pi / 32)**2; the smaller of x and 1 - x keeps its relative digits
+            c, s = math.cos(j * math.pi / 32.0) ** 2, math.sin(j * math.pi / 32.0) ** 2
+            assert x == pytest.approx(c, abs=1e-15) and omx == pytest.approx(s, abs=1e-15)
+            if 0 < j < 16:
+                assert min(x, omx) == pytest.approx(min(c, s), rel=1e-15)
+
+    def test_doubling_reuses_the_first_samples(self):
+        sampled = []
+
+        def h(x, omx):
+            sampled.append(x)
+            return math.cos(8.0 * x)
+
+        res = integrate(h, tol=1e-10, weight=(0.5, 1.5))
+        assert res.evaluations == len(sampled) == len(set(sampled)) == 33
+        # the 17 points first, then the 16 between them
+        nodes = [x for x, _ in quadrature._CC_TABLES[32][0]]
+        assert sampled == nodes[0::2] + nodes[1::2]
+
+    def test_tiny_beta_parameters_keep_their_digits(self):
+        # p - 1 would round 1e-8 - 1 + 1 to 1.0000000050e-8
+        mp = pytest.importorskip("mpmath")
+        res = integrate(lambda x: 1.0 / (3.0 - x), tol=1e-12, weight=(1e-8, 1.0))
+        with mp.workdps(50):
+            p = mp.mpf(1e-8)
+            # int_0^1 x**(p-1) / (3 - x) dx = 2F1(1, p; p + 1; 1/3) / (3 p)
+            exact = mp.hyp2f1(1, p, p + 1, mp.mpf(1) / 3) / (3 * p)
+        assert res.evaluations == 17
+        assert abs(res.value - exact) <= res.error_estimate <= 1e-12 * res.value
+
+    def test_cancelling_sum_goes_to_tanh_sinh_in_the_same_call(self):
+        # exp(-60 x) spans 26 orders of magnitude; the weight sits near x = 2/5
+        def h(x, omx):
+            return math.exp(-60.0 * x)
+
+        res = integrate(h, tol=1e-10, weight=(3.0, 4.0))
+
+        def whole(x, omx):
+            return x**2.0 * omx**3.0 * h(x, omx)
+
+        ref = integrate(whole, tol=1e-10, method="tanh_sinh")
+        assert res.value == ref.value and res.error_estimate == ref.error_estimate
+        assert res.evaluations - ref.evaluations in (17, 33)
+
+    def test_fallback_partial_counts_both_rules(self):
+        # an interior kink: neither rule converges at 1e-13
+        def h(x, omx):
+            return abs(x - 1.0 / math.pi) ** 0.5
+
+        with pytest.raises(ConvergenceError) as excinfo:
+            integrate(h, tol=1e-13, weight=(1.0, 1.0))
+        with pytest.raises(ConvergenceError) as ref:
+            integrate(lambda x, omx: x**0.0 * omx**0.0 * h(x, omx), tol=1e-13, method="tanh_sinh")
+        assert excinfo.value.partial.value == ref.value.partial.value
+        assert excinfo.value.partial.evaluations - ref.value.partial.evaluations == 33
+
+    def test_tolerance_below_the_beta_error_skips_the_rule(self):
+        sampled = []
+
+        def h(x, omx):
+            sampled.append(x)
+            return math.exp(-x)
+
+        # B(3, 4) alone is known only to about 1e-14: tanh-sinh gets every sample
+        res = integrate(h, tol=1e-15, weight=(3.0, 4.0))
+        assert res.evaluations == len(sampled)
+        assert sampled[0] == 0.5  # tanh-sinh's first node; the rule's is x = 1
+        ref = integrate(lambda x, omx: x**2.0 * omx**3.0 * math.exp(-x), tol=1e-15, method="tanh_sinh")
+        assert (res.value, res.evaluations) == (ref.value, ref.evaluations)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"weight": (1.0, 1.0), "method": "tanh_sinh"},
+            {"weight": (0.0, 1.0)},
+            {"weight": (1.0, -0.5)},
+            {"weight": (math.nan, 1.0)},
+            {"weight": (1.0, math.inf)},
+        ],
+    )
+    def test_bad_weight_rejected(self, kwargs):
+        with pytest.raises(DomainError):
+            integrate(lambda x: 1.0, tol=1e-10, **kwargs)
+
+    def test_beta_beyond_the_double_range_raises(self):
+        with pytest.raises(kstruve.OverflowRangeError):
+            integrate(lambda x: 1.0, tol=1e-10, weight=(1e-320, 1.0))
+
+    def test_non_finite_and_overflowing_samples_name_their_abscissa(self):
+        with pytest.raises(NonFiniteSampleError, match=r"returned inf at x = 0\.0"):
+            integrate(lambda x: 1.0 / x if x else math.inf, tol=1e-10, weight=(1.0, 1.0))
+        with pytest.raises(NonFiniteSampleError, match=r"overflowed at x = 1\.0 \(1 - x = 0\.0\)"):
+            integrate(lambda x: 10.0 ** (400.0 * x), tol=1e-10, weight=(1.0, 1.0))
+
+
+# a fresh interpreter: the Clenshaw-Curtis tables are built on first use, not at import
+_CC_LAZY_PROBE = """
+import json, math, sys
+sys.path.insert(0, sys.argv[1])
+import kstruve
+from kstruve import quadrature
+out = {"import": sorted(quadrature._CC_TABLES)}
+kstruve.lavoie_trottier_check(1.5, 0.75)
+out["lavoie"] = sorted(quadrature._CC_TABLES)
+kstruve.integrate(lambda x: math.cos(8.0 * x), tol=1e-10, weight=(0.5, 1.5))
+out["doubled"] = sorted(quadrature._CC_TABLES)
+print(json.dumps(out))
+"""
+
+
+def test_clenshaw_curtis_tables_are_built_on_first_use():
+    src = Path(kstruve.__file__).resolve().parent.parent
+    run = subprocess.run(
+        [sys.executable, "-I", "-c", _CC_LAZY_PROBE, str(src)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == {"import": [], "lavoie": [16], "doubled": [16, 32]}
+
+
+class TestOverflowingSamples:
+    """An integrand that overflows raises NonFiniteSampleError naming the abscissa."""
+
+    def test_tanh_sinh(self):
+        sampled = []
+
+        def f(x, omx):
+            sampled.append(x)
+            return x**-0.999
+
+        with pytest.raises(NonFiniteSampleError) as excinfo:
+            integrate(f, 1e-10, "tanh_sinh")
+        bad = sampled[-1]  # the overflow handler samples the failing node again
+        assert bad < 1e-300 and f"overflowed at x = {bad!r}" in str(excinfo.value)
+        with pytest.raises(OverflowError):
+            bad**-0.999
+
+    def test_adaptive_gk(self):
+        def f(x):
+            return 10.0 ** (400.0 * x)
+
+        with pytest.raises(NonFiniteSampleError) as excinfo:
+            integrate(f, 1e-10, "adaptive_gk")
+        bad = float(str(excinfo.value).split("x = ")[1].split(" ")[0])
+        assert 400.0 * bad > 308.0
+
+    def test_package_errors_pass_through(self):
+        def f(x):
+            raise kstruve.OverflowRangeError("too large")
+
+        for method in ("adaptive_gk", "tanh_sinh"):
+            with pytest.raises(kstruve.OverflowRangeError):
+                integrate(f, 1e-10, method)
+
+    def test_verify_grid_records_the_point(self):
+        p = TheoremParams(alpha=0.002, mu=0.0005, nu=2.0)
+        [(_, report)] = identities.verify_grid("theorem1", [p], strict=False)
+        assert report.verdict is Verdict.INCONCLUSIVE
+        assert report.error.startswith("NonFiniteSampleError: integrand overflowed at x = ")
+
+
+class TestLavoieClosedFormRange:
+    """A Lavoie-Trottier closed form outside the normal doubles raises ConvergenceError."""
+
+    @pytest.mark.parametrize("alpha, beta", [(1000.0, 1.0), (5e-324, 1.0), (852.0, 30.0)])
+    def test_rhs(self, alpha, beta):
+        with pytest.raises(ConvergenceError, match="outside the normal double range|overflows"):
+            lavoie_trottier_rhs(alpha, beta)
+
+    def test_check_does_not_confirm_on_underflow(self):
+        with pytest.raises(ConvergenceError):
+            lavoie_trottier_check(1000.0, 1.0)
+
+    @pytest.mark.parametrize("alpha, beta", [(1e-8, 1.0), (1e-3, 1e-3)])
+    def test_tiny_exponents_confirm(self, alpha, beta):
+        report = lavoie_trottier_check(alpha, beta)
+        assert report.verdict is Verdict.BOTH_AGREE
+        assert report.rel_dev_paper <= 1e-12
+
+
+def test_lavoie_estimate_holds_against_mpmath_oracle():
+    """0 under-reports of lhs_error_estimate over 400 points, alpha and beta in [1e-8, 60].
+
+    The exact value is the closed form in mpmath at 50 digits, at the exact
+    double inputs.  Points whose quadrature cannot run raise a package error.
+    """
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(20240702)
+    span = (math.log(1e-8), math.log(60.0))
+    confirmed = raised = 0
+    for _ in range(400):
+        alpha, beta = (math.exp(rng.uniform(*span)) for _ in range(2))
+        try:
+            report = lavoie_trottier_check(alpha, beta)
+        except NonFiniteSampleError:
+            raised += 1
+            continue
+        with mp.workdps(50):
+            a, b = mp.mpf(alpha), mp.mpf(beta)
+            exact = (mp.mpf(2) / 3) ** (2 * a) * mp.beta(a, b)
+            err = abs(report.lhs_value - exact)
+        assert err <= report.lhs_error_estimate, (alpha, beta, float(err), report.lhs_error_estimate)
+        assert report.verdict is Verdict.BOTH_AGREE, (alpha, beta)
+        confirmed += 1
+    assert confirmed >= 350 and confirmed + raised == 400
