@@ -23,17 +23,14 @@ from .identities import (
     corollary_struve,
     default_grid,
     integrand,
+    lavoie_trottier_check,
+    lavoie_trottier_rhs,
     lhs,
     rhs,
     verify,
     verify_grid,
 )
-from .quadrature import (
-    integrate,
-    lavoie_trottier_check,
-    lavoie_trottier_rhs,
-    select_method,
-)
+from .quadrature import integrate, select_method
 from .results import EvaluationResult, IdentityReport, QuadratureResult, Verdict
 from .struve import StruveParams, k_struve, struve_h, struve_l, struve_ode_residual
 from .wright import WrightSpec, convergence_index, wright_eval

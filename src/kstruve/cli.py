@@ -25,7 +25,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 from .errors import (
     ConvergenceError,
@@ -36,9 +36,9 @@ from .errors import (
 )
 from .gamma import gamma, k_gamma
 from .identities import (
-    COROLLARY_PINS, DEFAULT_AXES, IDENTITIES, TheoremParams, default_grid, grid_axes, verify_grid
+    COROLLARY_PINS, DEFAULT_AXES, IDENTITIES, TheoremParams, default_grid, grid_axes,
+    lavoie_trottier_check, verify_grid,
 )
-from .quadrature import lavoie_trottier_check
 from .report import PASSING, emit_csv, emit_json, emit_table, format_number, record
 from .struve import StruveParams, k_struve, struve_h, struve_l
 from .wright import WrightSpec, wright_eval
@@ -54,28 +54,15 @@ _EXIT_REFUTED = 4
 _MAX_GRID_POINTS = 10000
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved verification run: an identity plus its parameter grid."""
-
-    identity: str
-    points: tuple[TheoremParams, ...]
-    tol: float = 1e-10
-    threshold: float = 1e-6
-    strict: bool = True
-
-    def __post_init__(self):
-        if self.identity not in IDENTITIES:
-            raise UsageError(f"unknown identity {self.identity!r}")
-        if len(self.points) > _MAX_GRID_POINTS:
-            raise UsageError(
-                f"grid for {self.identity} has {len(self.points)} points "
-                f"(limit {_MAX_GRID_POINTS})"
-            )
-        for name in ("tol", "threshold"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-                raise UsageError(f"{name} must be a positive number, got {value!r}")
+def _tolerance(text: str) -> float:
+    """The type of every ``--tol`` and ``--threshold``: a finite positive number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -104,13 +91,13 @@ def _build_parser() -> _Parser:
         p = evsub.add_parser(name, help=help_text)
         p.add_argument("--nu", type=float, required=True)
         p.add_argument("--x", type=float, required=True)
-        p.add_argument("--tol", type=float, default=1e-12, help="relative series tolerance")
+        p.add_argument("--tol", type=_tolerance, default=1e-12, help="relative series tolerance")
     p = evsub.add_parser("kstruve", help="generalized k-Struve S[k,nu,c](x)")
     p.add_argument("--nu", type=float, required=True)
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--k", type=float, default=1.0)
     p.add_argument("--x", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-12, help="relative series tolerance")
+    p.add_argument("--tol", type=_tolerance, default=1e-12, help="relative series tolerance")
     p = evsub.add_parser("wright", help="Fox-Wright p Psi q at real z")
     p.add_argument(
         "--upper",
@@ -131,7 +118,7 @@ def _build_parser() -> _Parser:
         help="lower pair (b, beta); repeatable",
     )
     p.add_argument("--z", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-12, help="relative series tolerance")
+    p.add_argument("--tol", type=_tolerance, default=1e-12, help="relative series tolerance")
 
     vf = sub.add_parser("verify", help="verify an identity numerically")
     vf.add_argument("identity", choices=("lavoie",) + IDENTITIES)
@@ -152,9 +139,9 @@ def _build_parser() -> _Parser:
 
 
 def _add_report_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=1e-10, help="relative quadrature tolerance")
+    p.add_argument("--tol", type=_tolerance, default=1e-10, help="relative quadrature tolerance")
     # None marks a flag not given, so that verify lavoie can reject both
-    p.add_argument("--threshold", type=float, help="agreement threshold (default 1e-6)")
+    p.add_argument("--threshold", type=_tolerance, help="agreement threshold (default 1e-6)")
     p.add_argument(
         "--relaxed", action="store_true", default=None, help="accept nu > -3k/2 instead of nu > 3k/2"
     )
@@ -233,20 +220,10 @@ def _reject_stray_flags(args) -> None:
 def _run_plan(plan, args, stdout) -> int:
     """Verify every (identity, points) pair of ``plan`` and report all the records."""
     threshold = 1e-6 if args.threshold is None else args.threshold
-    configs = [
-        RunConfig(which, tuple(points), args.tol, threshold, strict=not args.relaxed)
-        for which, points in plan
-    ]
     records: list[dict] = []
-    for config in configs:
-        pairs = verify_grid(
-            config.identity,
-            config.points,
-            tol=config.tol,
-            threshold=config.threshold,
-            strict=config.strict,
-        )
-        records += [record(config.identity, asdict(p), rep) for p, rep in pairs]
+    for which, points in plan:
+        pairs = verify_grid(which, points, tol=args.tol, threshold=threshold, strict=not args.relaxed)
+        records += [record(which, asdict(p), rep) for p, rep in pairs]
     return _report(records, args.format, args.out, stdout)
 
 

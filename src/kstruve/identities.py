@@ -18,9 +18,15 @@ includes a spurious halving of the integrand argument as well; the weights
 above follow the substitution used in the proofs, which is the reading under
 which the corrected forms agree with quadrature to full precision.
 
-``lhs``, ``rhs`` and ``integrand`` serve either side of every identity;
-``verify`` evaluates both sides, then classifies the point; ``verify_grid``
-sweeps parameter grids without aborting on individual failures.
+Both theorems rest on the Lavoie-Trottier integral
+int_0^1 x**(a-1) (1-x)**(2b-1) (1-x/3)**(2a-1) (1-x/4)**(b-1) dx
+= (2/3)**(2a) Gamma(a) Gamma(b) / Gamma(a+b), which
+``lavoie_trottier_check`` verifies on its own, with one closed form.
+
+``lhs``, ``rhs`` and ``integrand`` serve either side of every theorem;
+``verify`` evaluates both sides, then classifies the point by the verdict
+rule that the Lavoie-Trottier check shares; ``verify_grid`` sweeps parameter
+grids without aborting on individual failures.
 """
 
 from __future__ import annotations
@@ -246,9 +252,9 @@ def _integrand2(p: TheoremParams, tol: float):
     return f, series_tol
 
 
-def _with_series_error(quad: QuadratureResult, series_tol: float) -> QuadratureResult:
-    """quad with the integrand's own error, (series_tol + weight ulps) * integral of |f|, added."""
-    extra = (series_tol + _WEIGHT_ULPS * UNIT) * quad.abs_integral
+def _with_integrand_error(quad: QuadratureResult, relative: float) -> QuadratureResult:
+    """quad with the integrand's own error, ``relative`` times the integral of |f|, added."""
+    extra = relative * quad.abs_integral
     return QuadratureResult(
         quad.value, quad.error_estimate + extra, quad.evaluations, quad.converged, quad.abs_integral
     )
@@ -265,15 +271,16 @@ def lhs(which: str, p: TheoremParams, tol: float = 1e-10) -> QuadratureResult:
     else:
         method = select_method(p.alpha - 1.0 + p.lam, 2.0 * (p.alpha + p.mu) - 1.0)
         f, series_tol = _integrand2(p, tol)
+    relative = series_tol + _WEIGHT_ULPS * UNIT
     try:
         quad = integrate(f, tol=tol, method=method)
     except ConvergenceError as exc:
         if exc.partial is None:
             raise
         raise ConvergenceError(
-            str(exc), partial=_with_series_error(exc.partial, series_tol)
+            str(exc), partial=_with_integrand_error(exc.partial, relative)
         ) from None
-    return _with_series_error(quad, series_tol)
+    return _with_integrand_error(quad, relative)
 
 
 def integrand(which: str, p: TheoremParams, x: float, tol: float = 1e-12) -> float:
@@ -348,6 +355,19 @@ def verify(
         quad = exc.partial
     rhs_paper = rhs(which, p, corrected=False, tol=rhs_tol)
     rhs_corrected = rhs(which, p, corrected=True, tol=rhs_tol)
+    return _judge(quad, rhs_paper, rhs_corrected, threshold, p.satisfies_strict())
+
+
+def _judge(
+    quad: QuadratureResult, rhs_paper: float, rhs_corrected: float, threshold: float, strict: bool
+) -> IdentityReport:
+    """The report on quad against both closed forms, by the one verdict rule of every identity.
+
+    A closed form is confirmed when its deviation from the quadrature value,
+    relative to that value, is at most ``threshold``.  A quadrature that did
+    not converge, or whose estimate exceeds ``threshold`` relative, makes
+    the point INCONCLUSIVE.  ``strict`` is the report's ``strict_hypotheses``.
+    """
     denom = max(abs(quad.value), 1e-300)
     dev_paper = abs(quad.value - rhs_paper) / denom
     dev_corrected = abs(quad.value - rhs_corrected) / denom
@@ -372,8 +392,63 @@ def verify(
         rel_dev_paper=dev_paper,
         rel_dev_corrected=dev_corrected,
         verdict=verdict,
-        strict_hypotheses=p.satisfies_strict(),
+        strict_hypotheses=strict,
     )
+
+
+def lavoie_trottier_rhs(alpha: float, beta: float) -> float:
+    """Closed form (2/3)**(2 alpha) * Gamma(alpha) Gamma(beta) / Gamma(alpha+beta).
+
+    Raises ConvergenceError when either factor or the product is not a
+    normal double, the policy of the theorems' closed forms.
+    """
+    if not (alpha > 0.0 and beta > 0.0):
+        raise DomainError(f"Lavoie-Trottier needs alpha, beta > 0, got {alpha}, {beta}")
+    log_ratio = log_gamma(alpha) + log_gamma(beta) - log_gamma(alpha + beta)
+    try:
+        ratio = math.exp(log_ratio)
+    except OverflowError:
+        raise ConvergenceError(
+            "a factor of the Lavoie-Trottier closed form overflows the double range"
+        ) from None
+    power = require_normal((2.0 / 3.0) ** (2.0 * alpha), "(2/3)**(2 alpha)")
+    value = power * require_normal(ratio, "the gamma ratio")
+    return require_normal(value, "the Lavoie-Trottier closed form")
+
+
+def lavoie_trottier_check(alpha: float, beta: float, tol: float = 1e-10) -> IdentityReport:
+    """Quadrature-versus-closed-form test of the Lavoie-Trottier integral.
+
+    The integral int_0^1 x**(a-1) (1-x)**(2b-1) (1-x/3)**(2a-1) (1-x/4)**(b-1) dx
+    is evaluated numerically and judged against :func:`lavoie_trottier_rhs`
+    by the verdict rule of :func:`verify`, with ``tol`` as the threshold and
+    the one closed form as both sides: BOTH_AGREE, NEITHER or INCONCLUSIVE.
+    One :func:`integrate` call takes the Jacobi weight (p, q) = (a, 2b) and
+    the smooth factor (1-x/3)**(2a-1) (1-x/4)**(b-1), and stops once its
+    estimate is at most ``max(q * |value|, 1e-280)`` with ``q = max(tol /
+    100, 1e-14)``; the estimate then gains the factor's own rounding.  The
+    integrand is positive, so the integral is never zero to rounding; a
+    quadrature that does not converge contributes its partial result.  A
+    closed form outside the normal double range raises ConvergenceError.
+    """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tol must be a finite positive number, got {tol!r}")
+    closed = lavoie_trottier_rhs(alpha, beta)
+    e_third = 2.0 * alpha - 1.0
+    e_quarter = beta - 1.0
+
+    def smooth(x, omx):
+        return (1.0 - x / 3.0) ** e_third * (1.0 - x / 4.0) ** e_quarter
+
+    try:
+        quad = integrate(smooth, tol=max(tol * 1e-2, 1e-14), weight=(alpha, 2.0 * beta))
+    except ConvergenceError as exc:
+        quad = exc.partial
+    # each base is within 1.5 ulps, so each power within 1.5 |exponent| + 1
+    # ulps; the products, with the weight's own two powers when the whole
+    # integrand goes to tanh-sinh, add at most 6 more
+    factor_ulps = 2.0 * (abs(e_third) + abs(e_quarter)) + 8.0
+    return _judge(_with_integrand_error(quad, factor_ulps * UNIT), closed, closed, tol, True)
 
 
 def verify_grid(

@@ -20,14 +20,14 @@
 powers: Gauss-Kronrod when every power is a non-negative integer (an
 analytic integrand), tanh-sinh for any non-integer power, however large.
 
-Endpoint precision.  Near x = 1 the quantity 1 - x loses all precision in
-double arithmetic, which ruins weights like (1-x)**(2*beta-1) exactly where
-tanh-sinh places its most delicate nodes.  Integrands may therefore accept a
-second positional argument and will be called as ``f(x, 1 - x)`` with the
-complement computed analytically from the transform (accurate down to about
-1e-308).  Plain single-argument callables are never handed abscissae that
-round to exactly 0.0 or 1.0, except the smooth factor h of a weighted
-integral, which is sampled at both endpoints.  A non-finite sample, or an
+Integrands take (x, 1 - x).  Every rule calls ``f(x, 1 - x)``, and
+tanh-sinh and Clenshaw-Curtis compute the complement from their transforms,
+accurate down to about 1e-308: near x = 1 the difference 1 - x loses all
+precision in double arithmetic, which would ruin weights like
+(1-x)**(2*beta-1) exactly where tanh-sinh places its most delicate nodes.
+An integrand singular at x = 1 therefore reads its second argument.
+Tanh-sinh may pass x = 1.0 with a positive complement, and Clenshaw-Curtis
+samples the smooth factor at both endpoints.  A non-finite sample, or an
 integrand that overflows, raises at once.
 """
 
@@ -35,9 +35,7 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
-import inspect
 import math
-import types
 from operator import add, mul, sub
 
 from .errors import (
@@ -49,7 +47,7 @@ from .errors import (
 )
 from .fixedpoint import UNIT
 from .gamma import _LOG_DBL_MAX, log_gamma
-from .results import TINY, IdentityReport, QuadratureResult, Verdict, require_normal
+from .results import TINY, QuadratureResult
 
 _METHODS = ("adaptive_gk", "tanh_sinh")
 
@@ -84,44 +82,6 @@ _WG = (
 _MAX_GK_INTERVALS = 4096
 _TS_MAX_LEVEL = 12
 _TS_T_CAP = 6.8  # exp(-pi*sinh t) underflows to 0.0 just beyond this
-
-
-# attributes through which inspect.signature departs from a function's code
-_SIGNATURE_OVERRIDES = frozenset(("__wrapped__", "__signature__"))
-
-
-def _takes_two(f) -> bool:
-    """Whether f accepts two positional arguments.
-
-    A plain function that ``inspect`` would not unwrap or override is read
-    from its code object, which is much cheaper than ``inspect.signature``;
-    every other callable goes through ``inspect``.
-    """
-    if type(f) is types.FunctionType and not (_SIGNATURE_OVERRIDES & f.__dict__.keys()):
-        code = f.__code__
-        return code.co_argcount >= 2 or bool(code.co_flags & inspect.CO_VARARGS)
-    try:
-        sig = inspect.signature(f)
-    except (TypeError, ValueError):
-        return False
-    positional = 0
-    for par in sig.parameters.values():
-        if par.kind in (par.POSITIONAL_ONLY, par.POSITIONAL_OR_KEYWORD):
-            positional += 1
-        elif par.kind == par.VAR_POSITIONAL:
-            positional = 2
-    return positional >= 2
-
-
-def _normalize_integrand(f):
-    """Return (g, endpoint_safe) where g(x, one_minus_x) wraps f.
-
-    ``endpoint_safe`` is True when f itself takes the complement argument and
-    can therefore be trusted arbitrarily close to x = 1.
-    """
-    if _takes_two(f):
-        return f, True
-    return (lambda x, omx: f(x)), False
 
 
 def _bad_sample(value: float, x: float) -> NonFiniteSampleError:
@@ -172,7 +132,7 @@ def _ts_level(level: int) -> tuple[tuple[float, float, float, bool], ...]:
     return tuple(nodes)
 
 
-def _tanh_sinh(g, tol: float, endpoint_safe: bool) -> QuadratureResult:
+def _tanh_sinh(g, tol: float) -> QuadratureResult:
     """Double-exponential rule on (0, 1) with successive level refinement.
 
     Each level walks its node table from t = h outwards and samples both
@@ -208,18 +168,13 @@ def _tanh_sinh(g, tol: float, endpoint_safe: bool) -> QuadratureResult:
             run_big = run_small = 0
             walk = iter(nodes)
             for small, big, weight, past_two in walk:
-                # small is never 0.0; a plain f(x) gets 0.0 where big rounds to 1.0
-                if endpoint_safe or big != 1.0:
-                    f_big = g(big, small)
-                    if not isfinite(f_big):
-                        raise _bad_sample(f_big, big)
-                    evaluations += 2
-                else:
-                    f_big = 0.0
-                    evaluations += 1
+                f_big = g(big, small)
+                if not isfinite(f_big):
+                    raise _bad_sample(f_big, big)
                 f_small = g(small, big)
                 if not isfinite(f_small):
                     raise _bad_sample(f_small, small)
+                evaluations += 2
                 level_sum += weight * (f_big + f_small)
                 level_abs += weight * (abs(f_big) + abs(f_small))
                 if past_two:
@@ -232,7 +187,7 @@ def _tanh_sinh(g, tol: float, endpoint_safe: bool) -> QuadratureResult:
                         break
             # a side with two negligible samples in a row is done; the other one
             # walks the rest of the table alone, keeping its run (every node left
-            # is past_two, and only a big abscissa can round to 1.0)
+            # is past_two)
             if run_big < 2 <= run_small:
                 big_live, run = True, run_big
             elif run_small < 2 <= run_big:
@@ -241,13 +196,10 @@ def _tanh_sinh(g, tol: float, endpoint_safe: bool) -> QuadratureResult:
                 walk = ()
             for small, big, weight, _ in walk:
                 x, omx = (big, small) if big_live else (small, big)
-                if endpoint_safe or x != 1.0:
-                    f_x = g(x, omx)
-                    if not isfinite(f_x):
-                        raise _bad_sample(f_x, x)
-                    evaluations += 1
-                else:
-                    f_x = 0.0
+                f_x = g(x, omx)
+                if not isfinite(f_x):
+                    raise _bad_sample(f_x, x)
+                evaluations += 1
                 level_sum += weight * f_x
                 level_abs += weight * abs(f_x)
                 cut = 1e-17 * abs(level_sum)
@@ -277,8 +229,7 @@ def _tanh_sinh(g, tol: float, endpoint_safe: bool) -> QuadratureResult:
                 )
             level_sum = level_abs = 0.0
     except OverflowError as exc:
-        nodes = ((big, small), (small, big)) if endpoint_safe or big != 1.0 else ((small, big),)
-        raise _overflow(exc, g, *nodes) from None
+        raise _overflow(exc, g, (big, small), (small, big)) from None
 
     raise ConvergenceError(
         f"tanh_sinh stalled at estimate {estimate:.3e} after level {_TS_MAX_LEVEL}",
@@ -552,8 +503,8 @@ def integrate(
 ) -> QuadratureResult:
     """Integrate f over (0, 1) to relative tolerance tol.
 
-    ``f`` is either ``f(x)`` or ``f(x, one_minus_x)``; see the module
-    docstring.  ``method`` is ``"adaptive_gk"`` (the default) or
+    ``f`` is called as ``f(x, 1 - x)``, with the complement accurate where
+    x is near 1; see the module docstring.  ``method`` is ``"adaptive_gk"`` (the default) or
     ``"tanh_sinh"``.  Convergence means the internal error estimate
     satisfies ``estimate <= max(tol * |value|, 1e-280)``: relative to the
     value, with an absolute floor that only an integrand vanishing to
@@ -563,7 +514,7 @@ def integrate(
     best :class:`QuadratureResult` so far (``converged=False``).
 
     ``weight = (p, q)``, with p, q > 0, integrates x**(p-1) (1-x)**(q-1)
-    f(x) instead, for f smooth on [0, 1], by the Jacobi-weight
+    f(x, 1 - x) instead, for f smooth on [0, 1], by the Jacobi-weight
     Clenshaw-Curtis rule; ``method`` must then be left out.  The weight is
     taken by its Beta parameters, not its exponents, so that a tiny p or q
     keeps its digits.  When that rule's estimate cannot meet tol, the same
@@ -572,7 +523,6 @@ def integrate(
     """
     if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"tol must be a finite positive number, got {tol!r}")
-    g, endpoint_safe = _normalize_integrand(f)
     if weight is not None:
         if method is not None:
             raise DomainError(f"a weight is integrated by Clenshaw-Curtis, got method {method!r}")
@@ -580,16 +530,16 @@ def integrate(
         if not (isinstance(p, (int, float)) and isinstance(q, (int, float))
                 and 0.0 < p < math.inf and 0.0 < q < math.inf):
             raise DomainError(f"weight needs finite p, q > 0, got {weight!r}")
-        result, evaluations = _jacobi_cc(g, p, q, tol)
+        result, evaluations = _jacobi_cc(f, p, q, tol)
         if result is not None:
             return result
         e_p, e_q = p - 1.0, q - 1.0
 
         def whole(x, omx):
-            return x**e_p * omx**e_q * g(x, omx)
+            return x**e_p * omx**e_q * f(x, omx)
 
         try:
-            result = _tanh_sinh(whole, tol, True)
+            result = _tanh_sinh(whole, tol)
         except ConvergenceError as exc:
             exc.partial = dataclasses.replace(
                 exc.partial, evaluations=exc.partial.evaluations + evaluations
@@ -601,8 +551,8 @@ def integrate(
     if method not in _METHODS:
         raise DomainError(f"unknown method {method!r}, expected one of {_METHODS}")
     if method == "tanh_sinh":
-        return _tanh_sinh(g, tol, endpoint_safe)
-    return _adaptive_gk(g, tol)
+        return _tanh_sinh(f, tol)
+    return _adaptive_gk(f, tol)
 
 
 def select_method(*endpoint_exponents: float) -> str:
@@ -618,85 +568,3 @@ def select_method(*endpoint_exponents: float) -> str:
     if all(e >= 0.0 and e == math.floor(e) for e in endpoint_exponents):
         return "adaptive_gk"
     return "tanh_sinh"
-
-
-def lavoie_trottier_rhs(alpha: float, beta: float) -> float:
-    """Closed form (2/3)**(2 alpha) * Gamma(alpha) Gamma(beta) / Gamma(alpha+beta).
-
-    Raises ConvergenceError when either factor or the product is not a
-    normal double, the policy of the theorems' closed forms.
-    """
-    if not (alpha > 0.0 and beta > 0.0):
-        raise DomainError(f"Lavoie-Trottier needs alpha, beta > 0, got {alpha}, {beta}")
-    log_ratio = log_gamma(alpha) + log_gamma(beta) - log_gamma(alpha + beta)
-    try:
-        ratio = math.exp(log_ratio)
-    except OverflowError:
-        raise ConvergenceError(
-            "a factor of the Lavoie-Trottier closed form overflows the double range"
-        ) from None
-    power = require_normal((2.0 / 3.0) ** (2.0 * alpha), "(2/3)**(2 alpha)")
-    value = power * require_normal(ratio, "the gamma ratio")
-    return require_normal(value, "the Lavoie-Trottier closed form")
-
-
-def lavoie_trottier_check(alpha: float, beta: float, tol: float = 1e-10) -> IdentityReport:
-    """Quadrature-versus-closed-form test of the Lavoie-Trottier integral.
-
-    The integral int_0^1 x**(a-1) (1-x)**(2b-1) (1-x/3)**(2a-1) (1-x/4)**(b-1) dx
-    is evaluated numerically and compared against :func:`lavoie_trottier_rhs`;
-    agreement within ``tol`` (relative) yields verdict BOTH_AGREE.  One
-    :func:`integrate` call takes the Jacobi weight (p, q) = (a, 2b) and the
-    smooth factor (1-x/3)**(2a-1) (1-x/4)**(b-1), and stops once its estimate
-    is at most ``max(q * |value|, 1e-280)`` with ``q = max(tol / 100,
-    1e-14)``; the estimate then gains the factor's own rounding.  The
-    integrand is positive, so the integral is never zero to rounding; a
-    quadrature that does not converge contributes its partial result and the
-    verdict is INCONCLUSIVE.  A closed form outside the normal double range
-    raises ConvergenceError.
-    """
-    if not (alpha > 0.0 and beta > 0.0):
-        raise DomainError(f"Lavoie-Trottier needs alpha, beta > 0, got {alpha}, {beta}")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise DomainError(f"tol must be a finite positive number, got {tol!r}")
-    rhs = lavoie_trottier_rhs(alpha, beta)
-
-    e_third = 2.0 * alpha - 1.0
-    e_quarter = beta - 1.0
-
-    def smooth(x, omx):
-        return (1.0 - x / 3.0) ** e_third * (1.0 - x / 4.0) ** e_quarter
-
-    try:
-        quad = integrate(smooth, tol=max(tol * 1e-2, 1e-14), weight=(alpha, 2.0 * beta))
-    except ConvergenceError as exc:
-        quad = exc.partial
-    # each base is within 1.5 ulps, so each power within 1.5 |exponent| + 1
-    # ulps; the products, with the weight's own two powers when the whole
-    # integrand goes to tanh-sinh, add at most 6 more
-    factor_ulps = 2.0 * (abs(e_third) + abs(e_quarter)) + 8.0
-    quad = QuadratureResult(
-        quad.value,
-        quad.error_estimate + factor_ulps * UNIT * quad.abs_integral,
-        quad.evaluations,
-        quad.converged,
-        quad.abs_integral,
-    )
-    denom = max(abs(quad.value), 1e-300)
-    dev = abs(quad.value - rhs) / denom
-    if not quad.converged or quad.error_estimate > tol * denom:
-        verdict = Verdict.INCONCLUSIVE
-    elif dev <= tol:
-        verdict = Verdict.BOTH_AGREE
-    else:
-        verdict = Verdict.NEITHER
-    return IdentityReport(
-        lhs_value=quad.value,
-        lhs_error_estimate=quad.error_estimate,
-        rhs_paper=rhs,
-        rhs_corrected=rhs,
-        rel_dev_paper=dev,
-        rel_dev_corrected=dev,
-        verdict=verdict,
-        strict_hypotheses=True,
-    )

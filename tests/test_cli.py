@@ -12,8 +12,7 @@ import pytest
 
 import kstruve
 from kstruve import IDENTITIES, TheoremParams, default_grid, verify
-from kstruve.cli import CONFIG_ENV, RunConfig, _parse_config, main
-from kstruve.errors import UsageError
+from kstruve.cli import CONFIG_ENV, _parse_config, main
 from kstruve.report import record
 
 
@@ -390,27 +389,42 @@ class TestGridCommand:
 
 
 class TestRunConfig:
+    """A run's settings are checked before any point runs: a bad one is a usage error."""
+
+    POINT = ("verify", "theorem1", "--alpha", "1", "--mu", "0.5", "--nu", "2")
+
     def test_valid(self):
-        pt = TheoremParams(alpha=1.0, mu=0.5, nu=2.0)
-        config = RunConfig(identity="theorem1", points=(pt,))
-        assert config.tol == 1e-10
-        assert config.strict
+        # the defaults are tol 1e-10, threshold 1e-6 and the strict hypotheses
+        code, out, _ = run_cli(*self.POINT, "--format", "json")
+        assert code == 0 and json.loads(out.splitlines()[0])["strict"] is True
+        explicit = run_cli(*self.POINT, "--format", "json", "--tol", "1e-10", "--threshold", "1e-6")
+        assert explicit == (code, out, "")
 
-    def test_unknown_identity(self):
-        with pytest.raises(UsageError):
-            RunConfig(identity="lavoie", points=())
+    def test_unknown_identity(self, tmp_path):
+        cfg = tmp_path / "grid.ini"
+        cfg.write_text("[theorem3]\nalpha = 1\n")
+        code, out, err = run_cli("grid", "--config", str(cfg))
+        assert code == 1
+        assert out == "" and "[theorem3]" in err
 
-    def test_point_cap(self):
-        pt = TheoremParams(alpha=1.0, mu=0.5, nu=2.0)
-        with pytest.raises(UsageError):
-            RunConfig(identity="theorem1", points=(pt,) * 10001)
+    def test_point_cap(self, tmp_path):
+        cfg = tmp_path / "grid.ini"
+        alphas = ", ".join(str(1.0 + i / 10000.0) for i in range(10001))
+        cfg.write_text(f"[theorem1]\nalpha = {alphas}\nmu = 0.5\nnu = 2\nk = 1\n")
+        code, out, err = run_cli("grid", "--config", str(cfg))
+        assert code == 1
+        assert out == "" and "10001 points (limit 10000)" in err
 
     @pytest.mark.parametrize("field", ["tol", "threshold"])
     @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
     def test_tolerances_must_be_positive(self, field, value):
-        pt = TheoremParams(alpha=1.0, mu=0.5, nu=2.0)
-        with pytest.raises(UsageError):
-            RunConfig(identity="theorem1", points=(pt,), **{field: value})
+        forms = [self.POINT, ("verify", "lavoie", "--alpha", "1", "--beta", "1"), ("grid",)]
+        if field == "tol":
+            forms.append(("eval", "struve_h", "--nu", "0", "--x", "1"))
+        for form in forms:
+            code, out, err = run_cli(*form, f"--{field}", repr(value))
+            assert code == 1, form
+            assert out == "" and err.startswith(f"usage error: argument --{field}: ")
 
 
 class TestModuleEntry:

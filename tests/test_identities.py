@@ -24,6 +24,7 @@ from kstruve import (
 from kstruve import identities
 from kstruve.gamma import log_k_gamma
 from kstruve.identities import _wright_tail
+from kstruve.results import QuadratureResult
 
 BASE = TheoremParams(alpha=1.0, mu=0.5, nu=2.0, c=1.0, k=1.0, y=1.0)
 
@@ -633,3 +634,63 @@ class TestDefaultGrid:
     def test_unknown_axis_rejected(self):
         with pytest.raises(DomainError, match="beta"):
             default_grid("theorem1", beta=(1.0,))
+
+
+# (case, estimate / |lhs|, converged, rhs_paper / lhs, rhs_corrected / lhs, verdict)
+# at threshold 1e-6; a quadrature that did not converge raises with its partial
+VERDICT_TABLE = [
+    ("both-agree", 0.0, True, 1.0, 1.0, Verdict.BOTH_AGREE),
+    ("corrected", 0.0, True, 1.1, 1.0, Verdict.CONFIRMED_CORRECTED),
+    ("paper", 0.0, True, 1.0, 1.1, Verdict.CONFIRMED_PAPER),
+    ("neither", 0.0, True, 1.1, 1.1, Verdict.NEITHER),
+    ("estimate-above-threshold", 1e-3, True, 1.0, 1.0, Verdict.INCONCLUSIVE),
+    ("not-converged", 1e-12, False, 1.0, 1.0, Verdict.INCONCLUSIVE),
+]
+
+
+class TestVerdictTable:
+    """verify and lavoie_trottier_check judge by one rule, over every outcome."""
+
+    @staticmethod
+    def _patch_integrate(monkeypatch, value, estimate, converged):
+        quad = QuadratureResult(value, estimate * value, 17, converged, value)
+
+        def integrate(*args, **kwargs):
+            if not converged:
+                raise ConvergenceError("stalled", partial=quad)
+            return quad
+
+        monkeypatch.setattr(identities, "integrate", integrate)
+
+    @pytest.mark.parametrize(
+        "estimate, converged, paper, corrected, verdict",
+        [row[1:] for row in VERDICT_TABLE], ids=[row[0] for row in VERDICT_TABLE],
+    )
+    def test_verify(self, estimate, converged, paper, corrected, verdict, monkeypatch):
+        value = 0.25
+        self._patch_integrate(monkeypatch, value, estimate, converged)
+        ratios = {False: paper, True: corrected}
+        monkeypatch.setattr(identities, "rhs", lambda which, p, corrected, tol: value * ratios[corrected])
+        report = verify("theorem1", BASE, threshold=1e-6)
+        assert report.verdict is verdict
+        assert report.lhs_value == value
+        assert (report.rhs_paper, report.rhs_corrected) == (value * paper, value * corrected)
+        assert report.rel_dev_paper == abs(value - value * paper) / value
+        assert report.rel_dev_corrected == abs(value - value * corrected) / value
+        assert report.strict_hypotheses is BASE.satisfies_strict()
+
+    @pytest.mark.parametrize(
+        "estimate, converged, ratio, verdict",
+        [(row[1], row[2], row[3], row[5]) for row in VERDICT_TABLE if row[3] == row[4]],
+        ids=[row[0] for row in VERDICT_TABLE if row[3] == row[4]],
+    )
+    def test_lavoie_trottier_check(self, estimate, converged, ratio, verdict, monkeypatch):
+        closed = identities.lavoie_trottier_rhs(1.0, 1.0)
+        value = closed / ratio
+        self._patch_integrate(monkeypatch, value, estimate, converged)
+        report = identities.lavoie_trottier_check(1.0, 1.0, tol=1e-6)
+        assert report.verdict is verdict
+        assert report.lhs_value == value
+        assert report.rhs_paper == report.rhs_corrected == closed
+        assert report.rel_dev_paper == report.rel_dev_corrected == abs(value - closed) / value
+        assert report.strict_hypotheses is True
