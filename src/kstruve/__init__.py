@@ -32,7 +32,7 @@ from .identities import (
 )
 from .quadrature import integrate, select_method
 from .results import EvaluationResult, IdentityReport, QuadratureResult, Verdict
-from .struve import StruveParams, k_struve, struve_h, struve_l, struve_ode_residual
+from .struve import StruveParams, k_struve, struve_h, struve_l
 from .wright import WrightSpec, convergence_index, wright_eval
 
 __version__ = "0.1.0"
@@ -71,7 +71,6 @@ __all__ = [
     "select_method",
     "struve_h",
     "struve_l",
-    "struve_ode_residual",
     "verify",
     "verify_grid",
     "wright_eval",

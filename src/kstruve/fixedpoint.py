@@ -1,16 +1,20 @@
-"""Fixed-point summation of series whose term ratio is an exact rational.
+"""Summation of series whose term ratio is an exact rational, in doubles or fixed point.
 
-Both series in the package have term ratios that are rational functions of
-the summation index, with coefficients that are exact binary fractions once
+Both series in the package (the k-Struve series is a Fox-Wright series
+times a power) have term ratios that are rational functions of the
+summation index, with coefficients that are exact binary fractions once
 the double-precision inputs are read as rationals:
 
     t_{m+1} / t_m = +-(scale * NUM_m / 2**shift) / DEN_m,
 
 where NUM_m and DEN_m are integer polynomials in m (products of linear
-factors p*m + q).  When double rounding cannot meet a relative tolerance
-(the terms cancel), :func:`sum_fixed` re-sums t_0 * sum_m u_m on Python
-integers: u_0 = 2**bits and u_{m+1} = floor(u_m * ratio), so the only
-rounding is one floor per step.  The floor errors e_m obey
+factors p*m + q).  :func:`sum_ratio` sums the terms in doubles, with a
+geometric tail bound and a rounding bound of a few ulps per step.  When
+double rounding cannot meet a relative tolerance (the terms cancel),
+:func:`sum_fixed` re-sums t_0 * sum_m u_m on Python integers:
+u_0 = 2**bits and u_{m+1} = floor(u_m * ratio), with NUM_m and DEN_m
+multiplied out from their factors at each index, so the only rounding is
+one floor per step.  The floor errors e_m obey
 e_{m+1} <= rho_m e_m + 1; once the ratios rho_m are non-increasing (from
 index ``tail_start`` on), every error's later growth is majorized by the
 terms themselves, which gives the bound
@@ -29,7 +33,7 @@ smaller arguments as a polynomial in the ratio of the squared arguments.
 from __future__ import annotations
 
 import math
-from itertools import accumulate
+from collections import namedtuple
 
 from .errors import ConvergenceError
 from .results import TINY, EvaluationResult
@@ -46,74 +50,94 @@ SUBNORMAL_ULP = math.ulp(0.0)
 # is out of reach and the caller is told so instead of allocating huge integers
 MAX_BITS = 4096
 
-
-def _differences(const: int, forms) -> list[int]:
-    """P(0), Delta P(0), ..., Delta**d P(0) for P(m) = const * prod (p*m + q)."""
-    values = []
-    for m in range(len(forms) + 1):
-        value = const
-        for p, q in forms:
-            value *= p * m + q
-        values.append(value)
-    state = []
-    while values:
-        state.append(values[0])
-        values = [b - a for a, b in zip(values, values[1:])]
-    return state
+# log2(e), for bit counts of terms that grow like e**t
+LOG2_E = 1.4426950408889634
 
 
-class LinearRatio:
-    """Exact integer numerators and denominators of a term ratio, built lazily.
+def sum_ratio(
+    lead, lead_err, z, num_forms, den_forms, step_ulps, tail_start, floor, tol, max_terms, fixed
+):
+    """lead * sum_m t_m / t_0 in doubles, with a bound that covers truncation and rounding.
+
+    t_{m+1} / t_m = z prod(p m + q) / prod(p' m + q') over the pairs of
+    ``num_forms`` and ``den_forms``, and its magnitude rho is non-increasing
+    from ``tail_start`` on.  ``lead`` is t_0 with relative error at most
+    ``lead_err``, and each step adds at most ``step_ulps`` ulps to a term.
+    Summation stops once the next term, added as well, leaves a tail and a
+    rounding that fit max(tol |sum|, floor).  When the rounding alone cannot
+    fit, the result is ``fixed(cond_bits)``, with cond_bits about
+    log2(sum |t_m| / |sum t_m|).  ConvergenceError if a term overflows or
+    ``max_terms`` terms do not suffice.
+    """
+    term = lead
+    total = 0.0
+    comp = 0.0  # Kahan carry
+    mags = 0.0  # sum of |t_m|
+    for m in range(max_terms):
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        mags += abs(term)
+        num = z
+        for p, q in num_forms:
+            num *= p * m + q
+        den = 1.0
+        for p, q in den_forms:
+            den *= p * m + q
+        ratio = num / den
+        rho = abs(ratio)
+        term *= ratio
+        if not math.isfinite(term):
+            raise ConvergenceError(f"term overflowed at m={m + 1}")
+        if m < tail_start or rho >= 1.0:
+            continue
+        # each t_j, j <= m, carries at most m * step_ulps and the leading
+        # term's error; Kahan summation adds 2
+        rounding = UNIT * (step_ulps * m + 2.0) * mags + lead_err * abs(total)
+        reach = abs(total) + abs(term) / (1.0 - rho)  # bounds |sum| from here on
+        if abs(term) <= (1.0 - rho) * max(tol * abs(total), floor):
+            # the next term and all after it are within tol: add it as well,
+            # which leaves a tail of at most |t_{m+1}| rho / (1 - rho)
+            total += term - comp
+            mag = abs(term)
+            mags += mag
+            bound = mag * rho / (1.0 - rho)
+            rounding = UNIT * (step_ulps * (m + 1) + 2.0) * mags + lead_err * abs(total)
+            if bound + rounding <= max(tol * abs(total), floor):
+                error = bound + rounding + (m + 4) * SUBNORMAL_ULP
+                return EvaluationResult(total, error, m + 2)
+        elif rounding <= 0.5 * tol * reach:
+            continue
+        # the rounding cannot fit under tol * |value| any more
+        cond_bits = math.ceil(math.log2(mags / abs(total))) if total else 0
+        return fixed(cond_bits)
+    raise ConvergenceError(f"needed more than {max_terms} terms for tol={tol}")
+
+
+class LinearRatio(
+    namedtuple("LinearRatio", "num_forms den_forms num_const den_const tail_start shift")
+):
+    """Exact integer numerators and denominators of a term ratio, immutable.
 
     ``num_forms`` and ``den_forms`` are integer pairs (p, q) standing for the
     linear factors p*m + q, so that NUM_m = num_const * prod(p*m + q) and
     likewise DEN_m, up to the power of two ``2**shift`` taken out of their
     ratio.  ``tail_start`` is an index from which the ratio magnitudes are
-    non-increasing.  The lists ``nums`` (None when NUM_m is the constant
-    ``num_const``), ``dens`` and ``flips`` (NUM_m DEN_m < 0) grow by forward
-    differences: one addition per degree and index.
+    non-increasing.
     """
 
-    def __init__(self, num_forms, den_forms, num_const: int, den_const: int, tail_start: int):
+    __slots__ = ()
+
+    def __new__(cls, num_forms, den_forms, num_const: int, den_const: int, tail_start: int):
         # powers of two in the constants become a shift, which keeps the
         # integers of every step short
         num_twos = (num_const & -num_const).bit_length() - 1
         den_twos = (den_const & -den_const).bit_length() - 1
-        num_const >>= num_twos
-        den_const >>= den_twos
-        self.shift = den_twos - num_twos
-        self.num_const = num_const
-        self.tail_start = tail_start
-        self._num = _differences(num_const, num_forms) if num_forms else None
-        self._den = _differences(den_const, den_forms)
-        self.nums: list[int] | None = [] if num_forms else None
-        self.dens: list[int] = []
-        self.flips: list[bool] = []
-
-    def grow(self, n: int) -> None:
-        """Extend the per-index lists to at least n entries."""
-        count = n - len(self.dens)
-        if count <= 0:
-            return
-        dens = _advance(self._den, count)
-        if self._num is None:
-            flips = [v < 0 for v in dens]
-        else:
-            nums = _advance(self._num, count)
-            flips = [(a < 0) != (b < 0) for a, b in zip(nums, dens)]
-            self.nums.extend(map(abs, nums))
-        self.dens.extend(map(abs, dens))
-        self.flips.extend(flips)
-
-
-def _advance(state: list[int], count: int) -> list[int]:
-    """The next ``count`` values of a polynomial; ``state`` moves past them."""
-    degree = len(state) - 1
-    seq = [state[degree]] * (count + 1)
-    for k in range(degree - 1, -1, -1):
-        seq = list(accumulate(seq[:count], initial=state[k]))
-        state[k] = seq[count]
-    return seq[:count]
+        return super().__new__(
+            cls, num_forms, den_forms, num_const >> num_twos, den_const >> den_twos, tail_start,
+            den_twos - num_twos,
+        )
 
 
 def _pass(table, step, shift, negate, bits, gap, max_terms, keep=None):
@@ -133,16 +157,18 @@ def _pass(table, step, shift, negate, bits, gap, max_terms, keep=None):
     anchor = a  # u_start
     # the bookkeeping of the first terms runs on every term while keeping
     stop = start if keep is None else max_terms
-    nums, dens, flips = table.nums, table.dens, table.flips
-    size = len(dens)
+    num_forms, den_forms, den_const = table.num_forms, table.den_forms, table.den_const
     # a term can pass the bit-length test only if it is at most |sum| >> (gap - 1);
     # this bound is refreshed whenever a term falls under it
     thresh = a >> (gap - 1)
     for m in range(max_terms):
-        if m == size:
-            table.grow(m + 32)
-            size = len(dens)
-        nxt = (a * (step if nums is None else step * nums[m]) >> shift) // dens[m]
+        num = step
+        for p, q in num_forms:
+            num *= p * m + q
+        den = den_const
+        for p, q in den_forms:
+            den *= p * m + q
+        nxt = (a * abs(num) >> shift) // abs(den)
         if nxt <= thresh:
             total = plus - minus
             if m >= start and nxt.bit_length() + gap <= total.bit_length() and (nxt + 1) << 2 <= a:
@@ -152,7 +178,7 @@ def _pass(table, step, shift, negate, bits, gap, max_terms, keep=None):
             if not nxt:
                 return None  # the terms ran out of bits before the sum was resolved
             thresh = abs(total) >> (gap - 1)
-        if negate != flips[m]:
+        if negate != ((num < 0) != (den < 0)):
             positive = not positive
         if positive:
             plus += nxt
@@ -179,7 +205,7 @@ def _setup(table, scale, shift, cond_bits, tol, max_terms):
     precision = max(0, 1 - math.frexp(tol)[1])  # smallest b >= 0 with 2**-b <= tol
     gap = 3 + precision
     bits = 8 + max_terms.bit_length() + max(cond_bits, 0) + precision
-    step = scale * table.num_const if table.nums is None else scale
+    step = scale * table.num_const
     shift += table.shift
     if shift < 0:
         step <<= -shift

@@ -94,6 +94,9 @@ class TheoremParams:
             raise DomainError(f"need alpha + mu > 0, got {self.alpha + self.mu}")
         if self.alpha + self.lam <= 0.0:
             raise DomainError(f"need alpha + nu/k + 1 > 0, got {self.alpha + self.lam}")
+        if self.y < 0.0 and self.lam != math.floor(self.lam):
+            # (w/2)**(nu/k + 1) of a negative w has no real value
+            raise DomainError(f"negative y={self.y} needs integer nu/k + 1, got {self.lam}")
         bound = 1.5 * self.k if strict else -1.5 * self.k
         label = "3k/2" if strict else "-3k/2"
         if self.nu <= bound:

@@ -220,7 +220,7 @@ def _tanh_sinh(g, tol: float) -> QuadratureResult:
                     total, max(estimate, 1.1e-16 * abs(total)), evaluations, True, total_abs
                 )
             if not level:
-                floor = 50.0 * 2.220446049250313e-16 * total_abs
+                floor = 50.0 * (2.0 * UNIT) * total_abs
             if level >= 2 and estimate <= floor:
                 raise ConvergenceError(
                     f"tanh_sinh estimate {estimate:.3e} is below the rounding floor "
@@ -288,7 +288,7 @@ def _gk_rule(g, a: float, b: float, counter: list) -> tuple[float, float, bool, 
         error = res_asc * min(1.0, (200.0 * error / res_asc) ** 1.5)
     floored = False
     if res_abs > 1e-290:
-        floor = 50.0 * 2.220446049250313e-16 * res_abs
+        floor = 50.0 * (2.0 * UNIT) * res_abs
         if floor >= error:
             error = floor
             floored = True

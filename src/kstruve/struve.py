@@ -12,10 +12,12 @@ Struve function L_nu.  Terms are generated by the exact ratio recurrence
     t_{r+1} / t_r = -c (x/2)**2 / (k (r + nu/k + 3/2) (r + 3/2)),
 
 whose magnitude decreases monotonically in r, so a geometric majorant gives
-a rigorous truncation bound.  The returned bound adds the rounding of the
-double-precision loop; where the terms cancel too much for doubles (c > 0 and
-large x sqrt(c/k)) the same ratio, read as an exact rational, is summed in
-fixed point on integers (see :mod:`kstruve.fixedpoint`).
+a rigorous truncation bound.  The series is a Fox-Wright series times a
+power, and the terms are summed by the same exact-ratio loop
+(:func:`kstruve.fixedpoint.sum_ratio`).  The returned bound adds the
+rounding of the double-precision loop; where the terms cancel too much for
+doubles (c > 0 and large x sqrt(c/k)) the same ratio, read as an exact
+rational, is summed in fixed point on integers.
 
 A caller that needs S at many x in (0, X] builds :func:`k_struve_poly` once:
 the leading term times a polynomial in (x/2)**2 whose degree makes the tail
@@ -42,26 +44,22 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate
 
 from .errors import ConvergenceError, DomainError
-from .fixedpoint import SUBNORMAL_ULP, UNIT, LinearRatio, fixed_terms, sum_fixed
-from .gamma import gamma, log_k_gamma
+from .fixedpoint import LOG2_E, SUBNORMAL_ULP, UNIT, LinearRatio, fixed_terms, sum_fixed, sum_ratio
+from .gamma import _LOG_DBL_MAX, log_k_gamma
 from .results import TINY, EvaluationResult
 
-_LOG_DBL_MAX = 709.782712893384
 _MIN_NORMAL = sys.float_info.min
 _LGAMMA_3_2 = math.lgamma(1.5)
-_SQRT_PI = math.sqrt(math.pi)
 # from x sqrt(c/k) = 8 (ratio_scale = -16) on, with c > 0, the terms outgrow
 # the sum by more than about 150: the double loop would fail the relative rule
 # at the usual tolerances, so the fixed-point path runs directly
 _FIXED_RATIO_SCALE = -16.0
-# log2(e): the terms of the c > 0 series outgrow their sum by about e**(x sqrt(c/k))
-_LOG2_E = 1.4426950408889634
-# the polynomials' degree cap, k_struve's default max_terms
-_MAX_DEGREE = 500
+# k_struve's term cap and the polynomials' degree cap
+_MAX_TERMS = 500
 # s = (x/xmax)**2 <= r*r * (1 + 8 ulps) for the rounded quotient r = x / xmax
 _S_PAD = 1.0 + 8.0 * UNIT
 # nodes with sigma = 1 - (x/xmax)**2 up to this evaluate the integer terms'
@@ -200,9 +198,7 @@ def _lead(consts: _SeriesConstants, half: float) -> tuple[float, float] | None:
     return lead, lead_err
 
 
-def k_struve(
-    params: StruveParams, x: float, tol: float = 1e-12, max_terms: int = 500
-) -> EvaluationResult:
+def k_struve(params: StruveParams, x: float, tol: float = 1e-12) -> EvaluationResult:
     """Evaluate the k-Struve series at real x with a certified error bound.
 
     Negative x is admitted only when the leading exponent nu/k + 1 is an
@@ -211,19 +207,20 @@ def k_struve(
     stops once the error bound is at most ``max(tol * |value|, 1e-280)``,
     relative to the value with an absolute floor for sums lost to underflow.
 
-    The returned ``error_bound`` covers the truncated tail and the rounding:
-    the error of the leading term, (s n + 2) ulps of sum |t_r| for the double
-    loop after n + 1 terms, with s about 7 roundings a step, the
-    fixed-point floors when that path runs, and (terms + 2) * 2**-1074 for
-    results below the normal range.  The
-    series is summed in fixed point on integers, at about
+    The terms are summed in doubles by :func:`kstruve.fixedpoint.sum_ratio`,
+    the loop the Fox-Wright series shares, with the ratio -c (x/2)**2 /
+    (k (r + nu/k + 3/2)(r + 3/2)): it stops once the next term is within the
+    rule, after adding it, and at most 500 terms are summed.  The returned
+    ``error_bound`` covers the truncated tail and the rounding: the error of
+    the leading term, (s n + 2) ulps of sum |t_r| for the double loop after
+    n + 1 terms, with s about 7 roundings a step, the fixed-point floors when
+    that path runs, and (terms + 2) * 2**-1074 for results below the normal
+    range.  The series is summed in fixed point on integers, at about
     64 + log2(sum |t_r| / |S|) bits, when c > 0 and x sqrt(c/k) >= 8, or when
     the rounding of the double loop alone would break the rule above.
     """
     if not (math.isfinite(x) and math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"need finite x and tol > 0, got x={x!r}, tol={tol!r}")
-    if max_terms < 1:
-        raise DomainError(f"max_terms must be >= 1, got {max_terms}")
     consts = params._series
     lam = consts.power
 
@@ -232,7 +229,7 @@ def k_struve(
             raise DomainError(
                 f"negative argument x={x} needs integer nu/k + 1, got {lam}"
             )
-        flipped = k_struve(params, -x, tol=tol, max_terms=max_terms)
+        flipped = k_struve(params, -x, tol=tol)
         sign = 1.0 if lam % 2.0 == 0.0 else -1.0
         return EvaluationResult(sign * flipped.value, flipped.error_bound, flipped.terms_used)
 
@@ -266,45 +263,16 @@ def k_struve(
             + consts.scale_err
         )
     ratio_scale = -params.c * half * half / params.k
-    if ratio_scale <= _FIXED_RATIO_SCALE:
-        return _fixed(params, x, lead, lead_err, ratio_scale, 0, tol, max_terms)
-    base = consts.base
-    term = lead
-
-    total = 0.0
-    comp = 0.0  # Kahan carry
-    mags = 0.0  # sum of |t_r|
-    for r in range(max_terms):
-        # compensated add of the current term
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        mag = abs(term)
-        mags += mag
-        ratio = ratio_scale / ((r + base) * (r + 1.5))
-        rho = abs(ratio)
-        if rho < 1.0:
-            bound = mag * rho / (1.0 - rho)
-            limit = max(tol * abs(total), TINY)
-            if bound <= limit:
-                # each t_j, j <= r, carries at most r * step_ulps; Kahan
-                # summation adds 2 ulps
-                rounding = UNIT * (consts.step_ulps * r + 2.0) * mags
-                rounding += lead_err * abs(total)
-                if bound + rounding <= limit:
-                    error = bound + rounding + (r + 3) * SUBNORMAL_ULP
-                    return EvaluationResult(total, error, r + 1)
-                if rounding > 0.5 * limit:
-                    cond_bits = math.ceil(math.log2(mags / abs(total))) if total else 0
-                    return _fixed(params, x, lead, lead_err, ratio_scale, cond_bits, tol, max_terms)
-        term *= ratio
-    # an overflowed term turns the bound into inf or nan, so the loop ends here
-    if not math.isfinite(term):
-        raise ConvergenceError(f"series term overflowed for x={x}; argument too large")
-    raise ConvergenceError(
-        f"k-Struve series needed more than {max_terms} terms at x={x} for tol={tol}"
-    )
+    fixed = partial(_fixed, params, x, lead, lead_err, ratio_scale, tol)
+    try:
+        if ratio_scale <= _FIXED_RATIO_SCALE:
+            return fixed(0)
+        return sum_ratio(
+            lead, lead_err, ratio_scale, (), ((1, consts.base), (1, 1.5)), consts.step_ulps,
+            0, TINY, tol, _MAX_TERMS, fixed,
+        )
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"k-Struve series at x={x}: {exc}") from None
 
 
 def k_struve_poly(params: StruveParams, xmax: float, tol: float):
@@ -415,7 +383,7 @@ def _double_horner(params: StruveParams, xmax: float, tol: float):
     vmax = half_max * half_max
     coefs = [1.0]  # |a_r|
     mag = 1.0  # |a_r| V**r
-    for r in range(_MAX_DEGREE):
+    for r in range(_MAX_TERMS):
         rho = ck * vmax / ((r + base) * (r + 1.5))
         if rho < 1.0 and mag * rho / (1.0 - rho) <= 0.125 * tol:
             break
@@ -550,7 +518,7 @@ def _integer_horner(params: StruveParams, xmax: float, tol: float):
             True,
             _cancellation_bits(half_max * math.sqrt(params.c / params.k)),
             0.125 * tol,
-            _MAX_DEGREE,
+            _MAX_TERMS,
         )
     except ConvergenceError:
         return None
@@ -669,37 +637,23 @@ def _cancellation_bits(peak: float) -> int:
 
     ``peak`` is sqrt|ratio_scale| = (x/2) sqrt(c/k), the index of the largest term.
     """
-    return math.ceil(2.0 * _LOG2_E * peak) + 8
+    return math.ceil(2.0 * LOG2_E * peak) + 8
 
 
-def _fixed(params, x, lead, lead_err, ratio_scale, cond_bits, tol, max_terms):
+def _fixed(params, x, lead, lead_err, ratio_scale, tol, cond_bits):
     """The fixed-point path of :func:`k_struve`, after its guards."""
     # the terms grow while (r + base)(r + 3/2) < |ratio_scale|, that is up to
     # r = sqrt|ratio_scale|, and reach about e**(2 sqrt|ratio_scale|) times the first
-    q = -ratio_scale if ratio_scale < 0.0 else ratio_scale
-    peak = math.sqrt(q)
-    if peak >= max_terms:
-        raise ConvergenceError(
-            f"k-Struve series needed more than {max_terms} terms at x={x} for tol={tol}"
-        )
+    peak = math.sqrt(abs(ratio_scale))
+    if peak >= _MAX_TERMS:
+        raise ConvergenceError(f"needed more than {_MAX_TERMS} terms for tol={tol}")
     if params.c > 0.0:
         cond_bits = max(cond_bits, _cancellation_bits(peak))
-    consts = params._series
     xn, xd = x.as_integer_ratio()
-    try:
-        return sum_fixed(
-            consts.table,
-            xn * xn,
-            2 * (xd.bit_length() - 1),
-            params.c > 0.0,
-            lead,
-            lead_err,
-            cond_bits,
-            tol,
-            max_terms,
-        )
-    except ConvergenceError as exc:
-        raise ConvergenceError(f"k-Struve series at x={x}: {exc}") from None
+    return sum_fixed(
+        params._series.table, xn * xn, 2 * (xd.bit_length() - 1), params.c > 0.0, lead, lead_err,
+        cond_bits, tol, _MAX_TERMS,
+    )
 
 
 def struve_h(nu: float, x: float, tol: float = 1e-12) -> EvaluationResult:
@@ -710,25 +664,3 @@ def struve_h(nu: float, x: float, tol: float = 1e-12) -> EvaluationResult:
 def struve_l(nu: float, x: float, tol: float = 1e-12) -> EvaluationResult:
     """Modified Struve function L_nu(x), the k-Struve series at c = -1, k = 1."""
     return k_struve(StruveParams(nu=nu, c=-1.0, k=1.0), x, tol=tol)
-
-
-def struve_ode_residual(nu: float, x: float, step: float = 1e-4, tol: float = 1e-12) -> float:
-    """Absolute residual of the Struve differential equation at x.
-
-    H_nu satisfies  x^2 y'' + x y' + (x^2 - nu^2) y = 4 (x/2)**(nu+1)
-    / (sqrt(pi) Gamma(nu + 1/2)).  Derivatives are approximated with central
-    differences of width ``step``, so the residual carries an O(step**2)
-    discretization error on top of series rounding; it is a sanity probe,
-    not a certified quantity.
-    """
-    if not (step > 0.0 and math.isfinite(step)):
-        raise DomainError(f"step must be positive and finite, got {step!r}")
-    if x <= 2.0 * step:
-        raise DomainError(f"need x > 2*step to difference safely, got x={x}, step={step}")
-    y_minus = struve_h(nu, x - step, tol=tol).value
-    y_center = struve_h(nu, x, tol=tol).value
-    y_plus = struve_h(nu, x + step, tol=tol).value
-    d1 = (y_plus - y_minus) / (2.0 * step)
-    d2 = (y_plus - 2.0 * y_center + y_minus) / (step * step)
-    forcing = 4.0 * (0.5 * x) ** (nu + 1.0) / (_SQRT_PI * gamma(nu + 0.5))
-    return abs(x * x * d2 + x * d1 + (x * x - nu * nu) * y_center - forcing)

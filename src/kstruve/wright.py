@@ -16,19 +16,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 from .errors import ConvergenceError, DomainError, PoleError
-from .fixedpoint import UNIT as _UNIT
-from .fixedpoint import MAX_BITS, SUBNORMAL_ULP, LinearRatio, sum_fixed
+from .fixedpoint import LOG2_E, MAX_BITS, SUBNORMAL_ULP, UNIT, LinearRatio, sum_fixed, sum_ratio
 from .gamma import log_abs_gamma
 from .results import TINY, EvaluationResult
 
 _POLE_SNAP = 1e-9
-_LOG2_E = 1.4426950408889634
+_MAX_TERMS = 1000
 # beyond a peak of e**this times the first term the fixed-point pass would
 # need more than MAX_BITS bits: the double loop runs and reports the overflow
-_MAX_LOG_PEAK = MAX_BITS / _LOG2_E
+_MAX_LOG_PEAK = MAX_BITS / LOG2_E
 
 
 @dataclass(frozen=True)
@@ -63,7 +62,7 @@ class WrightSpec:
             return self._plan.lead_err
         _, _, size = _log_term(self, 0)
         count = len(self.upper) + len(self.lower)
-        return _UNIT * ((6.0 + count) * size + 4.0 * (count + 1) + 2.0)
+        return UNIT * ((6.0 + count) * size + 4.0 * (count + 1) + 2.0)
 
 
 def convergence_index(spec: WrightSpec) -> float:
@@ -189,7 +188,7 @@ class _Plan:
         count = len(spec.upper) + len(spec.lower)
         self.lead = sign * math.exp(log_mag) if -700.0 < log_mag < 700.0 else 0.0
         # each log Gamma within 2 ulps (plus 4 ulps absolute), the sum, exp
-        self.lead_err = _UNIT * ((4.0 + count) * size + 4.0 * count + 2.0)
+        self.lead_err = UNIT * ((4.0 + count) * size + 4.0 * count + 2.0)
 
     @cached_property
     def log_forms(self) -> tuple[tuple[float, float, float, float], ...] | None:
@@ -214,17 +213,15 @@ class _Plan:
         num_const = math.prod(d for _, _, d in exact_den)
         den_const = math.prod(d for _, _, d in exact_num)
         return LinearRatio(
-            [(p * d, n) for p, n, d in exact_num],
-            [(p * d, n) for p, n, d in exact_den],
+            tuple((p * d, n) for p, n, d in exact_num),
+            tuple((p * d, n) for p, n, d in exact_den),
             num_const,
             den_const,
             self.tail_start,
         )
 
 
-def wright_eval(
-    spec: WrightSpec, z: float, tol: float = 1e-12, max_terms: int = 1000
-) -> EvaluationResult:
+def wright_eval(spec: WrightSpec, z: float, tol: float = 1e-12) -> EvaluationResult:
     """Sum the Fox-Wright series at real z with a certified error bound.
 
     Summation stops once the error bound is at most
@@ -236,19 +233,21 @@ def wright_eval(
     the sum, with (terms + 2) * 2**-1074 for results below the normal range.
 
     When every slope is an integer the terms follow their exact ratio
-    recurrence; from the index at which every factor is positive and the
+    recurrence in :func:`kstruve.fixedpoint.sum_ratio`, the loop the k-Struve
+    series shares: from the index at which every factor is positive and the
     ratio magnitude can no longer rise, the tail is majorized by a geometric
-    series.  If the rounding of the double loop alone would break the rule,
-    the series is re-summed in fixed point on integers (see
+    series, and summation stops once the next term is within the rule,
+    after adding it.  If the rounding of the double loop alone would break
+    the rule, the series is re-summed in fixed point on integers (see
     :mod:`kstruve.fixedpoint`); for z < 0 whose largest term exceeds
     tol / 2**-53 times the first, which an O(1) estimate detects, the
     fixed-point pass runs without the double loop.  Other slopes assemble
     each term from log Gamma values; the tail is certified once every gamma
     argument is positive, the observed term ratios decrease over a
     three-term window and the latest ratio is below 1, and a rounding bound
-    the rule cannot absorb raises ConvergenceError naming the cancellation.  ConvergenceError is
-    also raised if delta <= -1 (outside the entire regime) or if
-    ``max_terms`` is exhausted first.
+    the rule cannot absorb raises ConvergenceError naming the cancellation.
+    ConvergenceError is also raised if delta <= -1 (outside the entire
+    regime) or if 1000 terms do not suffice.
     """
     if not (math.isfinite(z) and math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"need finite z and tol > 0, got z={z!r}, tol={tol!r}")
@@ -260,8 +259,8 @@ def wright_eval(
     if all(w.is_integer() for _, w in spec.upper + spec.lower):
         plan = spec._plan
         if plan.lead != 0.0:
-            return _ratio_sum(plan, z, tol, max_terms)
-    return _log_sum(spec, z, tol, max_terms)
+            return _ratio_sum(plan, z, tol)
+    return _log_sum(spec, z, tol)
 
 
 def _peak_bits(plan: _Plan, z: float, tol: float) -> int:
@@ -274,7 +273,7 @@ def _peak_bits(plan: _Plan, z: float, tol: float) -> int:
     from log-gamma values at m = round((|z| kappa)**(1/order)), at or near
     the peak.
     """
-    budget = math.log(tol / _UNIT)
+    budget = math.log(tol / UNIT)
     root = (-z * plan.kappa) ** (1.0 / plan.order)
     if not budget < plan.order * root <= _MAX_LOG_PEAK or plan.log_forms is None:
         return 0
@@ -284,92 +283,40 @@ def _peak_bits(plan: _Plan, z: float, tol: float) -> int:
         log_peak += sign * (m * log_p + math.lgamma(m + shift) - lgamma_shift)
     if log_peak <= budget:
         return 0
-    return math.ceil(log_peak * _LOG2_E)
+    return math.ceil(log_peak * LOG2_E)
 
 
-def _ratio_sum(plan: _Plan, z: float, tol: float, max_terms: int) -> EvaluationResult:
+def _ratio_sum(plan: _Plan, z: float, tol: float) -> EvaluationResult:
     """Integer-slope series by its exact term ratio, in doubles or fixed point."""
     lead = plan.lead
     if z == 0.0:
         return EvaluationResult(lead, abs(lead) * plan.lead_err + 3.0 * SUBNORMAL_ULP, 1)
-    if z < 0.0:
-        peak_bits = _peak_bits(plan, z, tol)
-        if peak_bits:
-            return _fixed(plan, z, peak_bits, tol, max_terms)
-    num_forms, den_forms = plan.num_forms, plan.den_forms
-    start = plan.tail_start
-    # below |t_0| = 1 the absolute floor shrinks with it: a small sum that a
-    # large prefactor scales back up keeps its relative accuracy
-    floor = TINY * min(abs(lead), 1.0)
-    term = lead
-    total = 0.0
-    comp = 0.0
-    mags = 0.0  # sum of |t_m|
-    for m in range(max_terms):
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        mag = abs(term)
-        mags += mag
-        num = z
-        for p, q in num_forms:
-            num *= p * m + q
-        den = 1.0
-        for p, q in den_forms:
-            den *= p * m + q
-        ratio = num / den
-        rho = abs(ratio)
-        term *= ratio
-        if not math.isfinite(term):
-            raise ConvergenceError(f"Fox-Wright term overflowed at m={m + 1} for z={z}")
-        if m < start or rho >= 1.0:
-            continue
-        # each t_j, j <= m, carries at most m * step_ulps and the leading
-        # term's error; Kahan summation adds 2
-        rounding = _UNIT * (plan.step_ulps * m + 2.0) * mags + plan.lead_err * abs(total)
-        reach = abs(total) + abs(term) / (1.0 - rho)  # bounds |sum| from here on
-        if abs(term) <= (1.0 - rho) * max(tol * abs(total), floor):
-            # the next term and all after it are within tol: add it as well,
-            # which leaves a tail of at most |t_{m+1}| rho / (1 - rho)
-            total += term - comp
-            mag = abs(term)
-            mags += mag
-            bound = mag * rho / (1.0 - rho)
-            rounding = _UNIT * (plan.step_ulps * (m + 1) + 2.0) * mags + plan.lead_err * abs(total)
-            if bound + rounding <= max(tol * abs(total), floor):
-                error = bound + rounding + (m + 4) * SUBNORMAL_ULP
-                return EvaluationResult(total, error, m + 2)
-        elif rounding <= 0.5 * tol * reach:
-            continue
-        # the rounding cannot fit under tol * |value| any more
-        cond_bits = math.ceil(math.log2(mags / abs(total))) if total else 0
-        return _fixed(plan, z, cond_bits, tol, max_terms)
-    raise ConvergenceError(
-        f"Fox-Wright series needed more than {max_terms} terms at z={z} for tol={tol}"
-    )
-
-
-def _fixed(plan: _Plan, z: float, cond_bits: int, tol: float, max_terms: int) -> EvaluationResult:
-    """The fixed-point path of :func:`_ratio_sum`."""
-    zn, zd = z.as_integer_ratio()
+    fixed = partial(_fixed, plan, z, tol)
     try:
-        return sum_fixed(
-            plan.table,
-            abs(zn),
-            zd.bit_length() - 1,
-            z < 0.0,
-            plan.lead,
-            plan.lead_err,
-            cond_bits,
-            tol,
-            max_terms,
+        peak_bits = _peak_bits(plan, z, tol) if z < 0.0 else 0
+        if peak_bits:
+            return fixed(peak_bits)
+        # below |t_0| = 1 the absolute floor shrinks with it: a small sum that
+        # a large prefactor scales back up keeps its relative accuracy
+        floor = TINY * min(abs(lead), 1.0)
+        return sum_ratio(
+            lead, plan.lead_err, z, plan.num_forms, plan.den_forms, plan.step_ulps,
+            plan.tail_start, floor, tol, _MAX_TERMS, fixed,
         )
     except ConvergenceError as exc:
         raise ConvergenceError(f"Fox-Wright series at z={z}: {exc}") from None
 
 
-def _log_sum(spec: WrightSpec, z: float, tol: float, max_terms: int) -> EvaluationResult:
+def _fixed(plan: _Plan, z: float, tol: float, cond_bits: int) -> EvaluationResult:
+    """The fixed-point path of :func:`_ratio_sum`."""
+    zn, zd = z.as_integer_ratio()
+    return sum_fixed(
+        plan.table, abs(zn), zd.bit_length() - 1, z < 0.0, plan.lead, plan.lead_err,
+        cond_bits, tol, _MAX_TERMS,
+    )
+
+
+def _log_sum(spec: WrightSpec, z: float, tol: float) -> EvaluationResult:
     """Any slopes: each term from log Gamma values, with a running rounding bound."""
     count = len(spec.upper) + len(spec.lower)
     log_z = math.log(abs(z)) if z != 0.0 else 0.0
@@ -387,7 +334,7 @@ def _log_sum(spec: WrightSpec, z: float, tol: float, max_terms: int) -> Evaluati
             if z < 0.0 and m % 2 == 1:
                 sign = -sign
         # each log within 2 ulps (plus 4 ulps absolute), the sums, exp
-        err = _UNIT * ((6.0 + count) * size + 4.0 * (count + 1) + 2.0)
+        err = UNIT * ((6.0 + count) * size + 4.0 * (count + 1) + 2.0)
         if log_mag < -745.0:
             return 0.0, 0.0
         return sign * math.exp(log_mag), err
@@ -403,7 +350,7 @@ def _log_sum(spec: WrightSpec, z: float, tol: float, max_terms: int) -> Evaluati
     mags = 0.0
     rounding = 0.0
     ratios: list[float] = []
-    for m in range(1, max_terms + 1):
+    for m in range(1, _MAX_TERMS + 1):
         y = previous - comp
         t = total + y
         comp = (t - total) - y
@@ -417,14 +364,14 @@ def _log_sum(spec: WrightSpec, z: float, tol: float, max_terms: int) -> Evaluati
                 ratios.pop(0)
         elif current == 0.0 and previous == 0.0:
             # underflowed into the flat tail: nothing left to add
-            return EvaluationResult(total, _UNIT * 2.0 * mags + rounding + (m + 2) * SUBNORMAL_ULP, m)
+            return EvaluationResult(total, UNIT * 2.0 * mags + rounding + (m + 2) * SUBNORMAL_ULP, m)
         rho = ratios[-1] if ratios else math.inf
         window_ok = len(ratios) == 3 and ratios[0] >= ratios[1] >= ratios[2]
         if window_ok and rho < 1.0 and m >= positive_from:
             bound = abs(current) / (1.0 - rho)
             limit = max(tol * abs(total), floor)
             if bound <= limit:
-                rounding += abs(current) * current_err + _UNIT * 2.0 * (mags + abs(current))
+                rounding += abs(current) * current_err + UNIT * 2.0 * (mags + abs(current))
                 error = bound + rounding
                 if error <= limit:
                     y = current - comp
@@ -439,5 +386,5 @@ def _log_sum(spec: WrightSpec, z: float, tol: float, max_terms: int) -> Evaluati
                     )
         previous, previous_err = current, current_err
     raise ConvergenceError(
-        f"Fox-Wright series needed more than {max_terms} terms at z={z} for tol={tol}"
+        f"Fox-Wright series needed more than {_MAX_TERMS} terms at z={z} for tol={tol}"
     )

@@ -3,7 +3,7 @@
 import math
 
 from kstruve.errors import ConvergenceError, DomainError
-from kstruve.gamma import _LOG_DBL_MAX
+from kstruve.gamma import _LOG_DBL_MAX, gamma
 from kstruve.quadrature import (
     _TS_LEVELS,
     _TS_MAX_LEVEL,
@@ -12,6 +12,7 @@ from kstruve.quadrature import (
     integrate,
 )
 from kstruve.results import TINY, QuadratureResult
+from kstruve.struve import struve_h
 
 
 def k_gamma_integral_oracle(z: float, k: float, tol: float = 1e-10) -> float:
@@ -128,3 +129,25 @@ def jacobi_moment_oracle(p: float, q: float, k: int, digits: int = 50):
             term *= (j - k) * (k + j) * (q + j) / ((j + mpmath.mpf(1) / 2) * (j + 1) * (p + q + j))
             total += term
         return total
+
+
+def struve_ode_residual(nu: float, x: float, step: float = 1e-4, tol: float = 1e-12) -> float:
+    """Absolute residual of the Struve differential equation at x.
+
+    H_nu satisfies  x^2 y'' + x y' + (x^2 - nu^2) y = 4 (x/2)**(nu+1)
+    / (sqrt(pi) Gamma(nu + 1/2)).  Derivatives are approximated with central
+    differences of width ``step``, so the residual carries an O(step**2)
+    discretization error on top of series rounding; it is a sanity probe,
+    not a certified quantity.
+    """
+    if not (step > 0.0 and math.isfinite(step)):
+        raise DomainError(f"step must be positive and finite, got {step!r}")
+    if x <= 2.0 * step:
+        raise DomainError(f"need x > 2*step to difference safely, got x={x}, step={step}")
+    y_minus = struve_h(nu, x - step, tol=tol).value
+    y_center = struve_h(nu, x, tol=tol).value
+    y_plus = struve_h(nu, x + step, tol=tol).value
+    d1 = (y_plus - y_minus) / (2.0 * step)
+    d2 = (y_plus - 2.0 * y_center + y_minus) / (step * step)
+    forcing = 4.0 * (0.5 * x) ** (nu + 1.0) / (math.sqrt(math.pi) * gamma(nu + 0.5))
+    return abs(x * x * d2 + x * d1 + (x * x - nu * nu) * y_center - forcing)

@@ -27,7 +27,6 @@ from kstruve import (
     lavoie_trottier_rhs,
     struve_h,
     struve_l,
-    struve_ode_residual,
     verify,
     verify_grid,
     wright_eval,
@@ -36,7 +35,7 @@ from kstruve import struve as struve_module
 from kstruve.cli import main
 from kstruve.struve import _SIGMA_MAX, _split, k_struve_poly
 
-from oracles import k_gamma_integral_oracle
+from oracles import k_gamma_integral_oracle, struve_ode_residual
 
 
 def announce(capsys, number: int, name: str, ok: bool, detail: str = "") -> None:

@@ -225,6 +225,25 @@ class TestVerify:
         assert neg.lhs_value == pytest.approx(-pos.lhs_value, rel=1e-9)
         assert neg.rhs_corrected == pytest.approx(-pos.rhs_corrected, rel=1e-11)
 
+    @pytest.mark.parametrize("which", ["theorem1", "theorem2"])
+    def test_negative_y_with_fractional_power_is_refused_before_sampling(
+        self, which, monkeypatch
+    ):
+        def integrate(*args, **kwargs):
+            raise AssertionError("the point must be refused before any sampling")
+
+        monkeypatch.setattr(identities, "integrate", integrate)
+        p = TheoremParams(alpha=1.0, mu=0.5, nu=2.5, y=-1.0)  # nu/k + 1 = 3.5
+        with pytest.raises(DomainError, match=r"negative y=-1\.0 needs integer nu/k \+ 1, got 3\.5"):
+            verify(which, p)
+        (_, row), = verify_grid(which, [p])
+        assert row.verdict is Verdict.INCONCLUSIVE
+        assert row.error == "DomainError: negative y=-1.0 needs integer nu/k + 1, got 3.5"
+        monkeypatch.undo()
+        # an integer nu/k + 1 keeps its verdict
+        neg = TheoremParams(alpha=1.0, mu=0.5, nu=2.0, y=-1.0)
+        assert verify(which, neg).verdict is Verdict.CONFIRMED_CORRECTED
+
     def test_tiny_threshold_is_inconclusive(self):
         report = verify("theorem1", BASE, threshold=1e-15)
         assert report.verdict is Verdict.INCONCLUSIVE

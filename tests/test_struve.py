@@ -1,6 +1,7 @@
 """Tests for the k-Struve series and its classical specializations."""
 
 import math
+import random
 import time
 
 import pytest
@@ -10,13 +11,17 @@ from kstruve import (
     ConvergenceError,
     DomainError,
     StruveParams,
+    WrightSpec,
     k_struve,
     struve_h,
     struve_l,
-    struve_ode_residual,
+    wright_eval,
 )
 from kstruve import struve as struve_module
+from kstruve.fixedpoint import UNIT
 from kstruve.struve import k_struve_poly
+
+from oracles import struve_ode_residual
 
 # mpmath struveh/struvel at 40 digits, rounded to double precision
 STRUVE_H_GOLDEN = {
@@ -210,6 +215,43 @@ class TestSeriesBehavior:
     def test_terms_used_bounded(self):
         res = k_struve(StruveParams(nu=0.0, c=1.0, k=1.0), 10.0, tol=1e-12)
         assert 0 < res.terms_used <= 500
+
+
+class TestFoxWrightForm:
+    # S(x) = (x/2)**(nu/k + 1) k**-(nu/k + 1/2)
+    #        * 1Psi2[(1, 1); (nu/k + 3/2, 1), (3/2, 1); -c x**2/(4k)]
+
+    @staticmethod
+    def _points(seed, c_choices, wmin, wmax, count):
+        # nu/k a multiple of 1/8 and k a power of two, so that nu/k + 3/2 and
+        # the exponents are exact doubles; w = x sqrt(|c|/k)
+        rng = random.Random(seed)
+        for _ in range(count):
+            k = rng.choice([0.25, 0.5, 1.0, 2.0])
+            nuk = rng.randint(-11, 160) / 8.0
+            c = rng.choice(c_choices)
+            x = rng.uniform(wmin, wmax) * math.sqrt(k / abs(c))
+            yield StruveParams(nu=nuk * k, c=c, k=k), nuk, x
+
+    @pytest.mark.parametrize(
+        "seed, c_choices, wmin, wmax",
+        [
+            (1, (-2.0, -1.0, -0.5), 0.01, 12.0),  # c < 0
+            (2, (0.5, 1.0, 2.0), 0.01, 7.99),  # c > 0 below the fixed-point switch
+            (3, (0.5, 1.0, 2.0), 8.0, 40.0),  # c > 0 from x sqrt(c/k) = 8 on
+        ],
+    )
+    def test_k_struve_equals_its_fox_wright_form(self, seed, c_choices, wmin, wmax):
+        for params, nuk, x in self._points(seed, c_choices, wmin, wmax, 30):
+            k, c = params.k, params.c
+            series = k_struve(params, x, tol=1e-12)
+            spec = WrightSpec(upper=[(1.0, 1.0)], lower=[(nuk + 1.5, 1.0), (1.5, 1.0)])
+            psi = wright_eval(spec, -c * x * x / (4.0 * k), tol=1e-12)
+            front = (0.5 * x) ** (nuk + 1.0) * k ** -(nuk + 0.5)
+            form = front * psi.value
+            # two powers and two products, each within an ulp
+            slack = series.error_bound + abs(front) * psi.error_bound + 8.0 * UNIT * abs(form)
+            assert abs(series.value - form) <= slack, (params, x)
 
 
 class TestPolynomial:

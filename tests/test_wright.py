@@ -198,16 +198,57 @@ class TestErrorBound:
         # rounding per step for the inexact a + 1
         assert spec._plan.step_ulps == 2.0 * 5 + 1.0 + 1.0
         table = spec._plan.table
-        table.grow(2)
         q = Fraction(an, ad)
         for m in range(2):
             exact = (2 * m + q) * (2 * m + q + 1) / (
                 (m + Fraction(3, 2)) * (2 * m + Fraction(13, 4)) * (2 * m + Fraction(17, 4))
             )
-            assert Fraction(table.nums[m], table.dens[m]) / Fraction(2) ** table.shift == exact
+            # NUM_m and DEN_m from the table's linear factors p*m + q
+            num = table.num_const * math.prod(f * m + g for f, g in table.num_forms)
+            den = table.den_const * math.prod(f * m + g for f, g in table.den_forms)
+            assert Fraction(num, den) / Fraction(2) ** table.shift == exact
 
     def test_terms_bounded(self):
         spec = WrightSpec(upper=[(1.0, 1.0)], lower=[(1.0, 1.0)])
-        res = wright_eval(spec, 3.0, tol=1e-13, max_terms=1000)
+        res = wright_eval(spec, 3.0, tol=1e-13)
         assert 0 < res.terms_used <= 1000
         assert res.error_bound >= 0.0
+
+
+# wright_eval(spec, z, tol=1e-12) as (value, error_bound, terms_used), recorded
+# before the double loop moved into kstruve.fixedpoint.sum_ratio.  The cases
+# run the double loop, the fixed-point fallback after it (z = -40, -100) and
+# the direct fixed-point route of a large peak (z = -400)
+PINNED = [
+    (
+        ((1.0, 1.0),), ((3.5, 1.0), (1.5, 1.0)), -0.5,
+        "0x1.3c00447e4050cp-2", "0x1.6fedb8785314ap-49", 9,
+    ),
+    (
+        ((1.0, 1.0),), ((3.5, 1.0), (1.5, 1.0)), -40.0,
+        "0x1.71b5a1d472447p-7", "0x1.3b79248b3005ap-51", 26,
+    ),
+    (((1.0, 1.0),), ((1.0, 1.0),), 3.0, "0x1.415e5bf6fb074p+4", "0x1.9930bbaca9520p-41", 24),
+    (
+        ((4.0, 2.0), (1.0, 1.0)), ((3.5, 1.0), (1.5, 1.0), (5.5, 2.0)), -1.0,
+        "0x1.1ec66ba9b5b31p-5", "0x1.0872aa5ed17eep-50", 9,
+    ),
+    (
+        ((4.0, 2.0), (1.0, 1.0)), ((3.5, 1.0), (1.5, 1.0), (5.5, 2.0)), -100.0,
+        "0x1.5eca6bf08e026p-10", "0x1.46ec2d4aa0a23p-51", 34,
+    ),
+    (
+        ((4.0, 2.0), (1.0, 1.0)), ((3.5, 1.0), (1.5, 1.0), (5.5, 2.0)), -400.0,
+        "0x1.545740f04017dp-12", "0x1.5120693ccefd4p-53", 60,
+    ),
+    (
+        ((0.7000000000000001, 2.0), (1.0, 1.0)), ((1.5, 1.0), (3.25, 2.0)), 2.5,
+        "0x1.6318066a57bcfp-1", "0x1.63c7fc2ff13a4p-44", 18,
+    ),
+]
+
+
+@pytest.mark.parametrize("upper, lower, z, value, bound, terms", PINNED)
+def test_integer_slope_results_are_bit_identical(upper, lower, z, value, bound, terms):
+    res = wright_eval(WrightSpec(upper=upper, lower=lower), z, tol=1e-12)
+    assert (res.value.hex(), res.error_bound.hex(), res.terms_used) == (value, bound, terms)
