@@ -13,19 +13,18 @@ Three subcommands:
 
 Exit codes: 0 success / all points confirmed, 1 usage error, 2 domain or
 pole or overflow error, 3 convergence failure or non-finite sample, 4 at
-least one verification verdict other than BOTH_AGREE / CONFIRMED_CORRECTED.
+least one verification verdict other than BOTH_AGREE / CONFIRMED_CORRECTED,
+141 (128 + SIGPIPE) when the reader of stdout closes it early.
 Reports are deterministic; see :mod:`kstruve.report`.
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
 import math
 import os
 import re
 import sys
-from dataclasses import asdict
 
 from .errors import (
     ConvergenceError,
@@ -50,6 +49,7 @@ _EXIT_USAGE = 1
 _EXIT_DOMAIN = 2
 _EXIT_CONVERGENCE = 3
 _EXIT_REFUTED = 4
+_EXIT_BROKEN_PIPE = 141
 
 _MAX_GRID_POINTS = 10000
 
@@ -223,7 +223,7 @@ def _run_plan(plan, args, stdout) -> int:
     records: list[dict] = []
     for which, points in plan:
         pairs = verify_grid(which, points, tol=args.tol, threshold=threshold, strict=not args.relaxed)
-        records += [record(which, asdict(p), rep) for p, rep in pairs]
+        records += [record(which, p._asdict(), rep) for p, rep in pairs]
     return _report(records, args.format, args.out, stdout)
 
 
@@ -241,6 +241,8 @@ def _cmd_verify(args, stdout) -> int:
 
 def _parse_config(path: str) -> list[tuple[str, list[TheoremParams]]]:
     """(identity, points) per section; each section expands through :func:`default_grid`."""
+    import configparser  # here, not at the top: no other command reads a config
+
     parser = configparser.ConfigParser()
     try:
         loaded = parser.read(path)
@@ -307,7 +309,15 @@ def main(argv=None, stdout=None, stderr=None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull, so that
+        # the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = _EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

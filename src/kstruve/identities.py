@@ -33,8 +33,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from collections import namedtuple
+from collections.abc import Iterable
 
 from .errors import ConvergenceError, DomainError, KStruveError
 from .fixedpoint import UNIT
@@ -59,21 +59,23 @@ COROLLARY_PINS = {
 _THEOREM_OF = {"corollary1": "theorem1", "corollary2": "theorem2"}
 
 
-@dataclass(frozen=True)
-class TheoremParams:
+class TheoremParams(namedtuple("TheoremParams", "alpha mu nu c k y")):
     """Parameter point (alpha, mu, nu, c, k, y) of either theorem."""
 
-    alpha: float
-    mu: float
-    nu: float
-    c: float = 1.0
-    k: float = 1.0
-    y: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        fields = (self.alpha, self.mu, self.nu, self.c, self.k, self.y)
-        if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in fields):
+    def __new__(
+        cls, alpha: float, mu: float, nu: float, c: float = 1.0, k: float = 1.0, y: float = 1.0
+    ):
+        self = super().__new__(cls, alpha, mu, nu, c, k, y)
+        if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in self):
             raise DomainError(f"all parameters must be finite reals, got {self!r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds its copy here: run the checks of __new__ on it too
+        return cls(*iterable)
 
     @property
     def lam(self) -> float:

@@ -33,7 +33,6 @@ integrand that overflows, raises at once.
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
 import math
 from operator import add, mul, sub
@@ -541,11 +540,9 @@ def integrate(
         try:
             result = _tanh_sinh(whole, tol)
         except ConvergenceError as exc:
-            exc.partial = dataclasses.replace(
-                exc.partial, evaluations=exc.partial.evaluations + evaluations
-            )
+            exc.partial = exc.partial._replace(evaluations=exc.partial.evaluations + evaluations)
             raise
-        return dataclasses.replace(result, evaluations=result.evaluations + evaluations)
+        return result._replace(evaluations=result.evaluations + evaluations)
     if method is None:
         method = "adaptive_gk"
     if method not in _METHODS:

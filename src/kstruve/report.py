@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 from .results import IdentityReport, Verdict
 

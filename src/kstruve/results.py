@@ -1,9 +1,11 @@
 """Shared result records.
 
-These dataclasses are the lingua franca between the numerical layers: series
-evaluators return :class:`EvaluationResult`, the quadrature engine returns
-:class:`QuadratureResult`, and the identity engine condenses both sides of a
-closed-form identity into an :class:`IdentityReport`.
+These immutable named tuples are the lingua franca between the numerical
+layers: series evaluators return :class:`EvaluationResult`, the quadrature
+engine returns :class:`QuadratureResult`, and the identity engine condenses
+both sides of a closed-form identity into an :class:`IdentityReport`.  Being
+tuples, they iterate and compare equal to a plain tuple of their fields;
+``_replace`` gives a copy with some fields changed.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ConvergenceError
 
@@ -32,17 +34,15 @@ def require_normal(value: float, what: str) -> float:
     raise ConvergenceError(f"{what} is {value!r}, outside the normal double range")
 
 
-@dataclass(frozen=True)
-class EvaluationResult:
+class EvaluationResult(namedtuple("EvaluationResult", "value error_bound terms_used")):
     """Value of a truncated series together with a rigorous tail bound."""
 
-    value: float
-    error_bound: float
-    terms_used: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(
+    namedtuple("QuadratureResult", "value error_estimate evaluations converged abs_integral")
+):
     """Value of a definite integral with an a-posteriori error estimate.
 
     ``abs_integral`` is the rule's estimate of the integral of |f|: an error
@@ -50,11 +50,7 @@ class QuadratureResult:
     e * abs_integral.
     """
 
-    value: float
-    error_estimate: float
-    evaluations: int
-    converged: bool
-    abs_integral: float
+    __slots__ = ()
 
 
 class Verdict(str, enum.Enum):
@@ -70,8 +66,14 @@ class Verdict(str, enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(
+    namedtuple(
+        "IdentityReport",
+        "lhs_value lhs_error_estimate rhs_paper rhs_corrected rel_dev_paper rel_dev_corrected"
+        " verdict strict_hypotheses error",
+        defaults=(None,),
+    )
+):
     """Side-by-side record of one identity check at one parameter point.
 
     ``rhs_paper`` holds the closed form exactly as printed in the source
@@ -80,12 +82,4 @@ class IdentityReport:
     failed outright (grid sweeps never abort on a single bad point).
     """
 
-    lhs_value: float | None
-    lhs_error_estimate: float | None
-    rhs_paper: float | None
-    rhs_corrected: float | None
-    rel_dev_paper: float | None
-    rel_dev_corrected: float | None
-    verdict: Verdict
-    strict_hypotheses: bool
-    error: str | None = None
+    __slots__ = ()

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, partial
 from itertools import accumulate
 
@@ -127,27 +127,28 @@ class _SeriesConstants:
         return LinearRatio((), ((bd, bn), (2, 3)), num_const, den_const, 0)
 
 
-@dataclass(frozen=True)
-class StruveParams:
+class StruveParams(namedtuple("StruveParams", "nu c k")):
     """Parameter triple (nu, c, k) of the generalized k-Struve series.
 
     ``k`` must be positive and ``nu > -3k/2`` so that every k-gamma argument
-    nu + (r + 3/2) k stays off the poles.
+    nu + (r + 3/2) k stays off the poles.  Instances keep a ``__dict__`` for
+    their cached constants.
     """
 
-    nu: float
-    c: float
-    k: float = 1.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.nu) and math.isfinite(self.c) and math.isfinite(self.k)):
+    def __new__(cls, nu: float, c: float, k: float = 1.0):
+        self = super().__new__(cls, nu, c, k)
+        if not (math.isfinite(nu) and math.isfinite(c) and math.isfinite(k)):
             raise DomainError(f"parameters must be finite, got {self!r}")
-        if self.k <= 0.0:
-            raise DomainError(f"k must be positive, got k={self.k}")
-        if self.nu <= -1.5 * self.k:
-            raise DomainError(
-                f"need nu > -3k/2 for pole-free denominators, got nu={self.nu}, k={self.k}"
-            )
+        if k <= 0.0:
+            raise DomainError(f"k must be positive, got k={k}")
+        if nu <= -1.5 * k:
+            raise DomainError(f"need nu > -3k/2 for pole-free denominators, got nu={nu}, k={k}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds its copy here: run the checks of __new__ on it too
+        return cls(*iterable)
 
     @property
     def power(self) -> float:

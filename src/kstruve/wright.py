@@ -15,7 +15,7 @@ explicit sign tracking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, partial
 
 from .errors import ConvergenceError, DomainError, PoleError
@@ -30,22 +30,28 @@ _MAX_TERMS = 1000
 _MAX_LOG_PEAK = MAX_BITS / LOG2_E
 
 
-@dataclass(frozen=True)
-class WrightSpec:
-    """Parameter lists ((a_i, alpha_i), ...) upstairs and ((b_j, beta_j), ...) downstairs."""
+class WrightSpec(namedtuple("WrightSpec", "upper lower")):
+    """Parameter lists ((a_i, alpha_i), ...) upstairs and ((b_j, beta_j), ...) downstairs.
 
-    upper: tuple[tuple[float, float], ...]
-    lower: tuple[tuple[float, float], ...]
+    Each pair is stored as a tuple of two floats.  Instances keep a
+    ``__dict__`` for their cached evaluator.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "upper", tuple((float(a), float(al)) for a, al in self.upper))
-        object.__setattr__(self, "lower", tuple((float(b), float(be)) for b, be in self.lower))
-        for a, al in self.upper:
+    def __new__(cls, upper, lower):
+        upper = tuple((float(a), float(al)) for a, al in upper)
+        lower = tuple((float(b), float(be)) for b, be in lower)
+        for a, al in upper:
             if not (math.isfinite(a) and math.isfinite(al) and al > 0.0):
                 raise DomainError(f"upper pair ({a}, {al}) needs finite a and alpha > 0")
-        for b, be in self.lower:
+        for b, be in lower:
             if not (math.isfinite(b) and math.isfinite(be) and be > 0.0):
                 raise DomainError(f"lower pair ({b}, {be}) needs finite b and beta > 0")
+        return super().__new__(cls, upper, lower)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds its copy here: run the checks of __new__ on it too
+        return cls(*iterable)
 
     @cached_property
     def _plan(self) -> "_Plan":

@@ -431,10 +431,12 @@ class TestModuleEntry:
     """``python -m kstruve.cli`` runs clean: the package does not load the CLI."""
 
     @staticmethod
-    def run_python(*argv):
+    def env():
         src = str(Path(kstruve.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-        return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=60)
+        return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+    def run_python(self, *argv):
+        return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=self.env(), timeout=60)
 
     def test_module_entry_has_no_warning(self):
         proc = self.run_python("-W", "error", "-m", "kstruve.cli", "eval", "struve_h", "--nu", "2", "--x", "1")
@@ -446,3 +448,23 @@ class TestModuleEntry:
         proc = self.run_python("-c", "import sys, kstruve; print('kstruve.cli' in sys.modules)")
         assert proc.returncode == 0
         assert proc.stdout.strip() == "False"
+
+    def test_reader_closing_the_pipe_exits_141_without_a_traceback(self, tmp_path):
+        # 3,000 points that fail the strict hypotheses at once print about
+        # 1 MB, far more than a pipe holds, so the CLI is still writing when
+        # the reader leaves after one line
+        config = tmp_path / "grid.ini"
+        config.write_text(
+            "[theorem1]\nalpha = 1 2 3 4 5 6 7 8 9 10\nmu = 1 2 3 4 5 6 7 8 9 10\n"
+            "nu = 1 1.25\nk = 1 1.5 2 2.5 3\ny = 1 2 3\n"
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "kstruve.cli", "grid", "--config", str(config), "--format", "json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=self.env(),
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 141
+        assert json.loads(first)["identity"] == "theorem1"
+        assert err == ""

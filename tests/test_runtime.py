@@ -1,4 +1,4 @@
-"""The runtime stays stdlib-only: nothing outside the standard library is imported."""
+"""The runtime stays stdlib-only and light: no foreign or heavy stdlib module is imported."""
 
 import subprocess
 import sys
@@ -22,6 +22,12 @@ for name in sorted({m.partition(".")[0] for m in sys.modules}):
 """
 
 
+# stdlib modules that neither import nor a verify run loads: dataclasses and
+# typing (with inspect behind them) take longer to import than a verify point
+# takes to compute, and only a grid config needs configparser
+_UNLOADED = ("configparser", "dataclasses", "inspect", "typing")
+
+
 def test_runtime_imports_only_the_standard_library():
     src = Path(kstruve.__file__).resolve().parent.parent
     run = subprocess.run(
@@ -34,3 +40,4 @@ def test_runtime_imports_only_the_standard_library():
     assert "kstruve" in names
     foreign = [n for n in names if n not in ("__main__", "kstruve") and n not in sys.stdlib_module_names]
     assert not foreign, foreign
+    assert not [n for n in _UNLOADED if n in names]
