@@ -30,7 +30,7 @@ from .identities import (
     verify,
     verify_grid,
 )
-from .quadrature import integrate, select_method
+from .quadrature import integrate
 from .results import EvaluationResult, IdentityReport, QuadratureResult, Verdict
 from .struve import StruveParams, k_struve, struve_h, struve_l
 from .wright import WrightSpec, convergence_index, wright_eval
@@ -68,7 +68,6 @@ __all__ = [
     "log_abs_gamma",
     "log_gamma",
     "rhs",
-    "select_method",
     "struve_h",
     "struve_l",
     "verify",

@@ -131,8 +131,8 @@ class LinearRatio(
 
     def __new__(cls, num_forms, den_forms, num_const: int, den_const: int, tail_start: int):
         # powers of two in the constants become a shift, which keeps the
-        # integers of every step short
-        num_twos = (num_const & -num_const).bit_length() - 1
+        # integers of every step short; a zero numerator (every ratio 0) has none
+        num_twos = (num_const & -num_const).bit_length() - 1 if num_const else 0
         den_twos = (den_const & -den_const).bit_length() - 1
         return super().__new__(
             cls, num_forms, den_forms, num_const >> num_twos, den_const >> den_twos, tail_start,
@@ -173,8 +173,13 @@ def _pass(table, step, shift, negate, bits, gap, max_terms, keep=None):
             total = plus - minus
             if m >= start and nxt.bit_length() + gap <= total.bit_length() and (nxt + 1) << 2 <= a:
                 magnitude = plus + minus
-                floors = 4.0 * (math.fsum(magnitude / u for u in early) + (m + 1) * (magnitude / anchor))
-                return total, 2.0 * (nxt + 1), 3.0 * floors, m + 1
+                try:
+                    floors = 4.0 * (
+                        math.fsum(magnitude / u for u in early) + (m + 1) * (magnitude / anchor)
+                    )
+                    return total, 2.0 * (nxt + 1), 3.0 * floors, m + 1
+                except OverflowError:
+                    raise ConvergenceError("the fixed-point bounds leave the double range") from None
             if not nxt:
                 return None  # the terms ran out of bits before the sum was resolved
             thresh = abs(total) >> (gap - 1)

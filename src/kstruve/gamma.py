@@ -14,16 +14,26 @@ tracking for negative arguments.
 from __future__ import annotations
 
 import math
+import sys
 
 from .errors import DomainError, OverflowRangeError, PoleError
 
 # exp() overflows just above this; used to fail fast instead of raising
 # from inside math.exp
 _LOG_DBL_MAX = 709.782712893384
+_MIN_NORMAL = sys.float_info.min
 
 
 def _is_nonpositive_integer(x: float) -> bool:
     return x <= 0.0 and x == math.floor(x)
+
+
+def _lgamma(x: float) -> float:
+    """math.lgamma, whose overflow (from x of about 2.6e305 on) is an OverflowRangeError."""
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        raise OverflowRangeError(f"log Gamma({x!r}) exceeds the double range") from None
 
 
 def log_gamma(x: float) -> float:
@@ -32,7 +42,7 @@ def log_gamma(x: float) -> float:
         raise DomainError(f"log_gamma expects a finite real, got {x!r}")
     if x <= 0.0:
         raise DomainError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
+    return _lgamma(x)
 
 
 def log_abs_gamma(x: float) -> tuple[float, float]:
@@ -46,7 +56,7 @@ def log_abs_gamma(x: float) -> tuple[float, float]:
     if _is_nonpositive_integer(x):
         raise PoleError(f"gamma pole at x = {x}")
     if x > 0.0:
-        return math.lgamma(x), 1.0
+        return _lgamma(x), 1.0
     sign = 1.0 if math.floor(x) % 2 == 0 else -1.0
     return math.lgamma(x), sign
 
@@ -70,24 +80,40 @@ def log_k_gamma(z: float, k: float) -> float:
     if z <= 0.0:
         raise DomainError(f"log_k_gamma requires z > 0, got {z}")
     t = z / k
-    return (t - 1.0) * math.log(k) + math.lgamma(t)
+    if t == math.inf:
+        raise OverflowRangeError(f"log_k_gamma({z}, {k}) exceeds the double range")
+    if t == 0.0:
+        # z / k underflowed: Gamma(t) = Gamma(1 + t) / t gives t log k - log z
+        return -math.log(z)
+    return (t - 1.0) * math.log(k) + _lgamma(t)
 
 
 def k_gamma(z: float, k: float) -> float:
     """Gamma_k(z) = k**(z/k - 1) * Gamma(z/k).
 
     Poles of Gamma(z/k) (i.e. z/k a non-positive integer) raise PoleError;
-    results beyond the double range raise OverflowRangeError.  For moderate
-    arguments the two-factor product is evaluated directly, which keeps the
-    relative error at a couple of ulps; only near the representable edge do
-    we switch to log space to decide between overflow and a finite value.
+    results beyond the double range, and a z/k that overflows, raise
+    OverflowRangeError.  For moderate arguments the two-factor product is
+    evaluated directly, which keeps the relative error at a couple of ulps;
+    only near the representable edge do we switch to log space to decide
+    between overflow and a finite value.  A nonzero z/k below the normal
+    range, where Gamma(z/k) ~ k/z overflows, gives k**(z/k) Gamma(1 + z/k) / z.
     """
     if not (math.isfinite(z) and math.isfinite(k)) or k <= 0.0:
         raise DomainError(f"k_gamma requires finite z and k > 0, got z={z}, k={k}")
     t = z / k
+    if math.isinf(t):
+        raise OverflowRangeError(f"k_gamma({z}, {k}): z/k exceeds the double range")
+    if z != 0.0 and abs(t) < _MIN_NORMAL:
+        # a subnormal or underflowed z/k has lost digits, and Gamma(t) ~ 1/t
+        # overflows: Gamma(t) = Gamma(1 + t) / t gives k**t Gamma(1 + t) / z
+        value = k**t * math.gamma(1.0 + t) / z
+        if math.isinf(value):
+            raise OverflowRangeError(f"k_gamma({z}, {k}) exceeds the double range")
+        return value
     if _is_nonpositive_integer(t):
         raise PoleError(f"k_gamma pole at z = {z} (z/k = {t})")
-    log_mag = (t - 1.0) * math.log(k) + math.lgamma(t)
+    log_mag = (t - 1.0) * math.log(k) + _lgamma(t)
     if log_mag > _LOG_DBL_MAX:
         raise OverflowRangeError(f"k_gamma({z}, {k}) exceeds the double range")
     if abs(t) < 170.0 and abs(log_mag) < 700.0:

@@ -1,26 +1,23 @@
 """Closed-form integral identities for the k-Struve function.
 
-Two theorems are checked, both of Lavoie-Trottier type on (0, 1):
+Both theorems integrate one Lavoie-Trottier weight on (0, 1),
 
-* theorem1:  weight x**(a+u-1) (1-x)**(2a-1) (1-x/3)**(2(a+u)-1)
-  (1-x/4)**(a-1), series argument y (1-x/4) (1-x)**2;
-* theorem2:  weight x**(a-1) (1-x)**(2(a+u)-1) (1-x/3)**(2a-1)
-  (1-x/4)**(a+u-1), series argument y x (1-x/3)**2
+    x**(a-1) (1-x)**(2b-1) (1-x/3)**(2a-1) (1-x/4)**(b-1),
 
-(a = alpha, u = mu); the corollaries are the theorems at the (c, k) of
-:data:`COROLLARY_PINS`.  Each has two candidate right-hand sides built on a
-2 Psi 3 Fox-Wright series: the paper's, exactly as printed in the source
-theorem, and the corrected, re-derived form in which the third lower
-parameter gains +1, the power of k is -(nu/k + 1/2), and (for theorem2)
-the argument carries the (2/3)**4 factor that the substitution
-w -> y x (1-x/3)**2 actually produces.  The printed series argument
-includes a spurious halving of the integrand argument as well; the weights
-above follow the substitution used in the proofs, which is the reading under
-which the corrected forms agree with quadrature to full precision.
-
-Both theorems rest on the Lavoie-Trottier integral
-int_0^1 x**(a-1) (1-x)**(2b-1) (1-x/3)**(2a-1) (1-x/4)**(b-1) dx
-= (2/3)**(2a) Gamma(a) Gamma(b) / Gamma(a+b), which
+times the k-Struve series, whose argument is y times the weight's factors
+(1-x/4)(1-x)**2 in theorem1, at (a, b) = (alpha + mu, alpha), and x
+(1-x/3)**2 in theorem2, at (a, b) = (alpha, alpha + mu); the corollaries
+are the theorems at the (c, k) of :data:`COROLLARY_PINS`.  Each has two
+candidate right-hand sides built on a 2 Psi 3 Fox-Wright series: the
+paper's, exactly as printed in the source theorem, and the corrected,
+re-derived form in which the third lower parameter gains +1, the power of
+k is -(nu/k + 1/2), and (for theorem2) the argument carries the (2/3)**4
+factor that the substitution w -> y x (1-x/3)**2 actually produces.  The
+printed series argument includes a spurious halving of the integrand
+argument as well; the weight above follows the substitution used in the
+proofs, which is the reading under which the corrected forms agree with
+quadrature to full precision.  The weight alone integrates to
+(2/3)**(2a) Gamma(a) Gamma(b) / Gamma(a+b), which
 ``lavoie_trottier_check`` verifies on its own, with one closed form.
 
 ``lhs``, ``rhs`` and ``integrand`` serve either side of every theorem;
@@ -35,11 +32,12 @@ import itertools
 import math
 from collections import namedtuple
 from collections.abc import Iterable
+from functools import partial
 
 from .errors import ConvergenceError, DomainError, KStruveError
 from .fixedpoint import UNIT
 from .gamma import log_gamma
-from .quadrature import integrate, select_method
+from .quadrature import integrate
 from .results import IdentityReport, QuadratureResult, Verdict, require_normal
 from .struve import StruveParams, k_struve, k_struve_poly
 from .wright import WrightSpec, wright_eval
@@ -92,6 +90,8 @@ class TheoremParams(namedtuple("TheoremParams", "alpha mu nu c k y")):
             raise DomainError(f"k must be positive, got {self.k}")
         if self.alpha <= 0.0:
             raise DomainError(f"alpha must be positive, got {self.alpha}")
+        if not math.isfinite(self.lam):
+            raise DomainError(f"nu/k must be a finite double, got nu={self.nu}, k={self.k}")
         if self.alpha + self.mu <= 0.0:
             raise DomainError(f"need alpha + mu > 0, got {self.alpha + self.mu}")
         if self.alpha + self.lam <= 0.0:
@@ -180,79 +180,52 @@ def rhs(which: str, p: TheoremParams, corrected: bool = True, tol: float = 1e-12
     return require_normal(prefactor * series_value, "the closed form")
 
 
-def _series_tol(sp: StruveParams, tol: float) -> float:
-    """Integrand series tolerance: tol / 100, but no tighter than the leading term allows.
-
-    The leading coefficient's error is a smooth factor across the interval,
-    not quadrature noise, so it need not sit below tol / 100.
-    """
-    return max(tol * 0.01, 4.0 * sp.lead_error)
-
-
 # the rounding of each integrand's weight and argument, in ulps of its value
 _WEIGHT_ULPS = 16.0
 # the computed arguments reach their exact maximum |y| or 4|y|/9 to a few ulps
 _ARGUMENT_MARGIN = 1.0 + 8.0 * UNIT
 
 
-def _decline(w: float) -> None:
-    """The evaluator used when a point has no polynomial: every node calls k_struve."""
-    return None
+def _lavoie_exponents(a: float, b: float) -> tuple[float, float, float, float]:
+    """Exponents of x, 1-x, 1-x/3 and 1-x/4 in the Lavoie-Trottier weight at (a, b)."""
+    return a - 1.0, 2.0 * b - 1.0, 2.0 * a - 1.0, b - 1.0
 
 
-def _series(p: TheoremParams, tol: float, wmax: float):
-    """(sp, poly, series_tol) for the integrand's arguments |w| <= wmax.
+def _integrand(which: str, p: TheoremParams, tol: float):
+    """(f, series_tol): the weight times S(w) of theorem ``which`` (module docstring).
 
-    ``poly`` is the point's k-Struve polynomial (:func:`k_struve_poly`),
-    built once, or :func:`_decline` when there is none.  The integrands call
-    it at each node and call :func:`k_struve` at ``series_tol`` wherever it
-    returns None; either way each value has the error bound of
-    :func:`k_struve`, at most ``max(series_tol * |S(w)|, 1e-280)``.
+    |w| is at most |y| in theorem1 and 4|y|/9 in theorem2.  The point's
+    k-Struve polynomial (:func:`k_struve_poly`) is built once for that range,
+    or is :func:`k_struve` itself when there is none, and f calls
+    :func:`k_struve` wherever the polynomial returns None; either way each
+    value has the error bound of :func:`k_struve` at ``series_tol``, at most
+    ``max(series_tol * |S(w)|, 1e-280)``.  ``series_tol`` is tol / 100, but
+    no tighter than the leading coefficient allows: its error is a smooth
+    factor across the interval, not quadrature noise.
     """
+    first = which == "theorem1"
+    a, b = (p.alpha + p.mu, p.alpha) if first else (p.alpha, p.alpha + p.mu)
+    e_x, e_omx, e_third, e_quarter = _lavoie_exponents(a, b)
     sp = p.struve_params()
-    series_tol = _series_tol(sp, tol)
-    poly = k_struve_poly(sp, wmax * _ARGUMENT_MARGIN, series_tol) or _decline
-    return sp, poly, series_tol
-
-
-def _integrand1(p: TheoremParams, tol: float):
-    """(f, series_tol) for the first theorem; w = y (1-x/4)(1-x)**2 <= |y|."""
-    sp, poly, series_tol = _series(p, tol, abs(p.y))
-    e_x = p.alpha + p.mu - 1.0
-    e_omx = 2.0 * p.alpha - 1.0
-    e_third = 2.0 * (p.alpha + p.mu) - 1.0
-    e_quarter = p.alpha - 1.0
+    series_tol = max(tol * 0.01, 4.0 * sp.lead_error)
+    wmax = abs(p.y) if first else abs(p.y) * (4.0 / 9.0)
+    poly = k_struve_poly(sp, wmax * _ARGUMENT_MARGIN, series_tol)
+    poly = poly or partial(k_struve, sp, tol=series_tol)
     y = p.y
 
-    def f(x: float, omx: float) -> float:
-        r = 1.0 - x / 4.0
-        weight = x**e_x * omx**e_omx * (1.0 - x / 3.0) ** e_third * r**e_quarter
-        w = y * r * omx * omx
-        out = poly(w)
-        if out is None:
-            return weight * k_struve(sp, w, tol=series_tol).value
-        return weight * out[0]
-
-    return f, series_tol
-
-
-def _integrand2(p: TheoremParams, tol: float):
-    """(f, series_tol) for the second theorem; w = y x (1-x/3)**2 <= 4|y|/9."""
-    sp, poly, series_tol = _series(p, tol, abs(p.y) * (4.0 / 9.0))
-    e_x = p.alpha - 1.0
-    e_omx = 2.0 * (p.alpha + p.mu) - 1.0
-    e_third = 2.0 * p.alpha - 1.0
-    e_quarter = p.alpha + p.mu - 1.0
-    y = p.y
-
-    def f(x: float, omx: float) -> float:
-        q = 1.0 - x / 3.0
-        weight = x**e_x * omx**e_omx * q**e_third * (1.0 - x / 4.0) ** e_quarter
-        w = y * x * q * q
-        out = poly(w)
-        if out is None:
-            return weight * k_struve(sp, w, tol=series_tol).value
-        return weight * out[0]
+    # the argument's form is chosen here, once per point, not at each node
+    if first:
+        def f(x: float, omx: float) -> float:
+            third, quarter = 1.0 - x / 3.0, 1.0 - x / 4.0
+            w = y * quarter * omx * omx
+            weight = x**e_x * omx**e_omx * third**e_third * quarter**e_quarter
+            return weight * (poly(w) or k_struve(sp, w, tol=series_tol))[0]
+    else:
+        def f(x: float, omx: float) -> float:
+            third, quarter = 1.0 - x / 3.0, 1.0 - x / 4.0
+            w = y * x * third * third
+            weight = x**e_x * omx**e_omx * third**e_third * quarter**e_quarter
+            return weight * (poly(w) or k_struve(sp, w, tol=series_tol))[0]
 
     return f, series_tol
 
@@ -268,17 +241,10 @@ def _with_integrand_error(quad: QuadratureResult, relative: float) -> Quadrature
 def lhs(which: str, p: TheoremParams, tol: float = 1e-10) -> QuadratureResult:
     """Quadrature of the left side of ``which``; its estimates add the integrand's series error."""
     which, p = _resolve(which, p)
-    # S(w) is w**lam times a series in w**2: w ~ (1-x)**2 at x = 1 for
-    # the first theorem, w ~ x at x = 0 for the second
-    if which == "theorem1":
-        method = select_method(p.alpha + p.mu - 1.0, 2.0 * p.alpha - 1.0 + 2.0 * p.lam)
-        f, series_tol = _integrand1(p, tol)
-    else:
-        method = select_method(p.alpha - 1.0 + p.lam, 2.0 * (p.alpha + p.mu) - 1.0)
-        f, series_tol = _integrand2(p, tol)
+    f, series_tol = _integrand(which, p, tol)
     relative = series_tol + _WEIGHT_ULPS * UNIT
     try:
-        quad = integrate(f, tol=tol, method=method)
+        quad = integrate(f, tol=tol, method="tanh_sinh")
     except ConvergenceError as exc:
         if exc.partial is None:
             raise
@@ -293,8 +259,7 @@ def integrand(which: str, p: TheoremParams, x: float, tol: float = 1e-12) -> flo
     if not 0.0 < x < 1.0:
         raise DomainError(f"integrand is defined on (0, 1), got x={x}")
     which, p = _resolve(which, p)
-    make = _integrand1 if which == "theorem1" else _integrand2
-    return make(p, tol)[0](x, 1.0 - x)
+    return _integrand(which, p, tol)[0](x, 1.0 - x)
 
 
 def _resolve(which: str, p: TheoremParams) -> tuple[str, TheoremParams]:
@@ -439,8 +404,7 @@ def lavoie_trottier_check(alpha: float, beta: float, tol: float = 1e-10) -> Iden
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"tol must be a finite positive number, got {tol!r}")
     closed = lavoie_trottier_rhs(alpha, beta)
-    e_third = 2.0 * alpha - 1.0
-    e_quarter = beta - 1.0
+    _, _, e_third, e_quarter = _lavoie_exponents(alpha, beta)
 
     def smooth(x, omx):
         return (1.0 - x / 3.0) ** e_third * (1.0 - x / 4.0) ** e_quarter

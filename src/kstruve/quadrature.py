@@ -16,10 +16,6 @@
   endpoints in one weight).  When its estimate cannot meet the tolerance,
   the whole integrand goes to tanh-sinh.
 
-``select_method`` picks between the first two from the integrand's endpoint
-powers: Gauss-Kronrod when every power is a non-negative integer (an
-analytic integrand), tanh-sinh for any non-integer power, however large.
-
 Integrands take (x, 1 - x).  Every rule calls ``f(x, 1 - x)``, and
 tanh-sinh and Clenshaw-Curtis compute the complement from their transforms,
 accurate down to about 1e-308: near x = 1 the difference 1 - x loses all
@@ -503,14 +499,22 @@ def integrate(
     """Integrate f over (0, 1) to relative tolerance tol.
 
     ``f`` is called as ``f(x, 1 - x)``, with the complement accurate where
-    x is near 1; see the module docstring.  ``method`` is ``"adaptive_gk"`` (the default) or
-    ``"tanh_sinh"``.  Convergence means the internal error estimate
-    satisfies ``estimate <= max(tol * |value|, 1e-280)``: relative to the
+    x is near 1; see the module docstring.  ``method`` is ``"adaptive_gk"``
+    (the default) or ``"tanh_sinh"``; the theorem integrands of
+    :mod:`kstruve.identities` always run tanh-sinh.  Convergence means the
+    internal error estimate satisfies
+    ``estimate <= max(tol * |value|, 1e-280)``: relative to the
     value, with an absolute floor that only an integrand vanishing to
     underflow reaches.  An integral that is zero only to rounding, such as
     that of x - 1/2, therefore does not converge.  Failure to converge
     raises :class:`ConvergenceError` whose ``partial`` attribute holds the
     best :class:`QuadratureResult` so far (``converged=False``).
+
+    For a caller-supplied integrand the estimate is a heuristic: no estimate
+    built from finite samples survives an adversarial f.  For instance
+    ``f = T_34(2x - 1)`` equals ``T_2(2x - 1)`` at the 17 Clenshaw-Curtis
+    nodes, so with ``weight=(1.0, 1.0)`` the call returns -0.3333 with an
+    estimate of 1.3e-14, where the integral is -1/1155.
 
     ``weight = (p, q)``, with p, q > 0, integrates x**(p-1) (1-x)**(q-1)
     f(x, 1 - x) instead, for f smooth on [0, 1], by the Jacobi-weight
@@ -550,18 +554,3 @@ def integrate(
     if method == "tanh_sinh":
         return _tanh_sinh(f, tol)
     return _adaptive_gk(f, tol)
-
-
-def select_method(*endpoint_exponents: float) -> str:
-    """Pick a rule from the powers of the whole integrand at its endpoints.
-
-    Gauss-Kronrod runs only when every power is a non-negative integer, so
-    that the integrand is analytic on [0, 1] and the 15-point rule converges
-    geometrically.  Any other power, even one above 1, leaves a derivative
-    unbounded at an endpoint: Gauss-Kronrod then converges only algebraically
-    there and its estimate under-reports, while tanh-sinh keeps its
-    double-exponential rate.
-    """
-    if all(e >= 0.0 and e == math.floor(e) for e in endpoint_exponents):
-        return "adaptive_gk"
-    return "tanh_sinh"

@@ -42,17 +42,15 @@ Where a value's bound fails, or where the leading term leaves
 from __future__ import annotations
 
 import math
-import sys
 from collections import namedtuple
 from functools import cached_property, partial
 from itertools import accumulate
 
 from .errors import ConvergenceError, DomainError
 from .fixedpoint import LOG2_E, SUBNORMAL_ULP, UNIT, LinearRatio, fixed_terms, sum_fixed, sum_ratio
-from .gamma import _LOG_DBL_MAX, log_k_gamma
+from .gamma import _LOG_DBL_MAX, _MIN_NORMAL, _lgamma, log_k_gamma
 from .results import TINY, EvaluationResult
 
-_MIN_NORMAL = sys.float_info.min
 _LGAMMA_3_2 = math.lgamma(1.5)
 # from x sqrt(c/k) = 8 (ratio_scale = -16) on, with c > 0, the terms outgrow
 # the sum by more than about 150: the double loop would fail the relative rule
@@ -105,7 +103,7 @@ class _SeriesConstants:
         t = (p.nu + 1.5 * p.k) / p.k
         t_err = abs(_gap(t, bn, bd))
         log_k = math.log(p.k)
-        lg = math.lgamma(t)
+        lg = _lgamma(t)
         prod = (t - 1.0) * log_k
         psi = 1.0 / t + math.log(t + 1.0) + 1.0
         self.scale_err = (
@@ -143,6 +141,8 @@ class StruveParams(namedtuple("StruveParams", "nu c k")):
             raise DomainError(f"k must be positive, got k={k}")
         if nu <= -1.5 * k:
             raise DomainError(f"need nu > -3k/2 for pole-free denominators, got nu={nu}, k={k}")
+        if not (math.isfinite(nu / k) and math.isfinite(nu + 1.5 * k)):
+            raise DomainError(f"nu/k and nu + 3k/2 must be finite doubles, got nu={nu}, k={k}")
         return self
 
     @classmethod
@@ -510,6 +510,9 @@ def _integer_horner(params: StruveParams, xmax: float, tol: float):
     """
     consts = params._series
     half_max = 0.5 * xmax
+    peak = half_max * math.sqrt(params.c / params.k)
+    if peak >= _MAX_TERMS:
+        return None  # the largest term comes after the pass's last, as in _fixed
     xn, xd = xmax.as_integer_ratio()
     try:
         terms, bits, tail, floors = fixed_terms(
@@ -517,7 +520,7 @@ def _integer_horner(params: StruveParams, xmax: float, tol: float):
             xn * xn,
             2 * (xd.bit_length() - 1),
             True,
-            _cancellation_bits(half_max * math.sqrt(params.c / params.k)),
+            _cancellation_bits(peak),
             0.125 * tol,
             _MAX_TERMS,
         )

@@ -6,10 +6,10 @@
 with all alpha_i, beta_j > 0.  The series is entire whenever the convergence
 index  delta = sum(beta_j) - sum(alpha_i)  exceeds -1; at delta = -1 it has a
 finite radius and below that it is purely asymptotic, so evaluation is
-refused there.  With integer slopes (every identity in the package) the terms
-follow their exact ratio recurrence, re-summed in fixed point when they cancel
-beyond double precision; other slopes assemble each term in log space with
-explicit sign tracking.
+refused there.  With integer slopes up to 64 (every identity in the package
+has 1 and 2) the terms follow their exact ratio recurrence, re-summed in
+fixed point when they cancel beyond double precision; other slopes assemble
+each term in log space with explicit sign tracking.
 """
 
 from __future__ import annotations
@@ -18,13 +18,16 @@ import math
 from collections import namedtuple
 from functools import cached_property, partial
 
-from .errors import ConvergenceError, DomainError, PoleError
+from .errors import ConvergenceError, DomainError, OverflowRangeError, PoleError
 from .fixedpoint import LOG2_E, MAX_BITS, SUBNORMAL_ULP, UNIT, LinearRatio, sum_fixed, sum_ratio
-from .gamma import log_abs_gamma
+from .gamma import _LOG_DBL_MAX, _lgamma, log_abs_gamma
 from .results import TINY, EvaluationResult
 
 _POLE_SNAP = 1e-9
 _MAX_TERMS = 1000
+# the exact ratio has one linear factor per unit of slope; beyond this slope
+# the log path, whose cost does not grow with the slopes, runs instead
+_MAX_SLOPE = 64
 # beyond a peak of e**this times the first term the fixed-point pass would
 # need more than MAX_BITS bits: the double loop runs and reports the overflow
 _MAX_LOG_PEAK = MAX_BITS / LOG2_E
@@ -64,19 +67,29 @@ class WrightSpec(namedtuple("WrightSpec", "upper lower")):
 
         :func:`wright_eval` cannot meet a relative tolerance much below it.
         """
-        if all(w.is_integer() for _, w in self.upper + self.lower):
+        if _integer_slopes(self):
             return self._plan.lead_err
         _, _, size = _log_term(self, 0)
         count = len(self.upper) + len(self.lower)
         return UNIT * ((6.0 + count) * size + 4.0 * (count + 1) + 2.0)
 
 
+def _integer_slopes(spec: WrightSpec) -> bool:
+    """Whether every slope is an integer of at most _MAX_SLOPE: the exact-ratio path's specs."""
+    return all(w.is_integer() and w <= _MAX_SLOPE for _, w in spec.upper + spec.lower)
+
+
 def convergence_index(spec: WrightSpec) -> float:
     """delta = sum of lower slopes minus sum of upper slopes."""
-    return math.fsum(be for _, be in spec.lower) - math.fsum(al for _, al in spec.upper)
+    try:
+        return math.fsum(be for _, be in spec.lower) - math.fsum(al for _, al in spec.upper)
+    except OverflowError:
+        raise OverflowRangeError("the sum of the slopes exceeds the double range") from None
 
 
 def _near_nonpositive_integer(v: float) -> bool:
+    if not math.isfinite(v):
+        return False  # log_abs_gamma refuses it
     nearest = round(v)
     return nearest <= 0 and abs(v - nearest) <= _POLE_SNAP
 
@@ -106,12 +119,19 @@ def _log_term(spec: WrightSpec, m: int) -> tuple[float, float, float]:
 
 
 def _first_positive(forms) -> int:
-    """Smallest m >= 0 with p*m + q > 0 for every (p, q) in forms."""
+    """Smallest m >= 0 with p*m + q > 0 for every (p, q) in forms, at most _MAX_TERMS + 1.
+
+    No sum certifies its tail before this index, so one beyond the term cap
+    stands for any later one.
+    """
     first = 0
     for p, q in forms:
         if q > 0.0:
             continue
-        m = max(0, math.floor(-q / p) + 1)
+        root = -q / p
+        if not root < _MAX_TERMS:
+            return _MAX_TERMS + 1
+        m = max(0, math.floor(root) + 1)
         while p * m + q <= 0.0:
             m += 1
         first = max(first, m)
@@ -177,7 +197,11 @@ class _Plan:
             high = max(q / p for p, q in den)
             # sum 1/(m + q/p) upstairs <= downstairs once this holds
             edge = (len(num) * high - len(den) * low) / (len(den) - len(num))
-            start = max(start, math.ceil(edge) + 1)
+            # (no sum certifies past _MAX_TERMS; below -1 the edge does not bind)
+            if edge < _MAX_TERMS:
+                start = max(start, math.ceil(max(edge, -1.0)) + 1)
+            else:
+                start = _MAX_TERMS + 1
         self.num_forms = tuple(num)
         self.den_forms = tuple(den)
         # roundings per step: one per factor and product, the quotient, the
@@ -207,7 +231,7 @@ class _Plan:
         if any(q <= 0.0 for _, forms in groups for _, q in forms):
             return None
         return tuple(
-            (sign, math.log(p), q / p, math.lgamma(q / p)) for sign, forms in groups for p, q in forms
+            (sign, math.log(p), q / p, _lgamma(q / p)) for sign, forms in groups for p, q in forms
         )
 
     @cached_property
@@ -238,7 +262,7 @@ def wright_eval(spec: WrightSpec, z: float, tol: float = 1e-12) -> EvaluationRes
     The bound covers the truncated tail and the rounding of every term and of
     the sum, with (terms + 2) * 2**-1074 for results below the normal range.
 
-    When every slope is an integer the terms follow their exact ratio
+    When every slope is an integer up to 64 the terms follow their exact ratio
     recurrence in :func:`kstruve.fixedpoint.sum_ratio`, the loop the k-Struve
     series shares: from the index at which every factor is positive and the
     ratio magnitude can no longer rise, the tail is majorized by a geometric
@@ -262,7 +286,7 @@ def wright_eval(spec: WrightSpec, z: float, tol: float = 1e-12) -> EvaluationRes
         raise ConvergenceError(
             f"convergence index {delta} <= -1: series is not entire, refusing to sum"
         )
-    if all(w.is_integer() for _, w in spec.upper + spec.lower):
+    if _integer_slopes(spec):
         plan = spec._plan
         if plan.lead != 0.0:
             return _ratio_sum(plan, z, tol)
@@ -286,7 +310,7 @@ def _peak_bits(plan: _Plan, z: float, tol: float) -> int:
     m = round(root)
     log_peak = m * math.log(-z)
     for sign, log_p, shift, lgamma_shift in plan.log_forms:
-        log_peak += sign * (m * log_p + math.lgamma(m + shift) - lgamma_shift)
+        log_peak += sign * (m * log_p + _lgamma(m + shift) - lgamma_shift)
     if log_peak <= budget:
         return 0
     return math.ceil(log_peak * LOG2_E)
@@ -343,6 +367,8 @@ def _log_sum(spec: WrightSpec, z: float, tol: float) -> EvaluationResult:
         err = UNIT * ((6.0 + count) * size + 4.0 * (count + 1) + 2.0)
         if log_mag < -745.0:
             return 0.0, 0.0
+        if log_mag > _LOG_DBL_MAX:
+            raise ConvergenceError(f"Fox-Wright series at z={z}: term {m} overflows")
         return sign * math.exp(log_mag), err
 
     positive_from = _first_positive([(w, a) for a, w in spec.upper + spec.lower])

@@ -19,7 +19,6 @@ from kstruve import (
     integrate,
     lavoie_trottier_check,
     lavoie_trottier_rhs,
-    select_method,
 )
 import kstruve
 from kstruve import identities, quadrature
@@ -331,8 +330,7 @@ class TestPerSideTruncation:
             points.append((which, p))
         raised = saved = 0
         for which, p in points:
-            make = identities._integrand1 if which == "theorem1" else identities._integrand2
-            fewer, err = _assert_matches_pair_rule(make(p, 1e-10)[0], 1e-10)
+            fewer, err = _assert_matches_pair_rule(identities._integrand(which, p, 1e-10)[0], 1e-10)
             saved += fewer
             raised += err is not None
         assert saved > 0 and raised > 0
@@ -490,20 +488,6 @@ class TestEndpointSafe:
         else:
             with pytest.raises(TypeError):
                 integrate(f, tol=1e-10)
-
-
-class TestSelectMethod:
-    def test_singular_exponent_selects_tanh_sinh(self):
-        assert select_method(0.5, 1.0, 2.0) == "tanh_sinh"
-        assert select_method(0.999) == "tanh_sinh"
-        assert select_method(-0.25, 3.0) == "tanh_sinh"
-        assert select_method(2.0, 5.5) == "tanh_sinh"
-
-    def test_regular_exponents_select_gk(self):
-        assert select_method(1.0, 1.0) == "adaptive_gk"
-        assert select_method(2.0, 5.0) == "adaptive_gk"
-        assert select_method(0.0, 3.0) == "adaptive_gk"
-        assert select_method() == "adaptive_gk"
 
 
 class TestLavoieTrottier:
