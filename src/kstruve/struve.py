@@ -306,27 +306,19 @@ def k_struve_poly(params: StruveParams, xmax: float, tol: float):
     There, nodes with 1 - (x/xmax)**2 <= ``_SIGMA_MAX`` first try the
     terms' exact Taylor shift to x = xmax in doubles, and the others, or
     those whose shifted bound fails, run integer Horner's rule.  A double
-    value whose bound fails tries the integer polynomial as well.
+    value whose bound fails tries the integer polynomial as well.  The
+    returned evaluator is the integer one itself, which tries the double
+    polynomial for x <= w* first; it is the double polynomial alone when
+    the integer terms cannot be built.
     """
     if not 0.0 < xmax < math.inf:
         return None
     half_max = 0.5 * xmax
     if -params.c * half_max * half_max / params.k > _FIXED_RATIO_SCALE:
         return _double_horner(params, xmax, tol)
-    integer = _integer_horner(params, xmax, tol)
     split = _split(params, tol)
     double = _double_horner(params, split, tol) if split else None
-    if integer is None or double is None:
-        return integer or double
-
-    def evaluate(x: float) -> tuple[float, float] | None:
-        if x <= split:
-            out = double(x)
-            if out is not None:
-                return out
-        return integer(x)
-
-    return evaluate
+    return _integer_horner(params, xmax, tol, split, double) or double
 
 
 def _double_horner(params: StruveParams, xmax: float, tol: float):
@@ -482,8 +474,13 @@ def _split(params: StruveParams, tol: float) -> float:
     return next((w for w in (cap * 0.9**j for j in range(40)) if probe(w) is not None), 0.0)
 
 
-def _integer_horner(params: StruveParams, xmax: float, tol: float):
-    """g on (0, xmax] from the integer terms of one fixed-point pass at xmax, or None.
+def _integer_horner(params: StruveParams, xmax: float, tol: float, split: float, double):
+    """The fixed-point regime's evaluator of :func:`k_struve_poly` on (0, xmax], or None.
+
+    A node x <= ``split`` returns ``double(x)``, the double polynomial on
+    (0, split], when that is not None; ``double`` may be None.  Every other
+    node evaluates g from the integer terms of one fixed-point pass at xmax,
+    times the leading term, computed inline as :func:`_lead` does.
 
     :func:`kstruve.fixedpoint.fixed_terms` at x = xmax and tol / 8 gives
     u_m, within e_m of 2**bits a_m V**m, so that
@@ -540,7 +537,7 @@ def _integer_horner(params: StruveParams, xmax: float, tol: float):
     inv = (xd * xd << (bits + guard)) // (xn * xn)
     top = terms[-1]
     rest = tuple(reversed(terms[:-1]))
-    power = degree + 1
+    tail_power = degree + 1
     xmax_sq = xmax * xmax
     taylor = _taylor_at_one(terms, bits, tol)
     if taylor is None:
@@ -549,17 +546,41 @@ def _integer_horner(params: StruveParams, xmax: float, tol: float):
     else:
         shifted, order, rest_units, taylor_rounding = taylor
         sigma_max = _SIGMA_MAX
+    if double is None:
+        split = 0.0  # no node tries the double polynomial
+    power = consts.power
+    scale0 = consts.scale0
+    delta = consts.power_delta
+    lead_err0 = consts.lead_err
+    pad = 1.0 + 8.0 * UNIT
+    ulps3 = 3.0 * UNIT
+    log = math.log
+    ldexp = math.ldexp
     inf = math.inf
 
     def evaluate(x: float) -> tuple[float, float] | None:
+        if x <= split:
+            out = double(x)
+            if out is not None:
+                return out
         if not 0.0 < x <= xmax:
             return None
-        leading = _lead(consts, 0.5 * x)
-        if leading is None:
+        half = 0.5 * x
+        if not half >= _MIN_NORMAL:
             return None
-        lead, lead_err = leading
+        try:
+            lead = half**power * scale0
+        except OverflowError:
+            return None
+        if not 1e-300 < lead < 1e300:
+            return None
+        lead_err = lead_err0
+        if delta:
+            t = delta * log(half)
+            lead *= 1.0 + t
+            lead_err += t * t + ulps3 * abs(t)
         r = x / xmax
-        pass_units = tail * (r * r * _S_PAD) ** power
+        pass_units = tail * (r * r * _S_PAD) ** tail_power
         sigma = (xmax - x) * (xmax + x) / xmax_sq
         if sigma <= sigma_max:
             t = -sigma
@@ -570,8 +591,8 @@ def _integer_horner(params: StruveParams, xmax: float, tol: float):
             size = abs(value)
             units = floors + pass_units + rest_units * (sigma * _S_PAD) ** order
             bound = (
-                lead * (math.ldexp(units, -bits) * (1.0 + 8.0 * UNIT) + taylor_rounding)
-                + size * (lead_err + 3.0 * UNIT)
+                lead * (ldexp(units, -bits) * pad + taylor_rounding)
+                + size * (lead_err + ulps3)
                 + SUBNORMAL_ULP
             )
             if bound <= tol * size < inf:
@@ -581,11 +602,11 @@ def _integer_horner(params: StruveParams, xmax: float, tol: float):
         acc = top
         for u in rest:
             acc = (acc * s >> bits) + u
-        value = lead * math.ldexp(float(acc), -bits)
+        value = lead * ldexp(float(acc), -bits)
         size = abs(value)
         bound = (
-            lead * math.ldexp(units_fixed + pass_units, -bits) * (1.0 + 8.0 * UNIT)
-            + size * (lead_err + 3.0 * UNIT)
+            lead * ldexp(units_fixed + pass_units, -bits) * pad
+            + size * (lead_err + ulps3)
             + SUBNORMAL_ULP
         )
         if bound <= tol * size < inf:

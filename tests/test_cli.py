@@ -295,6 +295,14 @@ class TestGridCommand:
         identities = {json.loads(line)["identity"] for line in lines[:-1]}
         assert identities == set(IDENTITIES)
 
+    def test_default_output_is_byte_identical_to_the_golden_file(self, monkeypatch):
+        # every value, bound and verdict of the 60 default points, to the last digit
+        monkeypatch.delenv(CONFIG_ENV, raising=False)
+        golden = (Path(__file__).parent / "data" / "default_grids.jsonl").read_text()
+        code, out, _ = run_cli("grid", "--format", "json")
+        assert code == 0
+        assert out == golden
+
     @pytest.mark.parametrize("which", IDENTITIES)
     def test_empty_section_expands_to_the_default_grid(self, which, tmp_path):
         cfg = tmp_path / "grid.ini"

@@ -167,6 +167,32 @@ class TestKGamma:
             assert math.exp(log_k_gamma(z, k)) == pytest.approx(k_gamma(z, k), rel=1e-13)
 
 
+class TestDoubleRangeEdge:
+    """Gamma_k and its logarithm where a factor nears the edge of the double range (mpmath, 40 digits)."""
+
+    @pytest.mark.parametrize("z", [1e-305, 3e-306, 171.5])
+    def test_k_gamma_keeps_the_direct_products_digits(self, z):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            want = mp.gamma(mp.mpf(z))
+            assert abs((k_gamma(z, 1.0) - want) / want) <= 4e-16
+
+    @pytest.mark.parametrize("z, k", [(1.0, 3e-306), (100.0, 1e-304), (3.0, 1e-305)])
+    def test_log_k_gamma_beyond_lgammas_range(self, z, k):
+        # log Gamma(z/k) overflows on its own, log Gamma_k(z) is a double
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            t = mp.mpf(z) / mp.mpf(k)
+            want = (t - 1) * mp.log(mp.mpf(k)) + mp.loggamma(t)
+            assert abs((log_k_gamma(z, k) - want) / want) <= 1e-15
+
+    @pytest.mark.parametrize("z, k", [(1e308, 100.0), (1.797e308, 704.8)])
+    def test_log_k_gamma_beyond_the_double_range_raises(self, z, k):
+        # without and with a finite log Gamma(z/k)
+        with pytest.raises(OverflowRangeError):
+            log_k_gamma(z, k)
+
+
 class TestKGammaIntegralOracle:
     def test_exact_cases(self):
         assert k_gamma_integral_oracle(1.0, 1.0) == pytest.approx(1.0, rel=1e-9)

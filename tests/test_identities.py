@@ -536,6 +536,13 @@ PINNED_LHS = [
     ("theorem2", (1.0, 0.25, 2.0, 1.0, 1.0, 20.0), "fixed-point",
      ("0x1.54aa8e5eab205p-2", "0x1.baa5ad446259bp-41", 90, "0x1.54aa8e5eab205p-2")),
 ]
+# rhs(which, p, corrected) at the PINNED_LHS points: (as printed, corrected)
+PINNED_RHS = [
+    ("0x1.449f13279dc01p-15", "0x1.fe4294747812ep-12"),
+    ("0x1.1e807b0f263c8p-7", "0x1.cb849a930a31ep-10"),
+    ("0x1.bbe0e4ceadf81p-1", "0x1.be9f5c3b88918p-3"),
+    ("0x1.12bbdf98a78cdp-9", "0x1.54aa8e5eab2b2p-2"),
+]
 
 
 class TestPinnedTheoremResults:
@@ -554,6 +561,16 @@ class TestPinnedTheoremResults:
         assert quad.evaluations == evaluations
         assert quad.abs_integral == float.fromhex(abs_integral)
         assert quad.converged
+
+    @pytest.mark.parametrize(
+        "case, pinned", list(zip(PINNED_LHS, PINNED_RHS)), ids=[f"{c[0]}-{c[2]}" for c in PINNED_LHS]
+    )
+    def test_rhs_is_bit_identical(self, case, pinned):
+        which, point = case[:2]
+        p = TheoremParams(*point)
+        paper, corrected = pinned
+        assert rhs(which, p, corrected=False) == float.fromhex(paper)
+        assert rhs(which, p, corrected=True) == float.fromhex(corrected)
 
 
 class TestVerifyGrid:

@@ -298,6 +298,30 @@ class TestPolynomial:
         assert (poly.rel <= 1e-12) is (wmax < 5.0)
         assert [poly(w) for w in (1e-3, 0.7, wmax)] == expected
 
+    # nu = 2, c = k = 1, W = 40 (w* = 5.832): (w, value, bound) for a node of the
+    # double polynomial, one of integer Horner and one of the Taylor shift (sigma <= 0.2)
+    FIXED_POINT_PINS = [
+        (3.0, "0x1.7c1a1b0680966p-1", "0x1.ab852be2d937cp-46"),
+        (20.0, "0x1.0c9bc2faf1521p+2", "0x1.6a1685c67f025p-47"),
+        (38.0, "0x1.0453e0c665964p+3", "0x1.2c97bf445ea27p-42"),
+    ]
+
+    def _check_fixed_point_pins(self):
+        poly = k_struve_poly(StruveParams(nu=2.0, c=1.0, k=1.0), 40.0, 1e-12)
+        for w, value, bound in self.FIXED_POINT_PINS:
+            assert poly(w) == (float.fromhex(value), float.fromhex(bound))
+        assert poly(math.nextafter(40.0, 41.0)) is None
+
+    def test_fixed_point_polynomial_is_bit_identical(self):
+        self._check_fixed_point_pins()
+
+    def test_fixed_point_polynomial_computes_its_leading_term_inline(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("_lead called")
+
+        monkeypatch.setattr(struve_module, "_lead", refuse)
+        self._check_fixed_point_pins()
+
 
 class TestOdeResidual:
     @pytest.mark.parametrize("nu", [0.0, 1.0])
