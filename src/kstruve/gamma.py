@@ -77,8 +77,8 @@ def gamma(x: float) -> float:
 def log_k_gamma(z: float, k: float) -> float:
     """log Gamma_k(z) for z, k > 0.
 
-    Where log Gamma(z/k) itself overflows (z/k of about 2.6e305 and more)
-    but the result is a double, Stirling's series (DLMF 5.11.1) with
+    Where log Gamma(z/k) (z/k of about 2.6e305 and more) or (z/k - 1) log k
+    overflows on its own but the result is a double, Stirling's series (DLMF 5.11.1) with
     t = z/k gives t (log z - 1) - log k - (log t)/2 + (log 2 pi)/2.  Its
     remainder is below 1/(12 t), under 4e-307, and the rounding adds a few
     ulps of t |log z|: a relative error of a few ulps times
@@ -99,7 +99,9 @@ def log_k_gamma(z: float, k: float) -> float:
     try:
         value = (t - 1.0) * math.log(k) + math.lgamma(t)
     except OverflowError:
-        # log Gamma(t) alone leaves the double range: Stirling's series
+        value = math.inf
+    if not math.isfinite(value):
+        # log Gamma(t) or (t - 1) log k alone leaves the double range: Stirling's series
         value = t * (math.log(z) - 1.0) - math.log(k) - 0.5 * math.log(t) + _HALF_LOG_2PI
     if math.isinf(value):
         raise OverflowRangeError(f"log_k_gamma({z}, {k}) exceeds the double range")

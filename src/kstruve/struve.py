@@ -547,15 +547,11 @@ def _integer_horner(params: StruveParams, xmax: float, tol: float, split: float,
         shifted, order, rest_units, taylor_rounding = taylor
         sigma_max = _SIGMA_MAX
     if double is None:
-        split = 0.0  # no node tries the double polynomial
+        split = -math.inf  # no node, not even x <= 0, tries the double polynomial
     power = consts.power
     scale0 = consts.scale0
     delta = consts.power_delta
     lead_err0 = consts.lead_err
-    pad = 1.0 + 8.0 * UNIT
-    ulps3 = 3.0 * UNIT
-    log = math.log
-    ldexp = math.ldexp
     inf = math.inf
 
     def evaluate(x: float) -> tuple[float, float] | None:
@@ -576,9 +572,9 @@ def _integer_horner(params: StruveParams, xmax: float, tol: float, split: float,
             return None
         lead_err = lead_err0
         if delta:
-            t = delta * log(half)
+            t = delta * math.log(half)
             lead *= 1.0 + t
-            lead_err += t * t + ulps3 * abs(t)
+            lead_err += t * t + 3.0 * UNIT * abs(t)
         r = x / xmax
         pass_units = tail * (r * r * _S_PAD) ** tail_power
         sigma = (xmax - x) * (xmax + x) / xmax_sq
@@ -591,8 +587,8 @@ def _integer_horner(params: StruveParams, xmax: float, tol: float, split: float,
             size = abs(value)
             units = floors + pass_units + rest_units * (sigma * _S_PAD) ** order
             bound = (
-                lead * (ldexp(units, -bits) * pad + taylor_rounding)
-                + size * (lead_err + ulps3)
+                lead * (math.ldexp(units, -bits) * (1.0 + 8.0 * UNIT) + taylor_rounding)
+                + size * (lead_err + 3.0 * UNIT)
                 + SUBNORMAL_ULP
             )
             if bound <= tol * size < inf:
@@ -602,11 +598,11 @@ def _integer_horner(params: StruveParams, xmax: float, tol: float, split: float,
         acc = top
         for u in rest:
             acc = (acc * s >> bits) + u
-        value = lead * ldexp(float(acc), -bits)
+        value = lead * math.ldexp(float(acc), -bits)
         size = abs(value)
         bound = (
-            lead * ldexp(units_fixed + pass_units, -bits) * pad
-            + size * (lead_err + ulps3)
+            lead * math.ldexp(units_fixed + pass_units, -bits) * (1.0 + 8.0 * UNIT)
+            + size * (lead_err + 3.0 * UNIT)
             + SUBNORMAL_ULP
         )
         if bound <= tol * size < inf:

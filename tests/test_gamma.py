@@ -177,9 +177,12 @@ class TestDoubleRangeEdge:
             want = mp.gamma(mp.mpf(z))
             assert abs((k_gamma(z, 1.0) - want) / want) <= 4e-16
 
-    @pytest.mark.parametrize("z, k", [(1.0, 3e-306), (100.0, 1e-304), (3.0, 1e-305)])
+    @pytest.mark.parametrize(
+        "z, k", [(1.0, 3e-306), (100.0, 1e-304), (3.0, 1e-305), (1.2e-18, 5e-324)]
+    )
     def test_log_k_gamma_beyond_lgammas_range(self, z, k):
-        # log Gamma(z/k) overflows on its own, log Gamma_k(z) is a double
+        # log Gamma(z/k), or at the last point (z/k - 1) log k, overflows on
+        # its own, log Gamma_k(z) is a double
         mp = pytest.importorskip("mpmath")
         with mp.workdps(40):
             t = mp.mpf(z) / mp.mpf(k)

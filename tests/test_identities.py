@@ -245,6 +245,19 @@ class TestVerify:
         neg = TheoremParams(alpha=1.0, mu=0.5, nu=2.0, y=-1.0)
         assert verify(which, neg).verdict is Verdict.CONFIRMED_CORRECTED
 
+    @pytest.mark.parametrize("which", ["theorem1", "theorem2"])
+    def test_negative_y_without_a_double_polynomial_keeps_its_error(self, which):
+        # nu/k = 169 in the fixed-point regime: the integrand's nodes w < 0
+        # leave k_struve_poly to k_struve, and the closed form leaves the
+        # double range at y = -20 as at y = 20
+        pos, neg = (TheoremParams(alpha=1.0, mu=0.5, nu=169.0, y=y) for y in (20.0, -20.0))
+        with pytest.raises(ConvergenceError, match="outside the normal double range"):
+            verify(which, neg)
+        (_, row_pos), (_, row_neg) = verify_grid(which, [pos, neg])
+        assert row_neg.verdict is Verdict.INCONCLUSIVE
+        assert row_neg.error == row_pos.error
+        assert row_neg.error.startswith("ConvergenceError: ")
+
     def test_tiny_threshold_is_inconclusive(self):
         report = verify("theorem1", BASE, threshold=1e-15)
         assert report.verdict is Verdict.INCONCLUSIVE

@@ -322,6 +322,14 @@ class TestPolynomial:
         monkeypatch.setattr(struve_module, "_lead", refuse)
         self._check_fixed_point_pins()
 
+    def test_fixed_point_polynomial_without_a_double_polynomial_declines_outside(self):
+        # nu/k = 300: scale0 underflows, so no double polynomial serves below w*
+        params = StruveParams(nu=300.0, c=1.0, k=1.0)
+        assert struve_module._split(params, 1e-12) == 0.0
+        poly = k_struve_poly(params, 40.0, 1e-12)
+        for w in (-1.0, 0.0, -0.0, math.nextafter(40.0, 41.0)):
+            assert poly(w) is None
+
 
 class TestOdeResidual:
     @pytest.mark.parametrize("nu", [0.0, 1.0])
