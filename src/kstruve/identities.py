@@ -37,7 +37,7 @@ from functools import partial
 from .errors import ConvergenceError, DomainError, KStruveError
 from .fixedpoint import UNIT
 from .gamma import log_gamma
-from .quadrature import integrate
+from .quadrature import integrate, require_tol
 from .results import IdentityReport, QuadratureResult, Verdict, require_normal
 from .struve import StruveParams, k_struve, k_struve_poly
 from .wright import WrightSpec, wright_eval
@@ -143,6 +143,7 @@ def rhs(which: str, p: TheoremParams, corrected: bool = True, tol: float = 1e-12
     Fox-Wright sum or their product is not a normal double; only y = 0
     gives an exact 0.0.
     """
+    require_tol(tol)
     which, p = _resolve(which, p)
     nuk = p.nu / p.k
     lam = p.lam
@@ -203,6 +204,7 @@ def _integrand(which: str, p: TheoremParams, tol: float):
     no tighter than the leading coefficient allows: its error is a smooth
     factor across the interval, not quadrature noise.
     """
+    require_tol(tol)
     first = which == "theorem1"
     a, b = (p.alpha + p.mu, p.alpha) if first else (p.alpha, p.alpha + p.mu)
     e_x, e_omx, e_third, e_quarter = _lavoie_exponents(a, b)
@@ -464,10 +466,15 @@ def grid_axes(which: str, **axes) -> dict[str, tuple]:
     if not set(axes) <= set(DEFAULT_AXES):
         raise DomainError(f"grid axes are {tuple(DEFAULT_AXES)}, got {tuple(axes)}")
     pins = COROLLARY_PINS.get(which, {})
-    return {
-        name: tuple(axes[name]) if name in axes else (pins[name],) if name in pins else default
-        for name, default in DEFAULT_AXES.items()
-    }
+    columns = {name: (pins[name],) if name in pins else v for name, v in DEFAULT_AXES.items()}
+    for name, values in axes.items():
+        try:
+            columns[name] = tuple(values)
+        except TypeError:
+            columns[name] = ()
+        if not columns[name]:
+            raise DomainError(f"grid axis {name!r} needs a non-empty iterable of values, got {values!r}")
+    return columns
 
 
 def default_grid(which: str = "theorem1", **axes) -> list[TheoremParams]:

@@ -493,6 +493,12 @@ def _jacobi_cc(g, p: float, q: float, tol: float) -> tuple[QuadratureResult | No
     return None, len(samples)
 
 
+def require_tol(tol: float) -> None:
+    """Raise DomainError unless tol is a finite positive number."""
+    if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tol must be a finite positive number, got {tol!r}")
+
+
 def integrate(
     f, tol: float, method: str | None = None, weight: tuple[float, float] | None = None
 ) -> QuadratureResult:
@@ -524,12 +530,14 @@ def integrate(
     call hands the whole integrand to tanh-sinh, and the result counts the
     evaluations of both.
     """
-    if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0.0):
-        raise DomainError(f"tol must be a finite positive number, got {tol!r}")
+    require_tol(tol)
     if weight is not None:
         if method is not None:
             raise DomainError(f"a weight is integrated by Clenshaw-Curtis, got method {method!r}")
-        p, q = weight
+        try:
+            p, q = weight
+        except (TypeError, ValueError):
+            p = q = None  # not a pair: refused below
         if not (isinstance(p, (int, float)) and isinstance(q, (int, float))
                 and 0.0 < p < math.inf and 0.0 < q < math.inf):
             raise DomainError(f"weight needs finite p, q > 0, got {weight!r}")

@@ -22,18 +22,21 @@ rational, is summed in fixed point on integers.
 A caller that needs S at many x in (0, X] builds :func:`k_struve_poly` once:
 the leading term times a polynomial in (x/2)**2 whose degree makes the tail
 at X small.  Each value carries a bound (tail, Horner and coefficient
-rounding, leading term), at most tol times the value.  The polynomial runs
-in one of three regimes:
+rounding, leading term), at most tol times the value.  One evaluator
+computes the leading term and tries up to three forms of the polynomial,
+in this order, until a value's bound fits:
 
 - double: Horner's rule on double coefficients, on all of (0, X] below the
-  fixed-point regime (c < 0, or X sqrt(c/k) < 8) and up to a split w* in it.
-  Where the terms cannot cancel much (c <= 0, or a first term ratio below 1
-  at X), one relative bound, proved once for the whole interval, serves
-  every node; otherwise each node computes its own;
-- integer: above w*, the integer terms u_m of one fixed-point pass at X,
-  evaluated by integer Horner's rule in s = (x/X)**2;
-- Taylor at X: next to X, where sigma = 1 - s is small, the same integer
-  polynomial shifted exactly to s = 1 and evaluated in doubles in -sigma.
+  fixed-point regime (c <= 0, or X sqrt(c/k) < 8) and on (0, 8 sqrt(k/c)]
+  in it.  Where the terms cannot cancel much (c <= 0, or a first term
+  ratio below 1 at that range's end), one relative bound, proved once for
+  the whole interval, serves every node; otherwise each node computes its
+  own;
+- Taylor at X: in the fixed-point regime, next to X, where sigma = 1 -
+  (x/X)**2 is small, the integer terms u_m of one fixed-point pass at X,
+  shifted exactly to x = X and evaluated in doubles in -sigma;
+- integer: in the fixed-point regime, the same u_m, evaluated by integer
+  Horner's rule in s = (x/X)**2.
 
 Where a value's bound fails, or where the leading term leaves
 (1e-300, 1e300), the caller falls back to :func:`k_struve`.
@@ -173,30 +176,49 @@ class StruveParams(namedtuple("StruveParams", "nu c k")):
         return self._series.lead_err
 
 
-def _lead(consts: _SeriesConstants, half: float) -> tuple[float, float] | None:
-    """(x/2)**power * scale0 with the exact-power correction, and its relative error.
+def _lead(params: StruveParams, x: float) -> tuple[float, float]:
+    """The r = 0 term at x > 0 and its relative error.
 
-    ``half`` is x/2.  None when the term is outside (1e-300, 1e300), where
-    it must be taken from its logarithm, and when half is below the normal
-    range: there 0.5 * x may have rounded, and a negative power would carry
-    that error or divide by a half rounded to 0.
+    The term is (x/2)**power * scale0 with the exact-power correction, as
+    :func:`k_struve_poly`'s evaluator computes it.  Where that is outside
+    (1e-300, 1e300), or x/2 is below the normal range, it is taken from its
+    logarithm instead: there 0.5 * x may have rounded, and a negative power
+    would carry that error or divide by a half rounded to 0.  Raises
+    ConvergenceError when the term overflows.
     """
-    if not half >= _MIN_NORMAL:
-        return None
-    try:
-        lead = half**consts.power * consts.scale0
-    except OverflowError:
-        return None
-    if not 1e-300 < lead < 1e300:
-        return None
-    lead_err = consts.lead_err
-    if consts.power_delta:
-        # the exact power: (x/2)**delta = exp(t), within t**2 of 1 + t for
-        # |t| < 1/2; delta is a few ulps of nu/k, so t is of order 1e-13
-        t = consts.power_delta * math.log(half)
-        lead *= 1.0 + t
-        lead_err += t * t + 3.0 * UNIT * abs(t)
-    return lead, lead_err
+    consts = params._series
+    lam = consts.power
+    half = 0.5 * x
+    if half >= _MIN_NORMAL:
+        try:
+            lead = half**lam * consts.scale0
+        except OverflowError:
+            lead = math.inf
+        if 1e-300 < lead < 1e300:
+            lead_err = consts.lead_err
+            if consts.power_delta:
+                # the exact power: (x/2)**delta = exp(t), within t**2 of 1 + t for
+                # |t| < 1/2; delta is a few ulps of nu/k, so t is of order 1e-13
+                t = consts.power_delta * math.log(half)
+                lead *= 1.0 + t
+                lead_err += t * t + 3.0 * UNIT * abs(t)
+            return lead, lead_err
+        log_half = math.log(half)
+    else:
+        # below the normal range the halving may round; take the log before scaling then
+        log_half = math.log(x) - math.log(2.0)
+    log_t0 = (lam * log_half + consts.power_delta * log_half) + params.log_scale
+    if log_t0 > _LOG_DBL_MAX:
+        raise ConvergenceError(
+            f"leading term overflows at x={x}; argument too large for the series"
+        )
+    # the log and products, the two sums, exp
+    lead_err = (
+        UNIT * (4.0 * abs(lam * log_half) + 3.0 * abs(consts.power_delta * log_half))
+        + UNIT * (abs(log_t0) + 2.0)
+        + consts.scale_err
+    )
+    return math.exp(log_t0), lead_err
 
 
 def k_struve(params: StruveParams, x: float, tol: float = 1e-12) -> EvaluationResult:
@@ -245,24 +267,7 @@ def k_struve(params: StruveParams, x: float, tol: float = 1e-12) -> EvaluationRe
         raise DomainError(f"x = 0 diverges for nu/k + 1 = {lam} < 0")
 
     half = 0.5 * x
-    leading = _lead(consts, half)
-    if leading is not None:
-        lead, lead_err = leading
-    else:
-        # below the normal range the halving may round; take the log before scaling then
-        log_half = math.log(half) if half >= _MIN_NORMAL else math.log(x) - math.log(2.0)
-        log_t0 = (lam * log_half + consts.power_delta * log_half) + params.log_scale
-        if log_t0 > _LOG_DBL_MAX:
-            raise ConvergenceError(
-                f"leading term overflows at x={x}; argument too large for the series"
-            )
-        lead = math.exp(log_t0)
-        # the log and products, the two sums, exp
-        lead_err = (
-            UNIT * (4.0 * abs(lam * log_half) + 3.0 * abs(consts.power_delta * log_half))
-            + UNIT * (abs(log_t0) + 2.0)
-            + consts.scale_err
-        )
+    lead, lead_err = _lead(params, x)
     ratio_scale = -params.c * half * half / params.k
     fixed = partial(_fixed, params, x, lead, lead_err, ratio_scale, tol)
     try:
@@ -291,38 +296,123 @@ def k_struve_poly(params: StruveParams, xmax: float, tol: float):
     :func:`k_struve`.  k_struve_poly itself returns None when no degree up
     to 500 serves.
 
-    Below the fixed-point regime (c < 0, or xmax sqrt(c/k) < 8) g is one
-    double polynomial on (0, xmax] (:func:`_double_horner`).  When its
-    certificate, a relative bound rel proved once for all of (0, xmax], is
-    at most tol, every value's bound is rel |value|; rel exists for c <= 0,
-    and for c > 0 when the first term ratio at xmax,
-    (c/k)(xmax/2)**2 / ((nu/k + 3/2) 3/2), is below 1.  The certificate
-    implies the per-node test, so the same nodes are served with the same
-    values either way.  In the fixed-point regime
-    a split w* <= 8 sqrt(k/c), the largest argument at which the double
-    polynomial's bound still fits tol, divides the interval: (0, w*] keeps a
-    double polynomial of its own degree, and (w*, xmax] evaluates the
-    integer terms of one fixed-point pass at xmax (:func:`_integer_horner`).
-    There, nodes with 1 - (x/xmax)**2 <= ``_SIGMA_MAX`` first try the
-    terms' exact Taylor shift to x = xmax in doubles, and the others, or
-    those whose shifted bound fails, run integer Horner's rule.  A double
-    value whose bound fails tries the integer polynomial as well.  The
-    returned evaluator is the integer one itself, which tries the double
-    polynomial for x <= w* first; it is the double polynomial alone when
-    the integer terms cannot be built.
+    ``evaluate`` computes the leading term once, as :func:`_lead` does, and
+    then tries up to three forms of g, in this order, until one value's
+    bound fits tol:
+
+    - double: Horner's rule on double coefficients on (0, W]
+      (:func:`_double_horner`), with W = xmax below the fixed-point regime
+      (c <= 0, or xmax sqrt(c/k) < 8) and W = 8 sqrt(k/c) in it.  When the
+      polynomial's certificate, a relative bound rel proved once for all of
+      (0, W], is at most tol, every value's bound is rel |value|; rel
+      exists for c <= 0, and for c > 0 when the first term ratio at W,
+      (c/k)(W/2)**2 / ((nu/k + 3/2) 3/2), is below 1.  The certificate
+      implies the per-node test, so the same nodes are served with the same
+      values either way;
+    - in the fixed-point regime, the integer terms of one fixed-point pass
+      at xmax (:func:`_integer_horner`): first, where sigma = 1 -
+      (x/xmax)**2 <= ``_SIGMA_MAX``, their exact Taylor shift to x = xmax
+      in doubles, then integer Horner's rule.
     """
     if not 0.0 < xmax < math.inf:
         return None
     half_max = 0.5 * xmax
-    if -params.c * half_max * half_max / params.k > _FIXED_RATIO_SCALE:
-        return _double_horner(params, xmax, tol)
-    split = _split(params, tol)
-    double = _double_horner(params, split, tol) if split else None
-    return _integer_horner(params, xmax, tol, split, double) or double
+    wmax, integer = xmax, None
+    if -params.c * half_max * half_max / params.k <= _FIXED_RATIO_SCALE:
+        wmax = min(xmax, 8.0 * math.sqrt(params.k / params.c))
+        integer = _integer_horner(params, xmax, tol)
+    double = _double_horner(params, wmax, tol)
+    if double is None:
+        return None
+    pairs, sign, tail, span, rounding, rel = double
+    certified = rel <= tol
+    consts = params._series
+    power = consts.power
+    scale0 = consts.scale0
+    delta = consts.power_delta
+    lead_err0 = consts.lead_err
+    xmax_sq = xmax * xmax
+    log = math.log
+    inf = math.inf
+
+    def evaluate(x: float) -> tuple[float, float] | None:
+        half = 0.5 * x
+        if not half >= _MIN_NORMAL:  # also x <= 0 and nan
+            return None
+        try:
+            lead = half**power * scale0
+        except OverflowError:
+            return None
+        if not 1e-300 < lead < 1e300:
+            return None
+        t = 0.0
+        if delta:
+            t = delta * log(half)
+            lead *= 1.0 + t
+        if x <= wmax:
+            v = half * half
+            s = v * v
+            even = odd = 0.0
+            for a_even, a_odd in pairs:
+                even = even * s + a_even
+                odd = odd * s + a_odd
+            odd *= v
+            value = lead * (even + sign * odd)
+            size = abs(value)
+            if certified:
+                if size < inf:  # an overflowed value fails
+                    return value, rel * size
+            else:
+                bound = (
+                    lead * (tail * (x / wmax) ** span + rounding * (even + odd))
+                    + (lead_err0 + (t * t + 3.0 * UNIT * abs(t)) + UNIT) * size
+                )
+                if bound <= tol * size < inf:
+                    return value, bound
+        if integer is None or x > xmax:
+            return None
+        (inv, guard, bits, top, rest, pass_tail, tail_power, units_fixed, floors,
+         shifted, order, rest_units, taylor_rounding, sigma_max) = integer
+        lead_err = lead_err0 + (t * t + 3.0 * UNIT * abs(t))
+        r = x / xmax
+        pass_units = pass_tail * (r * r * _S_PAD) ** tail_power
+        sigma = (xmax - x) * (xmax + x) / xmax_sq
+        if sigma <= sigma_max:
+            neg = -sigma
+            acc = 0.0
+            for b in shifted:
+                acc = acc * neg + b
+            value = lead * acc
+            size = abs(value)
+            units = floors + pass_units + rest_units * (sigma * _S_PAD) ** order
+            bound = (
+                lead * (math.ldexp(units, -bits) * (1.0 + 8.0 * UNIT) + taylor_rounding)
+                + size * (lead_err + 3.0 * UNIT)
+                + SUBNORMAL_ULP
+            )
+            if bound <= tol * size < inf:
+                return value, bound
+        n, d = x.as_integer_ratio()
+        s = n * n * inv >> (guard + 2 * d.bit_length() - 2)
+        acc = top
+        for u in rest:
+            acc = (acc * s >> bits) + u
+        value = lead * math.ldexp(float(acc), -bits)
+        size = abs(value)
+        bound = (
+            lead * math.ldexp(units_fixed + pass_units, -bits) * (1.0 + 8.0 * UNIT)
+            + size * (lead_err + 3.0 * UNIT)
+            + SUBNORMAL_ULP
+        )
+        if bound <= tol * size < inf:
+            return value, bound
+        return None
+
+    return evaluate
 
 
 def _double_horner(params: StruveParams, xmax: float, tol: float):
-    """g in doubles on (0, xmax]: the evaluator of :func:`k_struve_poly`, or None.
+    """g in doubles on (0, xmax] for :func:`k_struve_poly`: its constants, or None.
 
     The degree R is the first index whose geometric tail at V = (xmax/2)**2
     is at most tol / 8.  g is evaluated by Horner's rule in s = v**2 on the
@@ -335,8 +425,6 @@ def _double_horner(params: StruveParams, xmax: float, tol: float):
     eps = (step_ulps R + R + 2) ulps also counts ``step_ulps`` per index for
     the coefficients and the argument; and the leading term's error L(x)
     and the final product, (L(x) + u) |value|, with u the unit roundoff.
-
-    The evaluator computes the leading term inline, as :func:`_lead` does.
 
     Certificate.  Once per polynomial, rel bounds that node bound over
     |value| at every x in (0, xmax] where the leading term is in range:
@@ -366,8 +454,9 @@ def _double_horner(params: StruveParams, xmax: float, tol: float):
     So rel <= tol implies, in floating point, the per-node test at every
     node, and then every node returns rel |value|, skipping the tail, the
     power of x/xmax and the rounding arithmetic.  Otherwise each node
-    computes its own bound.  The evaluator's ``rel`` attribute holds the
-    certificate.
+    computes its own bound.  Returns (pairs, sign, T, 2R, eps, rel), with
+    pairs the (even, odd) coefficients from the top and sign that of c's
+    odd terms.
     """
     consts = params._series
     base = consts.base
@@ -407,80 +496,12 @@ def _double_horner(params: StruveParams, xmax: float, tol: float):
             kappa = rounding / (d * d)
             rel = (tail / d + kappa) * (1.0 + 3.0 * kappa)
     rel = (rel + lead_err_max + UNIT) * (1.0 + 64.0 * UNIT)
-    certified = rel <= tol
-
-    power = consts.power
-    scale0 = consts.scale0
-    delta = consts.power_delta
-    lead_err0 = consts.lead_err
     # the tail scales by (x/xmax)**(2R), not (v/V)**R: V is 0.0 for xmax below about 3e-162
-    span = 2 * degree
-    log = math.log
-    inf = math.inf
-
-    def evaluate(x: float) -> tuple[float, float] | None:
-        if not 0.0 < x <= xmax:
-            return None
-        half = 0.5 * x
-        if not half >= _MIN_NORMAL:
-            return None
-        try:
-            lead = half**power * scale0
-        except OverflowError:
-            return None
-        if not 1e-300 < lead < 1e300:
-            return None
-        t = 0.0
-        if delta:
-            t = delta * log(half)
-            lead *= 1.0 + t
-        v = half * half
-        s = v * v
-        even = odd = 0.0
-        for a_even, a_odd in pairs:
-            even = even * s + a_even
-            odd = odd * s + a_odd
-        odd *= v
-        value = lead * (even + sign * odd)
-        size = abs(value)
-        if certified:
-            if size < inf:  # an overflowed value fails
-                return value, rel * size
-            return None
-        lead_err = lead_err0 + (t * t + 3.0 * UNIT * abs(t))
-        bound = (
-            lead * (tail * (x / xmax) ** span + rounding * (even + odd))
-            + (lead_err + UNIT) * size
-        )
-        if bound <= tol * size < inf:
-            return value, bound
-        return None
-
-    evaluate.rel = rel
-    return evaluate
+    return pairs, sign, tail, 2 * degree, rounding, rel
 
 
-def _split(params: StruveParams, tol: float) -> float:
-    """w* for c > 0: the largest of 8 sqrt(k/c) * 0.9**j, j < 40, where g in doubles fits tol.
-
-    The probe is the double polynomial on (0, 8 sqrt(k/c)] at tol / 2, which
-    leaves room for the larger tail of the polynomial of degree R(w*).
-    0.0 when no probe returns.
-    """
-    cap = 8.0 * math.sqrt(params.k / params.c)
-    probe = _double_horner(params, cap, 0.5 * tol)
-    if probe is None:
-        return 0.0
-    return next((w for w in (cap * 0.9**j for j in range(40)) if probe(w) is not None), 0.0)
-
-
-def _integer_horner(params: StruveParams, xmax: float, tol: float, split: float, double):
-    """The fixed-point regime's evaluator of :func:`k_struve_poly` on (0, xmax], or None.
-
-    A node x <= ``split`` returns ``double(x)``, the double polynomial on
-    (0, split], when that is not None; ``double`` may be None.  Every other
-    node evaluates g from the integer terms of one fixed-point pass at xmax,
-    times the leading term, computed inline as :func:`_lead` does.
+def _integer_horner(params: StruveParams, xmax: float, tol: float):
+    """g on (0, xmax] from the integer terms of one fixed-point pass: its constants, or None.
 
     :func:`kstruve.fixedpoint.fixed_terms` at x = xmax and tol / 8 gives
     u_m, within e_m of 2**bits a_m V**m, so that
@@ -504,6 +525,11 @@ def _integer_horner(params: StruveParams, xmax: float, tol: float, split: float,
     (6N + 8) ulps of sum |b_n| sigma_max**n for Horner's rule (2N; Higham,
     sec. 5.1), the rounding of sigma (4N) and the conversion of each B_n.
     A value whose bound fails runs integer Horner instead.
+
+    Returns (inv, guard, bits, u_R, (u_{R-1}, ..., u_0), the pass's tail,
+    R + 1, the fixed units, the floors, the shifted polynomial's four
+    constants, sigma_max), which :func:`k_struve_poly`'s evaluator unpacks
+    on this path only; sigma_max is -1 when there is no shifted polynomial.
     """
     consts = params._series
     half_max = 0.5 * xmax
@@ -535,81 +561,11 @@ def _integer_horner(params: StruveParams, xmax: float, tol: float, split: float,
     # costs below x**2 / 2**guard <= 1/4 unit
     guard = max(2 * math.frexp(xmax)[1] + 2, 0)
     inv = (xd * xd << (bits + guard)) // (xn * xn)
-    top = terms[-1]
-    rest = tuple(reversed(terms[:-1]))
-    tail_power = degree + 1
-    xmax_sq = xmax * xmax
-    taylor = _taylor_at_one(terms, bits, tol)
-    if taylor is None:
-        shifted, order, rest_units, taylor_rounding = (), 0, 0.0, 0.0
-        sigma_max = -1.0  # no node takes the shifted polynomial
-    else:
-        shifted, order, rest_units, taylor_rounding = taylor
-        sigma_max = _SIGMA_MAX
-    if double is None:
-        split = -math.inf  # no node, not even x <= 0, tries the double polynomial
-    power = consts.power
-    scale0 = consts.scale0
-    delta = consts.power_delta
-    lead_err0 = consts.lead_err
-    inf = math.inf
-
-    def evaluate(x: float) -> tuple[float, float] | None:
-        if x <= split:
-            out = double(x)
-            if out is not None:
-                return out
-        if not 0.0 < x <= xmax:
-            return None
-        half = 0.5 * x
-        if not half >= _MIN_NORMAL:
-            return None
-        try:
-            lead = half**power * scale0
-        except OverflowError:
-            return None
-        if not 1e-300 < lead < 1e300:
-            return None
-        lead_err = lead_err0
-        if delta:
-            t = delta * math.log(half)
-            lead *= 1.0 + t
-            lead_err += t * t + 3.0 * UNIT * abs(t)
-        r = x / xmax
-        pass_units = tail * (r * r * _S_PAD) ** tail_power
-        sigma = (xmax - x) * (xmax + x) / xmax_sq
-        if sigma <= sigma_max:
-            t = -sigma
-            acc = 0.0
-            for b in shifted:
-                acc = acc * t + b
-            value = lead * acc
-            size = abs(value)
-            units = floors + pass_units + rest_units * (sigma * _S_PAD) ** order
-            bound = (
-                lead * (math.ldexp(units, -bits) * (1.0 + 8.0 * UNIT) + taylor_rounding)
-                + size * (lead_err + 3.0 * UNIT)
-                + SUBNORMAL_ULP
-            )
-            if bound <= tol * size < inf:
-                return value, bound
-        n, d = x.as_integer_ratio()
-        s = n * n * inv >> (guard + 2 * d.bit_length() - 2)
-        acc = top
-        for u in rest:
-            acc = (acc * s >> bits) + u
-        value = lead * math.ldexp(float(acc), -bits)
-        size = abs(value)
-        bound = (
-            lead * math.ldexp(units_fixed + pass_units, -bits) * (1.0 + 8.0 * UNIT)
-            + size * (lead_err + 3.0 * UNIT)
-            + SUBNORMAL_ULP
-        )
-        if bound <= tol * size < inf:
-            return value, bound
-        return None
-
-    return evaluate
+    taylor = _taylor_at_one(terms, bits, tol) or ((), 0, 0.0, 0.0)
+    return (
+        inv, guard, bits, terms[-1], tuple(reversed(terms[:-1])), tail, degree + 1, units_fixed,
+        floors, *taylor, _SIGMA_MAX if taylor[0] else -1.0,
+    )
 
 
 def _taylor_at_one(terms: list[int], bits: int, tol: float):

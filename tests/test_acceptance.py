@@ -33,7 +33,7 @@ from kstruve import (
 )
 from kstruve import struve as struve_module
 from kstruve.cli import main
-from kstruve.struve import _SIGMA_MAX, _split, k_struve_poly
+from kstruve.struve import _SIGMA_MAX, k_struve_poly
 
 from oracles import k_gamma_integral_oracle, struve_ode_residual
 
@@ -293,7 +293,7 @@ def test_k_struve_poly_bounds_hold_against_mpmath_oracle():
 
 
 def test_k_struve_poly_fixed_point_regime_against_mpmath_oracle():
-    """W sqrt(c/k) in [8, 60]: the double part below w*, the integer part above it."""
+    """W sqrt(c/k) in [8, 60]: nodes on both sides of 8 sqrt(k/c), the double polynomial's W."""
     mp = pytest.importorskip("mpmath")
     rng = random.Random(95)
     returned = calls = above = 0
@@ -304,8 +304,7 @@ def test_k_struve_poly_fixed_point_regime_against_mpmath_oracle():
                 params = StruveParams(nu=nu, c=c, k=k)
                 wmax = rng.uniform(8.0, 60.0) * math.sqrt(k / c)
                 poly = k_struve_poly(params, wmax, tol)
-                split = _split(params, tol)
-                assert 0.0 < split <= 8.0 * math.sqrt(k / c)
+                split = min(wmax, 8.0 * math.sqrt(k / c))
                 below = (1e-3 * split, 0.5 * split, split)
                 beyond = (split + (wmax - split) * j / 4.0 for j in (0.01, 1, 2, 3, 4))
                 for w in (*below, *beyond):
@@ -320,6 +319,23 @@ def test_k_struve_poly_fixed_point_regime_against_mpmath_oracle():
                     assert error <= bound <= tol * abs(value), (nu, c, k, wmax, w, tol, res)
     assert returned >= 0.9 * calls, (returned, calls)
     assert above >= 0.5 * calls, (above, calls)
+
+
+def test_k_struve_poly_integer_horner_serves_where_the_double_bound_fails(monkeypatch):
+    """nu = 2, c = k = 1, W = 40: at 7 and 7.5, below 8 sqrt(k/c), integer Horner takes over.
+
+    Both nodes are far from W (sigma > 0.9), so the Taylor shift is not tried.
+    """
+    mp = pytest.importorskip("mpmath")
+    params = StruveParams(nu=2.0, c=1.0, k=1.0)
+    poly = k_struve_poly(params, 40.0, 1e-12)
+    monkeypatch.setattr(struve_module, "_FIXED_RATIO_SCALE", -math.inf)
+    double = k_struve_poly(params, 8.0, 1e-12)  # the double polynomial alone
+    for w in (7.0, 7.5):
+        assert double(w) is None, w
+        value, bound = poly(w)
+        error = abs(mp.mpf(value) - _mp_k_struve(mp, 2.0, 1.0, 1.0, w))
+        assert error <= bound <= 1e-12 * abs(value), (w, value, bound)
 
 
 def test_k_struve_poly_taylor_at_w_against_mpmath_oracle(monkeypatch):
@@ -339,7 +355,7 @@ def test_k_struve_poly_taylor_at_w_against_mpmath_oracle(monkeypatch):
     plain = [k_struve_poly(p, wmax, tol) for p, wmax, tol in cases]
     near = served = 0
     for (p, wmax, tol), poly, unshifted in zip(cases, polys, plain):
-        split = _split(p, tol)
+        split = min(wmax, 8.0 * math.sqrt(p.k / p.c))
         for sigma in sigmas:
             w = wmax * math.sqrt(1.0 - sigma)
             res = poly(w)
@@ -382,7 +398,7 @@ def _per_node(params, xmax, tol, x):
     tail = mag * rho / (1.0 - rho)
     evens, odds = coefs[::2], coefs[1::2] + [0.0] * (len(coefs) % 2)
     half = 0.5 * x
-    lead, lead_err = struve_module._lead(consts, half)
+    lead, lead_err = struve_module._lead(params, x)
     v = half * half
     s = v * v
     even = odd = 0.0
@@ -399,14 +415,16 @@ def _per_node(params, xmax, tol, x):
     return value, bound
 
 
-def test_double_polynomial_certificate_against_mpmath_oracle():
+def test_double_polynomial_certificate_against_mpmath_oracle(monkeypatch):
     """Where rel <= tol every node returns rel |value|: a true bound, and above the per-node one.
 
     xmax puts rho0 = (|c|/k) V / ((nu/k + 3/2) 3/2) on both sides of 1; the
     nodes are xmax, its neighbour, x/2 at the smallest normal and a leading
-    term next to 1e-300.
+    term next to 1e-300.  With no fixed-point regime, k_struve_poly is the
+    double polynomial on all of (0, xmax], even where xmax sqrt(c/k) >= 8.
     """
     mp = pytest.importorskip("mpmath")
+    monkeypatch.setattr(struve_module, "_FIXED_RATIO_SCALE", -math.inf)
     rng = random.Random(99)
     certified = per_node = 0
     for c in (-2.0, -1.0, -0.3, 0.3, 1.0, 2.0):
@@ -421,9 +439,10 @@ def test_double_polynomial_certificate_against_mpmath_oracle():
                     if params.power > 0.0:
                         nodes.append(2.0 * (2e-300 / scale0) ** (1.0 / params.power))
                     for tol in (1e-8, 1e-12):
-                        poly = struve_module._double_horner(params, xmax, tol)
+                        poly = k_struve_poly(params, xmax, tol)
+                        rel = struve_module._double_horner(params, xmax, tol)[-1]
                         for x in nodes:
-                            res = poly(x) if 0.0 < x <= xmax else None
+                            res = poly(x)
                             if res is None:
                                 continue
                             value, bound = res
@@ -431,7 +450,7 @@ def test_double_polynomial_certificate_against_mpmath_oracle():
                             assert error <= bound <= tol * abs(value), (params, xmax, x, tol, res)
                             node_value, node_bound = _per_node(params, xmax, tol, x)
                             assert value == node_value, (params, xmax, x, tol)
-                            if poly.rel <= tol:
+                            if rel <= tol:
                                 certified += 1
                                 assert node_bound <= tol * abs(node_value), (params, xmax, x, tol)
                                 assert node_bound <= bound, (params, xmax, x, tol, node_bound, bound)

@@ -472,7 +472,8 @@ class TestModuleEntry:
         )
         first = proc.stdout.readline()
         proc.stdout.close()
-        err = proc.stderr.read().decode()
+        with proc.stderr:
+            err = proc.stderr.read().decode()
         assert proc.wait(timeout=60) == 141
         assert json.loads(first)["identity"] == "theorem1"
         assert err == ""

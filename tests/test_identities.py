@@ -1,6 +1,5 @@
 """Tests for the identity engine: integrands, closed forms, and verdicts."""
 
-import inspect
 import math
 import random
 
@@ -22,12 +21,15 @@ from kstruve import (
     verify,
     verify_grid,
 )
-from kstruve import identities
+from kstruve import identities, struve
 from kstruve.gamma import log_k_gamma
 from kstruve.identities import _wright_tail
 from kstruve.results import QuadratureResult
 
 BASE = TheoremParams(alpha=1.0, mu=0.5, nu=2.0, c=1.0, k=1.0, y=1.0)
+# tolerances that integrate refuses; the identity entries refuse them before any work
+BAD_TOLS = pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+TOL_MESSAGE = "tol must be a finite positive number"
 
 # mpmath oracles at 40 digits (series + quad), rounded to double precision
 GOLDEN = {
@@ -118,6 +120,11 @@ class TestIntegrands:
             with pytest.raises(DomainError):
                 integrand("theorem2", BASE, bad)
 
+    @BAD_TOLS
+    def test_bad_tol_rejected(self, tol):
+        with pytest.raises(DomainError, match=TOL_MESSAGE):
+            integrand("theorem1", BASE, 0.5, tol=tol)
+
 
 class TestLhs:
     def test_golden_values(self):
@@ -153,6 +160,15 @@ class TestLhs:
             oracle = lt_sum_oracle(p)
             assert abs(quad.value - oracle) / abs(oracle) <= 1e-9
 
+    @BAD_TOLS
+    def test_bad_tol_rejected_before_the_polynomial_is_built(self, tol, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("k_struve_poly called")
+
+        monkeypatch.setattr(identities, "k_struve_poly", refuse)
+        with pytest.raises(DomainError, match=TOL_MESSAGE):
+            lhs("theorem1", BASE, tol=tol)
+
 
 class TestRhs:
     def test_paper_forms_match_pinned_values(self):
@@ -176,6 +192,13 @@ class TestRhs:
         assert rhs("theorem1", p, corrected=False) == 0.0
         assert rhs("theorem1", p) == 0.0
         assert rhs("theorem2", p) == 0.0
+
+    @BAD_TOLS
+    @pytest.mark.parametrize("corrected", [True, False])
+    def test_bad_tol_rejected(self, tol, corrected):
+        # the series tolerance max(tol, 4 lead_error) must not hide a bad tol
+        with pytest.raises(DomainError, match=TOL_MESSAGE):
+            rhs("theorem1", TheoremParams(1.0, 0.5, 2.0), corrected, tol=tol)
 
     def test_wright_spec_is_entire(self):
         # every 2Psi3 tail the engine builds has convergence index 1
@@ -536,9 +559,10 @@ class TestLargeArgument:
 
 # (which, (alpha, mu, nu, c, k, y), branch, (value, error_estimate, evaluations,
 # abs_integral)), recorded with float.hex before the integrands called the
-# polynomial directly.  branch names how the point's double polynomial
+# polynomial directly; the fixed-point row since its double polynomial
+# covers (0, 8 sqrt(k/c)].  branch names how the point's double polynomial
 # bounds its nodes: once per point, at each node, or (in the fixed-point
-# regime) through the split polynomial.
+# regime) at each node below 8 sqrt(k/c), with integer Horner above.
 PINNED_LHS = [
     ("theorem2", (1.3, 0.5, 2.1, -1.0, 1.0, 2.0), "certified",
      ("0x1.fe4294747812ap-12", "0x1.19144969b0d3dp-51", 84, "0x1.fe4294747812ap-12")),
@@ -547,7 +571,7 @@ PINNED_LHS = [
     ("theorem1", (1.2, 0.4, 2.2, 1.0, 0.5, 5.0), "per-node",
      ("0x1.be9f5c3b88900p-3", "0x1.4dbc17a3664b4p-41", 97, "0x1.be9f5c3b88900p-3")),
     ("theorem2", (1.0, 0.25, 2.0, 1.0, 1.0, 20.0), "fixed-point",
-     ("0x1.54aa8e5eab205p-2", "0x1.baa5ad446259bp-41", 90, "0x1.54aa8e5eab205p-2")),
+     ("0x1.54aa8e5eab1f4p-2", "0x1.bb2dad4462592p-41", 90, "0x1.54aa8e5eab1f4p-2")),
 ]
 # rhs(which, p, corrected) at the PINNED_LHS points: (as printed, corrected)
 PINNED_RHS = [
@@ -564,9 +588,15 @@ class TestPinnedTheoremResults:
     )
     def test_lhs_is_bit_identical(self, which, point, branch, pinned):
         p = TheoremParams(*point)
-        f, series_tol = identities._integrand(which, p, 1e-10)
-        rel = getattr(inspect.getclosurevars(f).nonlocals["poly"], "rel", None)
-        assert branch == ("fixed-point" if rel is None else "certified" if rel <= series_tol else "per-node")
+        series_tol = identities._integrand(which, p, 1e-10)[1]
+        sp = p.struve_params()
+        wmax = (p.y if which == "theorem1" else p.y * 4.0 / 9.0) * identities._ARGUMENT_MARGIN
+        if -sp.c * (0.5 * wmax) ** 2 / sp.k <= struve._FIXED_RATIO_SCALE:
+            regime = "fixed-point"
+        else:
+            rel = struve._double_horner(sp, wmax, series_tol)[-1]
+            regime = "certified" if rel <= series_tol else "per-node"
+        assert branch == regime
         quad = lhs(which, p)
         value, estimate, evaluations, abs_integral = pinned
         assert quad.value == float.fromhex(value)
@@ -666,6 +696,11 @@ class TestDefaultGrid:
     def test_unknown_axis_rejected(self):
         with pytest.raises(DomainError, match="beta"):
             default_grid("theorem1", beta=(1.0,))
+
+    @pytest.mark.parametrize("value", [2.0, None, [], ()])
+    def test_axis_that_is_not_iterable_or_empty_rejected(self, value):
+        with pytest.raises(DomainError, match="grid axis 'y'"):
+            default_grid("theorem1", y=value)
 
 
 # (case, estimate / |lhs|, converged, rhs_paper / lhs, rhs_corrected / lhs, verdict)

@@ -669,6 +669,9 @@ class TestJacobiClenshawCurtis:
             {"weight": (1.0, -0.5)},
             {"weight": (math.nan, 1.0)},
             {"weight": (1.0, math.inf)},
+            {"weight": (1.0,)},
+            {"weight": (1.0, 1.0, 1.0)},
+            {"weight": 1.0},
         ],
     )
     def test_bad_weight_rejected(self, kwargs):

@@ -21,6 +21,7 @@ from kstruve import (
     Verdict,
     WrightSpec,
     gamma,
+    integrate,
     k_gamma,
     k_struve,
     lavoie_trottier_check,
@@ -55,6 +56,7 @@ REPRODUCERS = [
         ),
         id="wright-log-term",
     ),
+    pytest.param(lambda: integrate(lambda x, omx: 1.0, 1e-10, weight=(1.0,)), id="integrate-one-weight"),
 ]
 
 

@@ -295,13 +295,14 @@ class TestPolynomial:
 
         monkeypatch.setattr(struve_module, "_lead", refuse)
         poly = k_struve_poly(params, wmax, 1e-12)
-        assert (poly.rel <= 1e-12) is (wmax < 5.0)
+        rel = struve_module._double_horner(params, wmax, 1e-12)[-1]
+        assert (rel <= 1e-12) is (wmax < 5.0)
         assert [poly(w) for w in (1e-3, 0.7, wmax)] == expected
 
-    # nu = 2, c = k = 1, W = 40 (w* = 5.832): (w, value, bound) for a node of the
-    # double polynomial, one of integer Horner and one of the Taylor shift (sigma <= 0.2)
+    # nu = 2, c = k = 1, W = 40: (w, value, bound) for a node of the double
+    # polynomial on (0, 8], one of integer Horner and one of the Taylor shift (sigma <= 0.2)
     FIXED_POINT_PINS = [
-        (3.0, "0x1.7c1a1b0680966p-1", "0x1.ab852be2d937cp-46"),
+        (3.0, "0x1.7c1a1b0680966p-1", "0x1.ff686217d856ep-46"),
         (20.0, "0x1.0c9bc2faf1521p+2", "0x1.6a1685c67f025p-47"),
         (38.0, "0x1.0453e0c665964p+3", "0x1.2c97bf445ea27p-42"),
     ]
@@ -323,11 +324,11 @@ class TestPolynomial:
         self._check_fixed_point_pins()
 
     def test_fixed_point_polynomial_without_a_double_polynomial_declines_outside(self):
-        # nu/k = 300: scale0 underflows, so no double polynomial serves below w*
+        # nu/k = 300: scale0 underflows, so no node below 8 sqrt(k/c) or above it is served
         params = StruveParams(nu=300.0, c=1.0, k=1.0)
-        assert struve_module._split(params, 1e-12) == 0.0
+        assert params._series.scale0 == 0.0
         poly = k_struve_poly(params, 40.0, 1e-12)
-        for w in (-1.0, 0.0, -0.0, math.nextafter(40.0, 41.0)):
+        for w in (-1.0, 0.0, -0.0, 4.0, 20.0, math.nextafter(40.0, 41.0)):
             assert poly(w) is None
 
 
