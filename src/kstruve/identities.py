@@ -318,7 +318,8 @@ def verify(
         raise DomainError(f"tol and threshold must be positive, got {tol!r}, {threshold!r}")
     which, p = _resolve(which, p)
     p.validate(strict=strict)
-    rhs_tol = tol * 0.1
+    # a subnormal tol / 10 may round to 0; rhs's own floor, the leading term's accuracy, rules there
+    rhs_tol = max(tol * 0.1, math.ulp(0.0))
     try:
         quad = lhs(which, p, tol=tol)
     except ConvergenceError as exc:

@@ -281,6 +281,10 @@ class TestVerify:
         assert row_neg.error == row_pos.error
         assert row_neg.error.startswith("ConvergenceError: ")
 
+    def test_subnormal_tol_reaches_the_closed_forms_as_a_positive_tol(self):
+        # tol / 10 rounds to 0 here
+        assert verify("theorem1", BASE, tol=1e-323).verdict is Verdict.CONFIRMED_CORRECTED
+
     def test_tiny_threshold_is_inconclusive(self):
         report = verify("theorem1", BASE, threshold=1e-15)
         assert report.verdict is Verdict.INCONCLUSIVE
