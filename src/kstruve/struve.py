@@ -324,7 +324,7 @@ def k_struve_poly(params: StruveParams, xmax: float, tol: float):
     double = _double_horner(params, wmax, tol)
     if double is None:
         return None
-    pairs, sign, tail, span, rounding, rel = double
+    pairs, sign, vscale, tail, span, rounding, rel = double
     certified = rel <= tol
     consts = params._series
     power = consts.power
@@ -350,7 +350,7 @@ def k_struve_poly(params: StruveParams, xmax: float, tol: float):
             t = delta * log(half)
             lead *= 1.0 + t
         if x <= wmax:
-            v = half * half
+            v = half * half * vscale
             s = v * v
             even = odd = 0.0
             for a_even, a_odd in pairs:
@@ -454,22 +454,35 @@ def _double_horner(params: StruveParams, xmax: float, tol: float):
     So rel <= tol implies, in floating point, the per-node test at every
     node, and then every node returns rel |value|, skipping the tail, the
     power of x/xmax and the rounding arithmetic.  Otherwise each node
-    computes its own bound.  Returns (pairs, sign, T, 2R, eps, rel), with
-    pairs the (even, odd) coefficients from the top and sign that of c's
-    odd terms.
+    computes its own bound.
+
+    Scaling.  The coefficients are stored as |a_r| 2**(e r), with 2**e <= V
+    a power of two, and evaluated at v 2**-e.  Every coefficient, partial
+    Horner sum and product is then the unscaled one times a power of two,
+    so the rounding, and every value whose coefficients are normal, is the
+    same; but |a_r| alone underflows for c < 0 once x sqrt(|c|/k) exceeds
+    about 120, while |a_r| 2**(e r) <= |a_r| V**r stays in range.  Returns
+    (pairs, sign, 2**-e, T, 2R, eps, rel), with pairs the scaled (even, odd)
+    coefficients from the top and sign that of c's odd terms.
     """
     consts = params._series
     base = consts.base
     ck = abs(params.c) / params.k
     half_max = 0.5 * xmax
     vmax = half_max * half_max
-    coefs = [1.0]  # |a_r|
+    # 2**e <= V, or 2**-1022 below it: the coefficients are stored scaled by 2**(e r)
+    e = max(math.frexp(vmax)[1] - 1, -1022)
+    try:
+        step = math.ldexp(ck, e)
+    except OverflowError:
+        return None  # c V / k is beyond the doubles: no degree up to 500 serves
+    coefs = [1.0]  # |a_r| 2**(e r)
     mag = 1.0  # |a_r| V**r
     for r in range(_MAX_TERMS):
         rho = ck * vmax / ((r + base) * (r + 1.5))
         if rho < 1.0 and mag * rho / (1.0 - rho) <= 0.125 * tol:
             break
-        coefs.append(coefs[-1] * (ck / ((r + base) * (r + 1.5))))
+        coefs.append(coefs[-1] * (step / ((r + base) * (r + 1.5))))
         mag *= rho
     else:
         return None
@@ -497,7 +510,7 @@ def _double_horner(params: StruveParams, xmax: float, tol: float):
             rel = (tail / d + kappa) * (1.0 + 3.0 * kappa)
     rel = (rel + lead_err_max + UNIT) * (1.0 + 64.0 * UNIT)
     # the tail scales by (x/xmax)**(2R), not (v/V)**R: V is 0.0 for xmax below about 3e-162
-    return pairs, sign, tail, 2 * degree, rounding, rel
+    return pairs, sign, math.ldexp(1.0, -e), tail, 2 * degree, rounding, rel
 
 
 def _integer_horner(params: StruveParams, xmax: float, tol: float):

@@ -321,6 +321,28 @@ def test_k_struve_poly_fixed_point_regime_against_mpmath_oracle():
     assert above >= 0.5 * calls, (above, calls)
 
 
+def test_k_struve_poly_negative_c_beyond_the_range_of_the_raw_coefficients():
+    """c = -1, k = 1: a_r alone underflows once x exceeds about 120, a_r V**r does not."""
+    mp = pytest.importorskip("mpmath")
+    for nu in (0.0, 2.0, 10.0, 40.0):
+        params = StruveParams(nu=nu, c=-1.0, k=1.0)
+        for wmax in (120.0, 160.0, 200.0, 300.0):
+            poly = k_struve_poly(params, wmax, 1e-10)
+            for w in (0.7 * wmax, wmax):
+                value, bound = poly(w)
+                error = abs(mp.mpf(value) - _mp_k_struve(mp, nu, -1.0, 1.0, w))
+                assert error <= bound <= 1e-10 * abs(value), (nu, wmax, w, value, bound)
+
+
+@pytest.mark.parametrize("y", [160.0, 200.0])
+def test_modified_struve_theorem_at_large_y_is_confirmed(y):
+    # the coefficient underflow above gave NEITHER at y = 160 (dev 2.4e-4) and a dev of 0.498 at 200
+    p = TheoremParams(alpha=1.0, mu=0.5, nu=2.0, c=-1.0, k=1.0, y=y)
+    report = verify("theorem1", p)
+    assert report.verdict is Verdict.CONFIRMED_CORRECTED
+    assert report.rel_dev_corrected < 1e-10
+
+
 def test_k_struve_poly_integer_horner_serves_where_the_double_bound_fails(monkeypatch):
     """nu = 2, c = k = 1, W = 40: at 7 and 7.5, below 8 sqrt(k/c), integer Horner takes over.
 
