@@ -32,7 +32,6 @@ import itertools
 import math
 from collections import namedtuple
 from collections.abc import Iterable
-from functools import partial
 
 from .errors import ConvergenceError, DomainError, KStruveError
 from .fixedpoint import UNIT
@@ -197,12 +196,14 @@ def _integrand(which: str, p: TheoremParams, tol: float):
 
     |w| is at most |y| in theorem1 and 4|y|/9 in theorem2.  The point's
     k-Struve polynomial (:func:`k_struve_poly`) is built once for that range,
-    or is :func:`k_struve` itself when there is none, and f calls
-    :func:`k_struve` wherever the polynomial returns None; either way each
-    value has the error bound of :func:`k_struve` at ``series_tol``, at most
-    ``max(series_tol * |S(w)|, 1e-280)``.  ``series_tol`` is tol / 100, but
-    no tighter than the leading coefficient allows: its error is a smooth
-    factor across the interval, not quadrature noise.
+    and f calls :func:`k_struve` only where it returns None: at w <= 0, and
+    where the leading term is outside (1e-300, 1e300) or w/2 below the
+    normal range.  Either way each value has a bound of at most
+    ``series_tol * |S(w)|``, plus a few subnormal spacings.  Where no
+    polynomial exists, this raises the ConvergenceError of :func:`k_struve`
+    at the range's end.  ``series_tol`` is tol / 100, but no tighter than
+    the leading coefficient allows: its error is a smooth factor across the
+    interval, not quadrature noise.
     """
     require_tol(tol)
     first = which == "theorem1"
@@ -211,8 +212,12 @@ def _integrand(which: str, p: TheoremParams, tol: float):
     sp = p.struve_params()
     series_tol = max(tol * 0.01, 4.0 * sp.lead_error)
     wmax = abs(p.y) if first else abs(p.y) * (4.0 / 9.0)
-    poly = k_struve_poly(sp, wmax * _ARGUMENT_MARGIN, series_tol)
-    poly = poly or partial(k_struve, sp, tol=series_tol)
+    xmax = wmax * _ARGUMENT_MARGIN
+    poly = k_struve_poly(sp, xmax, series_tol)
+    if poly is None:
+        # at y = 0 k_struve serves every node, w = 0; at any other y it raises here
+        k_struve(sp, xmax, tol=series_tol)
+        poly = lambda w: None
     y = p.y
 
     # the argument's form is chosen here, once per point, not at each node

@@ -12,19 +12,14 @@ Struve function L_nu.  Terms are generated by the exact ratio recurrence
     t_{r+1} / t_r = -c (x/2)**2 / (k (r + nu/k + 3/2) (r + 3/2)),
 
 whose magnitude decreases monotonically in r, so a geometric majorant gives
-a rigorous truncation bound.  The series is a Fox-Wright series times a
-power, and the terms are summed by the same exact-ratio loop
-(:func:`kstruve.fixedpoint.sum_ratio`).  The returned bound adds the
-rounding of the double-precision loop; where the terms cancel too much for
-doubles (c > 0 and large x sqrt(c/k)) the same ratio, read as an exact
-rational, is summed in fixed point on integers.
+a rigorous truncation bound.
 
-A caller that needs S at many x in (0, X] builds :func:`k_struve_poly` once:
-the leading term times a polynomial in (x/2)**2 whose degree makes the tail
-at X small.  Each value carries a bound (tail, Horner and coefficient
-rounding, leading term), at most tol times the value.  One evaluator
-computes the leading term and tries up to three forms of the polynomial,
-in this order, until a value's bound fits:
+The series is summed by one mechanism, :func:`k_struve_poly`: for x in
+(0, X], the leading term times a polynomial in (x/2)**2 whose degree makes
+the tail at X small, built once.  Each value carries a bound (tail, Horner
+and coefficient rounding, leading term), at most tol times the value.  One
+evaluator computes the leading term and tries up to three forms of the
+polynomial, in this order, until a value's bound fits:
 
 - double: Horner's rule on double coefficients, on all of (0, X] below the
   fixed-point regime (c <= 0, or X sqrt(c/k) < 8) and on (0, 8 sqrt(k/c)]
@@ -32,34 +27,36 @@ in this order, until a value's bound fits:
   ratio below 1 at that range's end), one relative bound, proved once for
   the whole interval, serves every node; otherwise each node computes its
   own;
-- Taylor at X: in the fixed-point regime, next to X, where sigma = 1 -
-  (x/X)**2 is small, the integer terms u_m of one fixed-point pass at X,
-  shifted exactly to x = X and evaluated in doubles in -sigma;
-- integer: in the fixed-point regime, the same u_m, evaluated by integer
-  Horner's rule in s = (x/X)**2.
+- Taylor at X: for c > 0 where that one bound does not hold, next to X,
+  where sigma = 1 - (x/X)**2 is small, the integer terms u_m of one
+  fixed-point pass at X (:func:`kstruve.fixedpoint.fixed_terms`), shifted
+  exactly to x = X and evaluated in doubles in -sigma;
+- integer: the same u_m, evaluated by integer Horner's rule in s = (x/X)**2.
 
-Where a value's bound fails, or where the leading term leaves
-(1e-300, 1e300), the caller falls back to :func:`k_struve`.
+:func:`k_struve` is one node of that evaluator: it evaluates at x the
+polynomial built for X = x.  There, and only there, a leading term outside
+(1e-300, 1e300) is taken from its logarithm; at other nodes such a value is
+left to the caller, which then calls :func:`k_struve`.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import accumulate
 
 from .errors import ConvergenceError, DomainError
-from .fixedpoint import LOG2_E, SUBNORMAL_ULP, UNIT, LinearRatio, fixed_terms, sum_fixed, sum_ratio
+from .fixedpoint import LOG2_E, SUBNORMAL_ULP, UNIT, LinearRatio, fixed_terms
 from .gamma import _LOG_DBL_MAX, _MIN_NORMAL, _lgamma, log_k_gamma
-from .results import TINY, EvaluationResult
+from .results import EvaluationResult
 
 _LGAMMA_3_2 = math.lgamma(1.5)
 # from x sqrt(c/k) = 8 (ratio_scale = -16) on, with c > 0, the terms outgrow
-# the sum by more than about 150: the double loop would fail the relative rule
-# at the usual tolerances, so the fixed-point path runs directly
+# the sum by more than about 150: double Horner would fail the relative rule
+# at the usual tolerances, so it stops at 8 sqrt(k/c) and the integer terms serve beyond
 _FIXED_RATIO_SCALE = -16.0
-# k_struve's term cap and the polynomials' degree cap
+# the polynomials' degree cap
 _MAX_TERMS = 500
 # s = (x/xmax)**2 <= r*r * (1 + 8 ulps) for the rounded quotient r = x / xmax
 _S_PAD = 1.0 + 8.0 * UNIT
@@ -94,8 +91,8 @@ class _SeriesConstants:
         g = math.gcd(bn, bd)
         bn, bd = bn // g, bd // g
         self.base = p.nu / p.k + 1.5
-        # ulps a term of the double loop gains per step: 3 from ratio_scale,
-        # 4 from the ratio and the product, and the error of the double base,
+        # ulps a term of the double polynomial gains per index: 3 from c/k and
+        # v, 4 from the ratio and the product, and the error of the double base,
         # a relative error of at most |base error| / base in each r + base
         self.step_ulps = 7.0 + abs(_gap(self.base, bn, bd)) / self.base / UNIT
         self.power_delta = _gap(p.power, 2 * bn - bd, 2 * bd)
@@ -177,36 +174,19 @@ class StruveParams(namedtuple("StruveParams", "nu c k")):
 
 
 def _lead(params: StruveParams, x: float) -> tuple[float, float]:
-    """The r = 0 term at x > 0 and its relative error.
+    """The r = 0 term at x > 0 and its relative error, taken from its logarithm.
 
-    The term is (x/2)**power * scale0 with the exact-power correction, as
-    :func:`k_struve_poly`'s evaluator computes it.  Where that is outside
-    (1e-300, 1e300), or x/2 is below the normal range, it is taken from its
-    logarithm instead: there 0.5 * x may have rounded, and a negative power
-    would carry that error or divide by a half rounded to 0.  Raises
-    ConvergenceError when the term overflows.
+    :func:`k_struve_poly`'s evaluator computes the term inline as
+    (x/2)**power * scale0 and calls this only where that leaves
+    (1e-300, 1e300), or x/2 is below the normal range: there 0.5 * x may
+    have rounded, and a negative power would carry that error or divide by
+    a half rounded to 0.  Raises ConvergenceError when the term overflows.
     """
     consts = params._series
     lam = consts.power
     half = 0.5 * x
-    if half >= _MIN_NORMAL:
-        try:
-            lead = half**lam * consts.scale0
-        except OverflowError:
-            lead = math.inf
-        if 1e-300 < lead < 1e300:
-            lead_err = consts.lead_err
-            if consts.power_delta:
-                # the exact power: (x/2)**delta = exp(t), within t**2 of 1 + t for
-                # |t| < 1/2; delta is a few ulps of nu/k, so t is of order 1e-13
-                t = consts.power_delta * math.log(half)
-                lead *= 1.0 + t
-                lead_err += t * t + 3.0 * UNIT * abs(t)
-            return lead, lead_err
-        log_half = math.log(half)
-    else:
-        # below the normal range the halving may round; take the log before scaling then
-        log_half = math.log(x) - math.log(2.0)
+    # below the normal range the halving may round; take the log before scaling then
+    log_half = math.log(half) if half >= _MIN_NORMAL else math.log(x) - math.log(2.0)
     log_t0 = (lam * log_half + consts.power_delta * log_half) + params.log_scale
     if log_t0 > _LOG_DBL_MAX:
         raise ConvergenceError(
@@ -226,21 +206,16 @@ def k_struve(params: StruveParams, x: float, tol: float = 1e-12) -> EvaluationRe
 
     Negative x is admitted only when the leading exponent nu/k + 1 is an
     integer, in which case S(-x) = (-1)**(nu/k + 1) S(x); otherwise the
-    fractional power has no real value and DomainError is raised.  Summation
-    stops once the error bound is at most ``max(tol * |value|, 1e-280)``,
-    relative to the value with an absolute floor for sums lost to underflow.
+    fractional power has no real value and DomainError is raised.
 
-    The terms are summed in doubles by :func:`kstruve.fixedpoint.sum_ratio`,
-    the loop the Fox-Wright series shares, with the ratio -c (x/2)**2 /
-    (k (r + nu/k + 3/2)(r + 3/2)): it stops once the next term is within the
-    rule, after adding it, and at most 500 terms are summed.  The returned
-    ``error_bound`` covers the truncated tail and the rounding: the error of
-    the leading term, (s n + 2) ulps of sum |t_r| for the double loop after
-    n + 1 terms, with s about 7 roundings a step, the fixed-point floors when
-    that path runs, and (terms + 2) * 2**-1074 for results below the normal
-    range.  The series is summed in fixed point on integers, at about
-    64 + log2(sum |t_r| / |S|) bits, when c > 0 and x sqrt(c/k) >= 8, or when
-    the rounding of the double loop alone would break the rule above.
+    Every x > 0 is the one node of its own polynomial,
+    ``k_struve_poly(params, x, tol)(x)``, and ``terms_used`` is that
+    polynomial's degree plus one.  The ``error_bound`` covers the truncated
+    tail and every rounding, is at most ``tol * |value|`` before (terms + 2)
+    * 2**-1074 is added for results below the normal range.  Raises
+    ConvergenceError when tol is below the accuracy of the leading term,
+    when the leading term overflows, and when no polynomial of degree up to
+    500 meets tol.
     """
     if not (math.isfinite(x) and math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"need finite x and tol > 0, got x={x!r}, tol={tol!r}")
@@ -266,39 +241,42 @@ def k_struve(params: StruveParams, x: float, tol: float = 1e-12) -> EvaluationRe
             return EvaluationResult(value, bound, 1)
         raise DomainError(f"x = 0 diverges for nu/k + 1 = {lam} < 0")
 
-    half = 0.5 * x
-    lead, lead_err = _lead(params, x)
-    ratio_scale = -params.c * half * half / params.k
-    fixed = partial(_fixed, params, x, lead, lead_err, ratio_scale, tol)
-    try:
-        if ratio_scale <= _FIXED_RATIO_SCALE:
-            return fixed(0)
-        return sum_ratio(
-            lead, lead_err, ratio_scale, (), ((1, consts.base), (1, 1.5)), consts.step_ulps,
-            0, TINY, tol, _MAX_TERMS, fixed,
+    evaluate = k_struve_poly(params, x, tol)
+    out = evaluate and evaluate(x)
+    if out:
+        return EvaluationResult(*out, evaluate.degree + 1)
+    if consts.lead_err + 3.0 * UNIT > 0.5 * tol:
+        raise ConvergenceError(
+            f"k-Struve series at x={x}: tol={tol} is below the accuracy of the leading term "
+            f"(relative error {consts.lead_err:.2e})"
         )
-    except ConvergenceError as exc:
-        raise ConvergenceError(f"k-Struve series at x={x}: {exc}") from None
+    raise ConvergenceError(
+        f"k-Struve series at x={x}: needed more than {_MAX_TERMS} terms, or more bits than "
+        f"the double and fixed-point sums hold, for tol={tol}"
+    )
 
 
 def k_struve_poly(params: StruveParams, xmax: float, tol: float):
     """The k-Struve series on (0, xmax] as its leading term times a polynomial, built once.
 
     With v = (x/2)**2, S(x) = lead(x) g(v), where lead(x) is the r = 0 term
-    that :func:`k_struve` computes and g(v) = sum_r a_r v**r has a_0 = 1 and
-    a_{r+1} = a_r (-c/k) / ((r + nu/k + 3/2)(r + 3/2)), the series' exact
-    term ratio.
+    and g(v) = sum_r a_r v**r has a_0 = 1 and a_{r+1} = a_r (-c/k) /
+    ((r + nu/k + 3/2)(r + 3/2)), the series' exact term ratio.
 
     Returns ``evaluate(x)``, which gives ``(value, error_bound)`` with
-    ``error_bound <= tol * |value|``, or None when x is not in (0, xmax],
-    when the leading term is outside (1e-300, 1e300) or x/2 is below the
-    normal range, or when that bound fails; the caller then calls
-    :func:`k_struve`.  k_struve_poly itself returns None when no degree up
-    to 500 serves.
+    ``error_bound <= tol * |value|`` before (degree + 3) * 2**-1074 is
+    added for values below the normal range, or None when x is not in
+    (0, xmax] or when that bound fails.  ``evaluate.degree`` is the largest
+    degree it holds.  k_struve_poly itself returns None when no degree up to
+    500 serves.
 
-    ``evaluate`` computes the leading term once, as :func:`_lead` does, and
-    then tries up to three forms of g, in this order, until one value's
-    bound fits tol:
+    ``evaluate`` computes the leading term once, inline as (x/2)**power *
+    scale0 with the exact-power correction.  Where that leaves
+    (1e-300, 1e300), or x/2 is below the normal range, it returns None,
+    except at x = xmax, the node :func:`k_struve` asks for: there it takes
+    the term from its logarithm (:func:`_lead`) and every form computes
+    its own bound.  Then it tries up to three forms of g, in this order,
+    until one value's bound fits tol:
 
     - double: Horner's rule on double coefficients on (0, W]
       (:func:`_double_horner`), with W = xmax below the fixed-point regime
@@ -309,46 +287,57 @@ def k_struve_poly(params: StruveParams, xmax: float, tol: float):
       (c/k)(W/2)**2 / ((nu/k + 3/2) 3/2), is below 1.  The certificate
       implies the per-node test, so the same nodes are served with the same
       values either way;
-    - in the fixed-point regime, the integer terms of one fixed-point pass
-      at xmax (:func:`_integer_horner`): first, where sigma = 1 -
-      (x/xmax)**2 <= ``_SIGMA_MAX``, their exact Taylor shift to x = xmax
-      in doubles, then integer Horner's rule.
+    - for c > 0, unless the certificate holds on all of (0, xmax], the
+      integer terms of one fixed-point pass at xmax
+      (:func:`_integer_horner`): first, where sigma = 1 - (x/xmax)**2 <=
+      ``_SIGMA_MAX``, their exact Taylor shift to x = xmax in doubles,
+      then integer Horner's rule.
     """
     if not 0.0 < xmax < math.inf:
         return None
     half_max = 0.5 * xmax
-    wmax, integer = xmax, None
-    if -params.c * half_max * half_max / params.k <= _FIXED_RATIO_SCALE:
-        wmax = min(xmax, 8.0 * math.sqrt(params.k / params.c))
-        integer = _integer_horner(params, xmax, tol)
+    fixed = -params.c * half_max * half_max / params.k <= _FIXED_RATIO_SCALE
+    wmax = min(xmax, 8.0 * math.sqrt(params.k / params.c)) if fixed else xmax
     double = _double_horner(params, wmax, tol)
     if double is None:
         return None
     pairs, sign, vscale, tail, span, rounding, rel = double
     certified = rel <= tol
+    # for c > 0 the integer terms serve wherever the certificate does not hold
+    needs_integer = params.c > 0.0 and not (certified and wmax == xmax)
+    integer = _integer_horner(params, xmax, tol) if needs_integer else None
     consts = params._series
     power = consts.power
     scale0 = consts.scale0
     delta = consts.power_delta
     lead_err0 = consts.lead_err
+    degree = max(span // 2, len(integer[4]) if integer else 0)
+    # below the normal range each step may be off by a subnormal spacing
+    subnormal = (degree + 3) * SUBNORMAL_ULP
     xmax_sq = xmax * xmax
     log = math.log
     inf = math.inf
 
     def evaluate(x: float) -> tuple[float, float] | None:
         half = 0.5 * x
-        if not half >= _MIN_NORMAL:  # also x <= 0 and nan
+        lead = 0.0
+        if half >= _MIN_NORMAL:  # not for x <= 0 and nan
+            try:
+                lead = half**power * scale0
+            except OverflowError:
+                lead = inf
+        lead_err = lead_err0
+        fits = certified
+        if 1e-300 < lead < 1e300:
+            if delta:
+                t = delta * log(half)
+                lead *= 1.0 + t
+                lead_err += t * t + 3.0 * UNIT * abs(t)
+        elif x == xmax:
+            lead, lead_err = _lead(params, x)
+            fits = False
+        else:
             return None
-        try:
-            lead = half**power * scale0
-        except OverflowError:
-            return None
-        if not 1e-300 < lead < 1e300:
-            return None
-        t = 0.0
-        if delta:
-            t = delta * log(half)
-            lead *= 1.0 + t
         if x <= wmax:
             v = half * half * vscale
             s = v * v
@@ -359,21 +348,20 @@ def k_struve_poly(params: StruveParams, xmax: float, tol: float):
             odd *= v
             value = lead * (even + sign * odd)
             size = abs(value)
-            if certified:
+            if fits:
                 if size < inf:  # an overflowed value fails
                     return value, rel * size
             else:
                 bound = (
                     lead * (tail * (x / wmax) ** span + rounding * (even + odd))
-                    + (lead_err0 + (t * t + 3.0 * UNIT * abs(t)) + UNIT) * size
+                    + (lead_err + UNIT) * size
                 )
                 if bound <= tol * size < inf:
-                    return value, bound
+                    return value, bound + subnormal
         if integer is None or x > xmax:
             return None
         (inv, guard, bits, top, rest, pass_tail, tail_power, units_fixed, floors,
          shifted, order, rest_units, taylor_rounding, sigma_max) = integer
-        lead_err = lead_err0 + (t * t + 3.0 * UNIT * abs(t))
         r = x / xmax
         pass_units = pass_tail * (r * r * _S_PAD) ** tail_power
         sigma = (xmax - x) * (xmax + x) / xmax_sq
@@ -388,10 +376,9 @@ def k_struve_poly(params: StruveParams, xmax: float, tol: float):
             bound = (
                 lead * (math.ldexp(units, -bits) * (1.0 + 8.0 * UNIT) + taylor_rounding)
                 + size * (lead_err + 3.0 * UNIT)
-                + SUBNORMAL_ULP
             )
             if bound <= tol * size < inf:
-                return value, bound
+                return value, bound + subnormal
         n, d = x.as_integer_ratio()
         s = n * n * inv >> (guard + 2 * d.bit_length() - 2)
         acc = top
@@ -402,12 +389,12 @@ def k_struve_poly(params: StruveParams, xmax: float, tol: float):
         bound = (
             lead * math.ldexp(units_fixed + pass_units, -bits) * (1.0 + 8.0 * UNIT)
             + size * (lead_err + 3.0 * UNIT)
-            + SUBNORMAL_ULP
         )
         if bound <= tol * size < inf:
-            return value, bound
+            return value, bound + subnormal
         return None
 
+    evaluate.degree = degree
     return evaluate
 
 
@@ -470,12 +457,10 @@ def _double_horner(params: StruveParams, xmax: float, tol: float):
     ck = abs(params.c) / params.k
     half_max = 0.5 * xmax
     vmax = half_max * half_max
-    # 2**e <= V, or 2**-1022 below it: the coefficients are stored scaled by 2**(e r)
+    # 2**e <= V, or 2**-1022 below it: the coefficients are stored scaled by 2**(e r).
+    # A step that overflows has c V / k overflow too, so rho = inf and no degree serves
     e = max(math.frexp(vmax)[1] - 1, -1022)
-    try:
-        step = math.ldexp(ck, e)
-    except OverflowError:
-        return None  # c V / k is beyond the doubles: no degree up to 500 serves
+    step = ck * 2.0**e
     coefs = [1.0]  # |a_r| 2**(e r)
     mag = 1.0  # |a_r| V**r
     for r in range(_MAX_TERMS):
@@ -510,7 +495,7 @@ def _double_horner(params: StruveParams, xmax: float, tol: float):
             rel = (tail / d + kappa) * (1.0 + 3.0 * kappa)
     rel = (rel + lead_err_max + UNIT) * (1.0 + 64.0 * UNIT)
     # the tail scales by (x/xmax)**(2R), not (v/V)**R: V is 0.0 for xmax below about 3e-162
-    return pairs, sign, math.ldexp(1.0, -e), tail, 2 * degree, rounding, rel
+    return pairs, sign, 2.0**-e, tail, 2 * degree, rounding, rel
 
 
 def _integer_horner(params: StruveParams, xmax: float, tol: float):
@@ -548,7 +533,7 @@ def _integer_horner(params: StruveParams, xmax: float, tol: float):
     half_max = 0.5 * xmax
     peak = half_max * math.sqrt(params.c / params.k)
     if peak >= _MAX_TERMS:
-        return None  # the largest term comes after the pass's last, as in _fixed
+        return None  # the largest term would come after the pass's last
     xn, xd = xmax.as_integer_ratio()
     try:
         terms, bits, tail, floors = fixed_terms(
@@ -556,7 +541,8 @@ def _integer_horner(params: StruveParams, xmax: float, tol: float):
             xn * xn,
             2 * (xd.bit_length() - 1),
             True,
-            _cancellation_bits(peak),
+            # the c > 0 terms outgrow their sum by about e**(2 peak)
+            math.ceil(2.0 * LOG2_E * peak) + 8,
             0.125 * tol,
             _MAX_TERMS,
         )
@@ -620,30 +606,6 @@ def _taylor_at_one(terms: list[int], bits: int, tol: float):
     order = len(coefs)
     rounding = (6.0 * (order - 1) + 8.0) * UNIT * majorant + order * SUBNORMAL_ULP
     return tuple(coefs), order, remainder, rounding
-
-
-def _cancellation_bits(peak: float) -> int:
-    """Working bits for the c > 0 terms, which outgrow their sum by about e**(2 peak).
-
-    ``peak`` is sqrt|ratio_scale| = (x/2) sqrt(c/k), the index of the largest term.
-    """
-    return math.ceil(2.0 * LOG2_E * peak) + 8
-
-
-def _fixed(params, x, lead, lead_err, ratio_scale, tol, cond_bits):
-    """The fixed-point path of :func:`k_struve`, after its guards."""
-    # the terms grow while (r + base)(r + 3/2) < |ratio_scale|, that is up to
-    # r = sqrt|ratio_scale|, and reach about e**(2 sqrt|ratio_scale|) times the first
-    peak = math.sqrt(abs(ratio_scale))
-    if peak >= _MAX_TERMS:
-        raise ConvergenceError(f"needed more than {_MAX_TERMS} terms for tol={tol}")
-    if params.c > 0.0:
-        cond_bits = max(cond_bits, _cancellation_bits(peak))
-    xn, xd = x.as_integer_ratio()
-    return sum_fixed(
-        params._series.table, xn * xn, 2 * (xd.bit_length() - 1), params.c > 0.0, lead, lead_err,
-        cond_bits, tol, _MAX_TERMS,
-    )
 
 
 def struve_h(nu: float, x: float, tol: float = 1e-12) -> EvaluationResult:

@@ -351,7 +351,7 @@ def test_k_struve_poly_integer_horner_serves_where_the_double_bound_fails(monkey
     mp = pytest.importorskip("mpmath")
     params = StruveParams(nu=2.0, c=1.0, k=1.0)
     poly = k_struve_poly(params, 40.0, 1e-12)
-    monkeypatch.setattr(struve_module, "_FIXED_RATIO_SCALE", -math.inf)
+    monkeypatch.setattr(struve_module, "_integer_horner", lambda *args: None)
     double = k_struve_poly(params, 8.0, 1e-12)  # the double polynomial alone
     for w in (7.0, 7.5):
         assert double(w) is None, w
@@ -399,7 +399,7 @@ def _per_node(params, xmax, tol, x):
     """(value, bound) of the double polynomial at x, with the bound computed at the node.
 
     The polynomial is rebuilt as ``struve._double_horner`` builds it, the
-    leading term is taken from ``struve._lead``, and the bound is the
+    leading term is computed as the evaluator computes it inline, and the bound is the
     per-node formula that served every node before the certificate: the
     tail scaled by (v / V)**R, the rounding of M and the leading term's
     error.  The caller passes only nodes that the polynomial served.
@@ -420,7 +420,12 @@ def _per_node(params, xmax, tol, x):
     tail = mag * rho / (1.0 - rho)
     evens, odds = coefs[::2], coefs[1::2] + [0.0] * (len(coefs) % 2)
     half = 0.5 * x
-    lead, lead_err = struve_module._lead(params, x)
+    unit = struve_module.UNIT
+    lead, lead_err = half**consts.power * consts.scale0, consts.lead_err
+    if consts.power_delta:
+        t = consts.power_delta * math.log(half)
+        lead *= 1.0 + t
+        lead_err += t * t + 3.0 * unit * abs(t)
     v = half * half
     s = v * v
     even = odd = 0.0
@@ -431,7 +436,6 @@ def _per_node(params, xmax, tol, x):
     mags = even + odd
     value = lead * (even + (-1.0 if params.c > 0.0 else 1.0) * odd)
     size = abs(value)
-    unit = struve_module.UNIT
     rounding = unit * (consts.step_ulps * degree + degree + 2.0)
     bound = lead * (tail * (v / vmax) ** degree + rounding * mags) + (lead_err + unit) * size
     return value, bound
@@ -442,11 +446,13 @@ def test_double_polynomial_certificate_against_mpmath_oracle(monkeypatch):
 
     xmax puts rho0 = (|c|/k) V / ((nu/k + 3/2) 3/2) on both sides of 1; the
     nodes are xmax, its neighbour, x/2 at the smallest normal and a leading
-    term next to 1e-300.  With no fixed-point regime, k_struve_poly is the
-    double polynomial on all of (0, xmax], even where xmax sqrt(c/k) >= 8.
+    term next to 1e-300.  With no fixed-point regime and no integer part,
+    k_struve_poly is the double polynomial on all of (0, xmax], even where
+    xmax sqrt(c/k) >= 8.
     """
     mp = pytest.importorskip("mpmath")
     monkeypatch.setattr(struve_module, "_FIXED_RATIO_SCALE", -math.inf)
+    monkeypatch.setattr(struve_module, "_integer_horner", lambda *args: None)
     rng = random.Random(99)
     certified = per_node = 0
     for c in (-2.0, -1.0, -0.3, 0.3, 1.0, 2.0):
