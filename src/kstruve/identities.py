@@ -342,14 +342,20 @@ def _judge(
     """The report on quad against both closed forms, by the one verdict rule of every identity.
 
     A closed form is confirmed when its deviation from the quadrature value,
-    relative to that value, is at most ``threshold``.  A quadrature that did
-    not converge, or whose estimate exceeds ``threshold`` relative, makes
-    the point INCONCLUSIVE.  ``strict`` is the report's ``strict_hypotheses``.
+    relative to that value itself, is at most ``threshold``; no absolute
+    floor enters.  A quadrature that did not converge, or whose estimate
+    exceeds ``threshold`` relative, makes the point INCONCLUSIVE, and so
+    does a quadrature value of 0 against a nonzero closed form: it deviates
+    from it by inf.  A zero value agrees exactly with a zero closed form.
+    ``strict`` is the report's ``strict_hypotheses``.
     """
-    denom = max(abs(quad.value), 1e-300)
-    dev_paper = abs(quad.value - rhs_paper) / denom
-    dev_corrected = abs(quad.value - rhs_corrected) / denom
-    if not quad.converged or quad.error_estimate > threshold * denom:
+    size = abs(quad.value)
+    dev_paper, dev_corrected = (
+        abs(quad.value - closed) / size if size else (math.inf if closed else 0.0)
+        for closed in (rhs_paper, rhs_corrected)
+    )
+    undecided = not quad.converged or quad.error_estimate > threshold * size
+    if undecided or not size and (rhs_paper or rhs_corrected):
         verdict = Verdict.INCONCLUSIVE
     else:
         paper_ok = dev_paper <= threshold

@@ -1,7 +1,9 @@
 """Tests for the identity engine: integrands, closed forms, and verdicts."""
 
+import io
 import math
 import random
+import re
 
 import pytest
 
@@ -24,6 +26,7 @@ from kstruve import (
 from kstruve import identities, struve
 from kstruve.gamma import log_k_gamma
 from kstruve.identities import _wright_tail
+from kstruve.report import emit_csv, emit_json, emit_table, record
 from kstruve.results import QuadratureResult
 
 BASE = TheoremParams(alpha=1.0, mu=0.5, nu=2.0, c=1.0, k=1.0, y=1.0)
@@ -765,3 +768,39 @@ class TestVerdictTable:
         assert report.rhs_paper == report.rhs_corrected == closed
         assert report.rel_dev_paper == report.rel_dev_corrected == abs(value - closed) / value
         assert report.strict_hypotheses is True
+
+    def test_zero_lhs_against_a_nonzero_closed_form_is_inconclusive(self, monkeypatch):
+        self._patch_integrate(monkeypatch, 0.0, 0.0, True)
+        monkeypatch.setattr(identities, "rhs", lambda which, p, corrected, tol: 0.25)
+        rep = verify("theorem1", BASE)
+        assert rep.verdict is Verdict.INCONCLUSIVE
+        assert rep.rel_dev_paper == rep.rel_dev_corrected == math.inf
+        rec = record("theorem1", BASE._asdict(), rep)
+        rows = (
+            (emit_json, r'"rel_dev_paper": Infinity, "rel_dev_corrected": Infinity, "verdict": "INCONCLUSIVE"'),
+            (emit_csv, r"inf,inf,INCONCLUSIVE"),
+            (emit_table, r"inf +inf +INCONCLUSIVE"),
+        )
+        for emit, row in rows:
+            out = io.StringIO()
+            emit([rec], out)
+            assert re.search(row, out.getvalue()), out.getvalue()
+        # the Lavoie-Trottier check shares the rule
+        assert identities.lavoie_trottier_check(1.0, 1.0).verdict is Verdict.INCONCLUSIVE
+
+    @pytest.mark.parametrize(
+        "point, relative_estimate",
+        [
+            # lhs 2.31e-308 and 2.71e-308: judged against a floor of 1e-300 they read
+            # CONFIRMED_CORRECTED, with real errors of 1e-3 and 1e-2
+            ((0.24882391567208906, 0.25984060835972583, 45.34322110361673, 2.0, 0.5,
+              0.015428438819763213), 8.8e-4),
+            ((0.005570719754851946, 1.9591276440851093, 29.640756467414587, -1.0, 0.25,
+              0.06534891075092293), 0.56),
+        ],
+    )
+    def test_values_below_the_old_floor_are_judged_relative_to_themselves(self, point, relative_estimate):
+        ((_, rep),) = verify_grid("theorem1", [TheoremParams(*point)], strict=False)
+        assert rep.lhs_value < 3e-308
+        assert rep.lhs_error_estimate / rep.lhs_value == pytest.approx(relative_estimate, rel=0.01)
+        assert rep.verdict is Verdict.INCONCLUSIVE
