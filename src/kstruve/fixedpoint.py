@@ -3,7 +3,9 @@
 Both series in the package (the k-Struve series is a Fox-Wright series
 times a power) have term ratios that are rational functions of the
 summation index, with coefficients that are exact binary fractions once
-the double-precision inputs are read as rationals:
+the double-precision inputs are read as rationals.  The integer-slope
+Fox-Wright series is summed here; the k-Struve series takes only the kept
+terms of one fixed-point pass (:func:`fixed_terms`) for its polynomial:
 
     t_{m+1} / t_m = +-(scale * NUM_m / 2**shift) / DEN_m,
 

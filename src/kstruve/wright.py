@@ -263,8 +263,8 @@ def wright_eval(spec: WrightSpec, z: float, tol: float = 1e-12) -> EvaluationRes
     the sum, with (terms + 2) * 2**-1074 for results below the normal range.
 
     When every slope is an integer up to 64 the terms follow their exact ratio
-    recurrence in :func:`kstruve.fixedpoint.sum_ratio`, the loop the k-Struve
-    series shares: from the index at which every factor is positive and the
+    recurrence in :func:`kstruve.fixedpoint.sum_ratio`, which only this series
+    uses: from the index at which every factor is positive and the
     ratio magnitude can no longer rise, the tail is majorized by a geometric
     series, and summation stops once the next term is within the rule,
     after adding it.  If the rounding of the double loop alone would break

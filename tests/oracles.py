@@ -151,3 +151,26 @@ def struve_ode_residual(nu: float, x: float, step: float = 1e-4, tol: float = 1e
     d2 = (y_plus - 2.0 * y_center + y_minus) / (step * step)
     forcing = 4.0 * (0.5 * x) ** (nu + 1.0) / (math.sqrt(math.pi) * gamma(nu + 0.5))
     return abs(x * x * d2 + x * d1 + (x * x - nu * nu) * y_center - forcing)
+
+
+def mp_k_struve(mp, nu, c, k, x):
+    """The k-Struve series at the exact double inputs, summed in the mpmath module ``mp``.
+
+    Independent of the package: the terms come from mpmath's gamma and the
+    exact ratio, with enough digits for terms that outgrow the sum.
+    """
+    nu, c, k, x = (mp.mpf(v) for v in (nu, c, k, x))
+    # the terms outgrow the sum by about e**(x sqrt(|c|/k)): carry those digits too
+    digits = 40 + int(float(x * mp.sqrt(abs(c) / k)) / 2.3)
+    with mp.workdps(digits):
+        base = nu / k + mp.mpf(3) / 2
+        term = (x / 2) ** (base - mp.mpf(1) / 2) / (
+            k ** (base - 1) * mp.gamma(base) * mp.gamma(mp.mpf(3) / 2)
+        )
+        ratio = -c * (x / 2) ** 2 / k
+        total, r = mp.mpf(0), 0
+        while r < 6 or abs(term) > abs(total) * mp.mpf(10) ** -35:
+            total += term
+            term *= ratio / ((r + base) * (r + mp.mpf(3) / 2))
+            r += 1
+        return +total

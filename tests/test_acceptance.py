@@ -35,7 +35,7 @@ from kstruve import struve as struve_module
 from kstruve.cli import main
 from kstruve.struve import _SIGMA_MAX, k_struve_poly
 
-from oracles import k_gamma_integral_oracle, struve_ode_residual
+from oracles import k_gamma_integral_oracle, mp_k_struve, struve_ode_residual
 
 
 def announce(capsys, number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -215,25 +215,6 @@ def test_criterion_09_error_bound_soundness(capsys):
              ok, f"{violations} violations")
 
 
-def _mp_k_struve(mp, nu, c, k, x):
-    """The k-Struve series at the exact double inputs, summed in mpmath."""
-    nu, c, k, x = (mp.mpf(v) for v in (nu, c, k, x))
-    # the terms outgrow the sum by about e**(x sqrt(|c|/k)): carry those digits too
-    digits = 40 + int(float(x * mp.sqrt(abs(c) / k)) / 2.3)
-    with mp.workdps(digits):
-        base = nu / k + mp.mpf(3) / 2
-        term = (x / 2) ** (base - mp.mpf(1) / 2) / (
-            k ** (base - 1) * mp.gamma(base) * mp.gamma(mp.mpf(3) / 2)
-        )
-        ratio = -c * (x / 2) ** 2 / k
-        total, r = mp.mpf(0), 0
-        while r < 6 or abs(term) > abs(total) * mp.mpf(10) ** -35:
-            total += term
-            term *= ratio / ((r + base) * (r + mp.mpf(3) / 2))
-            r += 1
-        return +total
-
-
 def _mp_wright(mp, spec, z):
     """The Fox-Wright series at the exact double inputs, summed in mpmath."""
     z = mp.mpf(z)
@@ -263,7 +244,7 @@ def test_k_struve_bounds_hold_against_mpmath_oracle():
         x = rng.choice([rng.uniform(0.01, 8.0), rng.uniform(8.0, 100.0), 100.0])
         tol = rng.choice([1e-8, 1e-10, 1e-12])
         res = k_struve(StruveParams(nu=nu, c=c, k=k), x, tol=tol)
-        error = abs(mp.mpf(res.value) - _mp_k_struve(mp, nu, c, k, x))
+        error = abs(mp.mpf(res.value) - mp_k_struve(mp, nu, c, k, x))
         assert error <= res.error_bound, (nu, c, k, x, tol, res)
         assert res.error_bound <= tol * abs(res.value)
 
@@ -287,7 +268,7 @@ def test_k_struve_poly_bounds_hold_against_mpmath_oracle():
                         continue
                     returned += 1
                     value, bound = res
-                    error = abs(mp.mpf(value) - _mp_k_struve(mp, nu, c, k, w))
+                    error = abs(mp.mpf(value) - mp_k_struve(mp, nu, c, k, w))
                     assert error <= bound <= tol * abs(value), (nu, c, k, w, tol, res)
     assert returned >= 0.9 * calls, (returned, calls)
 
@@ -315,7 +296,7 @@ def test_k_struve_poly_fixed_point_regime_against_mpmath_oracle():
                     returned += 1
                     above += w > split
                     value, bound = res
-                    error = abs(mp.mpf(value) - _mp_k_struve(mp, nu, c, k, w))
+                    error = abs(mp.mpf(value) - mp_k_struve(mp, nu, c, k, w))
                     assert error <= bound <= tol * abs(value), (nu, c, k, wmax, w, tol, res)
     assert returned >= 0.9 * calls, (returned, calls)
     assert above >= 0.5 * calls, (above, calls)
@@ -330,7 +311,7 @@ def test_k_struve_poly_negative_c_beyond_the_range_of_the_raw_coefficients():
             poly = k_struve_poly(params, wmax, 1e-10)
             for w in (0.7 * wmax, wmax):
                 value, bound = poly(w)
-                error = abs(mp.mpf(value) - _mp_k_struve(mp, nu, -1.0, 1.0, w))
+                error = abs(mp.mpf(value) - mp_k_struve(mp, nu, -1.0, 1.0, w))
                 assert error <= bound <= 1e-10 * abs(value), (nu, wmax, w, value, bound)
 
 
@@ -356,7 +337,7 @@ def test_k_struve_poly_integer_horner_serves_where_the_double_bound_fails(monkey
     for w in (7.0, 7.5):
         assert double(w) is None, w
         value, bound = poly(w)
-        error = abs(mp.mpf(value) - _mp_k_struve(mp, 2.0, 1.0, 1.0, w))
+        error = abs(mp.mpf(value) - mp_k_struve(mp, 2.0, 1.0, 1.0, w))
         assert error <= bound <= 1e-12 * abs(value), (w, value, bound)
 
 
@@ -383,7 +364,7 @@ def test_k_struve_poly_taylor_at_w_against_mpmath_oracle(monkeypatch):
             res = poly(w)
             assert res is not None, (p, wmax, w, tol)
             value, bound = res
-            error = abs(mp.mpf(value) - _mp_k_struve(mp, p.nu, p.c, p.k, w))
+            error = abs(mp.mpf(value) - mp_k_struve(mp, p.nu, p.c, p.k, w))
             assert error <= bound <= tol * abs(value), (p, wmax, w, tol, res)
             computed = (wmax - w) * (wmax + w) / (wmax * wmax)
             if computed > _SIGMA_MAX:
@@ -474,7 +455,7 @@ def test_double_polynomial_certificate_against_mpmath_oracle(monkeypatch):
                             if res is None:
                                 continue
                             value, bound = res
-                            error = abs(mp.mpf(value) - _mp_k_struve(mp, params.nu, c, k, x))
+                            error = abs(mp.mpf(value) - mp_k_struve(mp, params.nu, c, k, x))
                             assert error <= bound <= tol * abs(value), (params, xmax, x, tol, res)
                             node_value, node_bound = _per_node(params, xmax, tol, x)
                             assert value == node_value, (params, xmax, x, tol)
@@ -551,7 +532,7 @@ def test_k_struve_tiny_argument_carries_the_exact_power():
     params = StruveParams(nu=3.1, c=2.0, k=0.7)
     for x in (1e-20, 1e-12, 1e-5):
         res = k_struve(params, x, tol=1e-14)
-        error = abs(mp.mpf(res.value) - _mp_k_struve(mp, 3.1, 2.0, 0.7, x))
+        error = abs(mp.mpf(res.value) - mp_k_struve(mp, 3.1, 2.0, 0.7, x))
         assert error <= res.error_bound <= 1e-14 * abs(res.value), (x, res)
 
 
@@ -562,7 +543,7 @@ def test_k_struve_subnormal_argument_under_a_negative_power():
     poly = k_struve_poly(params, 1.0, 1e-12)
     for x in (1e-310, 3e-310, 1.5e-323, 5e-324):
         res = k_struve(params, x)
-        error = abs(mp.mpf(res.value) - _mp_k_struve(mp, -1.2, 1.0, 1.0, x))
+        error = abs(mp.mpf(res.value) - mp_k_struve(mp, -1.2, 1.0, 1.0, x))
         assert error <= res.error_bound <= 1e-12 * abs(res.value), (x, res)
         assert poly(x) is None  # the caller falls back to k_struve
 
@@ -575,7 +556,7 @@ def test_k_struve_poly_where_the_squared_argument_underflows():
         poly = k_struve_poly(params, 1e-170, 1e-12)
         for x in (1e-170, 3e-171, 1e-200):
             value, bound = poly(x)
-            error = abs(mp.mpf(value) - _mp_k_struve(mp, -1.2, c, 1.0, x))
+            error = abs(mp.mpf(value) - mp_k_struve(mp, -1.2, c, 1.0, x))
             assert error <= bound <= 1e-12 * abs(value), (c, x, value, bound)
 
 
@@ -584,7 +565,7 @@ def test_subnormal_results_carry_a_nonzero_bound():
     mp = pytest.importorskip("mpmath")
     res = k_struve(StruveParams(nu=4.80, c=1.0, k=0.5), 1.55e-30)
     assert 0.0 < res.value < sys.float_info.min
-    error = abs(mp.mpf(res.value) - _mp_k_struve(mp, 4.80, 1.0, 0.5, 1.55e-30))
+    error = abs(mp.mpf(res.value) - mp_k_struve(mp, 4.80, 1.0, 0.5, 1.55e-30))
     assert 0.0 < error <= res.error_bound, res
     spec = WrightSpec(upper=((1.0, 1.0),), lower=((175.5, 1.0), (1.5, 1.0)))
     res = wright_eval(spec, -1.0)

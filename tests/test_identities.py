@@ -4,6 +4,7 @@ import io
 import math
 import random
 import re
+import sys
 
 import pytest
 
@@ -433,13 +434,18 @@ class TestWorkPerPoint:
         # the point's polynomial serves the integrand, where the parent called
         # k_struve at every node.  At the theorem1 point 7 of 135 nodes still
         # do: six within 2e-31 of x = 1, whose leading term (w/2)**5 is
-        # below 1e-300, and one where w underflows to 0
+        # below 1e-300, and one where w underflows to 0.  No call follows a
+        # failed bound
         counts = {"k_struve": 0, "evaluations": 0}
         series, quadrature = identities.k_struve, identities.integrate
 
-        def counting(*args, **kwargs):
+        def counting(params, w, **kwargs):
             counts["k_struve"] += 1
-            return series(*args, **kwargs)
+            half = 0.5 * w
+            if half >= sys.float_info.min:
+                lead = half**params.power * math.exp(params.log_scale)
+                assert not 1e-300 < lead < 1e300, (params, w)
+            return series(params, w, **kwargs)
 
         def recording(*args, **kwargs):
             result = quadrature(*args, **kwargs)
@@ -451,6 +457,24 @@ class TestWorkPerPoint:
         verify(which, default_grid(which)[0])
         assert counts["evaluations"] > 0
         assert counts["k_struve"] <= 0.06 * counts["evaluations"]
+
+    def test_integrand_calls_k_struve_only_where_the_leading_term_is_out_of_range(self, monkeypatch):
+        # a relaxed-corner point, nu/k + 1 = -0.33 at c = 1, k = 0.5, y = 4.85: the
+        # double polynomial's bound fails at 48 nodes, which the integer terms now serve
+        p = TheoremParams(1.4326622997089782, 0.1912404245832284, -0.6657680797227205, 1.0, 0.5,
+                          4.85398945412812)
+        series = identities.k_struve
+        lead_in_range = []
+
+        def counting(params, w, **kwargs):
+            half = 0.5 * w
+            if half >= sys.float_info.min:
+                lead_in_range.append(1e-300 < half**params.power * math.exp(params.log_scale) < 1e300)
+            return series(params, w, **kwargs)
+
+        monkeypatch.setattr(identities, "k_struve", counting)
+        assert verify("theorem1", p, strict=False).verdict is Verdict.CONFIRMED_CORRECTED
+        assert not any(lead_in_range)
 
     def test_default_grid_evaluations_do_not_grow(self, monkeypatch):
         evaluations = []

@@ -21,7 +21,7 @@ from kstruve import struve as struve_module
 from kstruve.fixedpoint import UNIT
 from kstruve.struve import k_struve_poly
 
-from oracles import struve_ode_residual
+from oracles import mp_k_struve, struve_ode_residual
 
 # mpmath struveh/struvel at 40 digits, rounded to double precision
 STRUVE_H_GOLDEN = {
@@ -217,6 +217,16 @@ class TestSeriesBehavior:
         assert 0 < res.terms_used <= 500
 
 
+class TestReadmeValue:
+    def test_struve_h_at_60_is_pinned_and_within_its_bound(self):
+        # README and the CI eval step print this value: 12.698717974725659
+        res = struve_h(2.0, 60.0)
+        assert (res.value.hex(), res.error_bound.hex()) == ("0x1.965be5cc525ebp+3", "0x1.68cff65877cb5p-40")
+        assert repr(res.value) == "12.698717974725659"
+        mp = pytest.importorskip("mpmath")
+        assert abs(mp.mpf(res.value) - mp_k_struve(mp, 2.0, 1.0, 1.0, 60.0)) <= res.error_bound
+
+
 class TestFoxWrightForm:
     # S(x) = (x/2)**(nu/k + 1) k**-(nu/k + 1/2)
     #        * 1Psi2[(1, 1); (nu/k + 3/2, 1), (3/2, 1); -c x**2/(4k)]
@@ -259,6 +269,8 @@ class TestPolynomial:
 
     @pytest.mark.parametrize("c, k", [(1.0, 1.0), (2.0, 0.5), (1.0, 2.0), (0.3, 1.0)])
     def test_fixed_point_regime_is_served(self, c, k):
+        # k_struve is one node of k_struve_poly, so the reference is mpmath
+        mp = pytest.importorskip("mpmath")
         params = StruveParams(nu=2.0, c=c, k=k)
         edge = 8.0 * math.sqrt(k / c)  # W sqrt(c/k) = 8
         assert k_struve_poly(params, 0.99 * edge, 1e-12) is not None
@@ -266,20 +278,43 @@ class TestPolynomial:
             poly = k_struve_poly(params, wmax, 1e-12)
             for w in (0.1 * wmax, 0.5 * wmax, 0.9 * wmax, wmax):
                 value, bound = poly(w)
-                ref = k_struve(params, w, tol=1e-12)
-                assert abs(value - ref.value) <= bound + ref.error_bound
+                assert abs(mp.mpf(value) - mp_k_struve(mp, 2.0, c, k, w)) <= bound
                 assert bound <= 1e-12 * abs(value)
+
+    def test_one_node_polynomial_serves_a_random_scan(self):
+        """k_struve_poly(p, x, tol)(x) serves every point, and a subsample agrees with mpmath.
+
+        3,000 points: nu/k in (-1.4, 60), c in {-2, -1, 0.5, 1, 2}, k in
+        {0.25, 0.5, 1, 2}, x log-uniform in [1e-3, 60], tol in {1e-8, 1e-10,
+        1e-12}; every leading term is in (1e-300, 1e300).  Without the
+        integer terms below x sqrt(c/k) = 8, two c > 0 points declined.
+        """
+        rng = random.Random(7)
+        points = []
+        for _ in range(3000):
+            nuk = rng.uniform(-1.4, 60.0)
+            c = rng.choice((-2.0, -1.0, 0.5, 1.0, 2.0))
+            k = rng.choice((0.25, 0.5, 1.0, 2.0))
+            x = math.exp(rng.uniform(math.log(1e-3), math.log(60.0)))
+            points.append((StruveParams(nu=nuk * k, c=c, k=k), x, rng.choice((1e-8, 1e-10, 1e-12))))
+        values = [k_struve_poly(p, x, tol)(x) for p, x, tol in points]
+        assert [point for point, res in zip(points, values) if res is None] == []
+        mp = pytest.importorskip("mpmath")
+        for i in random.Random(8).sample(range(len(points)), 60):
+            (p, x, tol), (value, bound) = points[i], values[i]
+            error = abs(mp.mpf(value) - mp_k_struve(mp, p.nu, p.c, p.k, x))
+            assert error <= bound <= tol * abs(value), (p, x, tol, value, bound)
 
     def test_negative_c_has_no_fixed_point_limit(self):
         assert k_struve_poly(StruveParams(nu=2.0, c=-1.0, k=1.0), 20.0, 1e-12) is not None
 
     def test_agrees_with_k_struve_inside_and_declines_outside(self):
+        mp = pytest.importorskip("mpmath")
         params = StruveParams(nu=2.3, c=1.0, k=1.0)
         poly = k_struve_poly(params, 5.0, 1e-12)
         for w in (1e-6, 0.1, 1.0, 2.5, 4.9, 5.0):
             value, bound = poly(w)
-            ref = k_struve(params, w, tol=1e-12)
-            assert abs(value - ref.value) <= bound + ref.error_bound
+            assert abs(mp.mpf(value) - mp_k_struve(mp, 2.3, 1.0, 1.0, w)) <= bound
             assert bound <= 1e-12 * abs(value)
         for w in (0.0, -1.0, math.nextafter(5.0, 6.0), math.nan):
             assert poly(w) is None
