@@ -350,12 +350,14 @@ def _judge(
     ``strict`` is the report's ``strict_hypotheses``.
     """
     size = abs(quad.value)
-    dev_paper, dev_corrected = (
-        abs(quad.value - closed) / size if size else (math.inf if closed else 0.0)
-        for closed in (rhs_paper, rhs_corrected)
-    )
-    undecided = not quad.converged or quad.error_estimate > threshold * size
-    if undecided or not size and (rhs_paper or rhs_corrected):
+    if size:
+        dev_paper = abs(quad.value - rhs_paper) / size
+        dev_corrected = abs(quad.value - rhs_corrected) / size
+    else:
+        dev_paper = math.inf if rhs_paper else 0.0
+        dev_corrected = math.inf if rhs_corrected else 0.0
+    zero_against_nonzero = not size and (rhs_paper or rhs_corrected)
+    if not quad.converged or quad.error_estimate > threshold * size or zero_against_nonzero:
         verdict = Verdict.INCONCLUSIVE
     else:
         paper_ok = dev_paper <= threshold

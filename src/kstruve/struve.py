@@ -173,14 +173,18 @@ class StruveParams(namedtuple("StruveParams", "nu c k")):
         return self._series.lead_err
 
 
-def _lead(params: StruveParams, x: float) -> tuple[float, float]:
-    """The r = 0 term at x > 0 and its relative error, taken from its logarithm.
+def _lead(params: StruveParams, x: float) -> tuple[float, float, float]:
+    """The r = 0 term at x > 0 as (lead, relative error, scale), from its logarithm.
 
     :func:`k_struve_poly`'s evaluator computes the term inline as
     (x/2)**power * scale0 and calls this only where that leaves
     (1e-300, 1e300), or x/2 is below the normal range: there 0.5 * x may
     have rounded, and a negative power would carry that error or divide by
-    a half rounded to 0.  Raises ConvergenceError when the term overflows.
+    a half rounded to 0.  The term is lead * scale.  Below the normal range
+    exp would round it to a subnormal spacing, which no relative error
+    covers, so there lead is kept near e**-700 and scale is a power of two
+    (0 below 2**-1074), applied once to the finished value.  Raises
+    ConvergenceError when the term overflows.
     """
     consts = params._series
     lam = consts.power
@@ -192,13 +196,14 @@ def _lead(params: StruveParams, x: float) -> tuple[float, float]:
         raise ConvergenceError(
             f"leading term overflows at x={x}; argument too large for the series"
         )
-    # the log and products, the two sums, exp
+    shift = min(math.floor(max(log_t0 + 700.0, -800.0) * LOG2_E), 0)
+    # the log and products, the two sums, exp, and shift log 2 and its difference
     lead_err = (
         UNIT * (4.0 * abs(lam * log_half) + 3.0 * abs(consts.power_delta * log_half))
-        + UNIT * (abs(log_t0) + 2.0)
+        + UNIT * (abs(log_t0) + 2.0 - shift)
         + consts.scale_err
     )
-    return math.exp(log_t0), lead_err
+    return math.exp(log_t0 - shift * math.log(2.0)), lead_err, 2.0**shift
 
 
 def k_struve(params: StruveParams, x: float, tol: float = 1e-12) -> EvaluationResult:
@@ -320,21 +325,21 @@ def k_struve_poly(params: StruveParams, xmax: float, tol: float):
 
     def evaluate(x: float) -> tuple[float, float] | None:
         half = 0.5 * x
-        lead = 0.0
         if half >= _MIN_NORMAL:  # not for x <= 0 and nan
             try:
                 lead = half**power * scale0
             except OverflowError:
                 lead = inf
-        lead_err = lead_err0
-        fits = certified
+        else:
+            lead = 0.0
         if 1e-300 < lead < 1e300:
+            lead_err, fits, scale = lead_err0, certified, 1.0
             if delta:
                 t = delta * log(half)
                 lead *= 1.0 + t
                 lead_err += t * t + 3.0 * UNIT * abs(t)
         elif x == xmax:
-            lead, lead_err = _lead(params, x)
+            lead, lead_err, scale = _lead(params, x)
             fits = False
         else:
             return None
@@ -352,12 +357,12 @@ def k_struve_poly(params: StruveParams, xmax: float, tol: float):
                 if size < inf:  # an overflowed value fails
                     return value, rel * size
             else:
-                bound = (
+                bound = scale * (
                     lead * (tail * (x / wmax) ** span + rounding * (even + odd))
                     + (lead_err + UNIT) * size
                 )
-                if bound <= tol * size < inf:
-                    return value, bound + subnormal
+                if bound <= tol * size * scale < inf:
+                    return value * scale, bound + subnormal
         if integer is None or x > xmax:
             return None
         (inv, guard, bits, top, rest, pass_tail, tail_power, units_fixed, floors,
@@ -373,12 +378,12 @@ def k_struve_poly(params: StruveParams, xmax: float, tol: float):
             value = lead * acc
             size = abs(value)
             units = floors + pass_units + rest_units * (sigma * _S_PAD) ** order
-            bound = (
+            bound = scale * (
                 lead * (math.ldexp(units, -bits) * (1.0 + 8.0 * UNIT) + taylor_rounding)
                 + size * (lead_err + 3.0 * UNIT)
             )
-            if bound <= tol * size < inf:
-                return value, bound + subnormal
+            if bound <= tol * size * scale < inf:
+                return value * scale, bound + subnormal
         n, d = x.as_integer_ratio()
         s = n * n * inv >> (guard + 2 * d.bit_length() - 2)
         acc = top
@@ -386,12 +391,12 @@ def k_struve_poly(params: StruveParams, xmax: float, tol: float):
             acc = (acc * s >> bits) + u
         value = lead * math.ldexp(float(acc), -bits)
         size = abs(value)
-        bound = (
+        bound = scale * (
             lead * math.ldexp(units_fixed + pass_units, -bits) * (1.0 + 8.0 * UNIT)
             + size * (lead_err + 3.0 * UNIT)
         )
-        if bound <= tol * size < inf:
-            return value, bound + subnormal
+        if bound <= tol * size * scale < inf:
+            return value * scale, bound + subnormal
         return None
 
     evaluate.degree = degree
@@ -532,8 +537,9 @@ def _integer_horner(params: StruveParams, xmax: float, tol: float):
     consts = params._series
     half_max = 0.5 * xmax
     peak = half_max * math.sqrt(params.c / params.k)
-    if peak >= _MAX_TERMS:
-        return None  # the largest term would come after the pass's last
+    if peak >= _MAX_TERMS or xmax * xmax < _MIN_NORMAL:
+        # the largest term would come after the pass's last; the nodes' sigma divides by xmax**2
+        return None
     xn, xd = xmax.as_integer_ratio()
     try:
         terms, bits, tail, floors = fixed_terms(

@@ -317,7 +317,8 @@ def test_k_struve_poly_negative_c_beyond_the_range_of_the_raw_coefficients():
 
 @pytest.mark.parametrize("y", [160.0, 200.0])
 def test_modified_struve_theorem_at_large_y_is_confirmed(y):
-    # the coefficient underflow above gave NEITHER at y = 160 (dev 2.4e-4) and a dev of 0.498 at 200
+    # the integrand's raw coefficients a_r underflow at these y; with unscaled ones the point
+    # read NEITHER at y = 160 (dev 2.4e-4) and a dev of 0.498 at 200
     p = TheoremParams(alpha=1.0, mu=0.5, nu=2.0, c=-1.0, k=1.0, y=y)
     report = verify("theorem1", p)
     assert report.verdict is Verdict.CONFIRMED_CORRECTED
@@ -572,6 +573,21 @@ def test_subnormal_results_carry_a_nonzero_bound():
     assert 0.0 < res.value < sys.float_info.min
     error = abs(mp.mpf(res.value) - _mp_wright(mp, spec, -1.0))
     assert 0.0 < error <= res.error_bound, res
+
+
+def test_k_struve_leading_term_below_the_normal_range_keeps_its_digits():
+    """nu = 1000, c = -1: (x/2)**1001 / Gamma(1001.5) underflows while the sum does not.
+
+    At x = 345 and 350 the term rounds to 0, at 352 to a subnormal with 2e-3
+    relative error, yet S is 8e-319, 3e-312 and 1.4e-309; at 355 S is normal.
+    """
+    mp = pytest.importorskip("mpmath")
+    params = StruveParams(nu=1000.0, c=-1.0, k=1.0)
+    for x in (300.0, 345.0, 350.0, 352.0, 355.0):
+        res = k_struve(params, x, tol=1e-10)
+        error = abs(mp.mpf(res.value) - mp_k_struve(mp, 1000.0, -1.0, 1.0, x))
+        assert error <= res.error_bound, (x, res)
+        assert res.error_bound <= 1e-10 * res.value + (res.terms_used + 2) * 2.0**-1074, (x, res)
 
 
 def test_wright_small_sum_keeps_its_relative_accuracy():

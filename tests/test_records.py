@@ -25,7 +25,7 @@ NAN = math.nan
 # each record's repr as the package printed it when the records were frozen dataclasses
 RECORDS = [
     (
-        # the value and bound of struve_h's one-node polynomial, which replaced the summation loop
+        # struve_h's value and bound are those of its one-node polynomial
         lambda: struve_h(0.0, 1.0),
         "EvaluationResult(value=0.5686566270482876, error_bound=6.016500623056556e-15,"
         " terms_used=8)",

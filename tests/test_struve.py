@@ -286,8 +286,8 @@ class TestPolynomial:
 
         3,000 points: nu/k in (-1.4, 60), c in {-2, -1, 0.5, 1, 2}, k in
         {0.25, 0.5, 1, 2}, x log-uniform in [1e-3, 60], tol in {1e-8, 1e-10,
-        1e-12}; every leading term is in (1e-300, 1e300).  Without the
-        integer terms below x sqrt(c/k) = 8, two c > 0 points declined.
+        1e-12}; every leading term is in (1e-300, 1e300).  Two c > 0 points
+        below x sqrt(c/k) = 8 need the integer terms, where the double bound fails.
         """
         rng = random.Random(7)
         points = []
