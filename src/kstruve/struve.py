@@ -216,8 +216,8 @@ def k_struve(params: StruveParams, x: float, tol: float = 1e-12) -> EvaluationRe
     Every x > 0 is the one node of its own polynomial,
     ``k_struve_poly(params, x, tol)(x)``, and ``terms_used`` is that
     polynomial's degree plus one.  The ``error_bound`` covers the truncated
-    tail and every rounding, is at most ``tol * |value|`` before (terms + 2)
-    * 2**-1074 is added for results below the normal range.  Raises
+    tail and every rounding, and is at most ``tol * |value|`` before
+    (terms + 2) * 2**-1074 is added for results below the normal range.  Raises
     ConvergenceError when tol is below the accuracy of the leading term,
     when the leading term overflows, and when no polynomial of degree up to
     500 meets tol.
@@ -335,6 +335,8 @@ def k_struve_poly(params: StruveParams, xmax: float, tol: float):
         if 1e-300 < lead < 1e300:
             lead_err, fits, scale = lead_err0, certified, 1.0
             if delta:
+                # the exact power: (x/2)**delta = exp(t), within t**2 of 1 + t for
+                # |t| < 1/2; delta is a few ulps of nu/k, so t is of order 1e-13
                 t = delta * log(half)
                 lead *= 1.0 + t
                 lead_err += t * t + 3.0 * UNIT * abs(t)

@@ -606,10 +606,13 @@ def test_wright_small_sum_keeps_its_relative_accuracy():
 
 
 def test_struve_h_at_60_matches_mpmath():
-    pytest.importorskip("mpmath")
+    mp = pytest.importorskip("mpmath")
     res = struve_h(2.0, 60.0)
     assert res.value == pytest.approx(12.698717974725534, rel=1e-12)
     assert abs(res.value - 12.698717974725534) <= res.error_bound
+    assert abs(mp.mpf(res.value) - mp_k_struve(mp, 2.0, 1.0, 1.0, 60.0)) <= res.error_bound
+    # README and the CI eval step print this value, 12.698717974725659
+    assert (res.value.hex(), res.error_bound.hex()) == ("0x1.965be5cc525ebp+3", "0x1.68cff65877cb5p-40")
 
 
 def test_criterion_10_cli_determinism_and_exit_codes(capsys):

@@ -392,6 +392,12 @@ class TestCorollaries:
                 entry("lemma1", BASE)
 
 
+def _leading_term_in_range(params, w):
+    """Whether the evaluator computes the leading term at w inline, in (1e-300, 1e300)."""
+    half = 0.5 * w
+    return half >= sys.float_info.min and 1e-300 < half**params.power * math.exp(params.log_scale) < 1e300
+
+
 class TestWorkPerPoint:
     """One quadrature and one Fox-Wright sum per closed form, at any scale."""
 
@@ -441,10 +447,7 @@ class TestWorkPerPoint:
 
         def counting(params, w, **kwargs):
             counts["k_struve"] += 1
-            half = 0.5 * w
-            if half >= sys.float_info.min:
-                lead = half**params.power * math.exp(params.log_scale)
-                assert not 1e-300 < lead < 1e300, (params, w)
+            assert not _leading_term_in_range(params, w), (params, w)
             return series(params, w, **kwargs)
 
         def recording(*args, **kwargs):
@@ -460,21 +463,19 @@ class TestWorkPerPoint:
 
     def test_integrand_calls_k_struve_only_where_the_leading_term_is_out_of_range(self, monkeypatch):
         # a relaxed-corner point, nu/k + 1 = -0.33 at c = 1, k = 0.5, y = 4.85: the
-        # double polynomial's bound fails at 48 nodes, which the integer terms now serve
+        # double polynomial's bound fails at 48 nodes, and the integer terms serve them
         p = TheoremParams(1.4326622997089782, 0.1912404245832284, -0.6657680797227205, 1.0, 0.5,
                           4.85398945412812)
         series = identities.k_struve
-        lead_in_range = []
+        in_range = []
 
         def counting(params, w, **kwargs):
-            half = 0.5 * w
-            if half >= sys.float_info.min:
-                lead_in_range.append(1e-300 < half**params.power * math.exp(params.log_scale) < 1e300)
+            in_range.append(_leading_term_in_range(params, w))
             return series(params, w, **kwargs)
 
         monkeypatch.setattr(identities, "k_struve", counting)
         assert verify("theorem1", p, strict=False).verdict is Verdict.CONFIRMED_CORRECTED
-        assert not any(lead_in_range)
+        assert not any(in_range)
 
     def test_default_grid_evaluations_do_not_grow(self, monkeypatch):
         evaluations = []

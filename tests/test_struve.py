@@ -217,16 +217,6 @@ class TestSeriesBehavior:
         assert 0 < res.terms_used <= 500
 
 
-class TestReadmeValue:
-    def test_struve_h_at_60_is_pinned_and_within_its_bound(self):
-        # README and the CI eval step print this value: 12.698717974725659
-        res = struve_h(2.0, 60.0)
-        assert (res.value.hex(), res.error_bound.hex()) == ("0x1.965be5cc525ebp+3", "0x1.68cff65877cb5p-40")
-        assert repr(res.value) == "12.698717974725659"
-        mp = pytest.importorskip("mpmath")
-        assert abs(mp.mpf(res.value) - mp_k_struve(mp, 2.0, 1.0, 1.0, 60.0)) <= res.error_bound
-
-
 class TestFoxWrightForm:
     # S(x) = (x/2)**(nu/k + 1) k**-(nu/k + 1/2)
     #        * 1Psi2[(1, 1); (nu/k + 3/2, 1), (3/2, 1); -c x**2/(4k)]
