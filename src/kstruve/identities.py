@@ -36,8 +36,8 @@ from collections.abc import Iterable
 from .errors import ConvergenceError, DomainError, KStruveError
 from .fixedpoint import UNIT
 from .gamma import log_gamma
-from .quadrature import integrate, require_tol
-from .results import IdentityReport, QuadratureResult, Verdict, require_normal
+from .quadrature import integrate
+from .results import IdentityReport, QuadratureResult, Verdict, require_normal, require_tol
 from .struve import StruveParams, k_struve, k_struve_poly
 from .wright import WrightSpec, wright_eval
 
@@ -196,9 +196,10 @@ def _integrand(which: str, p: TheoremParams, tol: float):
 
     |w| is at most |y| in theorem1 and 4|y|/9 in theorem2.  The point's
     k-Struve polynomial (:func:`k_struve_poly`) is built once for that range,
-    and f calls :func:`k_struve` only where it returns None: at w <= 0, and
+    and f calls :func:`k_struve` only where it returns None: at w = 0, and
     where the leading term is outside (1e-300, 1e300) or w/2 below the
-    normal range.  Either way each value has a bound of at most
+    normal range.  A negative y (integer nu/k + 1) reads the polynomial at
+    -w with k_struve's sign rule.  Either way each value has a bound of at most
     ``series_tol * |S(w)|``, plus a few subnormal spacings.  Where no
     polynomial exists, this raises the ConvergenceError of :func:`k_struve`
     at the range's end.  ``series_tol`` is tol / 100, but no tighter than
@@ -219,6 +220,10 @@ def _integrand(which: str, p: TheoremParams, tol: float):
         k_struve(sp, xmax, tol=series_tol)
         poly = lambda w: None
     y = p.y
+    if y < 0.0 and sp.power.is_integer():
+        # S(w) = (-1)**lam S(-w), k_struve's rule; k_struve refuses a fractional lam
+        sign, positive = (-1.0) ** sp.power, poly
+        poly = lambda w: (out := positive(-w)) and (sign * out[0], out[1])
 
     # the argument's form is chosen here, once per point, not at each node
     if first:
@@ -316,24 +321,30 @@ def verify(
     quadrature value: a side is confirmed when its deviation is at most
     ``threshold``.  If the quadrature failed to converge, or its error
     estimate is itself larger than ``threshold`` relative, the point is
-    INCONCLUSIVE rather than evidence either way.  A ConvergenceError of the
-    integrand itself, which leaves no estimate, propagates.
+    INCONCLUSIVE rather than evidence either way; a quadrature that did not
+    converge names its ConvergenceError in the report's ``error``.  A
+    ConvergenceError of the integrand itself, which leaves no estimate,
+    propagates.  A tol or threshold that is not a finite positive number
+    raises DomainError.
     """
-    if not (math.isfinite(tol) and tol > 0.0 and math.isfinite(threshold) and threshold > 0.0):
-        raise DomainError(f"tol and threshold must be positive, got {tol!r}, {threshold!r}")
+    require_tol(tol)
+    require_tol(threshold)
     which, p = _resolve(which, p)
     p.validate(strict=strict)
     # a subnormal tol / 10 may round to 0; rhs's own floor, the leading term's accuracy, rules there
     rhs_tol = max(tol * 0.1, math.ulp(0.0))
+    error = None
     try:
         quad = lhs(which, p, tol=tol)
     except ConvergenceError as exc:
         if exc.partial is None:
             raise  # the integrand failed: there is no estimate to judge
         quad = exc.partial
+        error = f"{type(exc).__name__}: {exc}"
     rhs_paper = rhs(which, p, corrected=False, tol=rhs_tol)
     rhs_corrected = rhs(which, p, corrected=True, tol=rhs_tol)
-    return _judge(quad, rhs_paper, rhs_corrected, threshold, p.satisfies_strict())
+    report = _judge(quad, rhs_paper, rhs_corrected, threshold, p.satisfies_strict())
+    return report._replace(error=error)
 
 
 def _judge(
@@ -411,14 +422,13 @@ def lavoie_trottier_check(alpha: float, beta: float, tol: float = 1e-10) -> Iden
     the one closed form as both sides: BOTH_AGREE, NEITHER or INCONCLUSIVE.
     One :func:`integrate` call takes the Jacobi weight (p, q) = (a, 2b) and
     the smooth factor (1-x/3)**(2a-1) (1-x/4)**(b-1), and stops once its
-    estimate is at most ``max(q * |value|, 1e-280)`` with ``q = max(tol /
-    100, 1e-14)``; the estimate then gains the factor's own rounding.  The
+    estimate is at most ``q * |value|`` with ``q = max(tol / 100, 1e-14)``;
+    the estimate then gains the factor's own rounding.  The
     integrand is positive, so the integral is never zero to rounding; a
     quadrature that does not converge contributes its partial result.  A
     closed form outside the normal double range raises ConvergenceError.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise DomainError(f"tol must be a finite positive number, got {tol!r}")
+    require_tol(tol)
     closed = lavoie_trottier_rhs(alpha, beta)
     _, _, e_third, e_quarter = _lavoie_exponents(alpha, beta)
 
@@ -447,8 +457,11 @@ def verify_grid(
 
     A point whose evaluation raises (domain violation, pole, hard
     non-convergence) is recorded with the diagnostic in ``report.error`` and
-    the sweep continues.
+    the sweep continues.  A tol or threshold that is not a finite positive
+    number raises DomainError before the first point.
     """
+    require_tol(tol)
+    require_tol(threshold)
     out: list[tuple[TheoremParams, IdentityReport]] = []
     for p in grid:
         try:

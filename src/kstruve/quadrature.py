@@ -42,7 +42,7 @@ from .errors import (
 )
 from .fixedpoint import UNIT
 from .gamma import _LOG_DBL_MAX, log_gamma
-from .results import TINY, QuadratureResult
+from .results import QuadratureResult, require_tol
 
 _METHODS = ("adaptive_gk", "tanh_sinh")
 
@@ -210,7 +210,7 @@ def _tanh_sinh(g, tol: float) -> QuadratureResult:
             total_abs = 0.5 * previous_abs + h * level_abs
             estimate = abs(total - previous)
             previous, previous_abs = total, total_abs
-            if level >= 2 and estimate <= max(tol * abs(total), TINY):
+            if level >= 2 and estimate <= tol * abs(total):
                 return QuadratureResult(
                     total, max(estimate, 1.1e-16 * abs(total)), evaluations, True, total_abs
                 )
@@ -307,13 +307,13 @@ def _adaptive_gk(g, tol: float) -> QuadratureResult:
     total_value = value
     total_error = error
     while True:
-        if total_error <= max(tol * abs(total_value), TINY) or not rough:
+        if total_error <= tol * abs(total_value) or not rough:
             # the running accumulator can drift (or be annihilated outright
             # when one interval's estimate dwarfs the rest), so convergence
             # is only declared on an exact resummation of the live heap
             total_value = math.fsum(item[4] for item in heap)
             total_error = math.fsum(item[5] for item in heap)
-            if total_error <= max(tol * abs(total_value), TINY):
+            if total_error <= tol * abs(total_value):
                 total_abs = math.fsum(item[7] for item in heap)
                 return QuadratureResult(total_value, total_error, counter[0], True, total_abs)
             if not rough:
@@ -424,9 +424,9 @@ def _jacobi_cc(g, p: float, q: float, tol: float) -> tuple[QuadratureResult | No
       B(p, q), itself from three log-gammas.
 
     n starts at 16 and doubles once, to 32, reusing its samples.  The result
-    is None when neither meets max(tol |value|, TINY), or when the rounding
-    alone cannot, as when g spans many orders of magnitude and the sum
-    cancels; when the error of B(p, q) alone exceeds tol, g is not sampled.
+    is None when neither estimate is at most tol |value|, or when the
+    rounding alone is not, as when g spans many orders of magnitude and the
+    sum cancels; when the error of B(p, q) alone exceeds tol, g is not sampled.
     ``abs_integral`` is B(p, q) sum |a_k m_k|, at least |value|.
     """
     s = p + q
@@ -483,7 +483,7 @@ def _jacobi_cc(g, p: float, q: float, tol: float) -> tuple[QuadratureResult | No
         drift += sum(map(mul, odd_squares, map(abs, a_odd)))
         rounding = (half + 4) * row_bound * sum(map(abs, moments)) + (n + 2) * abs_s + 3.0 * drift
         value = beta * value_s
-        target = max(tol * abs(value), TINY)
+        target = tol * abs(value)
         round_err = beta * UNIT * rounding + abs(value) * beta_err
         estimate = beta * (abs(a_odd[-1]) + 2.0 * abs(a_even[-1])) + round_err
         if estimate <= target:
@@ -491,12 +491,6 @@ def _jacobi_cc(g, p: float, q: float, tol: float) -> tuple[QuadratureResult | No
         if round_err > target:
             break
     return None, len(samples)
-
-
-def require_tol(tol: float) -> None:
-    """Raise DomainError unless tol is a finite positive number."""
-    if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0.0):
-        raise DomainError(f"tol must be a finite positive number, got {tol!r}")
 
 
 def integrate(
@@ -508,13 +502,13 @@ def integrate(
     x is near 1; see the module docstring.  ``method`` is ``"adaptive_gk"``
     (the default) or ``"tanh_sinh"``; the theorem integrands of
     :mod:`kstruve.identities` always run tanh-sinh.  Convergence means the
-    internal error estimate satisfies
-    ``estimate <= max(tol * |value|, 1e-280)``: relative to the
-    value, with an absolute floor that only an integrand vanishing to
-    underflow reaches.  An integral that is zero only to rounding, such as
-    that of x - 1/2, therefore does not converge.  Failure to converge
-    raises :class:`ConvergenceError` whose ``partial`` attribute holds the
-    best :class:`QuadratureResult` so far (``converged=False``).
+    internal error estimate satisfies ``estimate <= tol * |value|``, with no
+    absolute term: an exactly zero integral converges on a zero estimate,
+    but one that is zero only to rounding, such as that of x - 1/2, or one
+    so small that its estimate cannot get under tol times it, does not.
+    Failure to converge raises :class:`ConvergenceError` whose ``partial``
+    attribute holds the best :class:`QuadratureResult` so far
+    (``converged=False``).
 
     For a caller-supplied integrand the estimate is a heuristic: no estimate
     built from finite samples survives an adversarial f.  For instance

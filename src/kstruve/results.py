@@ -6,6 +6,11 @@ engine returns :class:`QuadratureResult`, and the identity engine condenses
 both sides of a closed-form identity into an :class:`IdentityReport`.  Being
 tuples, they iterate and compare equal to a plain tuple of their fields;
 ``_replace`` gives a copy with some fields changed.
+
+Every evaluator that returns one stops on the same relative rule,
+estimate <= tol * |value|, with no absolute term: a zero value converges
+only on a zero estimate, and a value whose estimate cannot get under the
+rule ends in ConvergenceError.  :func:`require_tol` checks each public tol.
 """
 
 from __future__ import annotations
@@ -15,12 +20,13 @@ import math
 import sys
 from collections import namedtuple
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, DomainError
 
-# Every iterative evaluator stops on estimate <= max(tol * |value|, TINY):
-# relative to the value, with an absolute floor for values that are zero or
-# lost to underflow.
-TINY = 1e-280
+
+def require_tol(tol: float) -> None:
+    """Raise DomainError unless tol is a finite positive number."""
+    if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tol must be a finite positive number, got {tol!r}")
 
 
 def require_normal(value: float, what: str) -> float:

@@ -49,7 +49,7 @@ from itertools import accumulate
 from .errors import ConvergenceError, DomainError
 from .fixedpoint import LOG2_E, SUBNORMAL_ULP, UNIT, LinearRatio, fixed_terms
 from .gamma import _LOG_DBL_MAX, _MIN_NORMAL, _lgamma, log_k_gamma
-from .results import EvaluationResult
+from .results import EvaluationResult, require_tol
 
 _LGAMMA_3_2 = math.lgamma(1.5)
 # from x sqrt(c/k) = 8 (ratio_scale = -16) on, with c > 0, the terms outgrow
@@ -222,8 +222,9 @@ def k_struve(params: StruveParams, x: float, tol: float = 1e-12) -> EvaluationRe
     when the leading term overflows, and when no polynomial of degree up to
     500 meets tol.
     """
-    if not (math.isfinite(x) and math.isfinite(tol) and tol > 0.0):
-        raise DomainError(f"need finite x and tol > 0, got x={x!r}, tol={tol!r}")
+    require_tol(tol)
+    if not math.isfinite(x):
+        raise DomainError(f"need finite x, got x={x!r}")
     consts = params._series
     lam = consts.power
 
@@ -518,8 +519,8 @@ def _integer_horner(params: StruveParams, xmax: float, tol: float):
     (sum e_m s**m <= sum e_m, the pass's floor bound), one unit per Horner
     floor, the rounding of s (1.25 * 2**-bits * sum m (|u_m| + e_m)),
     and the pass's tail at xmax times s**(R + 1); then the leading term's
-    error, the conversion of acc and the product, as :func:`sum_fixed`
-    does, and a subnormal ulp.
+    error, the conversion of acc and the product, as the Fox-Wright
+    fixed-point sum does, and a subnormal ulp.
 
     Next to xmax, where sigma = 1 - s <= ``_SIGMA_MAX``, a node first tries
     the same polynomial shifted to s = 1 (:func:`_taylor_at_one`) in doubles:

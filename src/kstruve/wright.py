@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import cached_property, partial
+from functools import cached_property
 
 from .errors import ConvergenceError, DomainError, OverflowRangeError, PoleError
-from .fixedpoint import LOG2_E, MAX_BITS, SUBNORMAL_ULP, UNIT, LinearRatio, sum_fixed, sum_ratio
+from .fixedpoint import LOG2_E, MAX_BITS, SUBNORMAL_ULP, UNIT, LinearRatio, fixed_terms
 from .gamma import _LOG_DBL_MAX, _lgamma, log_abs_gamma
-from .results import TINY, EvaluationResult
+from .results import EvaluationResult, require_tol
 
 _POLE_SNAP = 1e-9
 _MAX_TERMS = 1000
@@ -254,33 +254,33 @@ class _Plan:
 def wright_eval(spec: WrightSpec, z: float, tol: float = 1e-12) -> EvaluationResult:
     """Sum the Fox-Wright series at real z with a certified error bound.
 
-    Summation stops once the error bound is at most
-    ``max(tol * |value|, 1e-280)``: relative to the value, with an absolute
-    floor for sums lost to underflow.  With integer slopes that floor is
-    multiplied by the first term's magnitude when it is below 1, so a small
-    sum that a large prefactor scales back up keeps its relative accuracy.
-    The bound covers the truncated tail and the rounding of every term and of
-    the sum, with (terms + 2) * 2**-1074 for results below the normal range.
+    Summation stops once the error bound is at most ``tol * |value|``, with
+    no absolute term; a sum that cannot get under it raises
+    ConvergenceError.  The bound covers the truncated tail and the rounding
+    of every term and of the sum, with (terms + 2) * 2**-1074 for results
+    below the normal range.  A tol that is not a finite positive number
+    raises DomainError.
 
-    When every slope is an integer up to 64 the terms follow their exact ratio
-    recurrence in :func:`kstruve.fixedpoint.sum_ratio`, which only this series
-    uses: from the index at which every factor is positive and the
-    ratio magnitude can no longer rise, the tail is majorized by a geometric
-    series, and summation stops once the next term is within the rule,
-    after adding it.  If the rounding of the double loop alone would break
-    the rule, the series is re-summed in fixed point on integers (see
-    :mod:`kstruve.fixedpoint`); for z < 0 whose largest term exceeds
-    tol / 2**-53 times the first, which an O(1) estimate detects, the
-    fixed-point pass runs without the double loop.  Other slopes assemble
-    each term from log Gamma values; the tail is certified once every gamma
-    argument is positive, the observed term ratios decrease over a
-    three-term window and the latest ratio is below 1, and a rounding bound
-    the rule cannot absorb raises ConvergenceError naming the cancellation.
+    When every slope is an integer up to 64 the terms follow their exact
+    ratio recurrence in a double loop: from the index at which every factor
+    is positive and the ratio magnitude can no longer rise, the tail is
+    majorized by a geometric series, and summation stops once the next term
+    is within the rule, after adding it.  If the rounding of the double loop
+    alone would break the rule, the series is re-summed in fixed point on
+    integers (:func:`kstruve.fixedpoint.fixed_terms`); for z < 0 whose
+    largest term exceeds tol / 2**-53 times the first, which an O(1)
+    estimate detects, the fixed-point pass runs without the double loop.
+    Other slopes assemble each term from log Gamma values; the tail is
+    certified once every gamma argument is positive, the observed term
+    ratios decrease over a three-term window and the latest ratio is below
+    1, and a rounding bound the rule cannot absorb raises ConvergenceError
+    naming the cancellation.
     ConvergenceError is also raised if delta <= -1 (outside the entire
     regime) or if 1000 terms do not suffice.
     """
-    if not (math.isfinite(z) and math.isfinite(tol) and tol > 0.0):
-        raise DomainError(f"need finite z and tol > 0, got z={z!r}, tol={tol!r}")
+    require_tol(tol)
+    if not math.isfinite(z):
+        raise DomainError(f"need finite z, got z={z!r}")
     delta = convergence_index(spec)
     if delta <= -1.0:
         raise ConvergenceError(
@@ -321,29 +321,112 @@ def _ratio_sum(plan: _Plan, z: float, tol: float) -> EvaluationResult:
     lead = plan.lead
     if z == 0.0:
         return EvaluationResult(lead, abs(lead) * plan.lead_err + 3.0 * SUBNORMAL_ULP, 1)
-    fixed = partial(_fixed, plan, z, tol)
     try:
         peak_bits = _peak_bits(plan, z, tol) if z < 0.0 else 0
         if peak_bits:
-            return fixed(peak_bits)
-        # below |t_0| = 1 the absolute floor shrinks with it: a small sum that
-        # a large prefactor scales back up keeps its relative accuracy
-        floor = TINY * min(abs(lead), 1.0)
-        return sum_ratio(
-            lead, plan.lead_err, z, plan.num_forms, plan.den_forms, plan.step_ulps,
-            plan.tail_start, floor, tol, _MAX_TERMS, fixed,
-        )
+            return _fixed(plan, z, tol, peak_bits)
+        return _double(plan, z, tol)
     except ConvergenceError as exc:
         raise ConvergenceError(f"Fox-Wright series at z={z}: {exc}") from None
 
 
+def _double(plan: _Plan, z: float, tol: float) -> EvaluationResult:
+    """t_0 * sum_m t_m / t_0 in doubles, with a bound that covers truncation and rounding.
+
+    The ratio magnitude rho is non-increasing from ``plan.tail_start`` on.
+    t_0 has relative error at most ``plan.lead_err``, and each step adds at
+    most ``plan.step_ulps`` ulps to a term.  Summation stops once the next
+    term, added as well, leaves a tail and a rounding that fit
+    tol * |sum|.  When the rounding alone cannot fit, the series goes to
+    :func:`_fixed`, with cond_bits about log2(sum |t_m| / |sum t_m|).
+    ConvergenceError if a term overflows or 1000 terms do not suffice.
+    """
+    lead, lead_err, step_ulps = plan.lead, plan.lead_err, plan.step_ulps
+    num_forms, den_forms, tail_start = plan.num_forms, plan.den_forms, plan.tail_start
+    term = lead
+    total = 0.0
+    comp = 0.0  # Kahan carry
+    mags = 0.0  # sum of |t_m|
+    for m in range(_MAX_TERMS):
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        mags += abs(term)
+        num = z
+        for p, q in num_forms:
+            num *= p * m + q
+        den = 1.0
+        for p, q in den_forms:
+            den *= p * m + q
+        ratio = num / den
+        rho = abs(ratio)
+        term *= ratio
+        if not math.isfinite(term):
+            raise ConvergenceError(f"term overflowed at m={m + 1}")
+        if m < tail_start or rho >= 1.0:
+            continue
+        # each t_j, j <= m, carries at most m * step_ulps and the leading
+        # term's error; Kahan summation adds 2
+        rounding = UNIT * (step_ulps * m + 2.0) * mags + lead_err * abs(total)
+        reach = abs(total) + abs(term) / (1.0 - rho)  # bounds |sum| from here on
+        if abs(term) <= (1.0 - rho) * tol * abs(total):
+            # the next term and all after it are within tol: add it as well,
+            # which leaves a tail of at most |t_{m+1}| rho / (1 - rho)
+            total += term - comp
+            mag = abs(term)
+            mags += mag
+            bound = mag * rho / (1.0 - rho)
+            rounding = UNIT * (step_ulps * (m + 1) + 2.0) * mags + lead_err * abs(total)
+            if bound + rounding <= tol * abs(total):
+                error = bound + rounding + (m + 4) * SUBNORMAL_ULP
+                return EvaluationResult(total, error, m + 2)
+        elif rounding <= 0.5 * tol * reach:
+            continue
+        # the rounding cannot fit under tol * |value| any more
+        cond_bits = math.ceil(math.log2(mags / abs(total))) if total else 0
+        return _fixed(plan, z, tol, cond_bits)
+    raise ConvergenceError(f"needed more than {_MAX_TERMS} terms for tol={tol}")
+
+
 def _fixed(plan: _Plan, z: float, tol: float, cond_bits: int) -> EvaluationResult:
-    """The fixed-point path of :func:`_ratio_sum`."""
+    """t_0 * sum_m u_m / 2**bits from :func:`fixed_terms`, with a bound on truncation and rounding.
+
+    ``cond_bits`` estimates log2(sum |t_m| / |sum t_m|) and sets the
+    working precision.  While the fixed-point floors, not the leading term,
+    keep the bound above tol * |value|, the pass is repeated with the bits
+    that bring them under tol / 16, up to 4 passes.
+    """
     zn, zd = z.as_integer_ratio()
-    return sum_fixed(
-        plan.table, abs(zn), zd.bit_length() - 1, z < 0.0, plan.lead, plan.lead_err,
-        cond_bits, tol, _MAX_TERMS,
-    )
+    lead, lead_err = plan.lead, plan.lead_err
+    for _ in range(4):
+        terms, bits, tail, floors = fixed_terms(
+            plan.table, abs(zn), zd.bit_length() - 1, z < 0.0, cond_bits, tol, _MAX_TERMS
+        )
+        total = sum(terms)
+        units = tail + floors
+        if total.bit_length() - bits > 1000 or not math.isfinite(units):
+            break
+        value = lead * (total / (1 << bits))
+        if not math.isfinite(value):
+            break
+        error = abs(lead) * math.ldexp(units, -bits) * (1.0 + 8.0 * UNIT)
+        error += abs(value) * (lead_err + 3.0 * UNIT)
+        limit = tol * abs(value)
+        if error <= limit:
+            return EvaluationResult(value, error + (len(terms) + 2) * SUBNORMAL_ULP, len(terms))
+        if abs(value) * (lead_err + 3.0 * UNIT) > 0.5 * limit:
+            raise ConvergenceError(
+                f"tol={tol} is below the accuracy of the leading term "
+                f"(relative error {lead_err:.2e})"
+            )
+        # the floors dominate: add the bits that bring them under tol/16
+        if total:
+            shortfall = math.log2(units) - math.log2(tol / 16.0) - (total.bit_length() - 1)
+        else:
+            shortfall = bits
+        cond_bits = max(cond_bits, 0) + max(int(shortfall), 0) + 16
+    raise ConvergenceError(f"the terms cancel or grow beyond {MAX_BITS} bits of precision")
 
 
 def _log_sum(spec: WrightSpec, z: float, tol: float) -> EvaluationResult:
@@ -377,8 +460,6 @@ def _log_sum(spec: WrightSpec, z: float, tol: float) -> EvaluationResult:
     previous, previous_err = term_value(0)
     if z == 0.0:
         return EvaluationResult(previous, abs(previous) * previous_err + 3.0 * SUBNORMAL_ULP, 1)
-    # as in _ratio_sum, the absolute floor shrinks with a first term below 1
-    floor = TINY * min(abs(previous), 1.0)
     mags = 0.0
     rounding = 0.0
     ratios: list[float] = []
@@ -401,7 +482,7 @@ def _log_sum(spec: WrightSpec, z: float, tol: float) -> EvaluationResult:
         window_ok = len(ratios) == 3 and ratios[0] >= ratios[1] >= ratios[2]
         if window_ok and rho < 1.0 and m >= positive_from:
             bound = abs(current) / (1.0 - rho)
-            limit = max(tol * abs(total), floor)
+            limit = tol * abs(total)
             if bound <= limit:
                 rounding += abs(current) * current_err + UNIT * 2.0 * (mags + abs(current))
                 error = bound + rounding

@@ -11,7 +11,7 @@ from kstruve.quadrature import (
     _ts_level,
     integrate,
 )
-from kstruve.results import TINY, QuadratureResult
+from kstruve.results import QuadratureResult
 from kstruve.struve import struve_h
 
 
@@ -92,7 +92,7 @@ def tanh_sinh_pair_rule(f, tol: float) -> QuadratureResult:
         total_abs = 0.5 * previous_abs + h * level_abs
         estimate = abs(total - previous)
         previous, previous_abs = total, total_abs
-        if level >= 2 and estimate <= max(tol * abs(total), TINY):
+        if level >= 2 and estimate <= tol * abs(total):
             return QuadratureResult(
                 total, max(estimate, 1.1e-16 * abs(total)), evaluations, True, total_abs
             )
@@ -174,3 +174,29 @@ def mp_k_struve(mp, nu, c, k, x):
             term *= ratio / ((r + base) * (r + mp.mpf(3) / 2))
             r += 1
         return +total
+
+
+def mp_theorem1_corrected(mp, alpha, mu, nu, c, k, y):
+    """theorem1's corrected closed form at the exact double inputs, in the mpmath module ``mp``.
+
+    Gamma(alpha + mu) k**-(nu/k + 1/2) (2/3)**(2 (alpha + mu)) (y/2)**lam
+    times the 2 Psi 3 sum at z = -c y**2 / (4k), with lam = nu/k + 1 and
+    each term from mpmath's gamma, summed at 80 digits.
+    """
+    with mp.workdps(80):
+        alpha, mu, nu, c, k, y = (mp.mpf(v) for v in (alpha, mu, nu, c, k, y))
+        nuk = nu / k
+        half = mp.mpf(1) / 2
+        third = 2 * alpha + mu + nuk + 1
+        z = -c * y * y / (4 * k)
+        total, m = mp.mpf(0), 0
+        while True:
+            term = mp.gamma(alpha + nuk + 1 + 2 * m) * z**m / (
+                mp.gamma(nuk + 3 * half + m) * mp.gamma(3 * half + m) * mp.gamma(third + 2 * m)
+            )
+            total += term
+            m += 1
+            if m > 5 and abs(term) < abs(total) * mp.mpf(10) ** -40:
+                break
+        front = mp.gamma(alpha + mu) * k ** -(nuk + half) * (mp.mpf(2) / 3) ** (2 * (alpha + mu))
+        return +(front * (y / 2) ** (nuk + 1) * total)

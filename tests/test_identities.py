@@ -29,6 +29,7 @@ from kstruve.gamma import log_k_gamma
 from kstruve.identities import _wright_tail
 from kstruve.report import emit_csv, emit_json, emit_table, record
 from kstruve.results import QuadratureResult
+from oracles import mp_theorem1_corrected
 
 BASE = TheoremParams(alpha=1.0, mu=0.5, nu=2.0, c=1.0, k=1.0, y=1.0)
 # tolerances that integrate refuses; the identity entries refuse them before any work
@@ -274,8 +275,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("which", ["theorem1", "theorem2"])
     def test_negative_y_without_a_double_polynomial_keeps_its_error(self, which):
-        # nu/k = 169 in the fixed-point regime: the integrand's nodes w < 0
-        # leave k_struve_poly to k_struve, and the closed form leaves the
+        # nu/k = 169 in the fixed-point regime: the closed form leaves the
         # double range at y = -20 as at y = 20
         pos, neg = (TheoremParams(alpha=1.0, mu=0.5, nu=169.0, y=y) for y in (20.0, -20.0))
         with pytest.raises(ConvergenceError, match="outside the normal double range"):
@@ -284,6 +284,26 @@ class TestVerify:
         assert row_neg.verdict is Verdict.INCONCLUSIVE
         assert row_neg.error == row_pos.error
         assert row_neg.error.startswith("ConvergenceError: ")
+
+    @pytest.mark.parametrize("which", ["theorem1", "theorem2"])
+    @pytest.mark.parametrize("y", [0.5, 7.0, 25.0])
+    def test_negative_y_reads_the_points_polynomial(self, which, y, monkeypatch):
+        # S(w) = (-1)**lam S(-w), lam = 3: each node w < 0 reads the polynomial
+        # built for |y| at -w, where it called k_struve, which built a
+        # one-node polynomial per node (98 to 180 calls a point)
+        pos = verify(which, TheoremParams(1.0, 0.5, 2.0, 1.0, 1.0, y))
+        calls = []
+        series = identities.k_struve
+
+        def counting(params, w, **kwargs):
+            calls.append(w)
+            return series(params, w, **kwargs)
+
+        monkeypatch.setattr(identities, "k_struve", counting)
+        neg = verify(which, TheoremParams(1.0, 0.5, 2.0, 1.0, 1.0, -y))
+        assert calls == []
+        assert neg.verdict is Verdict.CONFIRMED_CORRECTED
+        assert (neg.lhs_value, neg.lhs_error_estimate) == (-pos.lhs_value, pos.lhs_error_estimate)
 
     def test_subnormal_tol_reaches_the_closed_forms_as_a_positive_tol(self):
         # tol / 10 rounds to 0 here
@@ -814,18 +834,33 @@ class TestVerdictTable:
         assert identities.lavoie_trottier_check(1.0, 1.0).verdict is Verdict.INCONCLUSIVE
 
     @pytest.mark.parametrize(
-        "point, relative_estimate",
+        "point",
         [
-            # lhs 2.31e-308 and 2.71e-308: judged against a floor of 1e-300 they read
-            # CONFIRMED_CORRECTED, with real errors of 1e-3 and 1e-2
-            ((0.24882391567208906, 0.25984060835972583, 45.34322110361673, 2.0, 0.5,
-              0.015428438819763213), 8.8e-4),
-            ((0.005570719754851946, 1.9591276440851093, 29.640756467414587, -1.0, 0.25,
-              0.06534891075092293), 0.56),
+            # |lhs| from 2.3e-308 to 9.9e-280: stopped on an absolute floor of
+            # 1e-280, these ended with estimates of 4e-4 to 0.97 of the value
+            (1.437096566167113, 0.028616698415335637, 73.44789964222723, 0.5, 1.0,
+             0.010183276033507604),
+            (11.031889885729148, 0.06569452084208321, 66.2908718928694, -2.0, 0.5,
+             0.4125024024766909),
+            (0.005570719754851946, 1.9591276440851093, 29.640756467414587, -1.0, 0.25,
+             0.06534891075092293),
+            (0.24882391567208906, 0.25984060835972583, 45.34322110361673, 2.0, 0.5,
+             0.015428438819763213),
+            (0.11415366967138176, 4.988242620397748, 286.98626487702086, 1.0, 2.0,
+             2.998981114446564),
+            (2.944385159179669, 6.60281715058323, 20.68482378494211, -1.0, 0.25,
+             0.006134350506623678),
+            (0.005141883611454125, 0.5512619236343528, 138.17129379260132, -2.0, 2.0,
+             0.005981571786830176),
+            (0.0792167608001662, 0.9460233395945243, 110.24206729324519, -1.0, 1.0,
+             0.21936778961191017),
         ],
     )
-    def test_values_below_the_old_floor_are_judged_relative_to_themselves(self, point, relative_estimate):
+    def test_tiny_values_hold_against_mpmath(self, point):
+        mp = pytest.importorskip("mpmath")
         ((_, rep),) = verify_grid("theorem1", [TheoremParams(*point)], strict=False)
-        assert rep.lhs_value < 3e-308
-        assert rep.lhs_error_estimate / rep.lhs_value == pytest.approx(relative_estimate, rel=0.01)
-        assert rep.verdict is Verdict.INCONCLUSIVE
+        assert rep.verdict is Verdict.CONFIRMED_CORRECTED
+        assert abs(rep.lhs_value) < 1e-279
+        reference = mp_theorem1_corrected(mp, *point)
+        assert abs(mp.mpf(rep.lhs_value) - reference) <= rep.lhs_error_estimate
+        assert rep.lhs_error_estimate <= 1e-10 * abs(rep.lhs_value)

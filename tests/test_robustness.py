@@ -8,12 +8,14 @@ that leave the double range.  Each public entry must then raise a
 maps the failure to its exit code.
 """
 
+import math
 import random
 
 import pytest
 
 from kstruve import (
     ConvergenceError,
+    DomainError,
     KStruveError,
     OverflowRangeError,
     StruveParams,
@@ -25,6 +27,7 @@ from kstruve import (
     k_gamma,
     k_struve,
     lavoie_trottier_check,
+    verify,
     verify_grid,
     wright_eval,
 )
@@ -121,3 +124,54 @@ def test_edge_sweep_raises_only_package_errors():
         except KStruveError:
             failures += 1
     assert 0 < failures < len(calls)
+
+
+POINT = TheoremParams(1.0, 0.5, 2.0)
+TOL_ENTRIES = [
+    pytest.param(lambda t: verify("theorem1", POINT, tol=t), id="verify"),
+    pytest.param(lambda t: verify("theorem1", POINT, threshold=t), id="verify-threshold"),
+    pytest.param(lambda t: verify_grid("theorem1", [POINT], tol=t), id="verify_grid"),
+    pytest.param(lambda t: verify_grid("theorem1", [POINT], threshold=t), id="verify_grid-threshold"),
+    pytest.param(lambda t: lavoie_trottier_check(1.0, 1.0, tol=t), id="lavoie_trottier_check"),
+    pytest.param(lambda t: k_struve(StruveParams(2.0, 1.0, 1.0), 1.0, tol=t), id="k_struve"),
+    pytest.param(lambda t: wright_eval(WrightSpec([(1.0, 1.0)], [(1.0, 1.0)]), 1.0, t), id="wright_eval"),
+]
+
+
+@pytest.mark.parametrize("tol", ["1e-10", None], ids=["str", "None"])
+@pytest.mark.parametrize("call", TOL_ENTRIES)
+def test_a_tol_that_is_not_a_number_raises_domain_error(call, tol):
+    with pytest.raises(DomainError, match="must be a finite positive number"):
+        call(tol)
+
+
+def broad_scan_points():
+    """The 600-point broad scan over the theorems' relaxed domain, seeded."""
+    rng = random.Random(20261019)
+    log = math.log
+    points = []
+    for _ in range(600):
+        which = rng.choice(("theorem1", "theorem2"))
+        alpha = math.exp(rng.uniform(log(1e-3), log(30.0)))
+        while True:
+            mu = math.exp(rng.uniform(log(1e-3), log(10.0)))
+            if rng.random() < 0.1:
+                mu = -mu
+            if alpha + mu > 0.0:
+                break
+        k = rng.choice((0.25, 0.5, 1.0, 2.0))
+        nu_over_k = rng.uniform(-1.45, 0.0) if rng.random() < 0.2 else rng.uniform(0.0, 150.0)
+        c = rng.choice((-2.0, -1.0, 0.5, 1.0, 2.0))
+        y = math.exp(rng.uniform(log(1e-3), log(50.0)))
+        points.append((which, TheoremParams(alpha, mu, nu_over_k * k, c, k, y)))
+    return points
+
+
+def test_broad_scan_rows_all_state_a_reason():
+    # every INCONCLUSIVE row says why: a closed form or a factor outside the
+    # normal doubles, an integrand overflow, a hypothesis, or a quadrature
+    # that did not converge
+    rows = [verify_grid(which, [p], strict=False)[0][1] for which, p in broad_scan_points()]
+    inconclusive = [r for r in rows if r.verdict is Verdict.INCONCLUSIVE]
+    assert {r.verdict for r in rows} == {Verdict.CONFIRMED_CORRECTED, Verdict.INCONCLUSIVE}
+    assert all(r.error for r in inconclusive)

@@ -147,7 +147,7 @@ class TestErrorPaths:
             wright_eval(spec, 0.5)
 
     def test_cancellation_message_reports_a_ratio_of_at_least_one(self):
-        # the sum here is about 1.5e-306, below TINY = 1e-280
+        # the sum here is about 1.5e-306: the rule is relative at every scale
         spec = WrightSpec(upper=((1.0, 1.0),), lower=((170.5, 1.0),))
         with pytest.raises(ConvergenceError, match="terms cancel") as info:
             wright_eval(spec, -30.0, tol=1e-12)
@@ -215,9 +215,8 @@ class TestErrorBound:
         assert res.error_bound >= 0.0
 
 
-# wright_eval(spec, z, tol=1e-12) as (value, error_bound, terms_used), recorded
-# before the double loop moved into kstruve.fixedpoint.sum_ratio.  The cases
-# run the double loop, the fixed-point fallback after it (z = -40, -100) and
+# wright_eval(spec, z, tol=1e-12) as (value, error_bound, terms_used), pinned
+# bit for bit.  The cases run the double loop, the fixed-point fallback after it (z = -40, -100) and
 # the direct fixed-point route of a large peak (z = -400)
 PINNED = [
     (
