@@ -197,9 +197,9 @@ def _integrand(which: str, p: TheoremParams, tol: float):
     |w| is at most |y| in theorem1 and 4|y|/9 in theorem2.  The point's
     k-Struve polynomial (:func:`k_struve_poly`) is built once for that range,
     and f calls :func:`k_struve` only where it returns None: at w = 0, and
-    where the leading term is outside (1e-300, 1e300) or w/2 below the
-    normal range.  A negative y (integer nu/k + 1) reads the polynomial at
-    -w with k_struve's sign rule.  Either way each value has a bound of at most
+    where the leading term is outside (1e-300, 1e300) or |w|/2 below the
+    normal range.  A negative y (integer nu/k + 1) gives w < 0, which the
+    polynomial serves by its sign rule.  Each value has a bound of at most
     ``series_tol * |S(w)|``, plus a few subnormal spacings.  Where no
     polynomial exists, this raises the ConvergenceError of :func:`k_struve`
     at the range's end.  ``series_tol`` is tol / 100, but no tighter than
@@ -220,10 +220,6 @@ def _integrand(which: str, p: TheoremParams, tol: float):
         k_struve(sp, xmax, tol=series_tol)
         poly = lambda w: None
     y = p.y
-    if y < 0.0 and sp.power.is_integer():
-        # S(w) = (-1)**lam S(-w), k_struve's rule; k_struve refuses a fractional lam
-        sign, positive = (-1.0) ** sp.power, poly
-        poly = lambda w: (out := positive(-w)) and (sign * out[0], out[1])
 
     # the argument's form is chosen here, once per point, not at each node
     if first:
@@ -251,19 +247,27 @@ def _with_integrand_error(quad: QuadratureResult, relative: float) -> Quadrature
 
 
 def lhs(which: str, p: TheoremParams, tol: float = 1e-10) -> QuadratureResult:
-    """Quadrature of the left side of ``which``; its estimates add the integrand's series error."""
+    """Quadrature of the left side of ``which``; its estimates add the integrand's series error.
+
+    A stalled quadrature's ConvergenceError is re-raised with that error added to its ``partial``.
+    """
     which, p = _resolve(which, p)
     f, series_tol = _integrand(which, p, tol)
     relative = series_tol + _WEIGHT_ULPS * UNIT
     try:
         quad = integrate(f, tol=tol, method="tanh_sinh")
     except ConvergenceError as exc:
-        if exc.partial is None:
-            raise
-        raise ConvergenceError(
-            str(exc), partial=_with_integrand_error(exc.partial, relative)
-        ) from None
+        if exc.partial is not None:
+            exc.partial = _with_integrand_error(exc.partial, relative)
+        raise
     return _with_integrand_error(quad, relative)
+
+
+def _partial(exc: ConvergenceError) -> tuple[QuadratureResult, str]:
+    """(partial, report error) of a stalled quadrature; an exc without a partial is re-raised."""
+    if exc.partial is None:
+        raise exc
+    return exc.partial, f"{type(exc).__name__}: {exc}"
 
 
 def integrand(which: str, p: TheoremParams, x: float, tol: float = 1e-12) -> float:
@@ -322,10 +326,10 @@ def verify(
     ``threshold``.  If the quadrature failed to converge, or its error
     estimate is itself larger than ``threshold`` relative, the point is
     INCONCLUSIVE rather than evidence either way; a quadrature that did not
-    converge names its ConvergenceError in the report's ``error``.  A
-    ConvergenceError of the integrand itself, which leaves no estimate,
-    propagates.  A tol or threshold that is not a finite positive number
-    raises DomainError.
+    converge names its ConvergenceError in the report's ``error``, as in
+    :func:`lavoie_trottier_check`.  A ConvergenceError of the integrand,
+    which leaves no estimate, propagates.  A tol or threshold that is not a
+    finite positive number raises DomainError.
     """
     require_tol(tol)
     require_tol(threshold)
@@ -333,22 +337,18 @@ def verify(
     p.validate(strict=strict)
     # a subnormal tol / 10 may round to 0; rhs's own floor, the leading term's accuracy, rules there
     rhs_tol = max(tol * 0.1, math.ulp(0.0))
-    error = None
     try:
-        quad = lhs(which, p, tol=tol)
+        quad, error = lhs(which, p, tol=tol), None
     except ConvergenceError as exc:
-        if exc.partial is None:
-            raise  # the integrand failed: there is no estimate to judge
-        quad = exc.partial
-        error = f"{type(exc).__name__}: {exc}"
+        quad, error = _partial(exc)
     rhs_paper = rhs(which, p, corrected=False, tol=rhs_tol)
     rhs_corrected = rhs(which, p, corrected=True, tol=rhs_tol)
-    report = _judge(quad, rhs_paper, rhs_corrected, threshold, p.satisfies_strict())
-    return report._replace(error=error)
+    return _judge(quad, rhs_paper, rhs_corrected, threshold, p.satisfies_strict(), error)
 
 
 def _judge(
-    quad: QuadratureResult, rhs_paper: float, rhs_corrected: float, threshold: float, strict: bool
+    quad: QuadratureResult, rhs_paper: float, rhs_corrected: float, threshold: float,
+    strict: bool, error: str | None,
 ) -> IdentityReport:
     """The report on quad against both closed forms, by the one verdict rule of every identity.
 
@@ -358,7 +358,7 @@ def _judge(
     exceeds ``threshold`` relative, makes the point INCONCLUSIVE, and so
     does a quadrature value of 0 against a nonzero closed form: it deviates
     from it by inf.  A zero value agrees exactly with a zero closed form.
-    ``strict`` is the report's ``strict_hypotheses``.
+    ``strict`` and ``error`` are the report's ``strict_hypotheses`` and ``error``.
     """
     size = abs(quad.value)
     if size:
@@ -390,6 +390,7 @@ def _judge(
         rel_dev_corrected=dev_corrected,
         verdict=verdict,
         strict_hypotheses=strict,
+        error=error,
     )
 
 
@@ -423,10 +424,11 @@ def lavoie_trottier_check(alpha: float, beta: float, tol: float = 1e-10) -> Iden
     One :func:`integrate` call takes the Jacobi weight (p, q) = (a, 2b) and
     the smooth factor (1-x/3)**(2a-1) (1-x/4)**(b-1), and stops once its
     estimate is at most ``q * |value|`` with ``q = max(tol / 100, 1e-14)``;
-    the estimate then gains the factor's own rounding.  The
-    integrand is positive, so the integral is never zero to rounding; a
-    quadrature that does not converge contributes its partial result.  A
-    closed form outside the normal double range raises ConvergenceError.
+    the estimate then gains the factor's own rounding.  The integrand is
+    positive, so the integral is never zero to rounding; a quadrature that
+    does not converge contributes its partial result and names its error
+    as in :func:`verify`.  A closed form outside the normal double range
+    raises ConvergenceError.
     """
     require_tol(tol)
     closed = lavoie_trottier_rhs(alpha, beta)
@@ -436,14 +438,14 @@ def lavoie_trottier_check(alpha: float, beta: float, tol: float = 1e-10) -> Iden
         return (1.0 - x / 3.0) ** e_third * (1.0 - x / 4.0) ** e_quarter
 
     try:
-        quad = integrate(smooth, tol=max(tol * 1e-2, 1e-14), weight=(alpha, 2.0 * beta))
+        quad, error = integrate(smooth, max(tol * 1e-2, 1e-14), weight=(alpha, 2.0 * beta)), None
     except ConvergenceError as exc:
-        quad = exc.partial
+        quad, error = _partial(exc)
     # each base is within 1.5 ulps, so each power within 1.5 |exponent| + 1
     # ulps; the products, with the weight's own two powers when the whole
     # integrand goes to tanh-sinh, add at most 6 more
     factor_ulps = 2.0 * (abs(e_third) + abs(e_quarter)) + 8.0
-    return _judge(_with_integrand_error(quad, factor_ulps * UNIT), closed, closed, tol, True)
+    return _judge(_with_integrand_error(quad, factor_ulps * UNIT), closed, closed, tol, True, error)
 
 
 def verify_grid(

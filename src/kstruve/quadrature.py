@@ -133,10 +133,11 @@ def _tanh_sinh(g, tol: float) -> QuadratureResult:
     Each level walks its node table from t = h outwards and samples both
     abscissae of a node, x near 0 and 1 - x near 1.  The two sides end
     apart: at ``past_two`` nodes a sample w |f| is negligible when it is at
-    most 1e-17 max(|level sum|, |previous total| / h, 1e-300), and a side
-    with two negligible samples in a row is not sampled again in that level,
-    so a fast-decaying tail stops while the slow one goes on.  The level
-    ends when both sides have ended or its table runs out.
+    most 1e-17 max(|level sum|, |previous total| / h), and a side with two
+    negligible samples in a row is not sampled again in that level, so a
+    fast-decaying tail stops while the slow one goes on.  The level ends
+    when both sides have ended or its table runs out.  The cut, the stopping
+    test and the rounding floor are all relative, with no absolute term.
     """
     isfinite = math.isfinite
     small = big = 0.5  # the node being sampled, for the overflow handler
@@ -157,9 +158,9 @@ def _tanh_sinh(g, tol: float) -> QuadratureResult:
             nodes = _TS_LEVELS[level]
             if nodes is None:
                 nodes = _TS_LEVELS[level] = _ts_level(level)
-            # rounding is monotone, so 1e-17 max(|level_sum|, |previous| / h,
-            # 1e-300) is the larger of 1e-17 |level_sum| and this, exactly
-            cut_floor = 1e-17 * max(abs(previous) / h, 1e-300)
+            # rounding is monotone, so 1e-17 max(|level_sum|, |previous| / h)
+            # is the larger of 1e-17 |level_sum| and this, exactly
+            cut_floor = 1e-17 * (abs(previous) / h)
             run_big = run_small = 0
             walk = iter(nodes)
             for small, big, weight, past_two in walk:
@@ -239,8 +240,8 @@ def _gk_rule(g, a: float, b: float, counter: list) -> tuple[float, float, bool, 
     sharpened through (200 d / resasc)**1.5 only relative to resasc, the
     integral of |f - mean|, so agreement by accident on a large-scale
     integrand is not mistaken for convergence; a 50-ulp floor on the
-    integral of |f| covers plain rounding.  The flag is True when that floor
-    set the estimate, so that bisection cannot lower it.
+    integral of |f|, at every scale of f, covers plain rounding.  The flag is
+    True when that floor set the estimate, so that bisection cannot lower it.
     """
     center = 0.5 * (a + b)
     half = 0.5 * (b - a)
@@ -281,13 +282,9 @@ def _gk_rule(g, a: float, b: float, counter: list) -> tuple[float, float, bool, 
     error = abs((res_kronrod - res_gauss) * half)
     if res_asc != 0.0 and error != 0.0:
         error = res_asc * min(1.0, (200.0 * error / res_asc) ** 1.5)
-    floored = False
-    if res_abs > 1e-290:
-        floor = 50.0 * (2.0 * UNIT) * res_abs
-        if floor >= error:
-            error = floor
-            floored = True
-    return res_kronrod * half, error, floored, res_abs
+    floor = 50.0 * (2.0 * UNIT) * res_abs
+    floored = floor >= error
+    return res_kronrod * half, max(error, floor), floored, res_abs
 
 
 def _resummed_partial(heap, counter) -> QuadratureResult:
@@ -502,10 +499,12 @@ def integrate(
     x is near 1; see the module docstring.  ``method`` is ``"adaptive_gk"``
     (the default) or ``"tanh_sinh"``; the theorem integrands of
     :mod:`kstruve.identities` always run tanh-sinh.  Convergence means the
-    internal error estimate satisfies ``estimate <= tol * |value|``, with no
-    absolute term: an exactly zero integral converges on a zero estimate,
-    but one that is zero only to rounding, such as that of x - 1/2, or one
-    so small that its estimate cannot get under tol times it, does not.
+    internal error estimate satisfies ``estimate <= tol * |value|``.  No
+    absolute term enters a stopping test, a tail cut or a rounding floor, so
+    f and 2**-1000 f take the same nodes.  An exactly zero integral
+    converges on a zero estimate, but one that is zero only to rounding,
+    such as that of x - 1/2, or one so small that its estimate cannot get
+    under tol times it, does not.
     Failure to converge raises :class:`ConvergenceError` whose ``partial``
     attribute holds the best :class:`QuadratureResult` so far
     (``converged=False``).

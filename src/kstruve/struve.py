@@ -34,7 +34,7 @@ polynomial, in this order, until a value's bound fits:
 - integer: the same u_m, evaluated by integer Horner's rule in s = (x/X)**2.
 
 :func:`k_struve` is one node of that evaluator: it evaluates at x the
-polynomial built for X = x.  There, and only there, a leading term outside
+polynomial built for X = |x|.  There, and only there, a leading term outside
 (1e-300, 1e300) is taken from its logarithm; at other nodes such a value is
 left to the caller, which then calls :func:`k_struve`.
 """
@@ -213,8 +213,8 @@ def k_struve(params: StruveParams, x: float, tol: float = 1e-12) -> EvaluationRe
     integer, in which case S(-x) = (-1)**(nu/k + 1) S(x); otherwise the
     fractional power has no real value and DomainError is raised.
 
-    Every x > 0 is the one node of its own polynomial,
-    ``k_struve_poly(params, x, tol)(x)``, and ``terms_used`` is that
+    Every x != 0 is the one node of its own polynomial,
+    ``k_struve_poly(params, |x|, tol)(x)``, and ``terms_used`` is that
     polynomial's degree plus one.  The ``error_bound`` covers the truncated
     tail and every rounding, and is at most ``tol * |value|`` before
     (terms + 2) * 2**-1074 is added for results below the normal range.  Raises
@@ -228,15 +228,8 @@ def k_struve(params: StruveParams, x: float, tol: float = 1e-12) -> EvaluationRe
     consts = params._series
     lam = consts.power
 
-    if x < 0.0:
-        if lam != math.floor(lam):
-            raise DomainError(
-                f"negative argument x={x} needs integer nu/k + 1, got {lam}"
-            )
-        flipped = k_struve(params, -x, tol=tol)
-        sign = 1.0 if lam % 2.0 == 0.0 else -1.0
-        return EvaluationResult(sign * flipped.value, flipped.error_bound, flipped.terms_used)
-
+    if x < 0.0 and lam != math.floor(lam):
+        raise DomainError(f"negative argument x={x} needs integer nu/k + 1, got {lam}")
     if x == 0.0:
         if lam > 0.0:
             return EvaluationResult(0.0, 0.0, 0)
@@ -247,7 +240,7 @@ def k_struve(params: StruveParams, x: float, tol: float = 1e-12) -> EvaluationRe
             return EvaluationResult(value, bound, 1)
         raise DomainError(f"x = 0 diverges for nu/k + 1 = {lam} < 0")
 
-    evaluate = k_struve_poly(params, x, tol)
+    evaluate = k_struve_poly(params, abs(x), tol)
     out = evaluate and evaluate(x)
     if out:
         return EvaluationResult(*out, evaluate.degree + 1)
@@ -271,10 +264,11 @@ def k_struve_poly(params: StruveParams, xmax: float, tol: float):
 
     Returns ``evaluate(x)``, which gives ``(value, error_bound)`` with
     ``error_bound <= tol * |value|`` before (degree + 3) * 2**-1074 is
-    added for values below the normal range, or None when x is not in
-    (0, xmax] or when that bound fails.  ``evaluate.degree`` is the largest
-    degree it holds.  k_struve_poly itself returns None when no degree up to
-    500 serves.
+    added for values below the normal range, or None when |x| is not in
+    (0, xmax] or when that bound fails.  A negative x takes the value at -x
+    times (-1)**(nu/k + 1), and None when that power is fractional.
+    ``evaluate.degree`` is the largest degree it holds.  k_struve_poly
+    itself returns None when no degree up to 500 serves.
 
     ``evaluate`` computes the leading term once, inline as (x/2)**power *
     scale0 with the exact-power correction.  Where that leaves
@@ -314,6 +308,8 @@ def k_struve_poly(params: StruveParams, xmax: float, tol: float):
     integer = _integer_horner(params, xmax, tol) if needs_integer else None
     consts = params._series
     power = consts.power
+    # S(-x) = (-1)**power S(x); 0 marks a fractional power, which has no real value
+    flip = (-1.0) ** power if power.is_integer() else 0.0
     scale0 = consts.scale0
     delta = consts.power_delta
     lead_err0 = consts.lead_err
@@ -344,6 +340,9 @@ def k_struve_poly(params: StruveParams, xmax: float, tol: float):
         elif x == xmax:
             lead, lead_err, scale = _lead(params, x)
             fits = False
+        elif x < 0.0 and flip:
+            out = evaluate(-x)
+            return out and (flip * out[0], out[1])
         else:
             return None
         if x <= wmax:

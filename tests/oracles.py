@@ -82,7 +82,7 @@ def tanh_sinh_pair_rule(f, tol: float) -> QuadratureResult:
             contrib = weight * (f_big + f_small)
             level_sum += contrib
             level_abs += weight * (abs(f_big) + abs(f_small))
-            if past_two and abs(contrib) <= 1e-17 * max(abs(level_sum), previous_scale, 1e-300):
+            if past_two and abs(contrib) <= 1e-17 * max(abs(level_sum), previous_scale):
                 tiny_run += 1
                 if tiny_run >= 2:
                     break

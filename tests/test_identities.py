@@ -797,6 +797,7 @@ class TestVerdictTable:
         assert report.rel_dev_paper == abs(value - value * paper) / value
         assert report.rel_dev_corrected == abs(value - value * corrected) / value
         assert report.strict_hypotheses is BASE.satisfies_strict()
+        assert report.error == (None if converged else "ConvergenceError: stalled")
 
     @pytest.mark.parametrize(
         "estimate, converged, ratio, verdict",
@@ -813,6 +814,38 @@ class TestVerdictTable:
         assert report.rhs_paper == report.rhs_corrected == closed
         assert report.rel_dev_paper == report.rel_dev_corrected == abs(value - closed) / value
         assert report.strict_hypotheses is True
+        assert report.error == (None if converged else "ConvergenceError: stalled")
+
+    @pytest.mark.parametrize(
+        "alpha, beta",
+        [(0.7641776781621904, 0.3526397132221841), (0.7102129105830937, 0.7509601598829633)],
+    )
+    def test_lavoie_rounding_floor_names_its_error(self, alpha, beta):
+        # at tol 1e-12 the weighted rule hands the integrand to tanh-sinh,
+        # whose estimate stops on its rounding floor above tol * |value|
+        report = identities.lavoie_trottier_check(alpha, beta, tol=1e-12)
+        assert report.verdict is Verdict.INCONCLUSIVE
+        assert report.error.startswith("ConvergenceError: tanh_sinh estimate")
+        assert "rounding floor" in report.error
+
+    def test_lhs_partial_gains_the_integrand_error(self, monkeypatch):
+        self._patch_integrate(monkeypatch, 0.25, 1e-12, False)
+        with pytest.raises(ConvergenceError, match="^stalled$") as excinfo:
+            lhs("theorem1", BASE)
+        partial = excinfo.value.partial
+        assert partial.value == 0.25 and not partial.converged
+        assert partial.error_estimate > 1e-12 * 0.25
+
+    def test_a_failure_without_a_partial_propagates(self, monkeypatch):
+        # an integrand that fails leaves no estimate to judge
+        def integrate(*args, **kwargs):
+            raise ConvergenceError("no estimate")
+
+        monkeypatch.setattr(identities, "integrate", integrate)
+        with pytest.raises(ConvergenceError, match="no estimate"):
+            verify("theorem1", BASE)
+        with pytest.raises(ConvergenceError, match="no estimate"):
+            identities.lavoie_trottier_check(1.0, 1.0)
 
     def test_zero_lhs_against_a_nonzero_closed_form_is_inconclusive(self, monkeypatch):
         self._patch_integrate(monkeypatch, 0.0, 0.0, True)

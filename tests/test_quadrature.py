@@ -1,6 +1,7 @@
 """Tests for the quadrature engine and the Lavoie-Trottier self-check."""
 
 import functools
+import itertools
 import json
 import math
 import random
@@ -431,6 +432,28 @@ class TestRelativeRule:
         res = integrate(lambda x, omx: 0.0, tol=1e-10, method=method)
         assert res.converged
         assert res.value == 0.0 and res.error_estimate <= 1e-280
+
+    @pytest.mark.parametrize("method", ["adaptive_gk", "tanh_sinh"])
+    def test_scaling_by_a_power_of_two_keeps_the_path(self, method):
+        # no absolute constant enters a cut, floor or stopping test, so f
+        # scaled by 2**-1000 or 2**-1010 ends as f does, on the same nodes,
+        # with f's value times the scale; the scaled estimates are subnormal,
+        # so only the values are compared
+        integrands = [lambda x, omx: math.cos(30.0 * x), lambda x, omx: math.exp(x)]
+        if method == "tanh_sinh":
+            integrands.append(lambda x, omx: x**-0.9 * omx**-0.5)
+
+        def outcome(f, tol):
+            try:
+                res = integrate(f, tol, method)
+            except ConvergenceError as exc:
+                return type(exc), exc.partial.value, exc.partial.evaluations
+            return None, res.value, res.evaluations
+
+        for f, tol, shift in itertools.product(integrands, (1e-14, 1e-10), (-1000, -1010)):
+            kind, value, evaluations = outcome(f, tol)
+            scaled = outcome(lambda x, omx: math.ldexp(f(x, omx), shift), tol)
+            assert scaled == (kind, math.ldexp(value, shift), evaluations)
 
 
 def _one(x):

@@ -165,6 +165,22 @@ class TestNegativeArgument:
         with pytest.raises(DomainError):
             struve_h(0.5, -1.0)
 
+    @pytest.mark.parametrize(
+        "params, x",
+        [
+            (StruveParams(nu=2.0, c=-1.0, k=1.0), 3.0),  # certified double polynomial
+            (StruveParams(nu=2.0, c=1.0, k=1.0), 30.0),  # Taylor shift at xmax
+            (StruveParams(nu=0.0, c=1.0, k=1.0), 60.0),  # integer Horner
+            (StruveParams(nu=1000.0, c=-1.0, k=1.0), 345.0),  # leading term below the normal range
+        ],
+    )
+    def test_each_form_serves_the_negative_node(self, params, x):
+        pos = k_struve(params, x)
+        neg = k_struve(params, -x)
+        sign = (-1.0) ** params.power
+        assert neg == (sign * pos.value, pos.error_bound, pos.terms_used)
+        assert neg.value != 0.0
+
 
 class TestSeriesBehavior:
     def test_stopping_rule_is_relative_below_unit_scale(self):
