@@ -39,7 +39,7 @@ from .gamma import log_gamma
 from .quadrature import integrate
 from .results import IdentityReport, QuadratureResult, Verdict, require_normal, require_tol
 from .struve import StruveParams, k_struve, k_struve_poly
-from .wright import WrightSpec, wright_eval
+from .wright import WrightSpec, wright_eval, wright_pair
 
 IDENTITIES = ("theorem1", "theorem2", "corollary1", "corollary2")
 
@@ -126,7 +126,7 @@ def _signed_power(base: float, exponent: float) -> float:
     return sign * (-base) ** exponent
 
 
-def _wright_tail(p: TheoremParams, corrected: bool) -> WrightSpec:
+def _wright_tail(p: TheoremParams, corrected: bool = False) -> WrightSpec:
     nuk = p.nu / p.k
     third = 2.0 * p.alpha + p.mu + nuk + (1.0 if corrected else 0.0)
     return WrightSpec(
@@ -135,49 +135,79 @@ def _wright_tail(p: TheoremParams, corrected: bool) -> WrightSpec:
     )
 
 
+_LOG_2_3 = math.log(2.0 / 3.0)
+_LOG_3 = math.log(3.0)
+
+
 def rhs(which: str, p: TheoremParams, corrected: bool = True, tol: float = 1e-12) -> float:
     """Right side of identity ``which`` at p: as printed, or re-derived when ``corrected``.
 
+    Both forms come from one Fox-Wright pass (:func:`_closed_forms`), so at
+    the same tol this form is the one :func:`verify` reports, to the bit.
     Raises ConvergenceError when (y/2)**lam, the gamma prefactor, the
     Fox-Wright sum or their product is not a normal double; only y = 0
     gives an exact 0.0.
     """
     require_tol(tol)
     which, p = _resolve(which, p)
+    return _closed_forms(which, p, tol, (bool(corrected),))[0]
+
+
+def _closed_forms(which: str, p: TheoremParams, tol: float, forms) -> list[float]:
+    """The closed forms of ``which`` at p named by ``forms`` (True: corrected), in that order.
+
+    The printed form is a prefactor times the 2 Psi 3 sum of
+    :func:`_wright_tail`; the corrected form's sum has the third lower
+    parameter b + 1 and, in theorem2, the argument (16/81) z.  Its terms
+    are the printed ones times scale**m / (b + 2m), with scale 1 in
+    theorem1 and 16/81 in theorem2, so one :func:`wright_pair` pass on the
+    printed spec's plan sums both, each to tol (no tighter than the
+    accuracy of its first term allows).  Where the pair declines,
+    :func:`wright_eval` sums each form's own spec.  The shared logs are
+    taken once.  Each form raises as :func:`rhs` says, in the order of
+    ``forms``.
+    """
+    first = which == "theorem1"
     nuk = p.nu / p.k
     lam = p.lam
-    log_pref = log_gamma(p.alpha + p.mu)
-    if corrected:
-        log_pref -= (nuk + 0.5) * math.log(p.k)
-        if which == "theorem1":
-            log_pref += 2.0 * (p.alpha + p.mu) * math.log(2.0 / 3.0)
-            z = -p.c * p.y * p.y / (4.0 * p.k)
+    log_gamma_am = log_gamma(p.alpha + p.mu)
+    log_k = math.log(p.k)
+    z = -p.c * p.y * p.y / (4.0 * p.k)
+    scale = 1.0 if first else 16.0 / 81.0
+    y_power = pair = None
+    values = []
+    for corrected in forms:
+        if corrected:
+            log_pref = log_gamma_am - (nuk + 0.5) * log_k
+            log_pref += 2.0 * ((p.alpha + p.mu) if first else (p.alpha + lam)) * _LOG_2_3
+        elif first:
+            log_pref = log_gamma_am - nuk * log_k + 2.0 * (p.alpha + p.mu) * _LOG_2_3
         else:
-            log_pref += 2.0 * (p.alpha + lam) * math.log(2.0 / 3.0)
-            z = -(16.0 / 81.0) * p.c * p.y * p.y / (4.0 * p.k)
-    else:
-        log_pref -= nuk * math.log(p.k)
-        z = -p.c * p.y * p.y / (4.0 * p.k)
-        if which == "theorem1":
-            log_pref += 2.0 * (p.alpha + p.mu) * math.log(2.0 / 3.0)
-        else:
-            log_pref += 2.0 * p.alpha * math.log(2.0 / 3.0) - (2.0 * nuk + 2.0) * math.log(3.0)
-    try:
-        y_power = _signed_power(0.5 * p.y, lam)
-        scale = math.exp(log_pref)
-    except OverflowError:
-        raise ConvergenceError(
-            f"a factor of the {which} closed form overflows the double range"
-        ) from None
-    if y_power == 0.0 and p.y == 0.0:
-        return 0.0
-    prefactor = require_normal(y_power, "(y/2)**lam")
-    prefactor *= require_normal(scale, "the gamma prefactor")
-    spec = _wright_tail(p, corrected)
-    # no tighter than the accuracy of the series' first term allows
-    series = wright_eval(spec, z, tol=max(tol, 4.0 * spec.lead_error))
-    series_value = require_normal(series.value, "the Fox-Wright sum")
-    return require_normal(prefactor * series_value, "the closed form")
+            log_pref = log_gamma_am - nuk * log_k
+            log_pref += 2.0 * p.alpha * _LOG_2_3 - (2.0 * nuk + 2.0) * _LOG_3
+        try:
+            if y_power is None:
+                y_power = _signed_power(0.5 * p.y, lam)
+            gamma_factor = math.exp(log_pref)
+        except OverflowError:
+            raise ConvergenceError(
+                f"a factor of the {which} closed form overflows the double range"
+            ) from None
+        if y_power == 0.0 and p.y == 0.0:
+            values.append(0.0)
+            continue
+        prefactor = require_normal(y_power, "(y/2)**lam")
+        prefactor *= require_normal(gamma_factor, "the gamma prefactor")
+        if pair is None:
+            pair = wright_pair(_wright_tail(p), z, tol, scale) or (None, None)
+        series = pair[corrected]
+        if series is None:
+            spec = _wright_tail(p, corrected)
+            # no tighter than the accuracy of the series' first term allows
+            series = wright_eval(spec, scale * z if corrected else z, max(tol, 4.0 * spec.lead_error))
+        series_value = require_normal(series.value, "the Fox-Wright sum")
+        values.append(require_normal(prefactor * series_value, "the closed form"))
+    return values
 
 
 # the rounding of each integrand's weight and argument, in ulps of its value
@@ -319,8 +349,9 @@ def verify(
 ) -> IdentityReport:
     """Check one identity at one parameter point.
 
-    The left side is integrated once to relative tolerance ``tol`` and each
-    closed form sums its Fox-Wright series once to ``tol / 10``.  The verdict
+    The left side is integrated once to relative tolerance ``tol``, and both
+    closed forms come from one Fox-Wright pass (:func:`_closed_forms`), each
+    series summed to ``tol / 10``.  The verdict
     compares relative deviations of both closed forms against the
     quadrature value: a side is confirmed when its deviation is at most
     ``threshold``.  If the quadrature failed to converge, or its error
@@ -341,8 +372,7 @@ def verify(
         quad, error = lhs(which, p, tol=tol), None
     except ConvergenceError as exc:
         quad, error = _partial(exc)
-    rhs_paper = rhs(which, p, corrected=False, tol=rhs_tol)
-    rhs_corrected = rhs(which, p, corrected=True, tol=rhs_tol)
+    rhs_paper, rhs_corrected = _closed_forms(which, p, rhs_tol, (False, True))
     return _judge(quad, rhs_paper, rhs_corrected, threshold, p.satisfies_strict(), error)
 
 

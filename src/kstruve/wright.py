@@ -10,6 +10,12 @@ refused there.  With integer slopes up to 64 (every identity in the package
 has 1 and 2) the terms follow their exact ratio recurrence, re-summed in
 fixed point when they cancel beyond double precision; other slopes assemble
 each term in log space with explicit sign tracking.
+
+:func:`wright_pair` sums a spec together with its companion, the spec with
+its last lower parameter raised by 1 at a scaled argument, whose terms are
+the spec's own times a short factor: one plan and one double loop serve
+both, each sum with its own stopping test and bound.  The closed forms of
+the identities are such a pair (the printed form and the corrected one).
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import math
 from collections import namedtuple
 from functools import cached_property
 
-from .errors import ConvergenceError, DomainError, OverflowRangeError, PoleError
+from .errors import ConvergenceError, DomainError, KStruveError, OverflowRangeError, PoleError
 from .fixedpoint import LOG2_E, MAX_BITS, SUBNORMAL_ULP, UNIT, LinearRatio, fixed_terms
 from .gamma import _LOG_DBL_MAX, _lgamma, log_abs_gamma
 from .results import EvaluationResult, require_tol
@@ -31,6 +37,9 @@ _MAX_SLOPE = 64
 # beyond a peak of e**this times the first term the fixed-point pass would
 # need more than MAX_BITS bits: the double loop runs and reports the overflow
 _MAX_LOG_PEAK = MAX_BITS / LOG2_E
+# a first term is used as a double only within e**-700 to e**700
+_LEAD_MAX = math.exp(700.0)
+_LEAD_MIN = 1.0 / _LEAD_MAX
 
 
 class WrightSpec(namedtuple("WrightSpec", "upper lower")):
@@ -138,18 +147,18 @@ def _first_positive(forms) -> int:
     return first
 
 
-def _forms(pairs) -> list[tuple[int, float, float]]:
-    """The factors slope*m + a + s, 0 <= s < slope, of the pairs as (slope, q, r).
+def _forms(pairs, shift: int = 0) -> list[tuple[int, float, float]]:
+    """The factors slope*m + a + s, shift <= s < slope + shift, of the pairs as (slope, q, r).
 
     q is a + s rounded and r its error by TwoSum (Knuth, TAOCP 4.2.2), so
     q + r = a + s exactly and equal triples are equal factors.  A q that
     rounds is positive: for |a| < 2**53, a + s is exact if |a + s| <= |a|.
+    With shift = 1 they are the factors of the pair (a + 1, slope).
     """
     forms = []
     for a, slope in pairs:
         p = int(slope)
-        forms.append((p, a, 0.0))
-        for s in range(1, p):
+        for s in range(shift, p + shift):
             q = a + s
             b = q - a
             forms.append((p, q, (a - (q - b)) + (s - b)))
@@ -177,11 +186,18 @@ class _Plan:
     linear factors in m; a factor shared by both sides (such as m + 1 from
     m!) cancels.  From ``tail_start`` on every factor is positive and the
     ratio magnitude is non-increasing, which certifies a geometric tail.
+
+    Given a :class:`_Companion` of spec, it is instead the plan of that
+    companion: spec with its last lower pair (b, beta) moved to
+    (b + 1, beta), summed at scale * z, with the companion's first term.
     """
 
-    def __init__(self, spec: WrightSpec):
+    def __init__(self, spec: WrightSpec, companion: "_Companion | None" = None):
         exact_num = []
-        exact_den = _forms(spec.lower)
+        if companion is None:
+            exact_den = _forms(spec.lower)
+        else:
+            exact_den = _forms(spec.lower[:-1]) + _forms(spec.lower[-1:], 1)
         exact_den.append((1, 1.0, 0.0))  # m + 1 from z**m / m!
         for form in _forms(spec.upper):
             if form in exact_den:  # the factor cancels
@@ -213,7 +229,10 @@ class _Plan:
         # peaks near m = (|z| kappa)**(1/order) at about e**(order m)
         self.order = len(den) - len(num)
         self.kappa = math.prod([p for p, _ in num]) / math.prod([p for p, _ in den])
-
+        if companion is not None:
+            self.scale, self.lead, self.lead_err = companion.scale, companion.lead, companion.lead_err
+            return
+        self.scale = 1.0
         log_mag, sign, size = _log_term(spec, 0)
         count = len(spec.upper) + len(spec.lower)
         self.lead = sign * math.exp(log_mag) if -700.0 < log_mag < 700.0 else 0.0
@@ -240,8 +259,10 @@ class _Plan:
         # p*m + n/d = (p*d*m + n) / d: the denominators d are powers of two,
         # moved across
         exact_num, exact_den = map(_integer_forms, self._exact)
-        num_const = math.prod(d for _, _, d in exact_den)
-        den_const = math.prod(d for _, _, d in exact_num)
+        # the argument's scale, an exact binary fraction, joins the constants
+        scale_num, scale_den = self.scale.as_integer_ratio()
+        num_const = scale_num * math.prod(d for _, _, d in exact_den)
+        den_const = scale_den * math.prod(d for _, _, d in exact_num)
         return LinearRatio(
             tuple((p * d, n) for p, n, d in exact_num),
             tuple((p * d, n) for p, n, d in exact_den),
@@ -316,29 +337,137 @@ def _peak_bits(plan: _Plan, z: float, tol: float) -> int:
     return math.ceil(log_peak * LOG2_E)
 
 
+def _lead_only(lead: float, lead_err: float) -> EvaluationResult:
+    """The sum at z = 0: the first term alone."""
+    return EvaluationResult(lead, abs(lead) * lead_err + 3.0 * SUBNORMAL_ULP, 1)
+
+
 def _ratio_sum(plan: _Plan, z: float, tol: float) -> EvaluationResult:
     """Integer-slope series by its exact term ratio, in doubles or fixed point."""
-    lead = plan.lead
     if z == 0.0:
-        return EvaluationResult(lead, abs(lead) * plan.lead_err + 3.0 * SUBNORMAL_ULP, 1)
+        return _lead_only(plan.lead, plan.lead_err)
     try:
-        peak_bits = _peak_bits(plan, z, tol) if z < 0.0 else 0
-        if peak_bits:
-            return _fixed(plan, z, tol, peak_bits)
-        return _double(plan, z, tol)
+        out = _peak_bits(plan, z, tol) if z < 0.0 else 0
+        if not out:
+            out = _double(plan, z, tol)[0]
+        return out if isinstance(out, EvaluationResult) else _fixed(plan, z, tol, out)
     except ConvergenceError as exc:
         raise ConvergenceError(f"Fox-Wright series at z={z}: {exc}") from None
 
 
-def _double(plan: _Plan, z: float, tol: float) -> EvaluationResult:
-    """t_0 * sum_m t_m / t_0 in doubles, with a bound that covers truncation and rounding.
+class _Companion:
+    """The second sum of :func:`wright_pair`, run on the printed spec's plan.
+
+    (b, beta) is the spec's last lower pair and scale the argument's factor.
+    The first term is t_0 / b, with the division's 2 ulps added to t_0's
+    relative error.  From ``tail_start`` on b + beta m > 0 as well, so each
+    ratio, the printed one times scale (b + beta m) / (b + beta (m + 1)), is
+    at most scale times the printed ratio in magnitude.  (A plain class: a
+    named tuple would add about 0.1 ms to ``import kstruve``.)
+    """
+
+    __slots__ = ("b", "beta", "scale", "lead", "lead_err", "tol", "tail_start")
+
+    def __init__(self, b, beta, scale, lead, lead_err, tol, tail_start):
+        self.b, self.beta, self.scale = b, beta, scale
+        self.lead, self.lead_err, self.tol, self.tail_start = lead, lead_err, tol, tail_start
+
+
+def wright_pair(
+    spec: WrightSpec, z: float, tol: float, scale: float
+) -> tuple[EvaluationResult, EvaluationResult] | None:
+    """The sums of spec at z and of its companion at scale * z, from one plan in one pass.
+
+    The companion is spec with its last lower pair (b, beta) moved to
+    (b + 1, beta).  Since Gamma(b + 1 + beta m) = (b + beta m) Gamma(b + beta m),
+    its terms are t_m scale**m / (b + beta m), with t_m the terms of spec, so
+    it runs in the double loop of :func:`wright_eval` as a second
+    accumulator on spec's plan, with its own stopping test and bound.  Each
+    sum runs to tol, raised to 4 times its first term's relative error where
+    tol is below that, and has the certified bound of :func:`wright_eval`;
+    spec's sum is the one ``wright_eval`` returns at that tol, to the bit.
+    A sum whose rounding cannot fit, or whose peak screen rules out doubles,
+    goes to the fixed-point pass alone; the companion's integer table is
+    built only then.
+
+    None where wright_eval must serve them one by one: where it takes its
+    log path (a slope that is not an integer up to 64, or a first term of
+    either sum outside e**-700 to e**700), refuses z or the spec, or where
+    either sum raises ConvergenceError.  ``scale`` is a positive double.
+    """
+    if not (spec.lower and math.isfinite(z) and _integer_slopes(spec)):
+        return None
+    if convergence_index(spec) <= -1.0:
+        return None
+    try:
+        plan = spec._plan
+    except KStruveError:
+        return None
+    b, beta = spec.lower[-1]
+    lead, lead_err = plan.lead / b, plan.lead_err + 2.0 * UNIT
+    if not _LEAD_MIN < abs(lead) < _LEAD_MAX:
+        return None
+    tail_start = max(plan.tail_start, _first_positive([(beta, b)]))
+    companion = _Companion(b, beta, scale, lead, lead_err, max(tol, 4.0 * lead_err), tail_start)
+    tol = max(tol, 4.0 * plan.lead_err)
+    if z == 0.0:
+        return _lead_only(plan.lead, plan.lead_err), _lead_only(lead, lead_err)
+    companion_plan = None
+    try:
+        outcomes = [_peak_bits(plan, z, tol) if z < 0.0 else 0, 0]
+        if outcomes[0]:
+            # the companion's peak is near spec's: screen it too
+            companion_plan = _Plan(spec, companion)
+            outcomes[1] = _peak_bits(companion_plan, scale * z, companion.tol)
+        printed, second = _double(plan, z, tol, companion, [bits or None for bits in outcomes])
+        if not isinstance(printed, EvaluationResult):
+            printed = _fixed(plan, z, tol, printed)
+        if not isinstance(second, EvaluationResult):
+            second = _fixed(companion_plan or _Plan(spec, companion), z, companion.tol, second)
+    except ConvergenceError:
+        return None
+    return printed, second
+
+
+def _settle(term, total, comp, mags, rho, m, lead_err, step_ulps, tol):
+    """One sum's test at step m, past its tail start with ratio bound rho < 1.
+
+    term is t_{m+1} and total the Kahan sum of t_0 ... t_m (carry comp),
+    mags the sum of their magnitudes.  Returns the EvaluationResult once the
+    next term, added as well, leaves a tail and a rounding that fit
+    tol * |sum|; None while the sum goes on; and the cond bits, about
+    log2(sum |t_m| / |sum t_m|), once the rounding alone cannot fit.
+    """
+    # each t_j, j <= m, carries at most m * step_ulps and the leading
+    # term's error; Kahan summation adds 2
+    rounding = UNIT * (step_ulps * m + 2.0) * mags + lead_err * abs(total)
+    reach = abs(total) + abs(term) / (1.0 - rho)  # bounds |sum| from here on
+    if abs(term) <= (1.0 - rho) * tol * abs(total):
+        # the next term and all after it are within tol: add it as well,
+        # which leaves a tail of at most |t_{m+1}| rho / (1 - rho)
+        total += term - comp
+        mag = abs(term)
+        mags += mag
+        bound = mag * rho / (1.0 - rho)
+        rounding = UNIT * (step_ulps * (m + 1) + 2.0) * mags + lead_err * abs(total)
+        if bound + rounding <= tol * abs(total):
+            return EvaluationResult(total, bound + rounding + (m + 4) * SUBNORMAL_ULP, m + 2)
+    elif rounding <= 0.5 * tol * reach:
+        return None
+    # the rounding cannot fit under tol * |value| any more
+    return math.ceil(math.log2(mags / abs(total))) if total else 0
+
+
+def _double(plan: _Plan, z: float, tol: float, companion=None, preset=(None, None)) -> tuple:
+    """t_0 * sum_m t_m / t_0 in doubles, and with a :class:`_Companion` that sum too, in one pass.
 
     The ratio magnitude rho is non-increasing from ``plan.tail_start`` on.
     t_0 has relative error at most ``plan.lead_err``, and each step adds at
-    most ``plan.step_ulps`` ulps to a term.  Summation stops once the next
-    term, added as well, leaves a tail and a rounding that fit
-    tol * |sum|.  When the rounding alone cannot fit, the series goes to
-    :func:`_fixed`, with cond_bits about log2(sum |t_m| / |sum t_m|).
+    most ``plan.step_ulps`` ulps to a term; the companion's ratio takes 5
+    roundings more.  Each sum stops by :func:`_settle`.  Returns the
+    (printed, companion) outcomes: an EvaluationResult, or the cond bits
+    with which that sum goes to :func:`_fixed`; the companion's is None
+    without one.  An outcome in ``preset`` leaves its sum out of the loop.
     ConvergenceError if a term overflows or 1000 terms do not suffice.
     """
     lead, lead_err, step_ulps = plan.lead, plan.lead_err, plan.step_ulps
@@ -347,12 +476,14 @@ def _double(plan: _Plan, z: float, tol: float) -> EvaluationResult:
     total = 0.0
     comp = 0.0  # Kahan carry
     mags = 0.0  # sum of |t_m|
+    done, done_c = preset
+    running_c = companion is not None and done_c is None
+    if running_c:
+        b, beta, scale, term_c = companion.b, companion.beta, companion.scale, companion.lead
+        lead_err_c, tol_c, tail_c = companion.lead_err, companion.tol, companion.tail_start
+        step_ulps_c = step_ulps + 5.0
+        total_c = comp_c = mags_c = 0.0
     for m in range(_MAX_TERMS):
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        mags += abs(term)
         num = z
         for p, q in num_forms:
             num *= p * m + q
@@ -361,31 +492,32 @@ def _double(plan: _Plan, z: float, tol: float) -> EvaluationResult:
             den *= p * m + q
         ratio = num / den
         rho = abs(ratio)
-        term *= ratio
-        if not math.isfinite(term):
-            raise ConvergenceError(f"term overflowed at m={m + 1}")
-        if m < tail_start or rho >= 1.0:
-            continue
-        # each t_j, j <= m, carries at most m * step_ulps and the leading
-        # term's error; Kahan summation adds 2
-        rounding = UNIT * (step_ulps * m + 2.0) * mags + lead_err * abs(total)
-        reach = abs(total) + abs(term) / (1.0 - rho)  # bounds |sum| from here on
-        if abs(term) <= (1.0 - rho) * tol * abs(total):
-            # the next term and all after it are within tol: add it as well,
-            # which leaves a tail of at most |t_{m+1}| rho / (1 - rho)
-            total += term - comp
-            mag = abs(term)
-            mags += mag
-            bound = mag * rho / (1.0 - rho)
-            rounding = UNIT * (step_ulps * (m + 1) + 2.0) * mags + lead_err * abs(total)
-            if bound + rounding <= tol * abs(total):
-                error = bound + rounding + (m + 4) * SUBNORMAL_ULP
-                return EvaluationResult(total, error, m + 2)
-        elif rounding <= 0.5 * tol * reach:
-            continue
-        # the rounding cannot fit under tol * |value| any more
-        cond_bits = math.ceil(math.log2(mags / abs(total))) if total else 0
-        return _fixed(plan, z, tol, cond_bits)
+        if done is None:
+            y = term - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+            mags += abs(term)
+            term *= ratio
+            if not math.isfinite(term):
+                raise ConvergenceError(f"term overflowed at m={m + 1}")
+            if m >= tail_start and rho < 1.0:
+                done = _settle(term, total, comp, mags, rho, m, lead_err, step_ulps, tol)
+        if running_c:
+            y = term_c - comp_c
+            t = total_c + y
+            comp_c = (t - total_c) - y
+            total_c = t
+            mags_c += abs(term_c)
+            term_c *= ratio * (scale * (b + beta * m) / (b + beta * (m + 1)))
+            if not math.isfinite(term_c):
+                raise ConvergenceError(f"companion term overflowed at m={m + 1}")
+            rho_c = scale * rho
+            if m >= tail_c and rho_c < 1.0:
+                done_c = _settle(term_c, total_c, comp_c, mags_c, rho_c, m, lead_err_c, step_ulps_c, tol_c)
+                running_c = done_c is None
+        if done is not None and not running_c:
+            return done, done_c
     raise ConvergenceError(f"needed more than {_MAX_TERMS} terms for tol={tol}")
 
 

@@ -176,27 +176,50 @@ def mp_k_struve(mp, nu, c, k, x):
         return +total
 
 
-def mp_theorem1_corrected(mp, alpha, mu, nu, c, k, y):
-    """theorem1's corrected closed form at the exact double inputs, in the mpmath module ``mp``.
+def mp_closed_form(mp, which, corrected, alpha, mu, nu, c, k, y):
+    """A closed form of ``which`` at the exact double inputs, in the mpmath module ``mp``.
 
-    Gamma(alpha + mu) k**-(nu/k + 1/2) (2/3)**(2 (alpha + mu)) (y/2)**lam
-    times the 2 Psi 3 sum at z = -c y**2 / (4k), with lam = nu/k + 1 and
-    each term from mpmath's gamma, summed at 80 digits.
+    With lam = nu/k + 1, b = 2 alpha + mu + nu/k and z = -c y**2 / (4k),
+    the right side is a prefactor times (y/2)**lam times the 2 Psi 3 sum
+
+        sum_m Gamma(alpha + nu/k + 1 + 2m) w**m
+              / (Gamma(nu/k + 3/2 + m) Gamma(3/2 + m) Gamma(b' + 2m)),
+
+    each term from mpmath's gamma, summed at 80 digits.  As printed
+    (``corrected`` false): b' = b, w = z and the prefactor Gamma(alpha + mu)
+    k**(-nu/k) times (2/3)**(2 (alpha + mu)) in theorem1, or
+    (2/3)**(2 alpha) 3**(-(2 nu/k + 2)) in theorem2.  Corrected: b' = b + 1,
+    the prefactor Gamma(alpha + mu) k**(-(nu/k + 1/2)) times
+    (2/3)**(2 (alpha + mu)) in theorem1, or (2/3)**(2 (alpha + lam)) and
+    w = (16/81) z in theorem2.  A negative y needs an integer lam.
     """
     with mp.workdps(80):
         alpha, mu, nu, c, k, y = (mp.mpf(v) for v in (alpha, mu, nu, c, k, y))
         nuk = nu / k
+        lam = nuk + 1
         half = mp.mpf(1) / 2
-        third = 2 * alpha + mu + nuk + 1
-        z = -c * y * y / (4 * k)
+        third = 2 * alpha + mu + nuk + (1 if corrected else 0)
+        w = -c * y * y / (4 * k)
+        front = mp.gamma(alpha + mu) * k ** -(nuk + (half if corrected else 0))
+        if which == "theorem1":
+            front *= (mp.mpf(2) / 3) ** (2 * (alpha + mu))
+        elif corrected:
+            front *= (mp.mpf(2) / 3) ** (2 * (alpha + lam))
+            w *= mp.mpf(16) / 81
+        else:
+            front *= (mp.mpf(2) / 3) ** (2 * alpha) * mp.mpf(3) ** -(2 * nuk + 2)
         total, m = mp.mpf(0), 0
         while True:
-            term = mp.gamma(alpha + nuk + 1 + 2 * m) * z**m / (
+            term = mp.gamma(alpha + nuk + 1 + 2 * m) * w**m / (
                 mp.gamma(nuk + 3 * half + m) * mp.gamma(3 * half + m) * mp.gamma(third + 2 * m)
             )
             total += term
             m += 1
-            if m > 5 and abs(term) < abs(total) * mp.mpf(10) ** -40:
+            if m > 5 and abs(term) <= abs(total) * mp.mpf(10) ** -40:
                 break
-        front = mp.gamma(alpha + mu) * k ** -(nuk + half) * (mp.mpf(2) / 3) ** (2 * (alpha + mu))
-        return +(front * (y / 2) ** (nuk + 1) * total)
+        if y < 0:
+            assert lam == int(lam), "a negative y needs an integer lam"
+            power = (-1) ** int(lam) * (-y / 2) ** lam
+        else:
+            power = (y / 2) ** lam
+        return +(front * power * total)

@@ -12,6 +12,7 @@ from kstruve import (
     IDENTITIES,
     ConvergenceError,
     DomainError,
+    PoleError,
     TheoremParams,
     Verdict,
     convergence_index,
@@ -29,7 +30,7 @@ from kstruve.gamma import log_k_gamma
 from kstruve.identities import _wright_tail
 from kstruve.report import emit_csv, emit_json, emit_table, record
 from kstruve.results import QuadratureResult
-from oracles import mp_theorem1_corrected
+from oracles import mp_closed_form
 
 BASE = TheoremParams(alpha=1.0, mu=0.5, nu=2.0, c=1.0, k=1.0, y=1.0)
 # tolerances that integrate refuses; the identity entries refuse them before any work
@@ -204,6 +205,51 @@ class TestRhs:
         # the series tolerance max(tol, 4 lead_error) must not hide a bad tol
         with pytest.raises(DomainError, match=TOL_MESSAGE):
             rhs("theorem1", TheoremParams(1.0, 0.5, 2.0), corrected, tol=tol)
+
+    def test_every_form_verify_returns_holds_against_mpmath(self):
+        # a seeded draw of both theorems: c = +1 at y in [20, 40] (the
+        # fixed-point regime), c < 0, c = 0 (z = 0) and y < 0 with an integer
+        # lam.  verify at tol 1e-11 sums each series to 1e-12
+        mp = pytest.importorskip("mpmath")
+        rng = random.Random(24)
+        points = []
+        for which in ("theorem1", "theorem2"):
+            for _ in range(2):
+                points.append((which, (rng.uniform(0.5, 2.0), rng.uniform(0.25, 1.0),
+                                       rng.uniform(2.0, 3.0), 1.0, rng.choice((0.5, 1.0)),
+                                       rng.uniform(20.0, 40.0))))
+            for _ in range(2):
+                points.append((which, (rng.uniform(0.5, 2.5), rng.uniform(0.1, 1.1),
+                                       rng.uniform(1.8, 3.2), -rng.uniform(0.5, 2.0),
+                                       rng.choice((0.5, 1.0, 2.0)), rng.uniform(0.5, 5.0))))
+            points.append((which, (rng.uniform(0.5, 2.5), rng.uniform(0.1, 1.1),
+                                   rng.uniform(1.8, 3.2), 0.0, rng.choice((0.5, 1.0, 2.0)),
+                                   rng.uniform(0.5, 5.0))))
+            k = rng.choice((0.5, 1.0))
+            points.append((which, (rng.uniform(0.5, 2.5), rng.uniform(0.1, 1.1),
+                                   k * rng.choice((2, 3, 4)), rng.choice((-1.0, 1.0)), k,
+                                   -rng.uniform(0.5, 5.0))))
+        for which, point in points:
+            p = TheoremParams(*point)
+            report = verify(which, p, tol=1e-11, strict=False)
+            forms = {False: report.rhs_paper, True: report.rhs_corrected}
+            for corrected, value in forms.items():
+                reference = mp_closed_form(mp, which, corrected, *point)
+                assert abs(mp.mpf(value) - reference) <= 1e-12 * abs(reference), (which, p, corrected)
+                # rhs returns the same form, to the bit
+                assert rhs(which, p, corrected, tol=1e-12) == value
+
+    def test_a_pole_of_the_printed_form_leaves_the_corrected_form(self):
+        # 2 alpha + mu + nu/k = 0: the printed series' third lower gamma has a
+        # pole at m = 0, while the corrected one starts at Gamma(1)
+        mp = pytest.importorskip("mpmath")
+        point = (0.5, 1.0, -3.0, 1.0, 1.5, 1.0)
+        for which in ("theorem1", "theorem2"):
+            with pytest.raises(PoleError):
+                rhs(which, TheoremParams(*point), corrected=False)
+            value = rhs(which, TheoremParams(*point))
+            reference = mp_closed_form(mp, which, True, *point)
+            assert abs(mp.mpf(value) - reference) <= 1e-12 * abs(reference)
 
     def test_wright_spec_is_entire(self):
         # every 2Psi3 tail the engine builds has convergence index 1
@@ -419,11 +465,11 @@ def _leading_term_in_range(params, w):
 
 
 class TestWorkPerPoint:
-    """One quadrature and one Fox-Wright sum per closed form, at any scale."""
+    """One quadrature and one Fox-Wright pass for both closed forms, at any scale."""
 
     @pytest.mark.parametrize("which", ["theorem1", "theorem2"])
-    def test_verify_integrates_once_and_sums_twice(self, which, monkeypatch):
-        calls = {"integrate": 0, "wright_eval": 0}
+    def test_verify_integrates_once_and_sums_both_forms_in_one_pass(self, which, monkeypatch):
+        calls = {"integrate": 0, "wright_pair": 0, "wright_eval": 0}
         for name in calls:
             original = getattr(identities, name)
 
@@ -436,7 +482,7 @@ class TestWorkPerPoint:
         report = verify(which, p)
         assert report.verdict is Verdict.CONFIRMED_CORRECTED
         assert 0.0 < abs(report.lhs_value) < 0.5  # below unit scale: relative != absolute
-        assert calls == {"integrate": 1, "wright_eval": 2}
+        assert calls == {"integrate": 1, "wright_pair": 1, "wright_eval": 0}
 
     # integrand evaluations at the first default point before the exact-ratio
     # series evaluators; the new ones may use no more
@@ -625,12 +671,15 @@ PINNED_LHS = [
     ("theorem2", (1.0, 0.25, 2.0, 1.0, 1.0, 20.0), "fixed-point",
      ("0x1.54aa8e5eab1f4p-2", "0x1.bb2dad4462592p-41", 90, "0x1.54aa8e5eab1f4p-2")),
 ]
-# rhs(which, p, corrected) at the PINNED_LHS points: (as printed, corrected)
+# rhs(which, p, corrected) at the PINNED_LHS points: (as printed, corrected).
+# The corrected values were re-recorded when both forms came from one pass
+# (the corrected sum as the printed one's companion): they moved by 4, 4,
+# 13 and 3 ulps
 PINNED_RHS = [
-    ("0x1.449f13279dc01p-15", "0x1.fe4294747812ep-12"),
-    ("0x1.1e807b0f263c8p-7", "0x1.cb849a930a31ep-10"),
-    ("0x1.bbe0e4ceadf81p-1", "0x1.be9f5c3b88918p-3"),
-    ("0x1.12bbdf98a78cdp-9", "0x1.54aa8e5eab2b2p-2"),
+    ("0x1.449f13279dc01p-15", "0x1.fe4294747812ap-12"),
+    ("0x1.1e807b0f263c8p-7", "0x1.cb849a930a31ap-10"),
+    ("0x1.bbe0e4ceadf81p-1", "0x1.be9f5c3b8890bp-3"),
+    ("0x1.12bbdf98a78cdp-9", "0x1.54aa8e5eab2afp-2"),
 ]
 
 
@@ -789,7 +838,9 @@ class TestVerdictTable:
         value = 0.25
         self._patch_integrate(monkeypatch, value, estimate, converged)
         ratios = {False: paper, True: corrected}
-        monkeypatch.setattr(identities, "rhs", lambda which, p, corrected, tol: value * ratios[corrected])
+        monkeypatch.setattr(
+            identities, "_closed_forms", lambda which, p, tol, forms: [value * ratios[c] for c in forms]
+        )
         report = verify("theorem1", BASE, threshold=1e-6)
         assert report.verdict is verdict
         assert report.lhs_value == value
@@ -894,6 +945,6 @@ class TestVerdictTable:
         ((_, rep),) = verify_grid("theorem1", [TheoremParams(*point)], strict=False)
         assert rep.verdict is Verdict.CONFIRMED_CORRECTED
         assert abs(rep.lhs_value) < 1e-279
-        reference = mp_theorem1_corrected(mp, *point)
+        reference = mp_closed_form(mp, "theorem1", True, *point)
         assert abs(mp.mpf(rep.lhs_value) - reference) <= rep.lhs_error_estimate
         assert rep.lhs_error_estimate <= 1e-10 * abs(rep.lhs_value)

@@ -251,3 +251,77 @@ PINNED = [
 def test_integer_slope_results_are_bit_identical(upper, lower, z, value, bound, terms):
     res = wright_eval(WrightSpec(upper=upper, lower=lower), z, tol=1e-12)
     assert (res.value.hex(), res.error_bound.hex(), res.terms_used) == (value, bound, terms)
+
+
+def _mp_pair(mp, spec, z, scale):
+    """The sums of spec at z and of its companion (last lower pair (b, beta) -> (b + 1, beta)) at scale z, in mpmath."""
+    b, beta = (mp.mpf(v) for v in spec.lower[-1])
+    z, scale = mp.mpf(z), mp.mpf(scale)
+    with mp.workdps(60 + int(3.0 * math.sqrt(abs(float(z))) / 2.3)):
+        total = companion = mp.mpf(0)
+        m = 0
+        while True:
+            term = z**m / mp.factorial(m)
+            for a, al in spec.upper:
+                term *= mp.gamma(mp.mpf(a) + mp.mpf(al) * m)
+            for c, be in spec.lower:
+                term /= mp.gamma(mp.mpf(c) + mp.mpf(be) * m)
+            total += term
+            companion += term * scale**m / (b + beta * m)
+            m += 1
+            if m > 10 and abs(term) < min(abs(total), abs(companion)) * mp.mpf(10) ** -40:
+                return +total, +companion
+
+
+@pytest.mark.parametrize("scale", [1.0, 16.0 / 81.0])
+def test_pair_sums_hold_against_mpmath_and_the_printed_sum_is_wright_evals(scale, monkeypatch):
+    """Both sums of wright_pair at seeded theorem specs, in the double loop and in fixed point.
+
+    z runs from the double loop (-0.5, 3) through the fixed-point pass after
+    it (-100) to the direct fixed-point route of a large peak (-400).
+    """
+    mp = pytest.importorskip("mpmath")
+    from kstruve import wright as wright_module
+    from kstruve.identities import TheoremParams, _wright_tail
+
+    fixed = []  # per fixed-point pass: whether it summed the companion
+    original = wright_module._fixed
+    monkeypatch.setattr(
+        wright_module, "_fixed",
+        lambda plan, *args: fixed.append(plan is not spec._plan) or original(plan, *args),
+    )
+    rng = random.Random(24)
+    for _ in range(4):
+        p = TheoremParams(
+            alpha=rng.uniform(0.3, 3.0), mu=rng.uniform(0.1, 1.5), nu=rng.uniform(1.6, 4.0),
+            k=rng.choice([0.5, 1.0, 2.0]),
+        )
+        spec = _wright_tail(p)
+        for z in (-0.5, 3.0, -100.0, -400.0):
+            exact = _mp_pair(mp, spec, z, scale)
+            for tol in (1e-8, 1e-11):
+                pair = wright_module.wright_pair(spec, z, tol, scale)
+                assert pair[0] == wright_eval(spec, z, tol)
+                for res, reference in zip(pair, exact):
+                    error = abs(mp.mpf(res.value) - reference)
+                    assert error <= res.error_bound <= tol * abs(res.value), (p, z, tol, res)
+    # both sums reached the fixed-point pass, the companion on its own table
+    assert set(fixed) == {False, True}
+
+
+def test_pair_declines_where_wright_eval_serves_each_form():
+    from kstruve.wright import wright_pair
+
+    # a slope that is not an integer: the log path
+    assert wright_pair(WrightSpec(upper=[(1.0, 0.5)], lower=[(1.5, 1.0)]), -1.0, 1e-10, 1.0) is None
+    # a first term outside e**-700 to e**700: the log path as well
+    assert wright_pair(WrightSpec(upper=[(1.0, 1.0)], lower=[(400.0, 1.0)]), -1.0, 1e-10, 1.0) is None
+    # a z that wright_eval refuses, and a pole of the spec
+    spec = WrightSpec(upper=[(1.0, 1.0)], lower=[(1.5, 1.0), (2.5, 2.0)])
+    assert wright_pair(spec, math.inf, 1e-10, 1.0) is None
+    assert wright_pair(WrightSpec(upper=[(1.0, 1.0)], lower=[(-2.0, 2.0)]), -1.0, 1e-10, 1.0) is None
+    # a spec without lower pairs has no companion
+    assert wright_pair(WrightSpec(upper=[(1.0, 1.0)], lower=[]), -1.0, 1e-10, 1.0) is None
+    pair = wright_pair(spec, 0.0, 1e-10, 1.0)
+    assert pair[0] == wright_eval(spec, 0.0, 1e-10)
+    assert pair[1].value == pair[0].value / 2.5 and pair[1].terms_used == 1
