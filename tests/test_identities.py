@@ -467,8 +467,9 @@ def _leading_term_in_range(params, w):
 class TestWorkPerPoint:
     """One quadrature and one Fox-Wright pass for both closed forms, at any scale."""
 
+    # both closed forms are summed, in one wright_pair pass
     @pytest.mark.parametrize("which", ["theorem1", "theorem2"])
-    def test_verify_integrates_once_and_sums_both_forms_in_one_pass(self, which, monkeypatch):
+    def test_verify_integrates_once_and_sums_twice(self, which, monkeypatch):
         calls = {"integrate": 0, "wright_pair": 0, "wright_eval": 0}
         for name in calls:
             original = getattr(identities, name)
