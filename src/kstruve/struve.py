@@ -218,9 +218,9 @@ def k_struve(params: StruveParams, x: float, tol: float = 1e-12) -> EvaluationRe
     polynomial's degree plus one.  The ``error_bound`` covers the truncated
     tail and every rounding, and is at most ``tol * |value|`` before
     (terms + 2) * 2**-1074 is added for results below the normal range.  Raises
-    ConvergenceError when tol is below the accuracy of the leading term,
-    when the leading term overflows, and when no polynomial of degree up to
-    500 meets tol.
+    ConvergenceError when tol is below the accuracy of the leading term that
+    the polynomial took at x, when the leading term overflows, and when no
+    polynomial of degree up to 500 meets tol.
     """
     require_tol(tol)
     if not math.isfinite(x):
@@ -244,10 +244,12 @@ def k_struve(params: StruveParams, x: float, tol: float = 1e-12) -> EvaluationRe
     out = evaluate and evaluate(x)
     if out:
         return EvaluationResult(*out, evaluate.degree + 1)
-    if consts.lead_err + 3.0 * UNIT > 0.5 * tol:
+    # the error of the leading term the evaluator took at x
+    lead_err = evaluate.lead_err if evaluate else consts.lead_err
+    if lead_err + 3.0 * UNIT > 0.5 * tol:
         raise ConvergenceError(
             f"k-Struve series at x={x}: tol={tol} is below the accuracy of the leading term "
-            f"(relative error {consts.lead_err:.2e})"
+            f"(relative error {lead_err:.2e})"
         )
     raise ConvergenceError(
         f"k-Struve series at x={x}: needed more than {_MAX_TERMS} terms, or more bits than "
@@ -267,8 +269,10 @@ def k_struve_poly(params: StruveParams, xmax: float, tol: float):
     added for values below the normal range, or None when |x| is not in
     (0, xmax] or when that bound fails.  A negative x takes the value at -x
     times (-1)**(nu/k + 1), and None when that power is fractional.
-    ``evaluate.degree`` is the largest degree it holds.  k_struve_poly
-    itself returns None when no degree up to 500 serves.
+    ``evaluate.degree`` is the largest degree it holds, and
+    ``evaluate.lead_err`` the relative error of its leading term at xmax
+    (the inline term's, until it takes that term from its logarithm).
+    k_struve_poly itself returns None when no degree up to 500 serves.
 
     ``evaluate`` computes the leading term once, inline as (x/2)**power *
     scale0 with the exact-power correction.  Where that leaves
@@ -339,6 +343,7 @@ def k_struve_poly(params: StruveParams, xmax: float, tol: float):
                 lead_err += t * t + 3.0 * UNIT * abs(t)
         elif x == xmax:
             lead, lead_err, scale = _lead(params, x)
+            evaluate.lead_err = lead_err
             fits = False
         elif x < 0.0 and flip:
             out = evaluate(-x)
@@ -402,6 +407,7 @@ def k_struve_poly(params: StruveParams, xmax: float, tol: float):
         return None
 
     evaluate.degree = degree
+    evaluate.lead_err = lead_err0
     return evaluate
 
 

@@ -16,6 +16,9 @@ its last lower parameter raised by 1 at a scaled argument, whose terms are
 the spec's own times a short factor: one plan and one double loop serve
 both, each sum with its own stopping test and bound.  The closed forms of
 the identities are such a pair (the printed form and the corrected one).
+Both entries run every integer-slope sum through one driver, with one set
+of refusals and one routing decision per pass, the peak screen of the
+spec's plan.
 """
 
 from __future__ import annotations
@@ -108,22 +111,15 @@ def _log_term(spec: WrightSpec, m: int) -> tuple[float, float, float]:
     log_mag = 0.0
     sign = 1.0
     size = 0.0
-    for a, al in spec.upper:
-        arg = a + al * m
-        if _near_nonpositive_integer(arg):
-            raise PoleError(f"upper gamma argument {arg} at term {m} hits a pole")
-        lg, s = log_abs_gamma(arg)
-        log_mag += lg
-        size += abs(lg)
-        sign *= s
-    for b, be in spec.lower:
-        arg = b + be * m
-        if _near_nonpositive_integer(arg):
-            raise PoleError(f"lower gamma argument {arg} at term {m} hits a pole")
-        lg, s = log_abs_gamma(arg)
-        log_mag -= lg
-        size += abs(lg)
-        sign *= s
+    for side, where, pairs in ((1.0, "upper", spec.upper), (-1.0, "lower", spec.lower)):
+        for a, al in pairs:
+            arg = a + al * m
+            if _near_nonpositive_integer(arg):
+                raise PoleError(f"{where} gamma argument {arg} at term {m} hits a pole")
+            lg, s = log_abs_gamma(arg)
+            log_mag += side * lg
+            size += abs(lg)
+            sign *= s
     return log_mag, sign, size
 
 
@@ -297,9 +293,18 @@ def wright_eval(spec: WrightSpec, z: float, tol: float = 1e-12) -> EvaluationRes
     1, and a rounding bound the rule cannot absorb raises ConvergenceError
     naming the cancellation.
     ConvergenceError is also raised if delta <= -1 (outside the entire
-    regime) or if 1000 terms do not suffice.
+    regime), if a term or the sum leaves the double range, or if 1000 terms
+    do not suffice.
     """
     require_tol(tol)
+    _refuse(spec, z)
+    if _integer_slopes(spec) and spec._plan.lead != 0.0:
+        return _ratio_sums(spec, z, tol)[0]
+    return _log_sum(spec, z, tol)
+
+
+def _refuse(spec: WrightSpec, z: float) -> None:
+    """Refuse, for every sum, a z that is not finite (DomainError) and delta <= -1 (ConvergenceError)."""
     if not math.isfinite(z):
         raise DomainError(f"need finite z, got z={z!r}")
     delta = convergence_index(spec)
@@ -307,11 +312,33 @@ def wright_eval(spec: WrightSpec, z: float, tol: float = 1e-12) -> EvaluationRes
         raise ConvergenceError(
             f"convergence index {delta} <= -1: series is not entire, refusing to sum"
         )
-    if _integer_slopes(spec):
-        plan = spec._plan
-        if plan.lead != 0.0:
-            return _ratio_sum(plan, z, tol)
-    return _log_sum(spec, z, tol)
+
+
+def _ratio_sums(spec: WrightSpec, z: float, tol: float, companion=None) -> tuple:
+    """Spec's sum at z by its exact term ratio, and with a :class:`_Companion` that sum too.
+
+    Returns (spec's sum, the companion's sum or None) as EvaluationResults.
+    z = 0 leaves the first terms.  For z < 0 the peak screen of spec's plan
+    (:func:`_peak_bits`) is the one routing decision: where it rules out
+    doubles, both sums go to :func:`_fixed` with its cond bits.  Otherwise
+    :func:`_double` runs both in one pass, and a sum whose rounding cannot
+    fit goes to :func:`_fixed` with the cond bits it measured.  The
+    companion's :class:`_Plan` is built only for its fixed-point table.
+    """
+    plan = spec._plan
+    if z == 0.0:
+        second = companion and _lead_only(companion.lead, companion.lead_err)
+        return _lead_only(plan.lead, plan.lead_err), second
+    try:
+        bits = _peak_bits(plan, z, tol) if z < 0.0 else 0
+        printed, second = (bits, companion and bits) if bits else _double(plan, z, tol, companion)
+        if not isinstance(printed, EvaluationResult):
+            printed = _fixed(plan, z, tol, printed)
+        if companion and not isinstance(second, EvaluationResult):
+            second = _fixed(_Plan(spec, companion), z, companion.tol, second)
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"Fox-Wright series at z={z}: {exc}") from None
+    return printed, second
 
 
 def _peak_bits(plan: _Plan, z: float, tol: float) -> int:
@@ -342,19 +369,6 @@ def _lead_only(lead: float, lead_err: float) -> EvaluationResult:
     return EvaluationResult(lead, abs(lead) * lead_err + 3.0 * SUBNORMAL_ULP, 1)
 
 
-def _ratio_sum(plan: _Plan, z: float, tol: float) -> EvaluationResult:
-    """Integer-slope series by its exact term ratio, in doubles or fixed point."""
-    if z == 0.0:
-        return _lead_only(plan.lead, plan.lead_err)
-    try:
-        out = _peak_bits(plan, z, tol) if z < 0.0 else 0
-        if not out:
-            out = _double(plan, z, tol)[0]
-        return out if isinstance(out, EvaluationResult) else _fixed(plan, z, tol, out)
-    except ConvergenceError as exc:
-        raise ConvergenceError(f"Fox-Wright series at z={z}: {exc}") from None
-
-
 class _Companion:
     """The second sum of :func:`wright_pair`, run on the printed spec's plan.
 
@@ -381,52 +395,34 @@ def wright_pair(
     The companion is spec with its last lower pair (b, beta) moved to
     (b + 1, beta).  Since Gamma(b + 1 + beta m) = (b + beta m) Gamma(b + beta m),
     its terms are t_m scale**m / (b + beta m), with t_m the terms of spec, so
-    it runs in the double loop of :func:`wright_eval` as a second
-    accumulator on spec's plan, with its own stopping test and bound.  Each
-    sum runs to tol, raised to 4 times its first term's relative error where
-    tol is below that, and has the certified bound of :func:`wright_eval`;
-    spec's sum is the one ``wright_eval`` returns at that tol, to the bit.
-    A sum whose rounding cannot fit, or whose peak screen rules out doubles,
-    goes to the fixed-point pass alone; the companion's integer table is
-    built only then.
+    it runs through the driver of :func:`wright_eval` (:func:`_ratio_sums`)
+    as a second accumulator on spec's plan, with its own stopping test and
+    bound.  Each sum runs to tol, raised to 4 times its first term's
+    relative error where tol is below that, and has the certified bound of
+    :func:`wright_eval`; spec's sum is the one ``wright_eval`` returns at
+    that tol, to the bit.  The printed sum's peak screen routes both sums:
+    where it rules out doubles, the companion goes to the fixed-point pass
+    with the same cond bits.
 
     None where wright_eval must serve them one by one: where it takes its
     log path (a slope that is not an integer up to 64, or a first term of
     either sum outside e**-700 to e**700), refuses z or the spec, or where
-    either sum raises ConvergenceError.  ``scale`` is a positive double.
+    either sum raises a package error.  ``scale`` is a positive double.
     """
-    if not (spec.lower and math.isfinite(z) and _integer_slopes(spec)):
-        return None
-    if convergence_index(spec) <= -1.0:
+    if not (spec.lower and _integer_slopes(spec)):
         return None
     try:
+        _refuse(spec, z)
         plan = spec._plan
+        b, beta = spec.lower[-1]
+        lead, lead_err = plan.lead / b, plan.lead_err + 2.0 * UNIT
+        if not _LEAD_MIN < abs(lead) < _LEAD_MAX:
+            return None
+        tail_start = max(plan.tail_start, _first_positive([(beta, b)]))
+        companion = _Companion(b, beta, scale, lead, lead_err, max(tol, 4.0 * lead_err), tail_start)
+        return _ratio_sums(spec, z, max(tol, 4.0 * plan.lead_err), companion)
     except KStruveError:
         return None
-    b, beta = spec.lower[-1]
-    lead, lead_err = plan.lead / b, plan.lead_err + 2.0 * UNIT
-    if not _LEAD_MIN < abs(lead) < _LEAD_MAX:
-        return None
-    tail_start = max(plan.tail_start, _first_positive([(beta, b)]))
-    companion = _Companion(b, beta, scale, lead, lead_err, max(tol, 4.0 * lead_err), tail_start)
-    tol = max(tol, 4.0 * plan.lead_err)
-    if z == 0.0:
-        return _lead_only(plan.lead, plan.lead_err), _lead_only(lead, lead_err)
-    companion_plan = None
-    try:
-        outcomes = [_peak_bits(plan, z, tol) if z < 0.0 else 0, 0]
-        if outcomes[0]:
-            # the companion's peak is near spec's: screen it too
-            companion_plan = _Plan(spec, companion)
-            outcomes[1] = _peak_bits(companion_plan, scale * z, companion.tol)
-        printed, second = _double(plan, z, tol, companion, [bits or None for bits in outcomes])
-        if not isinstance(printed, EvaluationResult):
-            printed = _fixed(plan, z, tol, printed)
-        if not isinstance(second, EvaluationResult):
-            second = _fixed(companion_plan or _Plan(spec, companion), z, companion.tol, second)
-    except ConvergenceError:
-        return None
-    return printed, second
 
 
 def _settle(term, total, comp, mags, rho, m, lead_err, step_ulps, tol):
@@ -435,12 +431,16 @@ def _settle(term, total, comp, mags, rho, m, lead_err, step_ulps, tol):
     term is t_{m+1} and total the Kahan sum of t_0 ... t_m (carry comp),
     mags the sum of their magnitudes.  Returns the EvaluationResult once the
     next term, added as well, leaves a tail and a rounding that fit
-    tol * |sum|; None while the sum goes on; and the cond bits, about
-    log2(sum |t_m| / |sum t_m|), once the rounding alone cannot fit.
+    tol * |sum|; else None while the rounding alone fits half of it, so
+    the sum goes on; and the cond bits, about log2(sum |t_m| / |sum t_m|),
+    once it cannot.  ConvergenceError once the sum or the sum of the
+    magnitudes has left the double range.
     """
     # each t_j, j <= m, carries at most m * step_ulps and the leading
     # term's error; Kahan summation adds 2
     rounding = UNIT * (step_ulps * m + 2.0) * mags + lead_err * abs(total)
+    if not math.isfinite(rounding):  # inf or nan once the terms' sum overflowed
+        raise ConvergenceError(f"the sum overflowed at m={m}")
     reach = abs(total) + abs(term) / (1.0 - rho)  # bounds |sum| from here on
     if abs(term) <= (1.0 - rho) * tol * abs(total):
         # the next term and all after it are within tol: add it as well,
@@ -452,13 +452,13 @@ def _settle(term, total, comp, mags, rho, m, lead_err, step_ulps, tol):
         rounding = UNIT * (step_ulps * (m + 1) + 2.0) * mags + lead_err * abs(total)
         if bound + rounding <= tol * abs(total):
             return EvaluationResult(total, bound + rounding + (m + 4) * SUBNORMAL_ULP, m + 2)
-    elif rounding <= 0.5 * tol * reach:
+    if rounding <= 0.5 * tol * reach:
         return None
     # the rounding cannot fit under tol * |value| any more
     return math.ceil(math.log2(mags / abs(total))) if total else 0
 
 
-def _double(plan: _Plan, z: float, tol: float, companion=None, preset=(None, None)) -> tuple:
+def _double(plan: _Plan, z: float, tol: float, companion=None) -> tuple:
     """t_0 * sum_m t_m / t_0 in doubles, and with a :class:`_Companion` that sum too, in one pass.
 
     The ratio magnitude rho is non-increasing from ``plan.tail_start`` on.
@@ -467,8 +467,8 @@ def _double(plan: _Plan, z: float, tol: float, companion=None, preset=(None, Non
     roundings more.  Each sum stops by :func:`_settle`.  Returns the
     (printed, companion) outcomes: an EvaluationResult, or the cond bits
     with which that sum goes to :func:`_fixed`; the companion's is None
-    without one.  An outcome in ``preset`` leaves its sum out of the loop.
-    ConvergenceError if a term overflows or 1000 terms do not suffice.
+    without one.  ConvergenceError if a term or a sum overflows or 1000
+    terms do not suffice.
     """
     lead, lead_err, step_ulps = plan.lead, plan.lead_err, plan.step_ulps
     num_forms, den_forms, tail_start = plan.num_forms, plan.den_forms, plan.tail_start
@@ -476,8 +476,8 @@ def _double(plan: _Plan, z: float, tol: float, companion=None, preset=(None, Non
     total = 0.0
     comp = 0.0  # Kahan carry
     mags = 0.0  # sum of |t_m|
-    done, done_c = preset
-    running_c = companion is not None and done_c is None
+    done = done_c = None
+    running_c = companion is not None
     if running_c:
         b, beta, scale, term_c = companion.b, companion.beta, companion.scale, companion.lead
         lead_err_c, tol_c, tail_c = companion.lead_err, companion.tol, companion.tail_start
@@ -591,7 +591,7 @@ def _log_sum(spec: WrightSpec, z: float, tol: float) -> EvaluationResult:
     comp = 0.0
     previous, previous_err = term_value(0)
     if z == 0.0:
-        return EvaluationResult(previous, abs(previous) * previous_err + 3.0 * SUBNORMAL_ULP, 1)
+        return _lead_only(previous, previous_err)
     mags = 0.0
     rounding = 0.0
     ratios: list[float] = []

@@ -757,6 +757,20 @@ class TestVerifyGrid:
         assert rep.verdict is Verdict.INCONCLUSIVE
         assert rep.error.startswith("ConvergenceError") and reason in rep.error
 
+    def test_a_node_below_its_leading_terms_accuracy_names_that_term(self):
+        # a node near w = 0 whose k-Struve value sits near the bottom of the
+        # normal range: its leading term, from its logarithm, is accurate to
+        # 3.9e-13 only, above half the series tol
+        point = TheoremParams(
+            0.6411950629095238, 0.6870910044275164, 2.9097040631431024, 1.0, 0.5, 20.749913168839697
+        )
+        ((_, rep),) = verify_grid("theorem1", [point], tol=1e-11)
+        assert rep.verdict is Verdict.INCONCLUSIVE
+        assert rep.error.startswith("ConvergenceError: k-Struve series at x=1.1254819742927913e-44")
+        assert rep.error.endswith("below the accuracy of the leading term (relative error 3.92e-13)")
+        ((_, rep),) = verify_grid("theorem1", [point], tol=1e-10)
+        assert rep.verdict is Verdict.CONFIRMED_CORRECTED
+
 
 class TestDefaultGrid:
     def test_identities_tuple(self):

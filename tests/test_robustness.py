@@ -60,6 +60,8 @@ REPRODUCERS = [
         id="wright-log-term",
     ),
     pytest.param(lambda: integrate(lambda x, omx: 1.0, 1e-10, weight=(1.0,)), id="integrate-one-weight"),
+    # every term of e**710 is finite, but their sum is not
+    pytest.param(lambda: wright_eval(WrightSpec([], []), 710.0), id="wright-sum-overflow"),
 ]
 
 

@@ -224,6 +224,19 @@ class TestSeriesBehavior:
             k_struve(StruveParams(nu=0.0, c=1.0, k=1.0), 1e8)
         assert time.perf_counter() - start < 1.0
 
+    def test_a_leading_term_taken_from_its_logarithm_reports_its_own_error(self):
+        # near the bottom of the normal range the evaluator takes the term from
+        # its logarithm (struve._lead), whose error at this x exceeds tol / 2
+        # although the coefficient's own error does not
+        params = StruveParams(2.9097040631431024, 1.0, 0.5)
+        x = 1.1254819742927913e-44
+        assert params.lead_error < 0.5e-13
+        message = r"tol=1e-13 is below the accuracy of the leading term \(relative error 3.92e-13\)"
+        with pytest.raises(ConvergenceError, match=message):
+            k_struve(params, x, tol=1e-13)
+        res = k_struve(params, x, tol=1e-12)
+        assert res.terms_used == 1 and res.error_bound <= 1e-12 * res.value
+
     def test_bad_tol_rejected(self):
         with pytest.raises(DomainError):
             struve_h(0.0, 1.0, tol=0.0)

@@ -325,3 +325,57 @@ def test_pair_declines_where_wright_eval_serves_each_form():
     pair = wright_pair(spec, 0.0, 1e-10, 1.0)
     assert pair[0] == wright_eval(spec, 0.0, 1e-10)
     assert pair[1].value == pair[0].value / 2.5 and pair[1].terms_used == 1
+
+
+# e**z = 0Psi0(z), and 1Psi1((1, 1); (1.5, 1)) = 1F1(1; 3/2; z) / Gamma(3/2)
+ALL_POSITIVE = [
+    pytest.param(WrightSpec([], []), z, id=f"exp-{z:g}") for z in (650.0, 680.0, 700.0)
+] + [
+    pytest.param(WrightSpec([(1.0, 1.0)], [(1.5, 1.0)]), z, id=f"1psi1-{z:g}") for z in (640.0, 660.0, 690.0)
+]
+
+
+@pytest.mark.parametrize("spec, z", ALL_POSITIVE)
+def test_all_positive_sums_near_the_top_of_the_double_range_finish_in_doubles(spec, z):
+    # the next term passes the (1 - rho) tol test before its tail bound fits:
+    # the sum goes on in doubles, where the fixed-point tail test (a ratio of
+    # at most 1/4) would need more than 1000 terms
+    res = wright_eval(spec, z, tol=1e-12)
+    if spec.upper:
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            exact = float(mp.hyp1f1(1, 1.5, z) / mp.gamma(1.5))
+    else:
+        exact = math.exp(z)
+    assert res.error_bound <= 1e-12 * res.value
+    assert abs(res.value - exact) <= res.error_bound + 2.0 * math.ulp(exact)
+
+
+def test_a_sum_that_leaves_the_double_range_raises():
+    # every term of e**710 is finite, but their sum is not
+    with pytest.raises(ConvergenceError, match=r"at z=710.0: the sum overflowed at m=\d+"):
+        wright_eval(WrightSpec([], []), 710.0)
+
+
+def test_the_printed_peak_screen_routes_both_sums_of_a_pair(monkeypatch):
+    """At z = -400 a theorem2 pair makes one peak screen, and both sums go to the fixed-point pass."""
+    from kstruve import wright as wright_module
+    from kstruve.identities import TheoremParams, _wright_tail
+
+    spec = _wright_tail(TheoremParams(alpha=1.0, mu=0.5, nu=2.0, k=1.0))
+    calls = {"_peak_bits": [], "_double": [], "_fixed": []}
+    for name, log in calls.items():
+        original = getattr(wright_module, name)
+        monkeypatch.setattr(
+            wright_module, name, lambda *args, o=original, log=log: log.append(args) or o(*args)
+        )
+    printed, companion = wright_module.wright_pair(spec, -400.0, 1e-12, 16.0 / 81.0)
+    assert len(calls["_peak_bits"]) == 1 and not calls["_double"]
+    # the companion runs on its own plan with the printed sum's cond bits
+    (plan, *_, printed_bits), (companion_plan, *_, companion_bits) = calls["_fixed"]
+    assert plan is spec._plan and companion_plan is not spec._plan
+    assert printed_bits == companion_bits > 0
+    assert printed == wright_eval(spec, -400.0, 1e-12)
+    mp = pytest.importorskip("mpmath")
+    reference = _mp_pair(mp, spec, -400.0, 16.0 / 81.0)[1]
+    assert abs(mp.mpf(companion.value) - reference) <= companion.error_bound <= 1e-12 * abs(companion.value)
