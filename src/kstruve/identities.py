@@ -35,7 +35,7 @@ from collections.abc import Iterable
 
 from .errors import ConvergenceError, DomainError, KStruveError
 from .fixedpoint import UNIT
-from .gamma import log_gamma
+from .gamma import _MIN_NORMAL, log_gamma
 from .quadrature import integrate
 from .results import IdentityReport, QuadratureResult, Verdict, require_normal, require_tol
 from .struve import StruveParams, k_struve, k_struve_poly
@@ -146,10 +146,13 @@ def rhs(which: str, p: TheoremParams, corrected: bool = True, tol: float = 1e-12
     the same tol this form is the one :func:`verify` reports, to the bit.
     Raises ConvergenceError when (y/2)**lam, the gamma prefactor, the
     Fox-Wright sum or their product is not a normal double; only y = 0
-    gives an exact 0.0.
+    gives an exact 0.0.  A k that is not positive raises DomainError, as in
+    :func:`lhs`.
     """
     require_tol(tol)
     which, p = _resolve(which, p)
+    if p.k <= 0.0:
+        raise DomainError(f"k must be positive, got k={p.k}")
     return _closed_forms(which, p, tol, (bool(corrected),))[0]
 
 
@@ -225,16 +228,20 @@ def _integrand(which: str, p: TheoremParams, tol: float):
     """(f, series_tol): the weight times S(w) of theorem ``which`` (module docstring).
 
     |w| is at most |y| in theorem1 and 4|y|/9 in theorem2.  The point's
-    k-Struve polynomial (:func:`k_struve_poly`) is built once for that range,
-    and f calls :func:`k_struve` only where it returns None: at w = 0, and
-    where the leading term is outside (1e-300, 1e300) or |w|/2 below the
-    normal range.  A negative y (integer nu/k + 1) gives w < 0, which the
-    polynomial serves by its sign rule.  Each value has a bound of at most
-    ``series_tol * |S(w)|``, plus a few subnormal spacings.  Where no
-    polynomial exists, this raises the ConvergenceError of :func:`k_struve`
-    at the range's end.  ``series_tol`` is tol / 100, but no tighter than
-    the leading coefficient allows: its error is a smooth factor across the
-    interval, not quadrature noise.
+    k-Struve polynomial (:func:`k_struve_poly`) is built once for that range.
+    Where its certificate holds on the whole range (``certified``), f
+    evaluates each node whose leading term is in range inline, with the
+    operations of the polynomial's evaluator in their order, so the value
+    is the evaluator's to the bit.  Every other node goes through the
+    evaluator, and through :func:`k_struve` where that returns None: at
+    w = 0, and where the leading term is outside (1e-300, 1e300) or |w|/2
+    below the normal range.  A negative y (integer nu/k + 1) gives w < 0,
+    which the evaluator serves by its sign rule.  Each value has a bound of
+    at most ``series_tol * |S(w)|``, plus a few subnormal spacings.  Where
+    no polynomial exists, this raises the ConvergenceError of
+    :func:`k_struve` at the range's end.  ``series_tol`` is tol / 100, but
+    no tighter than the leading coefficient allows: its error is a smooth
+    factor across the interval, not quadrature noise.
     """
     require_tol(tol)
     first = which == "theorem1"
@@ -245,25 +252,42 @@ def _integrand(which: str, p: TheoremParams, tol: float):
     wmax = abs(p.y) if first else abs(p.y) * (4.0 / 9.0)
     xmax = wmax * _ARGUMENT_MARGIN
     poly = k_struve_poly(sp, xmax, series_tol)
+    certified = poly and poly.certified
     if poly is None:
         # at y = 0 k_struve serves every node, w = 0; at any other y it raises here
         k_struve(sp, xmax, tol=series_tol)
         poly = lambda w: None
+    elif certified:
+        power, scale0, delta, vscale, pairs, sign = certified
     y = p.y
+    log = math.log
+    inf = math.inf
 
-    # the argument's form is chosen here, once per point, not at each node
-    if first:
-        def f(x: float, omx: float) -> float:
-            third, quarter = 1.0 - x / 3.0, 1.0 - x / 4.0
-            w = y * quarter * omx * omx
-            weight = x**e_x * omx**e_omx * third**e_third * quarter**e_quarter
-            return weight * (poly(w) or k_struve(sp, w, tol=series_tol))[0]
-    else:
-        def f(x: float, omx: float) -> float:
-            third, quarter = 1.0 - x / 3.0, 1.0 - x / 4.0
-            w = y * x * third * third
-            weight = x**e_x * omx**e_omx * third**e_third * quarter**e_quarter
-            return weight * (poly(w) or k_struve(sp, w, tol=series_tol))[0]
+    def f(x: float, omx: float) -> float:
+        third, quarter = 1.0 - x / 3.0, 1.0 - x / 4.0
+        w = y * quarter * omx * omx if first else y * x * third * third
+        weight = x**e_x * omx**e_omx * third**e_third * quarter**e_quarter
+        if certified and w <= xmax:
+            half = 0.5 * w
+            if half >= _MIN_NORMAL:
+                try:
+                    lead = half**power * scale0
+                except OverflowError:
+                    lead = inf
+                if 1e-300 < lead < 1e300:
+                    if delta:
+                        lead *= 1.0 + delta * log(half)
+                    v = half * half * vscale
+                    s = v * v
+                    even = odd = 0.0
+                    for a_even, a_odd in pairs:
+                        even = even * s + a_even
+                        odd = odd * s + a_odd
+                    odd *= v
+                    value = lead * (even + sign * odd)
+                    if abs(value) < inf:
+                        return weight * value
+        return weight * (poly(w) or k_struve(sp, w, tol=series_tol))[0]
 
     return f, series_tol
 

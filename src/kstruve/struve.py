@@ -272,7 +272,13 @@ def k_struve_poly(params: StruveParams, xmax: float, tol: float):
     ``evaluate.degree`` is the largest degree it holds, and
     ``evaluate.lead_err`` the relative error of its leading term at xmax
     (the inline term's, until it takes that term from its logarithm).
-    k_struve_poly itself returns None when no degree up to 500 serves.
+    ``evaluate.certified`` is None unless the double polynomial's
+    certificate holds on all of (0, xmax]; then it is the read-only tuple
+    (power, scale0, power_delta, vscale, pairs, sign) with which a caller
+    can repeat, operation for operation, what ``evaluate`` does at a node
+    whose leading term is in range, and get the same value
+    (:func:`kstruve.identities._integrand` does).  k_struve_poly itself
+    returns None when no degree up to 500 serves.
 
     ``evaluate`` computes the leading term once, inline as (x/2)**power *
     scale0 with the exact-power correction.  Where that leaves
@@ -408,6 +414,9 @@ def k_struve_poly(params: StruveParams, xmax: float, tol: float):
 
     evaluate.degree = degree
     evaluate.lead_err = lead_err0
+    evaluate.certified = (
+        (power, scale0, delta, vscale, pairs, sign) if certified and wmax == xmax else None
+    )
     return evaluate
 
 

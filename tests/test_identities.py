@@ -12,6 +12,7 @@ from kstruve import (
     IDENTITIES,
     ConvergenceError,
     DomainError,
+    KStruveError,
     PoleError,
     TheoremParams,
     Verdict,
@@ -25,7 +26,7 @@ from kstruve import (
     verify,
     verify_grid,
 )
-from kstruve import identities, struve
+from kstruve import identities, quadrature, struve
 from kstruve.gamma import log_k_gamma
 from kstruve.identities import _wright_tail
 from kstruve.report import emit_csv, emit_json, emit_table, record
@@ -174,6 +175,16 @@ class TestLhs:
         monkeypatch.setattr(identities, "k_struve_poly", refuse)
         with pytest.raises(DomainError, match=TOL_MESSAGE):
             lhs("theorem1", BASE, tol=tol)
+
+
+@pytest.mark.parametrize("k", [0.0, -0.0, -1.0])
+def test_a_k_that_is_not_positive_is_refused_by_every_side(k):
+    # rhs used to reach math.log(k) and a division by k first
+    p = TheoremParams(alpha=1.0, mu=0.5, nu=2.0, c=1.0, k=k, y=1.0)
+    for side in (lambda: rhs("theorem1", p), lambda: lhs("theorem1", p),
+                 lambda: integrand("theorem1", p, 0.5)):
+        with pytest.raises(DomainError, match="k must be positive"):
+            side()
 
 
 class TestRhs:
@@ -557,6 +568,106 @@ class TestWorkPerPoint:
         verify_grid("theorem1", default_grid("theorem1"))
         assert len(evaluations) == 24
         assert sum(evaluations) <= 2566
+
+
+def _fused_points():
+    """Seeded points of both theorems that reach every branch of the integrand's node."""
+    rng = random.Random(20261020)
+    points = []
+    for which in ("theorem1", "theorem2"):
+        for c in (-1.0, 1.0):
+            for k in (0.5, 1.0, 2.0):
+                for y in (rng.uniform(0.5, 1.5), rng.uniform(3.0, 6.0)):
+                    alpha, mu = rng.uniform(0.5, 2.5), rng.uniform(0.1, 1.1)
+                    points.append((which, TheoremParams(alpha, mu, k * rng.uniform(1.5, 3.0), c, k, y)))
+        # y < 0 needs an integer nu/k + 1, and w < 0 takes the evaluator's sign rule
+        points.append((which, TheoremParams(rng.uniform(0.5, 2.5), rng.uniform(0.1, 1.1), 2.0, 1.0,
+                                            1.0, -rng.uniform(0.5, 5.0))))
+        points.append((which, TheoremParams(rng.uniform(0.5, 2.5), rng.uniform(0.1, 1.1), 1.0, -1.0,
+                                            0.5, -rng.uniform(0.5, 5.0))))
+        # the corner nu/k < -1, where a node at w = 0 diverges
+        for alpha in (rng.uniform(0.45, 0.53), rng.uniform(1.15, 1.45)):
+            points.append((which, TheoremParams(alpha, rng.uniform(0.1, 1.1),
+                                                0.5 * rng.uniform(-1.35, -1.15), 1.0, 0.5,
+                                                rng.uniform(0.5, 5.0))))
+    return points
+
+
+def _reference_integrand(which, p, tol):
+    """The weight times (k_struve_poly(...)(w) or k_struve(...))[0], from public pieces."""
+    first = which == "theorem1"
+    a, b = (p.alpha + p.mu, p.alpha) if first else (p.alpha, p.alpha + p.mu)
+    e_x, e_omx, e_third, e_quarter = a - 1.0, 2.0 * b - 1.0, 2.0 * a - 1.0, b - 1.0
+    sp = p.struve_params()
+    series_tol = max(tol * 0.01, 4.0 * sp.lead_error)
+    xmax = (abs(p.y) if first else abs(p.y) * (4.0 / 9.0)) * identities._ARGUMENT_MARGIN
+    poly = struve.k_struve_poly(sp, xmax, series_tol)
+    y = p.y
+
+    def f(x, omx):
+        third, quarter = 1.0 - x / 3.0, 1.0 - x / 4.0
+        w = y * quarter * omx * omx if first else y * x * third * third
+        weight = x**e_x * omx**e_omx * third**e_third * quarter**e_quarter
+        return weight * ((poly and poly(w)) or struve.k_struve(sp, w, tol=series_tol))[0]
+
+    return f, series_tol, poly
+
+
+def _outcome(call, *args):
+    """A call's value, bit for bit (a float as hex, a result by its fields' reprs), or its error."""
+    try:
+        out = call(*args)
+    except (KStruveError, OverflowError) as exc:
+        return type(exc).__name__, str(exc), repr(getattr(exc, "partial", None))
+    return "value", out.hex() if isinstance(out, float) else repr(out)
+
+
+class TestFusedIntegrand:
+    """The integrand's inline certified node gives the evaluator's value, to the bit."""
+
+    def test_every_node_of_levels_0_to_4_matches_the_reference(self):
+        nodes = [(0.5, 0.5)]
+        for level in range(5):
+            for small, big, _, _ in quadrature._ts_level(level):
+                nodes += [(small, big), (big, small)]
+        assert any(x == 1.0 and omx > 0.0 for x, omx in nodes)
+        certified = set()
+        for which, p in _fused_points():
+            f, series_tol = identities._integrand(which, p, 1e-10)
+            ref, ref_tol, poly = _reference_integrand(which, p, 1e-10)
+            assert series_tol == ref_tol
+            certified.add(poly is not None and poly.certified is not None)
+            for x, omx in nodes:
+                assert _outcome(f, x, omx) == _outcome(ref, x, omx), (which, p, x, omx)
+        assert certified == {True, False}
+
+    def test_tanh_sinh_results_match_the_reference_field_by_field(self):
+        outcomes = set()
+        for which, p in _fused_points():
+            f, _ = identities._integrand(which, p, 1e-10)
+            ref, _, _ = _reference_integrand(which, p, 1e-10)
+            ours = _outcome(quadrature.integrate, f, 1e-10, "tanh_sinh")
+            assert ours == _outcome(quadrature.integrate, ref, 1e-10, "tanh_sinh"), (which, p)
+            outcomes.add(ours[0])
+        assert outcomes == {"value", "DomainError"}  # corner points meet w = 0
+
+    def test_nodes_whose_leading_term_leaves_the_range_still_call_k_struve(self, monkeypatch):
+        # a seed-1 grid_small_y point with nu/k + 1 = 7.14: at level 1, t = 3.5,
+        # w is 7.3e-46 and (w/2)**7.14 is below 1e-300
+        p = TheoremParams(1.2678791440245047, 0.991401422426331, 3.0694155183134164, 1.0, 0.5,
+                          1.3525040878694634)
+        series = identities.k_struve
+        arguments = []
+
+        def counting(params, w, **kwargs):
+            arguments.append(w)
+            return series(params, w, **kwargs)
+
+        monkeypatch.setattr(identities, "k_struve", counting)
+        assert lhs("theorem1", p).converged
+        small, big, _, _ = quadrature._ts_level(1)[3]
+        assert arguments == [p.y * (1.0 - big / 4.0) * small * small]
+        assert not _leading_term_in_range(p.struve_params(), arguments[0])
 
 
 class TestLhsError:
