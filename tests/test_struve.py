@@ -377,6 +377,26 @@ class TestPolynomial:
         monkeypatch.setattr(struve_module, "_lead", refuse)
         self._check_fixed_point_pins()
 
+    # nu = 2, c = 1, k = 0.3, W = 20: the base nu/k + 3/2 read from the doubles
+    # has a denominator that is not a power of two.  Nodes of the double
+    # polynomial (3), integer Horner (10), the Taylor shift (19) and W itself
+    FIXED_POINT_PINS_K03 = [
+        (3.0, "0x1.60b0e3d5b2976p+3", "0x1.933acdc367090p-41"),
+        (10.0, "0x1.1d818b75597c5p+13", "0x1.12b104528b4bcp-33"),
+        (19.0, "0x1.48a1690caa899p+18", "0x1.724c4b99c74f4p-27"),
+        (20.0, "0x1.b709c12b1667cp+18", "0x1.5f6fed32fe7e0p-26"),
+    ]
+
+    def test_fixed_point_polynomial_at_a_base_that_is_not_a_binary_fraction(self):
+        mp = pytest.importorskip("mpmath")
+        poly = k_struve_poly(StruveParams(nu=2.0, c=1.0, k=0.3), 20.0, 1e-12)
+        for w, value, bound in self.FIXED_POINT_PINS_K03:
+            assert poly(w) == (float.fromhex(value), float.fromhex(bound))
+            with mp.workdps(80):
+                assert abs(mp.mpf(float.fromhex(value)) - mp_k_struve(mp, 2.0, 1.0, 0.3, w)) <= (
+                    float.fromhex(bound)
+                )
+
     def test_fixed_point_polynomial_without_a_double_polynomial_declines_outside(self):
         # nu/k = 300: scale0 underflows, so no node below 8 sqrt(k/c) or above it is served
         params = StruveParams(nu=300.0, c=1.0, k=1.0)
