@@ -2,13 +2,14 @@
 
 Both series in the package (the k-Struve series is a Fox-Wright series
 times a power) have term ratios that are rational functions of the
-summation index, with coefficients that are exact binary fractions once
-the double-precision inputs are read as rationals:
+summation index, exact once the double-precision inputs are read as
+rationals.  :class:`LinearRatio` is the one form of such a ratio:
 
-    t_{m+1} / t_m = +-(scale * NUM_m / 2**shift) / DEN_m,
+    t_{m+1} / t_m = NUM_m / (DEN_m * 2**shift),
 
-where NUM_m and DEN_m are integer polynomials in m (products of linear
-factors p*m + q).  Where double rounding cannot meet a relative tolerance
+where NUM_m and DEN_m are integer polynomials in m: each a constant times
+a product of linear factors P*m + Q, with the argument and the sign in
+NUM_m's constant.  Where double rounding cannot meet a relative tolerance
 (the terms cancel), :func:`fixed_terms` computes the terms on Python
 integers: u_0 = 2**bits and u_{m+1} = floor(u_m * ratio), with NUM_m and
 DEN_m multiplied out from their factors at each index, so the only rounding
@@ -55,30 +56,44 @@ LOG2_E = 1.4426950408889634
 class LinearRatio(
     namedtuple("LinearRatio", "num_forms den_forms num_const den_const tail_start shift")
 ):
-    """Exact integer numerators and denominators of a term ratio, immutable.
+    """The exact term ratio of a series, immutable.
 
-    ``num_forms`` and ``den_forms`` are integer pairs (p, q) standing for the
-    linear factors p*m + q, so that NUM_m = num_const * prod(p*m + q) and
-    likewise DEN_m, up to the power of two ``2**shift`` taken out of their
-    ratio.  ``tail_start`` is an index from which the ratio magnitudes are
+    Built from factors (p, n, d) upstairs and downstairs, integers with
+    d > 0 that stand for p*m + n/d, and one exact rational constant
+    ``const`` = (numerator, positive denominator), which holds the argument
+    and the sign:
+
+        t_{m+1} / t_m = const * prod_up (p*m + n/d) / prod_down (p*m + n/d).
+
+    Each d moves across, so the factors are stored as integer pairs
+    (p*d, n) in ``num_forms`` and ``den_forms``.  The constants, reduced to
+    lowest terms, are ``num_const`` and ``den_const`` times 2**``shift``,
+    with den_const odd and shift >= 0: NUM_m = num_const * prod(p*d*m + n)
+    upstairs, DEN_m likewise, and the ratio is NUM_m / (DEN_m * 2**shift).
+    ``tail_start`` is an index from which the ratio magnitudes are
     non-increasing.
     """
 
     __slots__ = ()
 
-    def __new__(cls, num_forms, den_forms, num_const: int, den_const: int, tail_start: int):
-        # powers of two in the constants become a shift, which keeps the
-        # integers of every step short; a zero numerator (every ratio 0) has none
-        num_twos = (num_const & -num_const).bit_length() - 1 if num_const else 0
-        den_twos = (den_const & -den_const).bit_length() - 1
+    def __new__(cls, num_factors, den_factors, const: tuple[int, int], tail_start: int):
+        num_const = const[0] * math.prod(d for _, _, d in den_factors)
+        den_const = const[1] * math.prod(d for _, _, d in num_factors)
+        common = math.gcd(num_const, den_const)
+        num_const, den_const = num_const // common, den_const // common
+        # the denominator's powers of two become a shift, which keeps the
+        # integers of every step short
+        shift = (den_const & -den_const).bit_length() - 1
         return super().__new__(
-            cls, num_forms, den_forms, num_const >> num_twos, den_const >> den_twos, tail_start,
-            den_twos - num_twos,
+            cls,
+            tuple((p * d, n) for p, n, d in num_factors),
+            tuple((p * d, n) for p, n, d in den_factors),
+            num_const, den_const >> shift, tail_start, shift,
         )
 
 
-def _pass(table, step, shift, negate, bits, gap, max_terms):
-    """One summation at ``bits`` bits: (terms, tail, floors), or None.
+def _pass(table, bits, gap, max_terms):
+    """One summation of ``table``'s terms at ``bits`` bits: (terms, tail, floors), or None.
 
     ``terms`` are the signed kept terms u_0 = 2**bits, u_1, ..., u_R.
     ``tail`` bounds the dropped terms and ``floors`` the summed floor errors,
@@ -91,13 +106,12 @@ def _pass(table, step, shift, negate, bits, gap, max_terms):
     terms = [a]
     plus, minus = a, 0
     positive = True
-    start = table.tail_start
-    num_forms, den_forms, den_const = table.num_forms, table.den_forms, table.den_const
+    num_forms, den_forms, num_const, den_const, start, shift = table
     # a term can pass the bit-length test only if it is at most |sum| >> (gap - 1);
     # this bound is refreshed whenever a term falls under it
     thresh = a >> (gap - 1)
     for m in range(max_terms):
-        num = step
+        num = num_const
         for p, q in num_forms:
             num *= p * m + q
         den = den_const
@@ -119,7 +133,7 @@ def _pass(table, step, shift, negate, bits, gap, max_terms):
             if not nxt:
                 return None  # the terms ran out of bits before the sum was resolved
             thresh = abs(total) >> (gap - 1)
-        if negate != ((num < 0) != (den < 0)):
+        if (num < 0) != (den < 0):
             positive = not positive
         if positive:
             plus += nxt
@@ -131,17 +145,10 @@ def _pass(table, step, shift, negate, bits, gap, max_terms):
 
 
 def fixed_terms(
-    table: LinearRatio,
-    scale: int,
-    shift: int,
-    negate: bool,
-    cond_bits: int,
-    tol: float,
-    max_terms: int,
+    table: LinearRatio, cond_bits: int, tol: float, max_terms: int
 ) -> tuple[list[int], int, float, float]:
-    """The kept terms of one fixed-point pass: (terms, bits, tail, floors).
+    """The kept terms of one fixed-point pass over ``table``: (terms, bits, tail, floors).
 
-    The ratio is ``table`` times scale / 2**shift, negated when ``negate``.
     ``terms`` are the signed integers u_0 = 2**bits, u_1, ..., u_R, each
     within its floor error of 2**bits t_m / t_0.  ``tail`` bounds
     sum_{m > R} |t_m| / t_0 and ``floors`` the summed floor errors, both in
@@ -155,15 +162,10 @@ def fixed_terms(
     precision = max(0, 1 - math.frexp(tol)[1])  # smallest b >= 0 with 2**-b <= tol
     gap = 3 + precision
     bits = 8 + max_terms.bit_length() + max(cond_bits, 0) + precision
-    step = scale * table.num_const
-    shift += table.shift
-    if shift < 0:
-        step <<= -shift
-        shift = 0
     for _ in range(4):
         if bits > MAX_BITS:
             break
-        out = _pass(table, step, shift, negate, bits, gap, max_terms)
+        out = _pass(table, bits, gap, max_terms)
         if out is not None:
             return out[0], bits, out[1], out[2]
         bits *= 2

@@ -36,7 +36,7 @@ from collections.abc import Iterable
 from .errors import ConvergenceError, DomainError, KStruveError
 from .fixedpoint import UNIT
 from .gamma import _MIN_NORMAL, log_gamma
-from .quadrature import integrate
+from .quadrature import _overflow, integrate
 from .results import IdentityReport, QuadratureResult, Verdict, require_normal, require_tol
 from .struve import StruveParams, k_struve, k_struve_poly
 from .wright import WrightSpec, wright_eval, wright_pair
@@ -325,11 +325,20 @@ def _partial(exc: ConvergenceError) -> tuple[QuadratureResult, str]:
 
 
 def integrand(which: str, p: TheoremParams, x: float, tol: float = 1e-12) -> float:
-    """Value of the integrand of identity ``which`` at interior point x."""
+    """Value of the integrand of identity ``which`` at interior point x.
+
+    An OverflowError, such as a power of the weight leaving the double
+    range, raises NonFiniteSampleError naming x, as in the quadrature; the
+    package's own errors propagate unchanged.
+    """
     if not 0.0 < x < 1.0:
         raise DomainError(f"integrand is defined on (0, 1), got x={x}")
     which, p = _resolve(which, p)
-    return _integrand(which, p, tol)[0](x, 1.0 - x)
+    f = _integrand(which, p, tol)[0]
+    try:
+        return f(x, 1.0 - x)
+    except OverflowError as exc:
+        raise _overflow(exc, f, (x, 1.0 - x)) from None
 
 
 def _resolve(which: str, p: TheoremParams) -> tuple[str, TheoremParams]:

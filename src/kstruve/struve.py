@@ -76,9 +76,11 @@ def _gap(f: float, num: int, den: int) -> float:
 class _SeriesConstants:
     """Per-parameter constants of the k-Struve evaluator, built once.
 
-    ``table`` holds the exact ratio -c x**2 bd / (2k (r bd + bn)(2r + 3)) with
-    base = nu/k + 3/2 = bn/bd read exactly from the doubles nu and k;
-    ``num_const`` times xn**2 is its numerator for x = xn / 2**e.
+    The exact term ratio at x is -c x**2 / (4k (r + bn/bd)(r + 3/2)), with
+    base = nu/k + 3/2 = bn/bd read exactly from the doubles nu and k.
+    ``factors`` holds its two downstairs factors, (1, bn, bd) and (1, 3, 2),
+    as :class:`kstruve.fixedpoint.LinearRatio` takes them, and ``const``
+    the constant -c / (4k) as an integer pair, to be multiplied by x**2.
     ``power_delta`` is the exact leading power nu/k + 1 minus its double,
     and ``scale_err`` bounds the absolute error of ``log_scale``.
     """
@@ -96,7 +98,8 @@ class _SeriesConstants:
         # a relative error of at most |base error| / base in each r + base
         self.step_ulps = 7.0 + abs(_gap(self.base, bn, bd)) / self.base / UNIT
         self.power_delta = _gap(p.power, 2 * bn - bd, 2 * bd)
-        self._exact = (bn, bd, abs(cn) * kd * bd, 2 * cd * kn)
+        self.factors = ((1, bn, bd), (1, 3, 2))
+        self.const = (-cn * kd, 4 * cd * kn)
         # log_scale = -((t - 1) log k + lgamma(t)) - lgamma(3/2), t = (nu + 1.5k)/k:
         # the error of t moves lgamma by at most |psi(t)| <= 1/t + log(t + 1) + 1,
         # each libm call is within 2 ulps and each operation within one
@@ -118,11 +121,6 @@ class _SeriesConstants:
         self.scale0 = math.exp(p.log_scale) if abs(p.log_scale) < 690.0 else 0.0
         self.lead_err = self.scale_err + 7.0 * UNIT
         self.power = p.power
-
-    @cached_property
-    def table(self) -> LinearRatio:
-        bn, bd, num_const, den_const = self._exact
-        return LinearRatio((), ((bd, bn), (2, 3)), num_const, den_const, 0)
 
 
 class StruveParams(namedtuple("StruveParams", "nu c k")):
@@ -523,9 +521,10 @@ def _double_horner(params: StruveParams, xmax: float, tol: float):
 def _integer_horner(params: StruveParams, xmax: float, tol: float):
     """g on (0, xmax] from the integer terms of one fixed-point pass: its constants, or None.
 
-    :func:`kstruve.fixedpoint.fixed_terms` at x = xmax and tol / 8 gives
-    u_m, within e_m of 2**bits a_m V**m, so that
-    2**bits g(v) = sum_m u_m s**m with s = (x / xmax)**2 <= 1.  Each node
+    :func:`kstruve.fixedpoint.fixed_terms` on the series' exact term ratio
+    at x = xmax (the :class:`_SeriesConstants` factors, with the constant
+    -c xmax**2 / (4k)) and tol / 8 gives u_m, within e_m of 2**bits a_m V**m,
+    so that 2**bits g(v) = sum_m u_m s**m with s = (x / xmax)**2 <= 1.  Each node
     reads s exactly from the doubles x and xmax as S = floor(s 2**bits), to
     within 1.25 units, by one multiply with a reciprocal and a shift, and
     Horner's rule runs on integers: acc = (acc * S >> bits) + u_m, with no
@@ -558,16 +557,12 @@ def _integer_horner(params: StruveParams, xmax: float, tol: float):
         # the largest term would come after the pass's last; the nodes' sigma divides by xmax**2
         return None
     xn, xd = xmax.as_integer_ratio()
+    cn, cd = consts.const
+    table = LinearRatio((), consts.factors, (cn * xn * xn, cd * xd * xd), 0)
     try:
         terms, bits, tail, floors = fixed_terms(
-            consts.table,
-            xn * xn,
-            2 * (xd.bit_length() - 1),
-            True,
             # the c > 0 terms outgrow their sum by about e**(2 peak)
-            math.ceil(2.0 * LOG2_E * peak) + 8,
-            0.125 * tol,
-            _MAX_TERMS,
+            table, math.ceil(2.0 * LOG2_E * peak) + 8, 0.125 * tol, _MAX_TERMS
         )
     except ConvergenceError:
         return None

@@ -143,35 +143,22 @@ def _first_positive(forms) -> int:
     return first
 
 
-def _forms(pairs, shift: int = 0) -> list[tuple[int, float, float]]:
-    """The factors slope*m + a + s, shift <= s < slope + shift, of the pairs as (slope, q, r).
+def _forms(pairs, shift: int = 0) -> list[tuple[int, float, int, int]]:
+    """The factors slope*m + a + s, shift <= s < slope + shift, of the pairs as (slope, q, n, d).
 
-    q is a + s rounded and r its error by TwoSum (Knuth, TAOCP 4.2.2), so
-    q + r = a + s exactly and equal triples are equal factors.  A q that
-    rounds is positive: for |a| < 2**53, a + s is exact if |a + s| <= |a|.
-    With shift = 1 they are the factors of the pair (a + 1, slope).
+    q is a + s rounded, for the double loop, and n / d = a + s exactly, in
+    lowest terms with d the denominator of a (a power of two), for the
+    fixed-point table; equal forms are equal factors.  A q that rounds is positive: for
+    |a| < 2**53, a + s is exact if |a + s| <= |a|.  With shift = 1 they are
+    the factors of the pair (a + 1, slope).
     """
     forms = []
     for a, slope in pairs:
         p = int(slope)
+        n, d = a.as_integer_ratio()
         for s in range(shift, p + shift):
-            q = a + s
-            b = q - a
-            forms.append((p, q, (a - (q - b)) + (s - b)))
+            forms.append((p, a + s, n + s * d, d))
     return forms
-
-
-def _integer_forms(forms) -> list[tuple[int, int, int]]:
-    """Each (p, q, r) of forms as (p, n, d) with n / d = q + r and d a power of two."""
-    exact = []
-    for p, q, r in forms:
-        n, d = q.as_integer_ratio()
-        if r:
-            rn, rd = r.as_integer_ratio()
-            common = max(d, rd)
-            n, d = n * (common // d) + rn * (common // rd), common
-        exact.append((p, n, d))
-    return exact
 
 
 class _Plan:
@@ -194,15 +181,15 @@ class _Plan:
             exact_den = _forms(spec.lower)
         else:
             exact_den = _forms(spec.lower[:-1]) + _forms(spec.lower[-1:], 1)
-        exact_den.append((1, 1.0, 0.0))  # m + 1 from z**m / m!
+        exact_den.append((1, 1.0, 1, 1))  # m + 1 from z**m / m!
         for form in _forms(spec.upper):
             if form in exact_den:  # the factor cancels
                 exact_den.remove(form)
             else:
                 exact_num.append(form)
         self._exact = (exact_num, exact_den)
-        num = [(p, q) for p, q, _ in exact_num]
-        den = [(p, q) for p, q, _ in exact_den]
+        num = [(p, q) for p, q, _, _ in exact_num]
+        den = [(p, q) for p, q, _, _ in exact_den]
         start = _first_positive(num + den)
         if num:
             low = min(q / p for p, q in num)
@@ -218,7 +205,7 @@ class _Plan:
         self.den_forms = tuple(den)
         # roundings per step: one per factor and product, the quotient, the
         # update, and one for each q = a + s that is not a double
-        inexact = sum(r != 0.0 for _, _, r in exact_num + exact_den)
+        inexact = sum(q.as_integer_ratio() != (n, d) for _, q, n, d in exact_num + exact_den)
         self.step_ulps = 2.0 * (len(num) + len(den)) + 1.0 + inexact
         self.tail_start = start
         # |t_m / t_0| is about (|z| kappa)**m / m!**order for large m, which
@@ -249,23 +236,16 @@ class _Plan:
             (sign, math.log(p), q / p, _lgamma(q / p)) for sign, forms in groups for p, q in forms
         )
 
-    @cached_property
-    def table(self) -> LinearRatio:
-        """The factors as exact integers, for the fixed-point path."""
-        # p*m + n/d = (p*d*m + n) / d: the denominators d are powers of two,
-        # moved across
-        exact_num, exact_den = map(_integer_forms, self._exact)
-        # the argument's scale, an exact binary fraction, joins the constants
-        scale_num, scale_den = self.scale.as_integer_ratio()
-        num_const = scale_num * math.prod(d for _, _, d in exact_den)
-        den_const = scale_den * math.prod(d for _, _, d in exact_num)
-        return LinearRatio(
-            tuple((p * d, n) for p, n, d in exact_num),
-            tuple((p * d, n) for p, n, d in exact_den),
-            num_const,
-            den_const,
-            self.tail_start,
-        )
+    def table(self, z: float) -> LinearRatio:
+        """The exact term ratio at z for the fixed-point path, built once per sum by :func:`_fixed`.
+
+        Its factors are the plan's (p, n, d) and its constant is scale * z,
+        both read exactly from the doubles; the sign of z is the constant's.
+        """
+        zn, zd = z.as_integer_ratio()
+        sn, sd = self.scale.as_integer_ratio()
+        num, den = ([(p, n, d) for p, _, n, d in forms] for forms in self._exact)
+        return LinearRatio(num, den, (sn * zn, sd * zd), self.tail_start)
 
 
 def wright_eval(spec: WrightSpec, z: float, tol: float = 1e-12) -> EvaluationResult:
@@ -524,17 +504,16 @@ def _double(plan: _Plan, z: float, tol: float, companion=None) -> tuple:
 def _fixed(plan: _Plan, z: float, tol: float, cond_bits: int) -> EvaluationResult:
     """t_0 * sum_m u_m / 2**bits from :func:`fixed_terms`, with a bound on truncation and rounding.
 
-    ``cond_bits`` estimates log2(sum |t_m| / |sum t_m|) and sets the
-    working precision.  While the fixed-point floors, not the leading term,
-    keep the bound above tol * |value|, the pass is repeated with the bits
-    that bring them under tol / 16, up to 4 passes.
+    Every pass reads the one table ``plan.table(z)``.  ``cond_bits``
+    estimates log2(sum |t_m| / |sum t_m|) and sets the working precision.
+    While the fixed-point floors, not the leading term, keep the bound
+    above tol * |value|, the pass is repeated with the bits that bring them
+    under tol / 16, up to 4 passes.
     """
-    zn, zd = z.as_integer_ratio()
+    table = plan.table(z)
     lead, lead_err = plan.lead, plan.lead_err
     for _ in range(4):
-        terms, bits, tail, floors = fixed_terms(
-            plan.table, abs(zn), zd.bit_length() - 1, z < 0.0, cond_bits, tol, _MAX_TERMS
-        )
+        terms, bits, tail, floors = fixed_terms(table, cond_bits, tol, _MAX_TERMS)
         total = sum(terms)
         units = tail + floors
         if total.bit_length() - bits > 1000 or not math.isfinite(units):

@@ -13,6 +13,7 @@ from kstruve import (
     ConvergenceError,
     DomainError,
     KStruveError,
+    NonFiniteSampleError,
     PoleError,
     TheoremParams,
     Verdict,
@@ -403,6 +404,13 @@ class TestVerify:
         (_, report), = verify_grid("theorem1", [p])
         assert report.verdict is Verdict.INCONCLUSIVE
         assert "k-Struve" in report.error
+
+    def test_an_integrand_that_overflows_names_its_abscissa(self):
+        # x**(alpha + mu - 1) = (1e-320)**-0.99 leaves the double range at a
+        # point that meets the strict hypotheses
+        p = TheoremParams(alpha=0.005, mu=0.005, nu=2.0)
+        with pytest.raises(NonFiniteSampleError, match=r"x = 1e-320"):
+            integrand("theorem1", p, 1e-320)
 
     @pytest.mark.parametrize("which, c", [("theorem1", 1.0), ("theorem2", -1.0)])
     def test_tiny_y_under_a_negative_power(self, which, c):

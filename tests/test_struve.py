@@ -3,6 +3,7 @@
 import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -396,6 +397,33 @@ class TestPolynomial:
                 assert abs(mp.mpf(float.fromhex(value)) - mp_k_struve(mp, 2.0, 1.0, 0.3, w)) <= (
                     float.fromhex(bound)
                 )
+
+    @pytest.mark.parametrize("k", [0.3, 0.5, 3.0])
+    def test_the_fixed_point_table_is_the_exact_term_ratio(self, k, monkeypatch):
+        # the table that _integer_horner hands to fixed_terms, read as rationals
+        tables = []
+
+        def record(table, *args):
+            tables.append(table)
+            return real(table, *args)
+
+        real = struve_module.fixed_terms
+        monkeypatch.setattr(struve_module, "fixed_terms", record)
+        rng = random.Random(f"table:{k}")
+        for _ in range(4):
+            nu, c = rng.uniform(-1.4 * k, 6.0), rng.uniform(0.1, 3.0)
+            xmax = 9.0 * math.sqrt(k / c) * rng.uniform(1.0, 3.0)
+            struve_module._integer_horner(StruveParams(nu=nu, c=c, k=k), xmax, 1e-12)
+            table = tables.pop()
+            assert table.shift >= 0 and table.den_const % 2 == 1
+            base = Fraction(nu) / Fraction(k) + Fraction(3, 2)
+            for m in range(4):
+                num = table.num_const * math.prod(f * m + g for f, g in table.num_forms)
+                den = table.den_const * math.prod(f * m + g for f, g in table.den_forms)
+                exact = -Fraction(c) * Fraction(xmax) ** 2 / (
+                    4 * Fraction(k) * (m + base) * (m + Fraction(3, 2))
+                )
+                assert Fraction(num, den * 2**table.shift) == exact
 
     def test_fixed_point_polynomial_without_a_double_polynomial_declines_outside(self):
         # nu/k = 300: scale0 underflows, so no node below 8 sqrt(k/c) or above it is served

@@ -197,7 +197,7 @@ class TestErrorBound:
         # 2 + 3 factors once m + 1 cancels; the double loop counts one more
         # rounding per step for the inexact a + 1
         assert spec._plan.step_ulps == 2.0 * 5 + 1.0 + 1.0
-        table = spec._plan.table
+        table = spec._plan.table(1.0)
         q = Fraction(an, ad)
         for m in range(2):
             exact = (2 * m + q) * (2 * m + q + 1) / (
@@ -379,3 +379,51 @@ def test_the_printed_peak_screen_routes_both_sums_of_a_pair(monkeypatch):
     mp = pytest.importorskip("mpmath")
     reference = _mp_pair(mp, spec, -400.0, 16.0 / 81.0)[1]
     assert abs(mp.mpf(companion.value) - reference) <= companion.error_bound <= 1e-12 * abs(companion.value)
+
+
+def _exact_ratio(spec: WrightSpec, z: Fraction, m: int) -> Fraction:
+    """t_{m+1} / t_m of an integer-slope spec at z, as a rational."""
+    ratio = z / (m + 1)
+    for a, slope in spec.upper:
+        for s in range(int(slope)):
+            ratio *= int(slope) * m + Fraction(a) + s
+    for b, slope in spec.lower:
+        for s in range(int(slope)):
+            ratio /= int(slope) * m + Fraction(b) + s
+    return ratio
+
+
+def _table_ratio(table, m: int) -> Fraction:
+    num = table.num_const * math.prod(f * m + g for f, g in table.num_forms)
+    den = table.den_const * math.prod(f * m + g for f, g in table.den_forms)
+    return Fraction(num, den * 2**table.shift)
+
+
+def test_the_tables_at_a_negative_z_hold_the_argument_and_its_sign(monkeypatch):
+    """A pair's two fixed-point tables at z = -400 are scale * z times the exact factors."""
+    from kstruve import wright as wright_module
+    from kstruve.identities import TheoremParams, _wright_tail
+
+    spec = _wright_tail(TheoremParams(alpha=1.0, mu=0.5, nu=2.0, k=1.0))
+    for z in (-0.1, -2.75):
+        table = spec._plan.table(z)
+        assert table.shift >= 0 and table.den_const % 2 == 1
+        for m in range(4):
+            assert _table_ratio(table, m) == _exact_ratio(spec, Fraction(z), m)
+    tables = []
+    real = wright_module.fixed_terms
+
+    def record(table, *args):
+        if not tables or tables[-1] is not table:
+            tables.append(table)
+        return real(table, *args)
+
+    monkeypatch.setattr(wright_module, "fixed_terms", record)
+    scale = 16.0 / 81.0
+    wright_module.wright_pair(spec, -400.0, 1e-12, scale)
+    printed, companion = tables
+    (b, beta), = spec.lower[-1:]
+    raised = WrightSpec(spec.upper, spec.lower[:-1] + ((b + 1.0, beta),))
+    for m in range(4):
+        assert _table_ratio(printed, m) == _exact_ratio(spec, Fraction(-400), m)
+        assert _table_ratio(companion, m) == _exact_ratio(raised, Fraction(scale) * -400, m)
