@@ -145,8 +145,8 @@ def k_gamma(z: float, k: float) -> float:
         return value
     # a factor or the product outside the normal range: assemble from logs,
     # sign from the Gamma factor
-    log_mag = (t - 1.0) * math.log(k) + _lgamma(t)
+    log_abs, sign = log_abs_gamma(t)
+    log_mag = (t - 1.0) * math.log(k) + log_abs
     if log_mag > _LOG_DBL_MAX:
         raise OverflowRangeError(f"k_gamma({z}, {k}) exceeds the double range")
-    sign = 1.0 if t > 0.0 or math.floor(t) % 2 == 0 else -1.0
     return sign * math.exp(log_mag)

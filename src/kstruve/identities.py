@@ -36,7 +36,7 @@ from collections.abc import Iterable
 from .errors import ConvergenceError, DomainError, KStruveError
 from .fixedpoint import UNIT
 from .gamma import _MIN_NORMAL, log_gamma
-from .quadrature import _overflow, integrate
+from .quadrature import _bad_sample, _overflow, integrate
 from .results import IdentityReport, QuadratureResult, Verdict, require_normal, require_tol
 from .struve import StruveParams, k_struve, k_struve_poly
 from .wright import WrightSpec, wright_eval, wright_pair
@@ -110,22 +110,6 @@ class TheoremParams(namedtuple("TheoremParams", "alpha mu nu c k y")):
         return StruveParams(nu=self.nu, c=self.c, k=self.k)
 
 
-def _signed_power(base: float, exponent: float) -> float:
-    """base**exponent for real base, restricted to real-valued results."""
-    if base > 0.0:
-        return base ** exponent
-    if base == 0.0:
-        if exponent > 0.0:
-            return 0.0
-        if exponent == 0.0:
-            return 1.0
-        raise DomainError(f"0.0 raised to negative power {exponent}")
-    if exponent != math.floor(exponent):
-        raise DomainError(f"negative base {base} needs an integer exponent, got {exponent}")
-    sign = 1.0 if exponent % 2.0 == 0.0 else -1.0
-    return sign * (-base) ** exponent
-
-
 def _wright_tail(p: TheoremParams, corrected: bool = False) -> WrightSpec:
     nuk = p.nu / p.k
     third = 2.0 * p.alpha + p.mu + nuk + (1.0 if corrected else 0.0)
@@ -147,7 +131,8 @@ def rhs(which: str, p: TheoremParams, corrected: bool = True, tol: float = 1e-12
     Raises ConvergenceError when (y/2)**lam, the gamma prefactor, the
     Fox-Wright sum or their product is not a normal double; only y = 0
     gives an exact 0.0.  A k that is not positive raises DomainError, as in
-    :func:`lhs`.
+    :func:`lhs`, and so does a (y/2)**lam with no real value: y = 0 with
+    lam < 0, or y < 0 with a fractional lam.
     """
     require_tol(tol)
     which, p = _resolve(which, p)
@@ -166,9 +151,10 @@ def _closed_forms(which: str, p: TheoremParams, tol: float, forms) -> list[float
     theorem1 and 16/81 in theorem2, so one :func:`wright_pair` pass on the
     printed spec's plan sums both, each to tol (no tighter than the
     accuracy of its first term allows).  Where the pair declines,
-    :func:`wright_eval` sums each form's own spec.  The shared logs are
-    taken once.  Each form raises as :func:`rhs` says, in the order of
-    ``forms``.
+    :func:`wright_eval` sums each form's own spec.  The shared logs and
+    ``math.pow(y/2, lam)``, whose C pow rules give the sign of a negative
+    base, are taken once.  Each form raises as :func:`rhs` says, in the
+    order of ``forms``.
     """
     first = which == "theorem1"
     nuk = p.nu / p.k
@@ -190,12 +176,15 @@ def _closed_forms(which: str, p: TheoremParams, tol: float, forms) -> list[float
             log_pref += 2.0 * p.alpha * _LOG_2_3 - (2.0 * nuk + 2.0) * _LOG_3
         try:
             if y_power is None:
-                y_power = _signed_power(0.5 * p.y, lam)
+                y_power = math.pow(0.5 * p.y, lam)
             gamma_factor = math.exp(log_pref)
         except OverflowError:
             raise ConvergenceError(
                 f"a factor of the {which} closed form overflows the double range"
             ) from None
+        except ValueError:
+            # 0 to a negative power, or a negative base to a fractional one
+            raise DomainError(f"(y/2)**lam has no real value at y={p.y}, lam={lam}") from None
         if y_power == 0.0 and p.y == 0.0:
             values.append(0.0)
             continue
@@ -328,17 +317,21 @@ def integrand(which: str, p: TheoremParams, x: float, tol: float = 1e-12) -> flo
     """Value of the integrand of identity ``which`` at interior point x.
 
     An OverflowError, such as a power of the weight leaving the double
-    range, raises NonFiniteSampleError naming x, as in the quadrature; the
-    package's own errors propagate unchanged.
+    range, and a value that is not finite, such as a finite weight times a
+    finite S(w) whose product overflows, raise NonFiniteSampleError naming
+    x, as in the quadrature; the package's own errors propagate unchanged.
     """
     if not 0.0 < x < 1.0:
         raise DomainError(f"integrand is defined on (0, 1), got x={x}")
     which, p = _resolve(which, p)
     f = _integrand(which, p, tol)[0]
     try:
-        return f(x, 1.0 - x)
+        value = f(x, 1.0 - x)
     except OverflowError as exc:
         raise _overflow(exc, f, (x, 1.0 - x)) from None
+    if not math.isfinite(value):
+        raise _bad_sample(value, x)
+    return value
 
 
 def _resolve(which: str, p: TheoremParams) -> tuple[str, TheoremParams]:

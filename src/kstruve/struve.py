@@ -27,10 +27,10 @@ polynomial, in this order, until a value's bound fits:
   ratio below 1 at that range's end), one relative bound, proved once for
   the whole interval, serves every node; otherwise each node computes its
   own;
-- Taylor at X: for c > 0 where that one bound does not hold, next to X,
-  where sigma = 1 - (x/X)**2 is small, the integer terms u_m of one
-  fixed-point pass at X (:func:`kstruve.fixedpoint.fixed_terms`), shifted
-  exactly to x = X and evaluated in doubles in -sigma;
+- Taylor at X: wherever that one bound does not hold on all of (0, X],
+  next to X, where sigma = 1 - (x/X)**2 is small, the integer terms u_m of
+  one fixed-point pass at X (:func:`kstruve.fixedpoint.fixed_terms`),
+  shifted exactly to x = X and evaluated in doubles in -sigma;
 - integer: the same u_m, evaluated by integer Horner's rule in s = (x/X)**2.
 
 :func:`k_struve` is one node of that evaluator: it evaluates at x the
@@ -295,8 +295,8 @@ def k_struve_poly(params: StruveParams, xmax: float, tol: float):
       (c/k)(W/2)**2 / ((nu/k + 3/2) 3/2), is below 1.  The certificate
       implies the per-node test, so the same nodes are served with the same
       values either way;
-    - for c > 0, unless the certificate holds on all of (0, xmax], the
-      integer terms of one fixed-point pass at xmax
+    - unless the certificate holds on all of (0, xmax], the integer
+      terms of one fixed-point pass at xmax
       (:func:`_integer_horner`): first, where sigma = 1 - (x/xmax)**2 <=
       ``_SIGMA_MAX``, their exact Taylor shift to x = xmax in doubles,
       then integer Horner's rule.
@@ -311,9 +311,9 @@ def k_struve_poly(params: StruveParams, xmax: float, tol: float):
         return None
     pairs, sign, vscale, tail, span, rounding, rel = double
     certified = rel <= tol
-    # for c > 0 the integer terms serve wherever the certificate does not hold
-    needs_integer = params.c > 0.0 and not (certified and wmax == xmax)
-    integer = _integer_horner(params, xmax, tol) if needs_integer else None
+    # the integer terms serve wherever the certificate does not hold
+    whole = certified and wmax == xmax
+    integer = None if whole else _integer_horner(params, xmax, tol)
     consts = params._series
     power = consts.power
     # S(-x) = (-1)**power S(x); 0 marks a fractional power, which has no real value
@@ -412,9 +412,7 @@ def k_struve_poly(params: StruveParams, xmax: float, tol: float):
 
     evaluate.degree = degree
     evaluate.lead_err = lead_err0
-    evaluate.certified = (
-        (power, scale0, delta, vscale, pairs, sign) if certified and wmax == xmax else None
-    )
+    evaluate.certified = (power, scale0, delta, vscale, pairs, sign) if whole else None
     return evaluate
 
 
@@ -533,7 +531,10 @@ def _integer_horner(params: StruveParams, xmax: float, tol: float):
     floor, the rounding of s (1.25 * 2**-bits * sum m (|u_m| + e_m)),
     and the pass's tail at xmax times s**(R + 1); then the leading term's
     error, the conversion of acc and the product, as the Fox-Wright
-    fixed-point sum does, and a subnormal ulp.
+    fixed-point sum does, and a subnormal ulp.  The largest term comes near
+    m = peak = (xmax/2) sqrt(|c|/k), and the pass provisions one cond bit per
+    bit of e**(2 peak), which the terms outgrow their sum by when they
+    cancel; where all of them are positive (c < 0) that over-provisions.
 
     Next to xmax, where sigma = 1 - s <= ``_SIGMA_MAX``, a node first tries
     the same polynomial shifted to s = 1 (:func:`_taylor_at_one`) in doubles:
@@ -551,8 +552,7 @@ def _integer_horner(params: StruveParams, xmax: float, tol: float):
     on this path only; sigma_max is -1 when there is no shifted polynomial.
     """
     consts = params._series
-    half_max = 0.5 * xmax
-    peak = half_max * math.sqrt(params.c / params.k)
+    peak = 0.5 * xmax * math.sqrt(abs(params.c) / params.k)
     if peak >= _MAX_TERMS or xmax * xmax < _MIN_NORMAL:
         # the largest term would come after the pass's last; the nodes' sigma divides by xmax**2
         return None
@@ -561,7 +561,7 @@ def _integer_horner(params: StruveParams, xmax: float, tol: float):
     table = LinearRatio((), consts.factors, (cn * xn * xn, cd * xd * xd), 0)
     try:
         terms, bits, tail, floors = fixed_terms(
-            # the c > 0 terms outgrow their sum by about e**(2 peak)
+            # terms up to about e**(2 peak) times their sum, as when c > 0 cancels
             table, math.ceil(2.0 * LOG2_E * peak) + 8, 0.125 * tol, _MAX_TERMS
         )
     except ConvergenceError:

@@ -263,6 +263,29 @@ class TestRhs:
             reference = mp_closed_form(mp, which, True, *point)
             assert abs(mp.mpf(value) - reference) <= 1e-12 * abs(reference)
 
+    @pytest.mark.parametrize(
+        "point, message",
+        [
+            # lam = -0.2: 0 to a negative power
+            ((1.0, 0.5, -1.2, 1.0, 1.0, 0.0), r"no real value at y=0\.0, lam=-0\.19"),
+            # lam = 3.5: a negative base to a fractional power
+            ((1.0, 0.5, 2.5, 1.0, 1.0, -1.0), r"no real value at y=-1\.0, lam=3\.5"),
+        ],
+        ids=["zero-y-negative-lam", "negative-y-fractional-lam"],
+    )
+    def test_a_power_of_y_with_no_real_value_is_refused(self, point, message):
+        # rhs does not check the hypotheses, so (y/2)**lam itself refuses
+        for which in ("theorem1", "theorem2"):
+            with pytest.raises(DomainError, match=message):
+                rhs(which, TheoremParams(*point))
+
+    @pytest.mark.parametrize("which, nu, c", [("theorem1", 2.0, 1.0), ("theorem2", 1.0, -1.0)])
+    def test_a_negative_y_takes_the_sign_of_its_integer_power(self, which, nu, c):
+        # lam = 3 flips the sign and lam = 2 keeps it; z = -c y**2 / (4k) is
+        # the same at -y, so the two values agree to the bit
+        pos, neg = (rhs(which, TheoremParams(1.0, 0.5, nu, c, 1.0, y)) for y in (3.0, -3.0))
+        assert neg == (-1.0) ** (nu + 1.0) * pos != 0.0
+
     def test_wright_spec_is_entire(self):
         # every 2Psi3 tail the engine builds has convergence index 1
         for p in default_grid("theorem1") + default_grid("theorem2"):
@@ -411,6 +434,23 @@ class TestVerify:
         p = TheoremParams(alpha=0.005, mu=0.005, nu=2.0)
         with pytest.raises(NonFiniteSampleError, match=r"x = 1e-320"):
             integrand("theorem1", p, 1e-320)
+
+    @pytest.mark.parametrize("x", [1e-309, 1e-310, 1e-311])
+    def test_an_integrand_whose_product_overflows_names_its_abscissa(self, x):
+        # the weight (about 1e307) and S(w) (about 1e7) are each finite, and
+        # their product overflows to inf without an OverflowError
+        p = TheoremParams(alpha=0.005, mu=0.005, nu=10.0, c=1.0, k=1.0, y=40.0)
+        with pytest.raises(NonFiniteSampleError, match=rf"returned inf at x = {x!r}$"):
+            integrand("theorem1", p, x)
+
+    def test_a_negative_c_point_confirms_where_the_double_bound_fails(self):
+        # the series tol is 1e-14 here, where the double polynomial's bound
+        # no longer fits: the integer terms serve c < 0 too
+        p = TheoremParams(1.066743101543923, 1.022179801508358, 1.8177963168764775,
+                          -1.2016404628653719, 2.0, 4.945590271490039)
+        report = verify("theorem1", p, tol=1e-12, strict=False)
+        assert report.verdict is Verdict.CONFIRMED_CORRECTED
+        assert report.rel_dev_corrected < 1e-12
 
     @pytest.mark.parametrize("which, c", [("theorem1", 1.0), ("theorem2", -1.0)])
     def test_tiny_y_under_a_negative_power(self, which, c):

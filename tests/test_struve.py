@@ -238,6 +238,46 @@ class TestSeriesBehavior:
         res = k_struve(params, x, tol=1e-12)
         assert res.terms_used == 1 and res.error_bound <= 1e-12 * res.value
 
+    def test_negative_c_reaches_every_tol_down_to_the_leading_term(self):
+        """400 seeded c < 0 calls at tol 1e-12 to 1e-14 against mpmath.
+
+        Every term is positive, but the double polynomial's bound grows by
+        ``step_ulps`` per degree and fails first near tol 1e-14; the integer
+        terms serve there.  No call runs out of terms, every bound holds, and
+        the only refusal left is a tol below the leading term's accuracy.
+        """
+        mp = pytest.importorskip("mpmath")
+        rng = random.Random(28)
+        served = 0
+        for _ in range(400):
+            k = rng.choice((0.25, 0.5, 1.0, 2.0, 3.0))
+            nu = k * rng.uniform(-1.4, 12.0)
+            c = -rng.choice((0.5, 1.0, 2.0, 3.0))
+            x = math.exp(rng.uniform(math.log(0.1), math.log(30.0)))
+            tol = 10.0 ** rng.uniform(-14.0, -12.0)
+            params = StruveParams(nu=nu, c=c, k=k)
+            try:
+                res = k_struve(params, x, tol=tol)
+            except ConvergenceError as exc:
+                assert "below the accuracy of the leading term" in str(exc), (params, x, tol)
+                continue
+            error = abs(mp.mpf(res.value) - mp_k_struve(mp, nu, c, k, x))
+            assert error <= res.error_bound <= tol * abs(res.value), (params, x, tol)
+            served += 1
+        assert served >= 380
+
+    def test_negative_c_at_tol_1e_14_takes_the_integer_terms(self):
+        # the double bound fails here while the leading term's error is 2.1e-15
+        params = StruveParams(nu=1.8177963168764775, c=-1.2016404628653719, k=2.0)
+        x = 4.679380365510313
+        res = k_struve(params, x, tol=1e-14)
+        assert res.value == 4.04497770785031
+        assert res.error_bound <= 1e-14 * res.value
+        mp = pytest.importorskip("mpmath")
+        assert abs(mp.mpf(res.value) - mp_k_struve(mp, params.nu, params.c, params.k, x)) <= (
+            res.error_bound
+        )
+
     def test_bad_tol_rejected(self):
         with pytest.raises(DomainError):
             struve_h(0.0, 1.0, tol=0.0)

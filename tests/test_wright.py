@@ -427,3 +427,38 @@ def test_the_tables_at_a_negative_z_hold_the_argument_and_its_sign(monkeypatch):
     for m in range(4):
         assert _table_ratio(printed, m) == _exact_ratio(spec, Fraction(-400), m)
         assert _table_ratio(companion, m) == _exact_ratio(raised, Fraction(scale) * -400, m)
+
+
+def test_a_fixed_point_pass_that_runs_out_of_bits_is_repeated_with_twice_the_bits(monkeypatch):
+    """e**-40 from 0Psi0's table: 52 bits run out before the sum resolves, 104 serve."""
+    mp = pytest.importorskip("mpmath")
+    from kstruve import fixedpoint
+
+    passes = []
+    real = fixedpoint._pass
+
+    def record(table, bits, *args):
+        out = real(table, bits, *args)
+        passes.append((bits, out is None))
+        return out
+
+    monkeypatch.setattr(fixedpoint, "_pass", record)
+    terms, bits, tail, floors = fixedpoint.fixed_terms(
+        WrightSpec([], [])._plan.table(-40.0), 0, 1e-10, 1000
+    )
+    assert passes == [(52, True), (104, False)] and bits == 104
+    total = mp.mpf(sum(terms)) / 2**bits
+    exact = mp.exp(-40)
+    assert abs(total - exact) <= (tail + floors) * 2.0**-bits
+    assert abs(total - exact) <= 1e-10 * exact
+
+
+def test_the_lead_error_of_a_non_integer_slope_bounds_the_first_term():
+    # the first term Gamma(1.3) / (Gamma(2.1) Gamma(0.4)) from three log Gammas
+    mp = pytest.importorskip("mpmath")
+    spec = WrightSpec(upper=[(1.3, 0.7)], lower=[(2.1, 1.5), (0.4, 0.9)])
+    res = wright_eval(spec, 0.0)
+    exact = mp.gamma(mp.mpf(1.3)) / (mp.gamma(mp.mpf(2.1)) * mp.gamma(mp.mpf(0.4)))
+    assert 0.0 < spec.lead_error < 1e-14
+    assert abs(mp.mpf(res.value) - exact) <= spec.lead_error * exact
+    assert res.error_bound == abs(res.value) * spec.lead_error + 3.0 * math.ulp(0.0)
