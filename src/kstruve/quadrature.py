@@ -29,7 +29,6 @@ integrand that overflows, raises at once.
 
 from __future__ import annotations
 
-import heapq
 import math
 from operator import add, mul, sub
 
@@ -296,6 +295,8 @@ def _resummed_partial(heap, counter) -> QuadratureResult:
 
 def _adaptive_gk(g, tol: float) -> QuadratureResult:
     """Globally adaptive bisection on (0, 1) with a worst-interval heap."""
+    import heapq  # here, not at the top: no identity runs this rule
+
     counter = [0]
     value, error, floored, mag = _gk_rule(g, 0.0, 1.0, counter)
     heap = [(-error, 0, 0.0, 1.0, value, error, floored, mag)]

@@ -9,8 +9,6 @@ string that round-trips, and integral values are printed without a trailing
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from collections.abc import Iterable, Mapping
 
@@ -76,6 +74,8 @@ def summarize(records: Iterable[dict]) -> dict:
 
 def emit_json(records: list[dict], stream) -> None:
     """One compact JSON object per record, then a summary line."""
+    import json  # here, not at the top: only --format json reads it
+
     for rec in records:
         stream.write(json.dumps(rec, separators=(", ", ": ")) + "\n")
     stream.write(json.dumps({"summary": summarize(records)}, separators=(", ", ": ")) + "\n")
@@ -85,6 +85,8 @@ def emit_csv(records: list[dict], stream) -> None:
     """Flat CSV with one row per record; params are spread into columns."""
     if not records:
         return
+    import csv  # here, not at the top: only --format csv reads it
+
     param_keys = list(records[0]["params"].keys())
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["identity", *param_keys, *_FIELDS, "verdict", "strict", "error"])

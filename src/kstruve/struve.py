@@ -27,10 +27,11 @@ polynomial, in this order, until a value's bound fits:
   ratio below 1 at that range's end), one relative bound, proved once for
   the whole interval, serves every node; otherwise each node computes its
   own;
-- Taylor at X: wherever that one bound does not hold on all of (0, X],
-  next to X, where sigma = 1 - (x/X)**2 is small, the integer terms u_m of
-  one fixed-point pass at X (:func:`kstruve.fixedpoint.fixed_terms`),
-  shifted exactly to x = X and evaluated in doubles in -sigma;
+- Taylor at X: wherever that one bound does not hold on all of (0, X]
+  and tol is not below the floor of the integer bounds, next to X, where
+  sigma = 1 - (x/X)**2 is small, the integer terms u_m of one fixed-point
+  pass at X (:func:`kstruve.fixedpoint.fixed_terms`), shifted exactly to
+  x = X and evaluated in doubles in -sigma;
 - integer: the same u_m, evaluated by integer Horner's rule in s = (x/X)**2.
 
 :func:`k_struve` is one node of that evaluator: it evaluates at x the
@@ -295,8 +296,9 @@ def k_struve_poly(params: StruveParams, xmax: float, tol: float):
       (c/k)(W/2)**2 / ((nu/k + 3/2) 3/2), is below 1.  The certificate
       implies the per-node test, so the same nodes are served with the same
       values either way;
-    - unless the certificate holds on all of (0, xmax], the integer
-      terms of one fixed-point pass at xmax
+    - unless the certificate holds on all of (0, xmax], or tol is below
+      the floor of their bounds, the integer terms of one fixed-point pass
+      at xmax
       (:func:`_integer_horner`): first, where sigma = 1 - (x/xmax)**2 <=
       ``_SIGMA_MAX``, their exact Taylor shift to x = xmax in doubles,
       then integer Horner's rule.
@@ -311,10 +313,16 @@ def k_struve_poly(params: StruveParams, xmax: float, tol: float):
         return None
     pairs, sign, vscale, tail, span, rounding, rel = double
     certified = rel <= tol
-    # the integer terms serve wherever the certificate does not hold
-    whole = certified and wmax == xmax
-    integer = None if whole else _integer_horner(params, xmax, tol)
     consts = params._series
+    # the integer terms serve wherever the certificate does not hold, and
+    # where tol is not below the floor of their bounds: both integer bounds
+    # exceed (lead_err + 3u) |value|, and the leading term's lead_err is at
+    # least scale_err + 7u inline and scale_err + 2u from its logarithm
+    # (:func:`_lead`), so below scale_err + 5u (less u for the roundings of
+    # the bound) no node can take them
+    whole = certified and wmax == xmax
+    reach = consts.scale_err + 4.0 * UNIT <= tol
+    integer = _integer_horner(params, xmax, tol) if reach and not whole else None
     power = consts.power
     # S(-x) = (-1)**power S(x); 0 marks a fractional power, which has no real value
     flip = (-1.0) ** power if power.is_integer() else 0.0

@@ -223,3 +223,59 @@ def mp_closed_form(mp, which, corrected, alpha, mu, nu, c, k, y):
         else:
             power = (y / 2) ** lam
         return +(front * power * total)
+
+
+
+def mp_fox_wright(mp, spec, z, digits=30):
+    """The Fox-Wright sum of ``spec`` at z, at the exact double inputs, or None.
+
+    Sums z**m / m! prod Gamma(a + alpha m) / prod Gamma(b + beta m) in the
+    mpmath module ``mp``: each gamma value comes from mpmath's gamma, or for
+    an integer slope from the previous one times the rising factorial
+    (a + alpha m)_alpha.  The terms can outgrow the sum by hundreds of
+    digits, so the working precision is raised until it carries ``digits``
+    beyond their cancellation; the sum is returned only where it agrees with
+    itself at that precision and 40 digits more to ``digits`` digits, and
+    None where it does not.
+    """
+    pairs = [(a, al, 1) for a, al in spec.upper] + [(b, be, -1) for b, be in spec.lower]
+
+    def total(dps):
+        with mp.workdps(dps):
+            w = mp.mpf(z)
+            factors = [(mp.mpf(a), mp.mpf(al), al.is_integer(), side) for a, al, side in pairs]
+            gammas = [mp.gamma(a) for a, _, _, _ in factors]
+            s = peak = mp.mpf(0)
+            power = mp.mpf(1)
+            m = 0
+            while True:
+                term = power
+                for (_, _, _, side), g in zip(factors, gammas):
+                    term = term * g if side > 0 else term / g
+                s += term
+                peak = max(peak, abs(term))
+                m += 1
+                if m > 10 and abs(term) <= peak * mp.mpf(10) ** -(dps + 5):
+                    return s, peak
+                power = power * w / m
+                for i, (a, al, integer, _) in enumerate(factors):
+                    if integer:
+                        x = a + al * (m - 1)
+                        for j in range(int(al)):
+                            gammas[i] *= x + j
+                    else:
+                        gammas[i] = mp.gamma(a + al * m)
+
+    # a sum that cancels is often near 1 / peak, as e**z at z < 0 is: try that
+    # precision first, then whatever the last sum shows it cancels
+    dps = digits + 20
+    for _ in range(8):
+        s, peak = total(dps)
+        cancel = int(mp.log10(peak / abs(s))) + 1 if s else 2 * dps
+        if cancel <= dps - digits - 10:
+            break
+        dps = digits + 10 + max(cancel, 2 * int(mp.log10(peak)) if peak > 1 else 0)
+    check, _ = total(dps + 40)
+    if abs(s - check) > abs(check) * mp.mpf(10) ** -digits:
+        return None
+    return check

@@ -12,32 +12,37 @@ _PROBE = """
 import io, sys
 sys.path.insert(0, sys.argv[1])
 import kstruve, kstruve.cli
-code = kstruve.cli.main(
-    ["verify", "theorem1", "--alpha", "1", "--mu", "0.5", "--nu", "2", "--c", "1", "--k", "1", "--y", "20"],
-    stdout=io.StringIO(), stderr=io.StringIO(),
-)
+code = kstruve.cli.main(sys.argv[2:], stdout=io.StringIO(), stderr=io.StringIO())
 print(code)
 for name in sorted({m.partition(".")[0] for m in sys.modules}):
     print(name)
 """
 
 
-# stdlib modules that neither import nor a verify run loads: dataclasses and
-# typing (with inspect behind them) take longer to import than a verify point
-# takes to compute, and only a grid config needs configparser
-_UNLOADED = ("configparser", "dataclasses", "inspect", "typing")
+# a table-format verify and an eval, each in its own fresh interpreter
+_RUNS = (
+    ("verify", "theorem1", "--alpha", "1", "--mu", "0.5", "--nu", "2", "--c", "1", "--k", "1", "--y", "20"),
+    ("eval", "struve_h", "--nu", "0", "--x", "1"),
+)
+
+# stdlib modules that neither import nor those runs load: dataclasses, typing
+# (with inspect behind them) and json take longer to import than a verify point
+# takes to compute; only a grid config needs configparser, only --format csv
+# needs csv, and only the Gauss-Kronrod rule, which no identity runs, needs heapq
+_UNLOADED = ("configparser", "csv", "dataclasses", "heapq", "inspect", "json", "typing")
 
 
 def test_runtime_imports_only_the_standard_library():
     src = Path(kstruve.__file__).resolve().parent.parent
-    run = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", _PROBE, str(src)],
-        capture_output=True, text=True, timeout=60,
-    )
-    assert run.returncode == 0, run.stderr
-    code, *names = run.stdout.split()
-    assert code == "0", run.stdout
-    assert "kstruve" in names
-    foreign = [n for n in names if n not in ("__main__", "kstruve") and n not in sys.stdlib_module_names]
-    assert not foreign, foreign
-    assert not [n for n in _UNLOADED if n in names]
+    for argv in _RUNS:
+        run = subprocess.run(
+            [sys.executable, "-I", "-S", "-c", _PROBE, str(src), *argv],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert run.returncode == 0, run.stderr
+        code, *names = run.stdout.split()
+        assert code == "0", (argv, run.stdout)
+        assert "kstruve" in names
+        foreign = [n for n in names if n not in ("__main__", "kstruve") and n not in sys.stdlib_module_names]
+        assert not foreign, (argv, foreign)
+        assert not [n for n in _UNLOADED if n in names], argv

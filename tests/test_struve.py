@@ -6,7 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import Phase, given, settings, strategies as st, target
 
 from kstruve import (
     ConvergenceError,
@@ -278,6 +278,18 @@ class TestSeriesBehavior:
             res.error_bound
         )
 
+    @pytest.mark.parametrize("c", [1.0, 0.0, -1.0])
+    def test_a_tol_below_the_leading_term_builds_no_integer_terms(self, monkeypatch, c):
+        # no integer bound can fall below the leading term's error, so a tol
+        # under it is refused without a fixed-point pass
+        builds = []
+        build = struve_module._integer_horner
+        monkeypatch.setattr(struve_module, "_integer_horner", lambda *a: builds.append(a) or build(*a))
+        message = r"tol=1e-15 is below the accuracy of the leading term \(relative error 2.06e-15\)"
+        with pytest.raises(ConvergenceError, match=message):
+            k_struve(StruveParams(2.0, c, 1.0), 1.0, tol=1e-15)
+        assert builds == []
+
     def test_bad_tol_rejected(self):
         with pytest.raises(DomainError):
             struve_h(0.0, 1.0, tol=0.0)
@@ -490,3 +502,32 @@ class TestOdeResidual:
     def test_bad_step_rejected(self):
         with pytest.raises(DomainError):
             struve_ode_residual(0.0, 1.0, step=0.0)
+
+
+@settings(
+    max_examples=600, deadline=None, derandomize=True, database=None,
+    phases=(Phase.generate, Phase.target),
+)
+@given(
+    order=st.floats(-1.45, 120.0),
+    c=st.floats(-3.0, 3.0),
+    k=st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.0]),
+    log_x=st.floats(-40.0, math.log(90.0)),
+    log_tol=st.floats(math.log(1e-14), math.log(1e-8)),
+)
+def test_a_targeted_hunt_finds_no_k_struve_bound_below_its_error(order, c, k, log_x, log_tol):
+    """err <= error_bound against mpmath, where hypothesis steers toward the largest err / bound.
+
+    order is nu/k; a ConvergenceError (a tol below the leading term's
+    accuracy, or beyond 500 terms) is a refusal, not a result to judge.
+    """
+    mp = pytest.importorskip("mpmath")
+    params = StruveParams(order * k, c, k)
+    x, tol = math.exp(log_x), math.exp(log_tol)
+    try:
+        res = k_struve(params, x, tol=tol)
+    except ConvergenceError:
+        return
+    err = abs(mp.mpf(res.value) - mp_k_struve(mp, params.nu, c, k, x))
+    target(float(err / res.error_bound))
+    assert err <= res.error_bound, (params, x, tol, res)

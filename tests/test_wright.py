@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import Phase, assume, given, settings, strategies as st, target
 
 from kstruve import (
     ConvergenceError,
@@ -15,6 +15,8 @@ from kstruve import (
     convergence_index,
     wright_eval,
 )
+
+from oracles import mp_fox_wright
 
 # sum_m 1/(m!)^2 = I_0(2), bessel reduction of 0Psi1
 I0_AT_2 = 2.279585302336067267437
@@ -462,3 +464,41 @@ def test_the_lead_error_of_a_non_integer_slope_bounds_the_first_term():
     assert 0.0 < spec.lead_error < 1e-14
     assert abs(mp.mpf(res.value) - exact) <= spec.lead_error * exact
     assert res.error_bound == abs(res.value) * spec.lead_error + 3.0 * math.ulp(0.0)
+
+
+_SLOPE = st.one_of(st.sampled_from([1.0, 2.0, 3.0]), st.floats(0.3, 2.5))
+_PAIR = st.tuples(st.floats(0.1, 6.0), _SLOPE)
+
+
+@settings(
+    max_examples=200, deadline=None, derandomize=True, database=None,
+    phases=(Phase.generate, Phase.target),
+)
+@given(
+    upper=st.lists(_PAIR, max_size=2),
+    lower=st.lists(_PAIR, min_size=1, max_size=3),
+    z=st.floats(-400.0, 400.0),
+    log_tol=st.floats(math.log(1e-14), math.log(1e-8)),
+)
+def test_a_targeted_hunt_finds_no_wright_bound_below_its_error(upper, lower, z, log_tol):
+    """err <= error_bound against mpmath, where hypothesis steers toward the largest err / bound.
+
+    Integer and non-integer slopes, delta > -0.5.  A sum is judged only
+    where the reference agrees with itself at two precisions: at one
+    precision, terms near e**238 that cancel to 1e-91 once read as an
+    under-report by 1e129.  A ConvergenceError is a refusal, not a result.
+    """
+    mp = pytest.importorskip("mpmath")
+    spec = WrightSpec(upper, lower)
+    assume(convergence_index(spec) > -0.5)
+    tol = math.exp(log_tol)
+    try:
+        res = wright_eval(spec, z, tol=tol)
+    except ConvergenceError:
+        return
+    exact = mp_fox_wright(mp, spec, z)
+    if exact is None:
+        return
+    err = abs(mp.mpf(res.value) - exact)
+    target(float(err / res.error_bound))
+    assert err <= res.error_bound, (spec, z, tol, res)
