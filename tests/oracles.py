@@ -238,27 +238,17 @@ def mp_fox_wright(mp, spec, z, digits=30):
     itself at that precision and 40 digits more to ``digits`` digits, and
     None where it does not.
     """
-    pairs = [(a, al, 1) for a, al in spec.upper] + [(b, be, -1) for b, be in spec.lower]
 
     def total(dps):
         with mp.workdps(dps):
-            w = mp.mpf(z)
-            factors = [(mp.mpf(a), mp.mpf(al), al.is_integer(), side) for a, al, side in pairs]
-            gammas = [mp.gamma(a) for a, _, _, _ in factors]
-            s = peak = mp.mpf(0)
-            power = mp.mpf(1)
-            m = 0
-            while True:
-                term = power
-                for (_, _, _, side), g in zip(factors, gammas):
-                    term = term * g if side > 0 else term / g
-                s += term
-                peak = max(peak, abs(term))
-                m += 1
-                if m > 10 and abs(term) <= peak * mp.mpf(10) ** -(dps + 5):
-                    return s, peak
-                power = power * w / m
-                for i, (a, al, integer, _) in enumerate(factors):
+            up = [(mp.mpf(a), mp.mpf(al), al.is_integer()) for a, al in spec.upper]
+            down = [(mp.mpf(b), mp.mpf(be), be.is_integer()) for b, be in spec.lower]
+            up_gammas = [mp.gamma(a) for a, _, _ in up]
+            down_gammas = [mp.gamma(b) for b, _, _ in down]
+
+            def advance(gammas, factors, m):
+                # Gamma(a + alpha m) from Gamma(a + alpha (m - 1)) for each factor
+                for i, (a, al, integer) in enumerate(factors):
                     if integer:
                         x = a + al * (m - 1)
                         for j in range(int(al)):
@@ -266,8 +256,22 @@ def mp_fox_wright(mp, spec, z, digits=30):
                     else:
                         gammas[i] = mp.gamma(a + al * m)
 
-    # a sum that cancels is often near 1 / peak, as e**z at z < 0 is: try that
-    # precision first, then whatever the last sum shows it cancels
+            w, power = mp.mpf(z), mp.mpf(1)
+            s = peak = mp.mpf(0)
+            m = 0
+            while True:
+                term = power * mp.fprod(up_gammas) / mp.fprod(down_gammas)
+                s += term
+                peak = max(peak, abs(term))
+                m += 1
+                if m > 10 and abs(term) <= peak * mp.mpf(10) ** -(dps + 5):
+                    return s, peak
+                power = power * w / m
+                advance(up_gammas, up, m)
+                advance(down_gammas, down, m)
+
+    # a sum that cancels is often near 1 / peak, as e**z at z < 0 is: once a
+    # first sum shows cancellation, carry at least that many digits more
     dps = digits + 20
     for _ in range(8):
         s, peak = total(dps)
