@@ -7,9 +7,12 @@ with all alpha_i, beta_j > 0.  The series is entire whenever the convergence
 index  delta = sum(beta_j) - sum(alpha_i)  exceeds -1; at delta = -1 it has a
 finite radius and below that it is purely asymptotic, so evaluation is
 refused there.  With integer slopes up to 64 (every identity in the package
-has 1 and 2) the terms follow their exact ratio recurrence, re-summed in
-fixed point when they cancel beyond double precision; other slopes assemble
-each term in log space with explicit sign tracking.
+has 1 and 2) and a first term within e**-700 to e**700 the terms follow
+their exact ratio recurrence, re-summed in fixed point when they cancel
+beyond double precision; every other spec assembles each term in log space
+with explicit sign tracking and reads each term ratio from the logarithms,
+so a term that underflows to 0.0 still has one.  One predicate routes a
+spec, and :attr:`WrightSpec.lead_error` follows it.
 
 :func:`wright_pair` sums a spec together with its companion, the spec with
 its last lower parameter raised by 1 at a scaled argument, whose terms are
@@ -75,20 +78,30 @@ class WrightSpec(namedtuple("WrightSpec", "upper lower")):
 
     @property
     def lead_error(self) -> float:
-        """Relative error bound of the computed m = 0 term.
+        """Relative error bound of the m = 0 term as the path that sums this spec computes it.
 
-        :func:`wright_eval` cannot meet a relative tolerance much below it.
+        That is the exact-ratio plan's first term for integer slopes with a
+        first term within e**-700 to e**700, and the log path's otherwise:
+        ``wright_eval(spec, 0.0)`` returns this times |t_0| (plus
+        3 * 2**-1074) as its bound, and :func:`wright_eval` cannot meet a
+        relative tolerance much below it.
         """
-        if _integer_slopes(self):
+        if _exact_ratio(self):
             return self._plan.lead_err
-        _, _, size = _log_term(self, 0)
-        count = len(self.upper) + len(self.lower)
-        return UNIT * ((6.0 + count) * size + 4.0 * (count + 1) + 2.0)
+        return _log_path_term(self, 0.0, 0)[2]
 
 
 def _integer_slopes(spec: WrightSpec) -> bool:
-    """Whether every slope is an integer of at most _MAX_SLOPE: the exact-ratio path's specs."""
+    """Whether every slope is an integer of at most _MAX_SLOPE."""
     return all(w.is_integer() and w <= _MAX_SLOPE for _, w in spec.upper + spec.lower)
+
+
+def _exact_ratio(spec: WrightSpec) -> bool:
+    """Whether :func:`wright_eval` sums spec by its exact term ratio.
+
+    That needs integer slopes and a first term within e**-700 to e**700.
+    """
+    return _integer_slopes(spec) and spec._plan.lead != 0.0
 
 
 def convergence_index(spec: WrightSpec) -> float:
@@ -267,18 +280,22 @@ def wright_eval(spec: WrightSpec, z: float, tol: float = 1e-12) -> EvaluationRes
     integers (:func:`kstruve.fixedpoint.fixed_terms`); for z < 0 whose
     largest term exceeds tol / 2**-53 times the first, which an O(1)
     estimate detects, the fixed-point pass runs without the double loop.
-    Other slopes assemble each term from log Gamma values; the tail is
-    certified once every gamma argument is positive, the observed term
-    ratios decrease over a three-term window and the latest ratio is below
-    1, and a rounding bound the rule cannot absorb raises ConvergenceError
-    naming the cancellation.
+    Every other spec (another slope, or a first term outside e**-700 to
+    e**700) takes the log path: each term is assembled from log Gamma
+    values, and each term ratio is read from their logarithms,
+    exp(log |t_m| - log |t_{m-1}|), which exists where a term underflows to
+    0.0; there is no underflow exit.  The tail is certified once every gamma
+    argument is positive, the observed term ratios decrease over a
+    three-term window and the latest ratio is below 1.  A rounding bound the
+    rule cannot absorb raises ConvergenceError naming that rounding, which
+    comes from each term's log Gamma values, and sum |t| / |sum t|.
     ConvergenceError is also raised if delta <= -1 (outside the entire
     regime), if a term or the sum leaves the double range, or if 1000 terms
     do not suffice.
     """
     require_tol(tol)
     _refuse(spec, z)
-    if _integer_slopes(spec) and spec._plan.lead != 0.0:
+    if _exact_ratio(spec):
         return _ratio_sums(spec, z, tol)[0]
     return _log_sum(spec, z, tol)
 
@@ -540,40 +557,45 @@ def _fixed(plan: _Plan, z: float, tol: float, cond_bits: int) -> EvaluationResul
     raise ConvergenceError(f"the terms cancel or grow beyond {MAX_BITS} bits of precision")
 
 
-def _log_sum(spec: WrightSpec, z: float, tol: float) -> EvaluationResult:
-    """Any slopes: each term from log Gamma values, with a running rounding bound."""
+def _log_path_term(spec: WrightSpec, z: float, m: int) -> tuple[float, float, float]:
+    """(log |t_m|, sign, bound on the relative rounding error of t_m) from log Gamma values."""
+    log_mag, sign, size = _log_term(spec, m)
+    if m > 0:
+        power = m * math.log(abs(z))
+        lg_fact = math.lgamma(m + 1.0)
+        log_mag += power - lg_fact
+        size += abs(power) + abs(lg_fact)
+        if z < 0.0 and m % 2 == 1:
+            sign = -sign
     count = len(spec.upper) + len(spec.lower)
-    log_z = math.log(abs(z)) if z != 0.0 else 0.0
+    # each log within 2 ulps (plus 4 ulps absolute), the sums, exp
+    return log_mag, sign, UNIT * ((6.0 + count) * size + 4.0 * (count + 1) + 2.0)
 
-    def term_value(m: int) -> tuple[float, float]:
-        """The m-th term and a bound on its relative rounding error."""
-        log_mag, sign, size = _log_term(spec, m)
-        if m > 0:
-            if z == 0.0:
-                return 0.0, 0.0
-            power = m * log_z
-            lg_fact = math.lgamma(m + 1.0)
-            log_mag += power - lg_fact
-            size += abs(power) + abs(lg_fact)
-            if z < 0.0 and m % 2 == 1:
-                sign = -sign
-        # each log within 2 ulps (plus 4 ulps absolute), the sums, exp
-        err = UNIT * ((6.0 + count) * size + 4.0 * (count + 1) + 2.0)
-        if log_mag < -745.0:
-            return 0.0, 0.0
+
+def _log_sum(spec: WrightSpec, z: float, tol: float) -> EvaluationResult:
+    """Any slopes: each term from log Gamma values, with a running rounding bound.
+
+    Each ratio is read from the logarithms, exp(log |t_m| - log |t_{m-1}|),
+    so it exists where a term underflows to 0.0, and the one stopping test
+    ends every sum.
+    """
+
+    def term_value(m: int) -> tuple[float, float, float]:
+        """(log |t_m|, t_m, bound on its relative rounding error)."""
+        log_mag, sign, err = _log_path_term(spec, z, m)
         if log_mag > _LOG_DBL_MAX:
             raise ConvergenceError(f"Fox-Wright series at z={z}: term {m} overflows")
-        return sign * math.exp(log_mag), err
+        return log_mag, sign * math.exp(log_mag), err  # below e**-745 exp gives 0.0
 
     positive_from = _first_positive([(w, a) for a, w in spec.upper + spec.lower])
     total = 0.0
     comp = 0.0
-    previous, previous_err = term_value(0)
+    log_previous, previous, previous_err = term_value(0)
     if z == 0.0:
         return _lead_only(previous, previous_err)
     mags = 0.0
     rounding = 0.0
-    ratios: list[float] = []
+    steps: list[float] = []  # the latest three log |t_m / t_{m-1}|
     for m in range(1, _MAX_TERMS + 1):
         y = previous - comp
         t = total + y
@@ -581,16 +603,10 @@ def _log_sum(spec: WrightSpec, z: float, tol: float) -> EvaluationResult:
         total = t
         mags += abs(previous)
         rounding += abs(previous) * previous_err
-        current, current_err = term_value(m)
-        if previous != 0.0 and math.isfinite(current / previous):
-            ratios.append(abs(current / previous))
-            if len(ratios) > 3:
-                ratios.pop(0)
-        elif current == 0.0 and previous == 0.0:
-            # underflowed into the flat tail: nothing left to add
-            return EvaluationResult(total, UNIT * 2.0 * mags + rounding + (m + 2) * SUBNORMAL_ULP, m)
-        rho = ratios[-1] if ratios else math.inf
-        window_ok = len(ratios) == 3 and ratios[0] >= ratios[1] >= ratios[2]
+        log_current, current, current_err = term_value(m)
+        steps = steps[-2:] + [log_current - log_previous]
+        rho = math.exp(min(steps[-1], 0.0))  # only a ratio below 1 is used
+        window_ok = len(steps) == 3 and steps[0] >= steps[1] >= steps[2]
         if window_ok and rho < 1.0 and m >= positive_from:
             bound = abs(current) / (1.0 - rho)
             limit = tol * abs(total)
@@ -604,11 +620,11 @@ def _log_sum(spec: WrightSpec, z: float, tol: float) -> EvaluationResult:
                 if rounding > 0.5 * limit:
                     cancellation = mags / abs(total) if total else math.inf
                     raise ConvergenceError(
-                        f"Fox-Wright series at z={z}: the terms cancel "
-                        f"(sum |t| / |sum t| = {cancellation:.2e}) and their "
-                        f"rounding {rounding:.2e} exceeds tol * |value| = {limit:.2e}"
+                        f"Fox-Wright series at z={z}: the rounding {rounding:.2e} of terms "
+                        f"computed from log Gamma values exceeds tol * |value| = {limit:.2e} "
+                        f"(sum |t| / |sum t| = {cancellation:.2e})"
                     )
-        previous, previous_err = current, current_err
+        log_previous, previous, previous_err = log_current, current, current_err
     raise ConvergenceError(
         f"Fox-Wright series needed more than {_MAX_TERMS} terms at z={z} for tol={tol}"
     )

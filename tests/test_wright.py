@@ -151,7 +151,7 @@ class TestErrorPaths:
     def test_cancellation_message_reports_a_ratio_of_at_least_one(self):
         # the sum here is about 1.5e-306: the rule is relative at every scale
         spec = WrightSpec(upper=((1.0, 1.0),), lower=((170.5, 1.0),))
-        with pytest.raises(ConvergenceError, match="terms cancel") as info:
+        with pytest.raises(ConvergenceError, match=r"sum \|t\| / \|sum t\| = ") as info:
             wright_eval(spec, -30.0, tol=1e-12)
         ratio = float(str(info.value).split("sum |t| / |sum t| = ")[1].split(")")[0])
         assert ratio >= 1.0
@@ -466,27 +466,66 @@ def test_the_lead_error_of_a_non_integer_slope_bounds_the_first_term():
     assert res.error_bound == abs(res.value) * spec.lead_error + 3.0 * math.ulp(0.0)
 
 
+# first terms below the double range, where the log path once met two
+# underflowed terms at m = 1 and returned 0.0; each sum peaks much later
+UNDERFLOWING_FIRST_TERMS = [
+    pytest.param(((1.0, 1.0),), ((400.0, 0.5),), 60.0, 1e-12, None, id="6e144-peak-near-6400"),
+    pytest.param(((1.0, 1.0),), ((200.0, 1.0),), 600.0, 1e-10, 566, id="5e-293-peak-near-600"),
+    pytest.param(((1.0, 1.0),), ((400.0, 1.0),), 3000.0, 1e-12, None, id="3e-85-peak-near-3000"),
+    pytest.param(((1.0, 1.0),), ((200.0, 1.0),), -300.0, 1e-12, 103, id="1e-373-below-subnormals"),
+]
+
+
+@pytest.mark.parametrize("upper, lower, z, tol, terms", UNDERFLOWING_FIRST_TERMS)
+def test_a_sum_whose_first_terms_underflow_is_served_within_its_bound_or_refused(
+    upper, lower, z, tol, terms
+):
+    """Against a 40-digit mpmath sum through the peak; None for terms is a refusal (past 1000 terms)."""
+    mp = pytest.importorskip("mpmath")
+    spec = WrightSpec(upper, lower)
+    exact = mp_fox_wright(mp, spec, z, digits=40)
+    assert exact > 0
+    if terms is None:
+        with pytest.raises(ConvergenceError, match="more than 1000 terms"):
+            wright_eval(spec, z, tol)
+        return
+    res = wright_eval(spec, z, tol)
+    assert res.terms_used == terms
+    floor = (terms + 2) * math.ulp(0.0)  # a sum below the normal range
+    assert abs(mp.mpf(res.value) - exact) <= res.error_bound <= tol * abs(res.value) + floor
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        pytest.param(WrightSpec([(1.0, 1.0)], [(1.5, 1.0)]), id="exact-ratio"),
+        pytest.param(WrightSpec([(1.0, 1.0)], [(170.5, 1.0)]), id="integer-slopes-first-term-near-e-704"),
+    ],
+)
+def test_the_lead_error_is_the_relative_bound_of_the_path_that_sums_the_spec(spec):
+    mp = pytest.importorskip("mpmath")
+    res = wright_eval(spec, 0.0)
+    assert res.error_bound == abs(res.value) * spec.lead_error + 3.0 * math.ulp(0.0)
+    (a, _), (b, _) = spec.upper[0], spec.lower[0]
+    with mp.workdps(40):
+        exact = mp.gamma(mp.mpf(a)) / mp.gamma(mp.mpf(b))
+    assert abs(mp.mpf(res.value) - exact) <= res.error_bound
+
+
 _SLOPE = st.one_of(st.sampled_from([1.0, 2.0, 3.0]), st.floats(0.3, 2.5))
 _PAIR = st.tuples(st.floats(0.1, 6.0), _SLOPE)
+_HUNT = settings(
+    deadline=None, derandomize=True, database=None, phases=(Phase.generate, Phase.target)
+)
 
 
-@settings(
-    max_examples=200, deadline=None, derandomize=True, database=None,
-    phases=(Phase.generate, Phase.target),
-)
-@given(
-    upper=st.lists(_PAIR, max_size=2),
-    lower=st.lists(_PAIR, min_size=1, max_size=3),
-    z=st.floats(-400.0, 400.0),
-    log_tol=st.floats(math.log(1e-14), math.log(1e-8)),
-)
-def test_a_targeted_hunt_finds_no_wright_bound_below_its_error(upper, lower, z, log_tol):
+def _hunt(upper, lower, z, log_tol):
     """err <= error_bound against mpmath, where hypothesis steers toward the largest err / bound.
 
-    Integer and non-integer slopes, delta > -0.5.  A sum is judged only
-    where the reference agrees with itself at two precisions: at one
-    precision, terms near e**238 that cancel to 1e-91 once read as an
-    under-report by 1e129.  A ConvergenceError is a refusal, not a result.
+    delta > -0.5.  A sum is judged only where the reference agrees with
+    itself at two precisions: at one precision, terms near e**238 that
+    cancel to 1e-91 once read as an under-report by 1e129.  A
+    ConvergenceError is a refusal, not a result.
     """
     mp = pytest.importorskip("mpmath")
     spec = WrightSpec(upper, lower)
@@ -502,3 +541,29 @@ def test_a_targeted_hunt_finds_no_wright_bound_below_its_error(upper, lower, z, 
     err = abs(mp.mpf(res.value) - exact)
     target(float(err / res.error_bound))
     assert err <= res.error_bound, (spec, z, tol, res)
+
+
+@settings(_HUNT, max_examples=200)
+@given(
+    upper=st.lists(_PAIR, max_size=2),
+    lower=st.lists(_PAIR, min_size=1, max_size=3),
+    z=st.floats(-400.0, 400.0),
+    log_tol=st.floats(math.log(1e-14), math.log(1e-8)),
+)
+def test_a_targeted_hunt_finds_no_wright_bound_below_its_error(upper, lower, z, log_tol):
+    """Integer and non-integer slopes, with first terms well inside the double range."""
+    _hunt(upper, lower, z, log_tol)
+
+
+@settings(_HUNT, max_examples=60)
+@given(
+    upper=st.lists(_PAIR, max_size=2),
+    lower=st.lists(st.tuples(st.floats(0.1, 400.0), _SLOPE), min_size=1, max_size=3),
+    z=st.floats(-3000.0, 3000.0),
+    log_tol=st.floats(math.log(1e-12), math.log(1e-8)),
+)
+def test_a_targeted_hunt_finds_no_wright_bound_below_its_error_where_the_first_term_underflows(
+    upper, lower, z, log_tol
+):
+    """Lower parameters up to 400, so |t_0| can fall below the double range and the sum peak later."""
+    _hunt(upper, lower, z, log_tol)
