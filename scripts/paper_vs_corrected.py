@@ -35,8 +35,8 @@ def main(argv=None) -> int:
     }
     values = sweeps[args.sweep]
 
-    print(f"sweep {args.sweep} at alpha={args.alpha}, mu={args.mu} "
-          f"(nu pinned to 3k/2 + 0.5 when sweeping k)")
+    pinned = " (nu pinned to 3k/2 + 0.5)" if args.sweep == "k" else ""
+    print(f"sweep {args.sweep} at alpha={args.alpha}, mu={args.mu}{pinned}")
     header = f"{'identity':9} {args.sweep:>6} {'dev_paper':>12} {'dev_corrected':>14} verdict"
     print(header)
     for which in ("theorem1", "theorem2"):

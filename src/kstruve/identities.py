@@ -4,21 +4,33 @@ Both theorems integrate one Lavoie-Trottier weight on (0, 1),
 
     x**(a-1) (1-x)**(2b-1) (1-x/3)**(2a-1) (1-x/4)**(b-1),
 
-times the k-Struve series, whose argument is y times the weight's factors
-(1-x/4)(1-x)**2 in theorem1, at (a, b) = (alpha + mu, alpha), and x
-(1-x/3)**2 in theorem2, at (a, b) = (alpha, alpha + mu); the corollaries
-are the theorems at the (c, k) of :data:`COROLLARY_PINS`.  Each has two
-candidate right-hand sides built on a 2 Psi 3 Fox-Wright series: the
-paper's, exactly as printed in the source theorem, and the corrected,
-re-derived form in which the third lower parameter gains +1, the power of
-k is -(nu/k + 1/2), and (for theorem2) the argument carries the (2/3)**4
-factor that the substitution w -> y x (1-x/3)**2 actually produces.  The
-printed series argument includes a spurious halving of the integrand
-argument as well; the weight above follows the substitution used in the
-proofs, which is the reading under which the corrected forms agree with
-quadrature to full precision.  The weight alone integrates to
+times the k-Struve series S(y u(x)).  In theorem1, u = (1-x/4)(1-x)**2
+and (a, b) = (alpha + mu, alpha); in theorem2, u = x (1-x/3)**2 and
+(a, b) = (alpha, alpha + mu).  The corollaries are the theorems at the
+(c, k) of :data:`COROLLARY_PINS`.  The weight alone integrates to
 (2/3)**(2a) Gamma(a) Gamma(b) / Gamma(a+b), which
 ``lavoie_trottier_check`` verifies on its own, with one closed form.
+
+Each theorem's corrected right side is derived by integrating S term by
+term: term r carries (y u / 2)**(2r + lam), so it shifts the slot that u
+feeds (b in theorem1, a in theorem2) by 2r + lam, and its integral is the
+Lavoie-Trottier value there.  Summed, that is Gamma(alpha + mu)
+k**-(nu/k + 1/2) (2/3)**(2a') (y/2)**lam times a 2 Psi 3 Fox-Wright
+series, with a' = a in theorem1 and a + lam in theorem2, where each term's
+(2/3)**(4r) puts 16/81 into the series argument.  The paper's printed
+form, ``rhs_paper``, is that derivation with four misprints:
+
+1. ``k_power``: the power of k is -nu/k instead of -(nu/k + 1/2);
+2. ``third_lower``: the series' third lower parameter lacks its +1;
+3. ``argument_scale``: theorem2's series argument lacks the
+   (2/3)**4 = 16/81;
+4. ``power_of_4``: theorem2's prefactor has (2/3)**(2 alpha) 3**(-2 lam)
+   instead of (2/3)**(2 (alpha + lam)), a factor 4**-lam.
+
+Each is applied once, where it acts: 1 and 4 in the prefactor of
+:func:`_closed_forms`, 2 in :func:`_wright_tail`, 3 in the scale that
+:func:`wright_pair` takes.  The corrected forms agree with quadrature to
+full precision.
 
 ``lhs``, ``rhs`` and ``integrand`` serve either side of every theorem;
 ``verify`` evaluates both sides, then classifies the point by the verdict
@@ -110,8 +122,18 @@ class TheoremParams(namedtuple("TheoremParams", "alpha mu nu c k y")):
         return StruveParams(nu=self.nu, c=self.c, k=self.k)
 
 
+def _weight(which: str, p: TheoremParams) -> tuple[float, float, bool]:
+    """(a, b, fed_a): theorem ``which``'s Lavoie-Trottier (a, b), and whether u feeds the a slot."""
+    return (
+        (p.alpha + p.mu, p.alpha, False) if which == "theorem1" else (p.alpha, p.alpha + p.mu, True)
+    )
+
+
 def _wright_tail(p: TheoremParams, corrected: bool = False) -> WrightSpec:
+    """The 2 Psi 3 series of both theorems' closed forms, as derived when ``corrected``."""
     nuk = p.nu / p.k
+    # misprint 2, third_lower: the printed Gamma(a' + b') = Gamma(2 alpha + mu + lam + 2m)
+    # lacks the +1
     third = 2.0 * p.alpha + p.mu + nuk + (1.0 if corrected else 0.0)
     return WrightSpec(
         upper=((p.alpha + nuk + 1.0, 2.0), (1.0, 1.0)),
@@ -128,6 +150,13 @@ def rhs(which: str, p: TheoremParams, corrected: bool = True, tol: float = 1e-12
 
     Both forms come from one Fox-Wright pass (:func:`_closed_forms`), so at
     the same tol this form is the one :func:`verify` reports, to the bit.
+    ``tol`` bounds the relative error of the Fox-Wright sum alone, and no
+    tighter than a few times the accuracy of its first term
+    (``WrightSpec.lead_error``), whose gamma values lose accuracy as their
+    arguments grow; the prefactor's rounding, which grows with the size of
+    its logarithm, comes on top.  So the value is not within tol of the exact
+    closed form everywhere: at tol 1e-12 one broad-scan point of theorem1,
+    at nu/k near 150, is 1.7e-12 from it, with a first term good to 1.8e-12.
     Raises ConvergenceError when (y/2)**lam, the gamma prefactor, the
     Fox-Wright sum or their product is not a normal double; only y = 0
     gives an exact 0.0.  A k that is not positive raises DomainError, as in
@@ -144,40 +173,41 @@ def rhs(which: str, p: TheoremParams, corrected: bool = True, tol: float = 1e-12
 def _closed_forms(which: str, p: TheoremParams, tol: float, forms) -> list[float]:
     """The closed forms of ``which`` at p named by ``forms`` (True: corrected), in that order.
 
-    The printed form is a prefactor times the 2 Psi 3 sum of
-    :func:`_wright_tail`; the corrected form's sum has the third lower
-    parameter b + 1 and, in theorem2, the argument (16/81) z.  Its terms
+    Each is a prefactor times the 2 Psi 3 sum of :func:`_wright_tail`.
+    The prefactor's logarithm is the derived one of the module docstring,
+    with misprints 1 and 4 in the printed form.  The corrected sum's terms
     are the printed ones times scale**m / (b + 2m), with scale 1 in
-    theorem1 and 16/81 in theorem2, so one :func:`wright_pair` pass on the
-    printed spec's plan sums both, each to tol (no tighter than the
-    accuracy of its first term allows).  Where the pair declines,
-    :func:`wright_eval` sums each form's own spec.  The shared logs and
-    ``math.pow(y/2, lam)``, whose C pow rules give the sign of a negative
-    base, are taken once.  Each form raises as :func:`rhs` says, in the
-    order of ``forms``.
+    theorem1 and 16/81 in theorem2 (misprint 3 leaves it out of the printed
+    argument), so one :func:`wright_pair` pass on the printed spec's plan
+    sums both, each to tol (no tighter than the accuracy of its first term
+    allows).  Where the pair declines, :func:`wright_eval` sums each form's
+    own spec.  The shared logs and ``math.pow(y/2, lam)``, whose C pow
+    rules give the sign of a negative base, are taken once.  Each form
+    raises as :func:`rhs` says, in the order of ``forms``.
     """
-    first = which == "theorem1"
+    a, _, fed_a = _weight(which, p)
     nuk = p.nu / p.k
     lam = p.lam
+    # Gamma of the slot that u does not feed, alpha + mu in both theorems
     log_gamma_am = log_gamma(p.alpha + p.mu)
     log_k = math.log(p.k)
     z = -p.c * p.y * p.y / (4.0 * p.k)
-    scale = 1.0 if first else 16.0 / 81.0
+    # (2/3)**(2a') with a' = a + 2r + lam in the a slot: (2/3)**(4r) scales the
+    # argument; misprint 3, argument_scale, leaves that scale out of the printed one
+    scale, a_fed = (16.0 / 81.0, a + lam) if fed_a else (1.0, a)
+    # the power of k and the log of (2/3)**(2a'), derived and printed: misprint 1,
+    # k_power, prints k**(-nu/k); misprint 4, power_of_4, prints theorem2's
+    # (2/3)**(2 alpha) 3**(-2 lam), a factor 4**-lam
+    derived = (nuk + 0.5, 2.0 * a_fed * _LOG_2_3)
+    printed = (nuk, 2.0 * a * _LOG_2_3 - 2.0 * lam * _LOG_3 if fed_a else derived[1])
     y_power = pair = None
     values = []
     for corrected in forms:
-        if corrected:
-            log_pref = log_gamma_am - (nuk + 0.5) * log_k
-            log_pref += 2.0 * ((p.alpha + p.mu) if first else (p.alpha + lam)) * _LOG_2_3
-        elif first:
-            log_pref = log_gamma_am - nuk * log_k + 2.0 * (p.alpha + p.mu) * _LOG_2_3
-        else:
-            log_pref = log_gamma_am - nuk * log_k
-            log_pref += 2.0 * p.alpha * _LOG_2_3 - (2.0 * nuk + 2.0) * _LOG_3
+        k_power, two_thirds = derived if corrected else printed
         try:
             if y_power is None:
                 y_power = math.pow(0.5 * p.y, lam)
-            gamma_factor = math.exp(log_pref)
+            gamma_factor = math.exp(log_gamma_am - k_power * log_k + two_thirds)
         except OverflowError:
             raise ConvergenceError(
                 f"a factor of the {which} closed form overflows the double range"
@@ -233,12 +263,11 @@ def _integrand(which: str, p: TheoremParams, tol: float):
     factor across the interval, not quadrature noise.
     """
     require_tol(tol)
-    first = which == "theorem1"
-    a, b = (p.alpha + p.mu, p.alpha) if first else (p.alpha, p.alpha + p.mu)
+    a, b, fed_a = _weight(which, p)
     e_x, e_omx, e_third, e_quarter = _lavoie_exponents(a, b)
     sp = p.struve_params()
     series_tol = max(tol * 0.01, 4.0 * sp.lead_error)
-    wmax = abs(p.y) if first else abs(p.y) * (4.0 / 9.0)
+    wmax = abs(p.y) * (4.0 / 9.0) if fed_a else abs(p.y)
     xmax = wmax * _ARGUMENT_MARGIN
     poly = k_struve_poly(sp, xmax, series_tol)
     certified = poly and poly.certified
@@ -254,7 +283,7 @@ def _integrand(which: str, p: TheoremParams, tol: float):
 
     def f(x: float, omx: float) -> float:
         third, quarter = 1.0 - x / 3.0, 1.0 - x / 4.0
-        w = y * quarter * omx * omx if first else y * x * third * third
+        w = y * x * third * third if fed_a else y * quarter * omx * omx
         weight = x**e_x * omx**e_omx * third**e_third * quarter**e_quarter
         if certified and w <= xmax:
             half = 0.5 * w

@@ -176,7 +176,19 @@ def mp_k_struve(mp, nu, c, k, x):
         return +total
 
 
-def mp_closed_form(mp, which, corrected, alpha, mu, nu, c, k, y):
+# the printed theorems' misprints, numbered as in the docstring of kstruve.identities
+MISPRINTS = ("k_power", "third_lower", "argument_scale", "power_of_4")
+
+
+def _mp_y_power(mp, y, lam):
+    """(y/2)**lam in the mpmath module ``mp``; a negative y needs an integer lam."""
+    if y < 0:
+        assert lam == int(lam), "a negative y needs an integer lam"
+        return (-1) ** int(lam) * (-y / 2) ** lam
+    return (y / 2) ** lam
+
+
+def mp_closed_form(mp, which, corrected, alpha, mu, nu, c, k, y, misprints=None):
     """A closed form of ``which`` at the exact double inputs, in the mpmath module ``mp``.
 
     With lam = nu/k + 1, b = 2 alpha + mu + nu/k and z = -c y**2 / (4k),
@@ -185,29 +197,35 @@ def mp_closed_form(mp, which, corrected, alpha, mu, nu, c, k, y):
         sum_m Gamma(alpha + nu/k + 1 + 2m) w**m
               / (Gamma(nu/k + 3/2 + m) Gamma(3/2 + m) Gamma(b' + 2m)),
 
-    each term from mpmath's gamma, summed at 80 digits.  As printed
-    (``corrected`` false): b' = b, w = z and the prefactor Gamma(alpha + mu)
-    k**(-nu/k) times (2/3)**(2 (alpha + mu)) in theorem1, or
-    (2/3)**(2 alpha) 3**(-(2 nu/k + 2)) in theorem2.  Corrected: b' = b + 1,
-    the prefactor Gamma(alpha + mu) k**(-(nu/k + 1/2)) times
-    (2/3)**(2 (alpha + mu)) in theorem1, or (2/3)**(2 (alpha + lam)) and
-    w = (16/81) z in theorem2.  A negative y needs an integer lam.
+    each term from mpmath's gamma.  The derived form has b' = b + 1 and the
+    prefactor Gamma(alpha + mu) k**(-(nu/k + 1/2)) times (2/3)**(2 (alpha +
+    mu)), w = z in theorem1, or times (2/3)**(2 (alpha + lam)), w = (16/81) z
+    in theorem2.  ``misprints`` names the edits of :data:`MISPRINTS` made to
+    it: ``k_power`` prints k**(-nu/k), ``third_lower`` b' = b, and in
+    theorem2 ``argument_scale`` w = z and ``power_of_4`` (2/3)**(2 alpha)
+    3**(-2 lam).  By default the ``corrected`` form has none and the
+    printed form all four.  The terms can outgrow the sum by about
+    e**(|y| sqrt(|c|/k)), so the sum carries 80 digits beyond that.
     """
-    with mp.workdps(80):
+    misprints = set((() if corrected else MISPRINTS) if misprints is None else misprints)
+    assert misprints <= set(MISPRINTS), misprints
+    with mp.workdps(80 + int(abs(y) * math.sqrt(abs(c) / k) / 2.3)):
         alpha, mu, nu, c, k, y = (mp.mpf(v) for v in (alpha, mu, nu, c, k, y))
         nuk = nu / k
         lam = nuk + 1
         half = mp.mpf(1) / 2
-        third = 2 * alpha + mu + nuk + (1 if corrected else 0)
+        third = 2 * alpha + mu + nuk + (0 if "third_lower" in misprints else 1)
         w = -c * y * y / (4 * k)
-        front = mp.gamma(alpha + mu) * k ** -(nuk + (half if corrected else 0))
+        front = mp.gamma(alpha + mu) * k ** -(nuk + (0 if "k_power" in misprints else half))
         if which == "theorem1":
             front *= (mp.mpf(2) / 3) ** (2 * (alpha + mu))
-        elif corrected:
-            front *= (mp.mpf(2) / 3) ** (2 * (alpha + lam))
-            w *= mp.mpf(16) / 81
         else:
-            front *= (mp.mpf(2) / 3) ** (2 * alpha) * mp.mpf(3) ** -(2 * nuk + 2)
+            if "power_of_4" in misprints:
+                front *= (mp.mpf(2) / 3) ** (2 * alpha) * mp.mpf(3) ** (-2 * lam)
+            else:
+                front *= (mp.mpf(2) / 3) ** (2 * (alpha + lam))
+            if "argument_scale" not in misprints:
+                w *= mp.mpf(16) / 81
         total, m = mp.mpf(0), 0
         while True:
             term = mp.gamma(alpha + nuk + 1 + 2 * m) * w**m / (
@@ -217,13 +235,42 @@ def mp_closed_form(mp, which, corrected, alpha, mu, nu, c, k, y):
             m += 1
             if m > 5 and abs(term) <= abs(total) * mp.mpf(10) ** -40:
                 break
-        if y < 0:
-            assert lam == int(lam), "a negative y needs an integer lam"
-            power = (-1) ** int(lam) * (-y / 2) ** lam
-        else:
-            power = (y / 2) ** lam
-        return +(front * power * total)
+        return +(front * _mp_y_power(mp, y, lam) * total)
 
+
+def mp_term_by_term(mp, which, alpha, mu, nu, c, k, y, digits=60):
+    """The derived closed form of ``which``, as the k-Struve series integrated term by term.
+
+    Independent of the 2 Psi 3 form: term r of the k-Struve series, s_r
+    (w/2)**(2r + lam) with s_r = (-c/k)**r / (k**(nu/k + 1/2)
+    Gamma(nu/k + 3/2 + r) Gamma(3/2 + r)), integrates against the
+    Lavoie-Trottier weight LT(a, b) to s_r (y/2)**(2r + lam) LT(a', b'),
+    with the slot that u(x) feeds shifted by 2r + lam: (a, b + 2r + lam) in
+    theorem1, where u = (1-x/4)(1-x)**2 and (a, b) = (alpha + mu, alpha),
+    and (a + 2r + lam, b) in theorem2, where u = x (1-x/3)**2 and (a, b) =
+    (alpha, alpha + mu).  LT(a', b') = (2/3)**(2a') B(a', b').  The sum is
+    taken at ``digits`` digits beyond the terms' growth, e**(|y| sqrt(|c|/k)).
+    """
+    with mp.workdps(digits + int(abs(y) * math.sqrt(abs(c) / k) / 2.3)):
+        alpha, mu, nu, c, k, y = (mp.mpf(v) for v in (alpha, mu, nu, c, k, y))
+        nuk = nu / k
+        lam = nuk + 1
+        half = mp.mpf(1) / 2
+        a, b = (alpha + mu, alpha) if which == "theorem1" else (alpha, alpha + mu)
+        front = _mp_y_power(mp, y, lam) / k ** (nuk + half)
+        total, r = mp.mpf(0), 0
+        while True:
+            shift = 2 * r + lam
+            a_r, b_r = (a, b + shift) if which == "theorem1" else (a + shift, b)
+            lt = (mp.mpf(2) / 3) ** (2 * a_r) * mp.beta(a_r, b_r)
+            term = (-c / k) ** r * (y / 2) ** (2 * r) * lt / (
+                mp.gamma(nuk + 3 * half + r) * mp.gamma(3 * half + r)
+            )
+            total += term
+            r += 1
+            if r > 5 and abs(term) <= abs(total) * mp.mpf(10) ** -digits:
+                break
+        return +(front * total)
 
 
 def mp_fox_wright(mp, spec, z, digits=30):

@@ -32,7 +32,8 @@ from kstruve.gamma import log_k_gamma
 from kstruve.identities import _wright_tail
 from kstruve.report import emit_csv, emit_json, emit_table, record
 from kstruve.results import QuadratureResult
-from oracles import mp_closed_form
+from oracles import MISPRINTS, mp_closed_form, mp_term_by_term
+from test_robustness import broad_scan_points
 
 BASE = TheoremParams(alpha=1.0, mu=0.5, nu=2.0, c=1.0, k=1.0, y=1.0)
 # tolerances that integrate refuses; the identity entries refuse them before any work
@@ -250,6 +251,51 @@ class TestRhs:
                 assert abs(mp.mpf(value) - reference) <= 1e-12 * abs(reference), (which, p, corrected)
                 # rhs returns the same form, to the bit
                 assert rhs(which, p, corrected, tol=1e-12) == value
+
+    def test_the_derived_form_is_the_series_integrated_term_by_term(self):
+        # mp_term_by_term integrates each term of the k-Struve series against
+        # the Lavoie-Trottier weight with its fed slot shifted; the corrected
+        # 2 Psi 3 form is that sum, on the default grids and a seeded subset
+        # of the broad-scan points where rhs returns a value
+        mp = pytest.importorskip("mpmath")
+        points = [(which, p) for which in ("theorem1", "theorem2") for p in default_grid(which)]
+        for which, p in points:
+            reference = mp_term_by_term(mp, which, *p)
+            assert abs(mp_closed_form(mp, which, True, *p) - reference) <= 1e-40 * abs(reference)
+            # tol bounds the Fox-Wright sum; the prefactor's rounding adds a few ulps
+            assert abs(mp.mpf(rhs(which, p)) - reference) <= 1e-13 * abs(reference), (which, p)
+        served = []
+        for which, p in broad_scan_points():
+            try:
+                rhs(which, p)
+            except KStruveError:
+                continue
+            served.append((which, p))
+        for which, p in random.Random(31).sample(served, 12):
+            reference = mp_term_by_term(mp, which, *p)
+            assert abs(mp_closed_form(mp, which, True, *p) - reference) <= 1e-40 * abs(reference)
+
+    def test_each_named_misprint_separates_the_printed_form(self):
+        # the printed form is the derived one with the four named misprints:
+        # with all four it is rhs_paper, with none the term-by-term sum, and
+        # each one moves the value at a default-grid point of the theorem it
+        # acts in (k = 0.5 shows the power of k)
+        mp = pytest.importorskip("mpmath")
+        acts_in = {"theorem1": ("k_power", "third_lower"), "theorem2": MISPRINTS}
+        for which, names in acts_in.items():
+            grid = default_grid(which)
+            printed = [mp_closed_form(mp, which, True, *p, misprints=MISPRINTS) for p in grid]
+            for p, value in zip(grid, printed):
+                assert abs(mp.mpf(rhs(which, p, False)) - value) <= 1e-12 * abs(value), (which, p)
+                reference = mp_term_by_term(mp, which, *p)
+                derived = mp_closed_form(mp, which, False, *p, misprints=())
+                assert abs(derived - reference) <= 1e-40 * abs(reference), (which, p)
+            for name in names:
+                rest = [m for m in MISPRINTS if m != name]
+                moved = [mp_closed_form(mp, which, False, *p, misprints=rest) for p in grid]
+                assert any(abs(v - value) > 1e-6 * abs(value) for v, value in zip(moved, printed)), (
+                    which, name
+                )
 
     def test_a_pole_of_the_printed_form_leaves_the_corrected_form(self):
         # 2 alpha + mu + nu/k = 0: the printed series' third lower gamma has a
@@ -698,6 +744,32 @@ class TestFusedIntegrand:
             assert ours == _outcome(quadrature.integrate, ref, 1e-10, "tanh_sinh"), (which, p)
             outcomes.add(ours[0])
         assert outcomes == {"value", "DomainError"}  # corner points meet w = 0
+
+    def test_a_node_whose_leading_power_overflows_calls_k_struve(self, monkeypatch):
+        # theorem1 at lam = 301 and y = 40 is certified on all of (0, 40], yet at
+        # x = 1e-3 (w/2)**301 overflows: the inline node catches the
+        # OverflowError and k_struve serves the node
+        p = TheoremParams(1.0, 0.5, 300.0, -1.0, 1.0, 40.0)
+        _, series_tol, poly = _reference_integrand("theorem1", p, 1e-12)
+        assert poly.certified
+        x = 1e-3
+        omx, third, quarter = 1.0 - x, 1.0 - x / 3.0, 1.0 - x / 4.0
+        w = p.y * quarter * omx * omx
+        with pytest.raises(OverflowError):
+            (0.5 * w) ** p.lam
+        series = identities.k_struve
+        arguments = []
+
+        def counting(params, w, **kwargs):
+            arguments.append(w)
+            return series(params, w, **kwargs)
+
+        monkeypatch.setattr(identities, "k_struve", counting)
+        value = integrand("theorem1", p, x)
+        assert arguments == [w]
+        weight = x**0.5 * omx**1.0 * third**2.0 * quarter**0.0  # (a, b) = (1.5, 1)
+        assert value == weight * series(p.struve_params(), w, tol=series_tol).value
+        assert value == pytest.approx(3.587257167890853e-226, rel=1e-12)
 
     def test_nodes_whose_leading_term_leaves_the_range_still_call_k_struve(self, monkeypatch):
         # a seed-1 grid_small_y point with nu/k + 1 = 7.14: at level 1, t = 3.5,
