@@ -7,8 +7,11 @@
   sinh t)) / 2, which crushes integrable endpoint singularities like
   x**p or (1-x)**q with p, q > -1.  Each level's nodes form one table,
   built on the level's first use and shared by every later integration.
-  Each tail of a level ends on its own negligible samples, so an endpoint
-  where f decays fast is sampled less than one where it decays slowly.
+  Levels 0 and 1 end each tail on its own negligible samples, so an
+  endpoint where f decays fast is sampled less than one where it decays
+  slowly, and locate where each tail became negligible; every finer level
+  samples each side up to that point and no further, and its estimate
+  bounds the tails that it left out.
 * Jacobi-weight Clenshaw-Curtis, for x**(p-1) (1-x)**(q-1) h(x) with h
   smooth on [0, 1] (``integrate``'s ``weight`` keyword): h is interpolated
   at 17, or once doubled 33, Chebyshev points and the weight is integrated
@@ -126,19 +129,66 @@ def _ts_level(level: int) -> tuple[tuple[float, float, float, bool], ...]:
     return tuple(nodes)
 
 
+def _located(level_0: tuple[int, float], level_1: tuple[int, float]) -> tuple[int, float]:
+    """One side's located (2 t, w |f|) from the (i, w |f|) that levels 0 and 1 found.
+
+    Node i lies at t = i + 1 at level 0 and at t = i + 1/2 at level 1.  The
+    located t is the smaller of the two, unless the other level sampled
+    above the cut past it: the sample before the other level's run, at 1
+    less than its t, was tested (level 1 tests from t = 5/2 on) and lies
+    past the smaller t.
+    """
+    (i_0, s_0), (i_1, s_1) = level_0, level_1
+    twice_0, twice_1 = 2 * i_0 + 2, 2 * i_1 + 1
+    if twice_0 < twice_1:
+        return (twice_1, s_1) if twice_0 < twice_1 - 2 and twice_1 >= 7 else (twice_0, s_0)
+    return (twice_0, s_0) if twice_1 < twice_0 - 2 else (twice_1, s_1)
+
+
 def _tanh_sinh(g, tol: float) -> QuadratureResult:
     """Double-exponential rule on (0, 1) with successive level refinement.
 
-    Each level walks its node table from t = h outwards and samples both
-    abscissae of a node, x near 0 and 1 - x near 1.  The two sides end
-    apart: at ``past_two`` nodes a sample w |f| is negligible when it is at
-    most 1e-17 max(|level sum|, |previous total| / h), and a side with two
-    negligible samples in a row is not sampled again in that level, so a
-    fast-decaying tail stops while the slow one goes on.  The level ends
-    when both sides have ended or its table runs out.  The cut, the stopping
-    test and the rounding floor are all relative, with no absolute term.
+    Each level samples both abscissae of a node, x near 0 and 1 - x near 1,
+    from t = h outwards, and the two sides end apart:
+
+    * The cut.  At a ``past_two`` node a sample w |f| is negligible when it
+      is at most eps max(|level sum|, |previous total| / h), where eps =
+      max(1e-17, tol / 100) is the share of tol that the theorem
+      integrands' series also get, and no larger than the sample before it
+      on its side.
+    * Levels 0 and 1 walk each side until two negligible samples in a row
+      end it, so a fast-decaying tail stops while the slow one goes on.
+      Each records, per side, the t of the first of those two samples and
+      its w |f|.  A side's located t is the smaller of the two levels' t
+      (see ``_located`` for the exception), and s is its sample.
+    * From level 2 on, where both sides were located, each side samples
+      exactly the nodes with t <= its located t, with no test per node.
+      Where a side was not located, every level walks as levels 0 and 1 do.
+    * The estimate adds to |total - previous total| a bound on the nodes
+      that the total leaves out.  Past a side's first negligible sample s,
+      at t, w |f| is taken to fall, as the cut already assumes, at a
+      log-rate of at least 2 per unit t.  (Where the double-exponential
+      decay has set in, the rate at a negligible sample is about
+      ln(1 / eps), 11 or more for tol <= 1e-3.)  Past t, w |f| then
+      integrates to at most s / 2, and d times its sum over nodes spaced d
+      past t is at most that integral.  Hence:
+
+      - a walk skips the nodes past its two negligible samples, spaced d = 1
+        at level 0 and 2 h later.  They move that level's total by at most
+        h (s / 2) / d per side, a bound that halves at each later level;
+      - a level from 2 on skips only nodes of its grid of step h past the
+        located t.  At every level they move its total by at most s / 2 per
+        side, (s_big + s_small) / 2 in all.  Where the smaller t is the
+        located one, the nodes that levels 0 and 1 skipped lie past it too,
+        and are counted twice.
+
+    The stopping test is estimate <= tol |total|, from level 2 on.  A level
+    whose total moved by no more than the rounding floor, 50 ulps of level
+    0's integral of |f|, ends the search.  The cut, the stopping test and
+    the floor are all relative, with no absolute term.
     """
     isfinite = math.isfinite
+    share = max(1e-17, tol * 0.01)
     small = big = 0.5  # the node being sampled, for the overflow handler
     try:
         f_mid = g(0.5, 0.5)
@@ -150,65 +200,136 @@ def _tanh_sinh(g, tol: float) -> QuadratureResult:
         # integral of |f| follows the same recurrence; level 0's estimate of it,
         # times 50 ulps, is the rounding floor of every later level
         level_sum = (math.pi / 4.0) * f_mid
-        level_abs = abs(level_sum)
-        previous = previous_abs = floor = 0.0
+        level_abs = mid = abs(level_sum)
+        previous = previous_abs = floor = tail = beyond = 0.0
+        # level 0's (i, w |f|) of each side's first negligible sample, and both
+        # sides' located 2 t once level 1 has found them
+        located = reach = None
         for level in range(_TS_MAX_LEVEL + 1):
             h = 0.5**level
             nodes = _TS_LEVELS[level]
             if nodes is None:
                 nodes = _TS_LEVELS[level] = _ts_level(level)
-            # rounding is monotone, so 1e-17 max(|level_sum|, |previous| / h)
-            # is the larger of 1e-17 |level_sum| and this, exactly
-            cut_floor = 1e-17 * (abs(previous) / h)
-            run_big = run_small = 0
-            walk = iter(nodes)
-            for small, big, weight, past_two in walk:
-                f_big = g(big, small)
-                if not isfinite(f_big):
-                    raise _bad_sample(f_big, big)
-                f_small = g(small, big)
-                if not isfinite(f_small):
-                    raise _bad_sample(f_small, small)
-                evaluations += 2
-                level_sum += weight * (f_big + f_small)
-                level_abs += weight * (abs(f_big) + abs(f_small))
-                if past_two:
-                    cut = 1e-17 * abs(level_sum)
+            if reach:
+                # a side located at t takes this level's nodes t = h, 3 h, ...
+                # up to t, 2 t * 2**(level - 2) of them
+                n_big, n_small = reach[0] << (level - 2), reach[1] << (level - 2)
+                joint = nodes[: min(n_big, n_small)]
+                for small, big, weight, _ in joint:
+                    f_big = g(big, small)
+                    if not isfinite(f_big):
+                        raise _bad_sample(f_big, big)
+                    f_small = g(small, big)
+                    if not isfinite(f_small):
+                        raise _bad_sample(f_small, small)
+                    level_sum += weight * (f_big + f_small)
+                    level_abs += weight * (abs(f_big) + abs(f_small))
+                big_live = n_big > n_small
+                solo = nodes[len(joint) : max(n_big, n_small)]
+                for small, big, weight, _ in solo:
+                    x, omx = (big, small) if big_live else (small, big)
+                    f_x = g(x, omx)
+                    if not isfinite(f_x):
+                        raise _bad_sample(f_x, x)
+                    level_sum += weight * f_x
+                    level_abs += weight * abs(f_x)
+                evaluations += 2 * len(joint) + len(solo)
+                tail *= 0.5
+            else:
+                # rounding is monotone, so share max(|level_sum|, |previous| / h)
+                # is the larger of share |level_sum| and this, exactly
+                cut_floor = share * (abs(previous) / h)
+                run_big = run_small = 0
+                first_big = first_small = None
+                # a negligible sample must also be no larger than the one before
+                # it on its side, t = 0's included: a side whose w |f| still rises
+                # has not reached its tail, however small its samples are next to
+                # a sum that its endpoint dominates
+                last_big = last_small = mid
+                walk = enumerate(nodes)
+                for i, (small, big, weight, past_two) in walk:
+                    f_big = g(big, small)
+                    if not isfinite(f_big):
+                        raise _bad_sample(f_big, big)
+                    f_small = g(small, big)
+                    if not isfinite(f_small):
+                        raise _bad_sample(f_small, small)
+                    evaluations += 2
+                    level_sum += weight * (f_big + f_small)
+                    level_abs += weight * (abs(f_big) + abs(f_small))
+                    s_big, s_small = weight * abs(f_big), weight * abs(f_small)
+                    if past_two:
+                        cut = share * abs(level_sum)
+                        if cut < cut_floor:
+                            cut = cut_floor
+                        if s_big > cut or s_big > last_big:
+                            run_big = 0
+                        elif run_big:
+                            run_big = 2
+                        else:
+                            run_big, first_big = 1, (i, s_big)
+                        if s_small > cut or s_small > last_small:
+                            run_small = 0
+                        elif run_small:
+                            run_small = 2
+                        else:
+                            run_small, first_small = 1, (i, s_small)
+                    last_big, last_small = s_big, s_small
+                    if run_big == 2 or run_small == 2:
+                        break
+                # a side with two negligible samples in a row is done; the other
+                # one walks the rest of the table alone, keeping its run (every
+                # node left is past_two)
+                if run_big < 2 == run_small:
+                    big_live, run, first, last = True, run_big, first_big, last_big
+                elif run_small < 2 == run_big:
+                    big_live, run, first, last = False, run_small, first_small, last_small
+                else:
+                    walk = ()
+                for i, (small, big, weight, _) in walk:
+                    x, omx = (big, small) if big_live else (small, big)
+                    f_x = g(x, omx)
+                    if not isfinite(f_x):
+                        raise _bad_sample(f_x, x)
+                    evaluations += 1
+                    level_sum += weight * f_x
+                    level_abs += weight * abs(f_x)
+                    cut = share * abs(level_sum)
                     if cut < cut_floor:
                         cut = cut_floor
-                    run_big = run_big + 1 if weight * abs(f_big) <= cut else 0
-                    run_small = run_small + 1 if weight * abs(f_small) <= cut else 0
-                    if run_big >= 2 or run_small >= 2:
+                    s = weight * abs(f_x)
+                    if s > cut or s > last:
+                        run = 0
+                    elif run:
+                        run = 2
                         break
-            # a side with two negligible samples in a row is done; the other one
-            # walks the rest of the table alone, keeping its run (every node left
-            # is past_two)
-            if run_big < 2 <= run_small:
-                big_live, run = True, run_big
-            elif run_small < 2 <= run_big:
-                big_live, run = False, run_small
-            else:
-                walk = ()
-            for small, big, weight, _ in walk:
-                x, omx = (big, small) if big_live else (small, big)
-                f_x = g(x, omx)
-                if not isfinite(f_x):
-                    raise _bad_sample(f_x, x)
-                evaluations += 1
-                level_sum += weight * f_x
-                level_abs += weight * abs(f_x)
-                cut = 1e-17 * abs(level_sum)
-                if cut < cut_floor:
-                    cut = cut_floor
-                if weight * abs(f_x) <= cut:
-                    run += 1
-                    if run >= 2:
-                        break
-                else:
-                    run = 0
+                    else:
+                        run, first = 1, (i, s)
+                    last = s
+                if walk:
+                    if big_live:
+                        run_big, first_big = run, first
+                    else:
+                        run_small, first_small = run, first
+                # each side's (i, w |f|) of the first of its two negligible samples;
+                # the nodes past them, spaced d = 1 at level 0 and 2 h later, add
+                # at most h (s / 2) / d to the total
+                end_big = run_big == 2 and first_big
+                end_small = run_small == 2 and first_small
+                tail = 0.5 * tail + (0.5 if not level else 0.25) * (
+                    (end_big and end_big[1]) + (end_small and end_small[1])
+                )
+                if not level:
+                    located = end_big and end_small and (end_big, end_small)
+                elif level == 1 and located and end_big and end_small:
+                    big_end = _located(located[0], end_big)
+                    small_end = _located(located[1], end_small)
+                    reach = big_end[0], small_end[0]
+                    beyond = 0.5 * (big_end[1] + small_end[1])
             total = 0.5 * previous + h * level_sum
             total_abs = 0.5 * previous_abs + h * level_abs
-            estimate = abs(total - previous)
+            change = abs(total - previous)
+            estimate = change + tail + beyond
             previous, previous_abs = total, total_abs
             if level >= 2 and estimate <= tol * abs(total):
                 return QuadratureResult(
@@ -216,10 +337,10 @@ def _tanh_sinh(g, tol: float) -> QuadratureResult:
                 )
             if not level:
                 floor = 50.0 * (2.0 * UNIT) * total_abs
-            if level >= 2 and estimate <= floor:
+            if level >= 2 and change <= floor:
                 raise ConvergenceError(
-                    f"tanh_sinh estimate {estimate:.3e} is below the rounding floor "
-                    f"{floor:.3e} but above tol * |value|",
+                    f"tanh_sinh estimate {estimate:.3e} is above tol * |value|, and the value "
+                    f"moved between levels by no more than the rounding floor {floor:.3e}",
                     partial=QuadratureResult(total, estimate, evaluations, False, total_abs),
                 )
             level_sum = level_abs = 0.0
@@ -502,7 +623,11 @@ def integrate(
     :mod:`kstruve.identities` always run tanh-sinh.  Convergence means the
     internal error estimate satisfies ``estimate <= tol * |value|``.  No
     absolute term enters a stopping test, a tail cut or a rounding floor, so
-    f and 2**-1000 f take the same nodes.  An exactly zero integral
+    f and 2**-1000 f take the same nodes.  Tanh-sinh cuts a tail where a
+    weighted sample falls to max(1e-17, tol / 100) of the level's sum,
+    locates each tail at levels 0 and 1 and samples finer levels only up to
+    it, and adds a bound on the tails that it did not sample to its estimate
+    (see ``_tanh_sinh``).  An exactly zero integral
     converges on a zero estimate, but one that is zero only to rounding,
     such as that of x - 1/2, or one so small that its estimate cannot get
     under tol times it, does not.

@@ -47,14 +47,18 @@ def k_gamma_integral_oracle(z: float, k: float, tol: float = 1e-10) -> float:
 
 
 def tanh_sinh_pair_rule(f, tol: float) -> QuadratureResult:
-    """``integrate(f, tol, "tanh_sinh")`` with the pair truncation rule.
+    """``integrate(f, tol, "tanh_sinh")`` with the pair truncation rule, a reference.
 
-    The rule the package replaced: a level ends once the weighted sum of a
-    node pair, w (f(1 - x) + f(x)), is negligible at two ``past_two`` nodes
-    in a row, so the faster-decaying tail is sampled until the slower one
-    dies too.  It walks the package's node tables with the package's sums,
-    estimates and stopping tests, so the package's per-side rule should
-    return the same result to the bit from a subset of these samples.
+    A rule the package replaced: a level ends once the weighted sum of a
+    node pair, w (f(1 - x) + f(x)), is at most 1e-17 of the level's scale at
+    two ``past_two`` nodes in a row, so the faster-decaying tail is sampled
+    until the slower one dies too.  It walks the package's node tables with
+    the package's sums and stopping tests, and its estimate is the change
+    between levels alone.  The package's rule cuts at max(1e-17, tol / 100)
+    instead, samples each side from level 2 on up to the t located at
+    levels 0 and 1, and adds a tail term to its estimate, so it no longer
+    returns this rule's bits: where this rule converges, it converges too,
+    within the two estimates and with no more evaluations.
     """
     isfinite = math.isfinite
     f_mid = f(0.5, 0.5)

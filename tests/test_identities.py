@@ -432,9 +432,25 @@ class TestVerify:
         assert neg.verdict is Verdict.CONFIRMED_CORRECTED
         assert (neg.lhs_value, neg.lhs_error_estimate) == (-pos.lhs_value, pos.lhs_error_estimate)
 
-    def test_subnormal_tol_reaches_the_closed_forms_as_a_positive_tol(self):
-        # tol / 10 rounds to 0 here
-        assert verify("theorem1", BASE, tol=1e-323).verdict is Verdict.CONFIRMED_CORRECTED
+    def test_subnormal_tol_reaches_the_closed_forms_as_a_positive_tol(self, monkeypatch):
+        # tol / 10 rounds to 0 here, and the closed forms get the least
+        # positive double instead.  No tanh-sinh estimate reaches tol: its
+        # tail term keeps it above 1e-323 |value|, and the value stops moving
+        # on the rounding floor
+        tols = []
+        closed_forms = identities._closed_forms
+
+        def recording(which, p, tol, forms):
+            tols.append(tol)
+            return closed_forms(which, p, tol, forms)
+
+        monkeypatch.setattr(identities, "_closed_forms", recording)
+        report = verify("theorem1", BASE, tol=1e-323)
+        assert tols == [math.ulp(0.0)]
+        assert math.isfinite(report.rhs_paper) and math.isfinite(report.rhs_corrected)
+        assert report.verdict is Verdict.INCONCLUSIVE
+        assert report.error.startswith("ConvergenceError: tanh_sinh estimate")
+        assert "rounding floor" in report.error
 
     def test_tiny_threshold_is_inconclusive(self):
         report = verify("theorem1", BASE, threshold=1e-15)
@@ -789,6 +805,26 @@ class TestFusedIntegrand:
         assert arguments == [p.y * (1.0 - big / 4.0) * small * small]
         assert not _leading_term_in_range(p.struve_params(), arguments[0])
 
+    def test_level_1_keeps_its_full_tails(self, monkeypatch):
+        # kbench's grid_small_y seed-5 point 0.  Level 1 walks each tail out
+        # to at least t = 7/2, its earliest end, so the node there, where
+        # (w/2)**(nu/k + 1) is below 1e-300, still reaches k_struve once; the
+        # benchmark smoke test's struve.calls_per_point > 0 rests on this call
+        p = TheoremParams(1.2238749064445285, 0.15862154540521622, 2.955130974543258, -1.0, 0.5,
+                          0.669085624478571)
+        series = identities.k_struve
+        arguments = []
+
+        def counting(params, w, **kwargs):
+            arguments.append(w)
+            return series(params, w, **kwargs)
+
+        monkeypatch.setattr(identities, "k_struve", counting)
+        assert lhs("theorem1", p).converged
+        small, big, _, _ = quadrature._ts_level(1)[3]
+        assert arguments == [p.y * (1.0 - big / 4.0) * small * small] == [3.6291419799284706e-46]
+        assert not _leading_term_in_range(p.struve_params(), arguments[0])
+
 
 class TestLhsError:
     """lhs_err bounds |lhs - R|, R the corrected closed form at tol 1e-14.
@@ -893,15 +929,17 @@ class TestLargeArgument:
 # covers (0, 8 sqrt(k/c)].  branch names how the point's double polynomial
 # bounds its nodes: once per point, at each node, or (in the fixed-point
 # regime) at each node below 8 sqrt(k/c), with integer Horner above.
+# Re-recorded when tanh-sinh began to sample each side from level 2 on only
+# up to the t that levels 0 and 1 located, with the tail term in its estimate.
 PINNED_LHS = [
     ("theorem2", (1.3, 0.5, 2.1, -1.0, 1.0, 2.0), "certified",
-     ("0x1.fe4294747812ap-12", "0x1.19144969b0d3dp-51", 84, "0x1.fe4294747812ap-12")),
+     ("0x1.fe4294747812ap-12", "0x1.1923603c7730dp-51", 71, "0x1.fe4294747812ap-12")),
     ("theorem1", (1.2, 0.4, 2.3, 1.0, 1.0, 1.5), "certified",
-     ("0x1.cb849a930a316p-10", "0x1.fa32cce985946p-50", 97, "0x1.cb849a930a316p-10")),
+     ("0x1.cb849a930a312p-10", "0x1.0ccc9c70e8964p-49", 72, "0x1.cb849a930a312p-10")),
     ("theorem1", (1.2, 0.4, 2.2, 1.0, 0.5, 5.0), "per-node",
-     ("0x1.be9f5c3b88900p-3", "0x1.4dbc17a3664b4p-41", 97, "0x1.be9f5c3b88900p-3")),
+     ("0x1.be9f5c3b88900p-3", "0x1.4dbc18dd3c3b6p-41", 72, "0x1.be9f5c3b88900p-3")),
     ("theorem2", (1.0, 0.25, 2.0, 1.0, 1.0, 20.0), "fixed-point",
-     ("0x1.54aa8e5eab1f4p-2", "0x1.bb2dad4462592p-41", 90, "0x1.54aa8e5eab1f4p-2")),
+     ("0x1.54aa8e5eab1f4p-2", "0x1.bb329f1f001ecp-41", 79, "0x1.54aa8e5eab1f4p-2")),
 ]
 # rhs(which, p, corrected) at the PINNED_LHS points: (as printed, corrected).
 # The corrected values were re-recorded when both forms came from one pass

@@ -37,7 +37,7 @@ RECORDS = [
     ),
     (
         lambda: verify("theorem1", TheoremParams(alpha=1, mu=0.5, nu=2)),
-        "IdentityReport(lhs_value=0.0012439426567608476, lhs_error_estimate=1.2465860236760006e-15,"
+        "IdentityReport(lhs_value=0.0012439426567608476, lhs_error_estimate=1.2465881627488814e-15,"
         " rhs_paper=0.005531642902064869, rhs_corrected=0.0012439426567608474,"
         " rel_dev_paper=3.44686326335085, rel_dev_corrected=1.7431706623980597e-16,"
         " verdict=<Verdict.CONFIRMED_CORRECTED: 'CONFIRMED_CORRECTED'>, strict_hypotheses=True,"
