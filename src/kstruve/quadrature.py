@@ -7,11 +7,13 @@
   sinh t)) / 2, which crushes integrable endpoint singularities like
   x**p or (1-x)**q with p, q > -1.  Each level's nodes form one table,
   built on the level's first use and shared by every later integration.
-  Levels 0 and 1 end each tail on its own negligible samples, so an
+  A level samples its two sides one after the other, x near 0 first.
+  Levels 0 and 1 end each side on its own negligible samples, so an
   endpoint where f decays fast is sampled less than one where it decays
   slowly, and locate where each tail became negligible; every finer level
-  samples each side up to that point and no further, and its estimate
-  bounds the tails that it left out.
+  samples a located side up to that point and no further, walks a side
+  that was not located as levels 0 and 1 do, and its estimate bounds the
+  tails that it left out.
 * Jacobi-weight Clenshaw-Curtis, for x**(p-1) (1-x)**(q-1) h(x) with h
   smooth on [0, 1] (``integrate``'s ``weight`` keyword): h is interpolated
   at 17, or once doubled 33, Chebyshev points and the weight is integrated
@@ -104,8 +106,10 @@ def _overflow(exc: OverflowError, g, *nodes: tuple[float, float]) -> NonFiniteSa
     return NonFiniteSampleError(f"integrand overflowed at x = {x!r} (1 - x = {omx!r})")
 
 
-# each tanh-sinh level's nodes, built on first use (a race only builds one twice)
+# each tanh-sinh level's nodes, and its two sides' tables, built on first use
+# (a race only builds one twice)
 _TS_LEVELS: list[tuple | None] = [None] * (_TS_MAX_LEVEL + 1)
+_TS_SIDES: list[tuple | None] = [None] * (_TS_MAX_LEVEL + 1)
 
 
 def _ts_level(level: int) -> tuple[tuple[float, float, float, bool], ...]:
@@ -129,6 +133,17 @@ def _ts_level(level: int) -> tuple[tuple[float, float, float, bool], ...]:
     return tuple(nodes)
 
 
+def _ts_sides(level: int) -> tuple[tuple, tuple]:
+    """A level's table for the side near x = 0, and for the side near 1 mirrored.
+
+    The mirror holds the same nodes as (1 - x, x, weight, past_two), so one
+    loop samples either side as ``g(x, omx)``.
+    """
+    nodes = _TS_LEVELS[level] = _TS_LEVELS[level] or _ts_level(level)
+    _TS_SIDES[level] = nodes, tuple((omx, x, weight, two) for x, omx, weight, two in nodes)
+    return _TS_SIDES[level]
+
+
 def _located(level_0: tuple[int, float], level_1: tuple[int, float]) -> tuple[int, float]:
     """One side's located (2 t, w |f|) from the (i, w |f|) that levels 0 and 1 found.
 
@@ -148,22 +163,25 @@ def _located(level_0: tuple[int, float], level_1: tuple[int, float]) -> tuple[in
 def _tanh_sinh(g, tol: float) -> QuadratureResult:
     """Double-exponential rule on (0, 1) with successive level refinement.
 
-    Each level samples both abscissae of a node, x near 0 and 1 - x near 1,
-    from t = h outwards, and the two sides end apart:
+    Each level samples its two sides one after the other, each from t = h
+    outwards in its own loop: first the abscissae x near 0, then 1 - x near
+    1.  Each side is walked or sliced on its own, and the two end apart:
 
     * The cut.  At a ``past_two`` node a sample w |f| is negligible when it
       is at most eps max(|level sum|, |previous total| / h), where eps =
       max(1e-17, tol / 100) is the share of tol that the theorem
       integrands' series also get, and no larger than the sample before it
-      on its side.
+      on its side.  The level sum is the running one, so the side near 1 is
+      cut against a sum that already holds the whole side near 0.
     * Levels 0 and 1 walk each side until two negligible samples in a row
       end it, so a fast-decaying tail stops while the slow one goes on.
-      Each records, per side, the t of the first of those two samples and
-      its w |f|.  A side's located t is the smaller of the two levels' t
-      (see ``_located`` for the exception), and s is its sample.
-    * From level 2 on, where both sides were located, each side samples
-      exactly the nodes with t <= its located t, with no test per node.
-      Where a side was not located, every level walks as levels 0 and 1 do.
+      Each records the t of the first of those two samples and its w |f|.
+      A side's located t is the smaller of the two levels' t (see
+      ``_located`` for the exception), and s is its sample.
+    * From level 2 on, a side that both levels ended is sliced: it samples
+      exactly the nodes with t <= its located t, with no test per node.  A
+      side that was not located is walked at every level, as levels 0 and
+      1 walk it, whatever the other side does.
     * The estimate adds to |total - previous total| a bound on the nodes
       that the total leaves out.  Past a side's first negligible sample s,
       at t, w |f| is taken to fall, as the cut already assumes, at a
@@ -175,10 +193,10 @@ def _tanh_sinh(g, tol: float) -> QuadratureResult:
 
       - a walk skips the nodes past its two negligible samples, spaced d = 1
         at level 0 and 2 h later.  They move that level's total by at most
-        h (s / 2) / d per side, a bound that halves at each later level;
-      - a level from 2 on skips only nodes of its grid of step h past the
-        located t.  At every level they move its total by at most s / 2 per
-        side, (s_big + s_small) / 2 in all.  Where the smaller t is the
+        h (s / 2) / d, a bound that halves at each later level;
+      - a slice skips only nodes of its grid of step h past the located t.
+        They move the total by at most s / 2 at every level, a term that
+        enters the estimate from level 1 on.  Where the smaller t is the
         located one, the nodes that levels 0 and 1 skipped lie past it too,
         and are counted twice.
 
@@ -189,7 +207,7 @@ def _tanh_sinh(g, tol: float) -> QuadratureResult:
     """
     isfinite = math.isfinite
     share = max(1e-17, tol * 0.01)
-    small = big = 0.5  # the node being sampled, for the overflow handler
+    x = omx = 0.5  # the node being sampled, for the overflow handler
     try:
         f_mid = g(0.5, 0.5)
         if not isfinite(f_mid):
@@ -202,130 +220,64 @@ def _tanh_sinh(g, tol: float) -> QuadratureResult:
         level_sum = (math.pi / 4.0) * f_mid
         level_abs = mid = abs(level_sum)
         previous = previous_abs = floor = tail = beyond = 0.0
-        # level 0's (i, w |f|) of each side's first negligible sample, and both
-        # sides' located 2 t once level 1 has found them
-        located = reach = None
+        # per side, x near 0 first: level 0's (i, w |f|) of the first of its two
+        # negligible samples, then from level 1 on its located (2 t, w |f|)
+        located = [None, None]
         for level in range(_TS_MAX_LEVEL + 1):
             h = 0.5**level
-            nodes = _TS_LEVELS[level]
-            if nodes is None:
-                nodes = _TS_LEVELS[level] = _ts_level(level)
-            if reach:
-                # a side located at t takes this level's nodes t = h, 3 h, ...
-                # up to t, 2 t * 2**(level - 2) of them
-                n_big, n_small = reach[0] << (level - 2), reach[1] << (level - 2)
-                joint = nodes[: min(n_big, n_small)]
-                for small, big, weight, _ in joint:
-                    f_big = g(big, small)
-                    if not isfinite(f_big):
-                        raise _bad_sample(f_big, big)
-                    f_small = g(small, big)
-                    if not isfinite(f_small):
-                        raise _bad_sample(f_small, small)
-                    level_sum += weight * (f_big + f_small)
-                    level_abs += weight * (abs(f_big) + abs(f_small))
-                big_live = n_big > n_small
-                solo = nodes[len(joint) : max(n_big, n_small)]
-                for small, big, weight, _ in solo:
-                    x, omx = (big, small) if big_live else (small, big)
-                    f_x = g(x, omx)
-                    if not isfinite(f_x):
-                        raise _bad_sample(f_x, x)
-                    level_sum += weight * f_x
-                    level_abs += weight * abs(f_x)
-                evaluations += 2 * len(joint) + len(solo)
-                tail *= 0.5
-            else:
-                # rounding is monotone, so share max(|level_sum|, |previous| / h)
-                # is the larger of share |level_sum| and this, exactly
-                cut_floor = share * (abs(previous) / h)
-                run_big = run_small = 0
-                first_big = first_small = None
+            # rounding is monotone, so share max(|level_sum|, |previous| / h)
+            # is the larger of share |level_sum| and this, exactly
+            cut_floor = share * (abs(previous) / h)
+            tail *= 0.5
+            for side, nodes in enumerate(_TS_SIDES[level] or _ts_sides(level)):
+                if level >= 2 and located[side]:
+                    # a side located at t takes this level's nodes t = h, 3 h,
+                    # ... up to t, 2 t * 2**(level - 2) of them
+                    nodes = nodes[: located[side][0] << (level - 2)]
+                    for x, omx, weight, _ in nodes:
+                        f_x = g(x, omx)
+                        if not isfinite(f_x):
+                            raise _bad_sample(f_x, x)
+                        level_sum += weight * f_x
+                        level_abs += weight * abs(f_x)
+                    evaluations += len(nodes)
+                    continue
                 # a negligible sample must also be no larger than the one before
                 # it on its side, t = 0's included: a side whose w |f| still rises
                 # has not reached its tail, however small its samples are next to
                 # a sum that its endpoint dominates
-                last_big = last_small = mid
-                walk = enumerate(nodes)
-                for i, (small, big, weight, past_two) in walk:
-                    f_big = g(big, small)
-                    if not isfinite(f_big):
-                        raise _bad_sample(f_big, big)
-                    f_small = g(small, big)
-                    if not isfinite(f_small):
-                        raise _bad_sample(f_small, small)
-                    evaluations += 2
-                    level_sum += weight * (f_big + f_small)
-                    level_abs += weight * (abs(f_big) + abs(f_small))
-                    s_big, s_small = weight * abs(f_big), weight * abs(f_small)
-                    if past_two:
-                        cut = share * abs(level_sum)
-                        if cut < cut_floor:
-                            cut = cut_floor
-                        if s_big > cut or s_big > last_big:
-                            run_big = 0
-                        elif run_big:
-                            run_big = 2
-                        else:
-                            run_big, first_big = 1, (i, s_big)
-                        if s_small > cut or s_small > last_small:
-                            run_small = 0
-                        elif run_small:
-                            run_small = 2
-                        else:
-                            run_small, first_small = 1, (i, s_small)
-                    last_big, last_small = s_big, s_small
-                    if run_big == 2 or run_small == 2:
-                        break
-                # a side with two negligible samples in a row is done; the other
-                # one walks the rest of the table alone, keeping its run (every
-                # node left is past_two)
-                if run_big < 2 == run_small:
-                    big_live, run, first, last = True, run_big, first_big, last_big
-                elif run_small < 2 == run_big:
-                    big_live, run, first, last = False, run_small, first_small, last_small
-                else:
-                    walk = ()
-                for i, (small, big, weight, _) in walk:
-                    x, omx = (big, small) if big_live else (small, big)
+                run, last = 0, mid
+                for i, (x, omx, weight, past_two) in enumerate(nodes):
                     f_x = g(x, omx)
                     if not isfinite(f_x):
                         raise _bad_sample(f_x, x)
                     evaluations += 1
                     level_sum += weight * f_x
-                    level_abs += weight * abs(f_x)
-                    cut = share * abs(level_sum)
-                    if cut < cut_floor:
-                        cut = cut_floor
                     s = weight * abs(f_x)
-                    if s > cut or s > last:
-                        run = 0
-                    elif run:
-                        run = 2
-                        break
-                    else:
-                        run, first = 1, (i, s)
+                    level_abs += s
+                    if past_two:
+                        cut = share * abs(level_sum)
+                        if cut < cut_floor:
+                            cut = cut_floor
+                        if s > cut or s > last:
+                            run = 0
+                        elif run:
+                            break
+                        else:
+                            run, first = 1, (i, s)
                     last = s
-                if walk:
-                    if big_live:
-                        run_big, first_big = run, first
-                    else:
-                        run_small, first_small = run, first
-                # each side's (i, w |f|) of the first of its two negligible samples;
-                # the nodes past them, spaced d = 1 at level 0 and 2 h later, add
-                # at most h (s / 2) / d to the total
-                end_big = run_big == 2 and first_big
-                end_small = run_small == 2 and first_small
-                tail = 0.5 * tail + (0.5 if not level else 0.25) * (
-                    (end_big and end_big[1]) + (end_small and end_small[1])
-                )
+                else:
+                    first = None  # the table ended before two negligible samples
+                # the nodes past the first of two negligible samples, spaced d = 1
+                # at level 0 and 2 h later, add at most h (s / 2) / d to the total
+                if first:
+                    tail += (0.5 if not level else 0.25) * first[1]
                 if not level:
-                    located = end_big and end_small and (end_big, end_small)
-                elif level == 1 and located and end_big and end_small:
-                    big_end = _located(located[0], end_big)
-                    small_end = _located(located[1], end_small)
-                    reach = big_end[0], small_end[0]
-                    beyond = 0.5 * (big_end[1] + small_end[1])
+                    located[side] = first
+                elif level == 1:
+                    located[side] = first and located[side] and _located(located[side], first)
+                    if located[side]:
+                        beyond += 0.5 * located[side][1]
             total = 0.5 * previous + h * level_sum
             total_abs = 0.5 * previous_abs + h * level_abs
             change = abs(total - previous)
@@ -345,7 +297,7 @@ def _tanh_sinh(g, tol: float) -> QuadratureResult:
                 )
             level_sum = level_abs = 0.0
     except OverflowError as exc:
-        raise _overflow(exc, g, (big, small), (small, big)) from None
+        raise _overflow(exc, g, (x, omx)) from None
 
     raise ConvergenceError(
         f"tanh_sinh stalled at estimate {estimate:.3e} after level {_TS_MAX_LEVEL}",
@@ -625,9 +577,10 @@ def integrate(
     absolute term enters a stopping test, a tail cut or a rounding floor, so
     f and 2**-1000 f take the same nodes.  Tanh-sinh cuts a tail where a
     weighted sample falls to max(1e-17, tol / 100) of the level's sum,
-    locates each tail at levels 0 and 1 and samples finer levels only up to
-    it, and adds a bound on the tails that it did not sample to its estimate
-    (see ``_tanh_sinh``).  An exactly zero integral
+    samples each side of a level in its own loop, x near 0 first, locates
+    each tail at levels 0 and 1 and samples finer levels only up to it, and
+    adds a bound on the tails that it did not sample to its estimate (see
+    ``_tanh_sinh``).  An exactly zero integral
     converges on a zero estimate, but one that is zero only to rounding,
     such as that of x - 1/2, or one so small that its estimate cannot get
     under tol times it, does not.

@@ -930,10 +930,12 @@ class TestLargeArgument:
 # bounds its nodes: once per point, at each node, or (in the fixed-point
 # regime) at each node below 8 sqrt(k/c), with integer Horner above.
 # Re-recorded when tanh-sinh began to sample each side from level 2 on only
-# up to the t that levels 0 and 1 located, with the tail term in its estimate.
+# up to the t that levels 0 and 1 located, with the tail term in its estimate;
+# theorem2-certified again when tanh-sinh gave each side its own loop, which
+# adds the samples in another order.
 PINNED_LHS = [
     ("theorem2", (1.3, 0.5, 2.1, -1.0, 1.0, 2.0), "certified",
-     ("0x1.fe4294747812ap-12", "0x1.1923603c7730dp-51", 71, "0x1.fe4294747812ap-12")),
+     ("0x1.fe4294747812bp-12", "0x1.191b603c7730dp-51", 71, "0x1.fe4294747812bp-12")),
     ("theorem1", (1.2, 0.4, 2.3, 1.0, 1.0, 1.5), "certified",
      ("0x1.cb849a930a312p-10", "0x1.0ccc9c70e8964p-49", 72, "0x1.cb849a930a312p-10")),
     ("theorem1", (1.2, 0.4, 2.2, 1.0, 0.5, 5.0), "per-node",
