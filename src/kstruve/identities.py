@@ -247,11 +247,15 @@ def _integrand(which: str, p: TheoremParams, tol: float):
     """(f, series_tol): the weight times S(w) of theorem ``which`` (module docstring).
 
     |w| is at most |y| in theorem1 and 4|y|/9 in theorem2.  The point's
-    k-Struve polynomial (:func:`k_struve_poly`) is built once for that range.
-    Where its certificate holds on the whole range (``certified``), f
-    evaluates each node whose leading term is in range inline, with the
+    k-Struve polynomial (:func:`k_struve_poly`) is built once for that range
+    (xmax), and its certificates once (``certified()``).  f evaluates each
+    certified node whose leading term is in range inline, with the
     operations of the polynomial's evaluator in their order, so the value
-    is the evaluator's to the bit.  Every other node goes through the
+    is the evaluator's to the bit: w <= wc by the double polynomial, and
+    w in (W, xmax] with sigma = 1 - (w/xmax)**2 <= sigma_max by the Taylor
+    shift (W = 8 sqrt(k/c), in the fixed-point regime only).  A point
+    certified on all of (0, xmax] takes no more operations per node than
+    the first test, w <= wc.  Every other node goes through the
     evaluator, and through :func:`k_struve` where that returns None: at
     w = 0, and where the leading term is outside (1e-300, 1e300) or |w|/2
     below the normal range.  A negative y (integer nu/k + 1) gives w < 0,
@@ -270,14 +274,17 @@ def _integrand(which: str, p: TheoremParams, tol: float):
     wmax = abs(p.y) * (4.0 / 9.0) if fed_a else abs(p.y)
     xmax = wmax * _ARGUMENT_MARGIN
     poly = k_struve_poly(sp, xmax, series_tol)
-    certified = poly and poly.certified
+    certified = poly and poly.certified()
+    # no node is served inline
+    wc, taylor_from = -math.inf, math.inf
     if poly is None:
         # at y = 0 k_struve serves every node, w = 0; at any other y it raises here
         k_struve(sp, xmax, tol=series_tol)
         poly = lambda w: None
     elif certified:
-        power, scale0, delta, vscale, pairs, sign = certified
+        wc, taylor_from, power, scale0, delta, vscale, pairs, sign, shifted, sigma_max = certified
     y = p.y
+    xmax_sq = xmax * xmax
     log = math.log
     inf = math.inf
 
@@ -285,7 +292,7 @@ def _integrand(which: str, p: TheoremParams, tol: float):
         third, quarter = 1.0 - x / 3.0, 1.0 - x / 4.0
         w = y * x * third * third if fed_a else y * quarter * omx * omx
         weight = x**e_x * omx**e_omx * third**e_third * quarter**e_quarter
-        if certified and w <= xmax:
+        if w <= wc:
             half = 0.5 * w
             if half >= _MIN_NORMAL:
                 try:
@@ -303,6 +310,24 @@ def _integrand(which: str, p: TheoremParams, tol: float):
                         odd = odd * s + a_odd
                     odd *= v
                     value = lead * (even + sign * odd)
+                    if abs(value) < inf:
+                        return weight * value
+        elif taylor_from < w <= xmax:
+            sigma = (xmax - w) * (xmax + w) / xmax_sq
+            if sigma <= sigma_max:
+                half = 0.5 * w
+                try:
+                    lead = half**power * scale0
+                except OverflowError:
+                    lead = inf
+                if 1e-300 < lead < 1e300:
+                    if delta:
+                        lead *= 1.0 + delta * log(half)
+                    neg = -sigma
+                    acc = 0.0
+                    for b in shifted:
+                        acc = acc * neg + b
+                    value = lead * acc
                     if abs(value) < inf:
                         return weight * value
         return weight * (poly(w) or k_struve(sp, w, tol=series_tol))[0]

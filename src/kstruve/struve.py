@@ -34,6 +34,12 @@ polynomial, in this order, until a value's bound fits:
   x = X and evaluated in doubles in -sigma;
 - integer: the same u_m, evaluated by integer Horner's rule in s = (x/X)**2.
 
+Two more certificates, proved once on demand, name the nodes at which the
+per-node test of the double or the Taylor form is sure to pass: a sub-range
+(0, wc] of the double polynomial's range, and every sigma up to its limit
+above 8 sqrt(k/c).  A caller that evaluates many nodes repeats the
+evaluator's operations there without calling it.
+
 :func:`k_struve` is one node of that evaluator: it evaluates at x the
 polynomial built for X = |x|.  There, and only there, a leading term outside
 (1e-300, 1e300) is taken from its logarithm; at other nodes such a value is
@@ -66,6 +72,21 @@ _S_PAD = 1.0 + 8.0 * UNIT
 # rounding grows with it, and at xmax sqrt(c/k) = 20-57 bounds start to fail
 # from about 0.5 on
 _SIGMA_MAX = 0.2
+# bisection steps for the end of the double polynomial's sub-range certificate,
+# where its closed form leaves out too large a tail
+_SUB_RANGE_STEPS = 16
+
+
+def _lead_err_max(consts: "_SeriesConstants", xmax: float) -> float:
+    """L_max: the leading term's relative error at every in-range node x in (0, xmax].
+
+    lead_err plus t**2 + 3u t at t = |power_delta| max(|log m|, |log(xmax/2)|),
+    m the smallest normal: the power correction t = power_delta log(x/2) for
+    every served x/2 in [m, xmax/2].
+    """
+    log_extent = max(-math.log(_MIN_NORMAL), abs(math.log(max(0.5 * xmax, _MIN_NORMAL))))
+    t_max = abs(consts.power_delta) * log_extent
+    return consts.lead_err + (t_max * t_max + 3.0 * UNIT * t_max)
 
 
 def _gap(f: float, num: int, den: int) -> float:
@@ -271,12 +292,18 @@ def k_struve_poly(params: StruveParams, xmax: float, tol: float):
     ``evaluate.degree`` is the largest degree it holds, and
     ``evaluate.lead_err`` the relative error of its leading term at xmax
     (the inline term's, until it takes that term from its logarithm).
-    ``evaluate.certified`` is None unless the double polynomial's
-    certificate holds on all of (0, xmax]; then it is the read-only tuple
-    (power, scale0, power_delta, vscale, pairs, sign) with which a caller
-    can repeat, operation for operation, what ``evaluate`` does at a node
-    whose leading term is in range, and get the same value
-    (:func:`kstruve.identities._integrand` does).  k_struve_poly itself
+    ``evaluate.certified()`` proves which nodes pass their own test in a
+    known form (a caller asks once), and returns the tuple (wc, taylor_from,
+    power, scale0, power_delta, vscale, pairs, sign, shifted, sigma_max)
+    with which a caller can repeat, operation for operation, what
+    ``evaluate`` does at such a node whose leading term is in range, and
+    get the same value (:func:`kstruve.identities._integrand` does); or
+    None where no node is certified.  The double polynomial serves every
+    node of (0, wc] (wc = 0.0 for none) from (power, ..., sign), and the
+    Taylor shift every node of (taylor_from, xmax] with sigma <= sigma_max
+    from ``shifted`` (taylor_from = W, or inf and () for none).  It costs
+    a search for wc and a pass over the shifted terms, so ``evaluate`` does
+    not pay for it, and :func:`k_struve` never asks.  k_struve_poly itself
     returns None when no degree up to 500 serves.
 
     ``evaluate`` computes the leading term once, inline as (x/2)**power *
@@ -295,13 +322,18 @@ def k_struve_poly(params: StruveParams, xmax: float, tol: float):
       exists for c <= 0, and for c > 0 when the first term ratio at W,
       (c/k)(W/2)**2 / ((nu/k + 3/2) 3/2), is below 1.  The certificate
       implies the per-node test, so the same nodes are served with the same
-      values either way;
+      values either way.  For c > 0 without it, ``certified()`` finds the
+      largest wc whose certificate on (0, wc] holds (in closed form, the
+      tail aside, or else by bisection to 2**-16 of that bound): there
+      each node still computes its own bound, and passes;
     - unless the certificate holds on all of (0, xmax], or tol is below
       the floor of their bounds, the integer terms of one fixed-point pass
       at xmax
       (:func:`_integer_horner`): first, where sigma = 1 - (x/xmax)**2 <=
       ``_SIGMA_MAX``, their exact Taylor shift to x = xmax in doubles,
-      then integer Horner's rule.
+      then integer Horner's rule.  The Taylor shift's certificate
+      (:func:`_taylor_rel`) bounds its per-node test at every sigma <=
+      ``_SIGMA_MAX`` at once.
     """
     if not 0.0 < xmax < math.inf:
         return None
@@ -418,9 +450,30 @@ def k_struve_poly(params: StruveParams, xmax: float, tol: float):
             return value * scale, bound + subnormal
         return None
 
+    def certified_nodes() -> tuple | None:
+        wc = wmax if certified else 0.0
+        taylor = False
+        # the per-node tests need tol |value| < inf, which tol <= 1 ensures:
+        # |value| < 1e300 (1 + kappa) / d < 4e307 on the double polynomial's
+        # sub-range, and < 1e300 high <= 1e308 on the Taylor shift
+        if tol <= 1.0:
+            if not certified and params.c > 0.0:
+                wc = _sub_range(params, wmax, tol, tail, span, rounding)
+            # below the fixed-point regime W = xmax, and no node lies above W
+            taylor = (
+                wmax < xmax and integer is not None
+                and _taylor_rel(integer, _lead_err_max(params._series, xmax)) <= tol
+            )
+        if not (wc or taylor):
+            return None
+        # the shifted coefficients and sigma_max of _integer_horner's tuple
+        shifted, sigma_max = (integer[9], integer[13]) if taylor else ((), -1.0)
+        taylor_from = wmax if taylor else math.inf
+        return wc, taylor_from, power, scale0, delta, vscale, pairs, sign, shifted, sigma_max
+
     evaluate.degree = degree
     evaluate.lead_err = lead_err0
-    evaluate.certified = (power, scale0, delta, vscale, pairs, sign) if whole else None
+    evaluate.certified = certified_nodes
     return evaluate
 
 
@@ -440,7 +493,8 @@ def _double_horner(params: StruveParams, xmax: float, tol: float):
     and the final product, (L(x) + u) |value|, with u the unit roundoff.
 
     Certificate.  Once per polynomial, rel bounds that node bound over
-    |value| at every x in (0, xmax] where the leading term is in range:
+    |value| at every x in (0, xmax] where the leading term is in range
+    (for c > 0, :func:`_double_rel` at xmax):
 
     - c <= 0: every a_r >= 0, so the computed g is the computed M, and it is
       at least 1 (Horner's rule on nonnegative numbers ending in + 1).  With
@@ -455,14 +509,22 @@ def _double_horner(params: StruveParams, xmax: float, tol: float):
       |g| >= d (1 - kappa) and M <= (1 + kappa) / d, with kappa = eps / d**2.
       For kappa <= 1/4, (1 + kappa) / (1 - kappa) <= 1 + 3 kappa, and
       rel = (T/d + kappa)(1 + 3 kappa) + L_max + u.  Otherwise rel = inf.
-    - L_max = lead_err + t**2 + 3u t at t = |power_delta| max(|log m|,
-      |log(xmax/2)|), m the smallest normal: the power correction
-      t = power_delta log(x/2) for every served x/2 in [m, xmax/2].
+    - L_max (:func:`_lead_err_max`) = lead_err + t**2 + 3u t at
+      t = |power_delta| max(|log m|, |log(xmax/2)|), m the smallest normal:
+      the power correction t = power_delta log(x/2) for every served x/2 in
+      [m, xmax/2].
     - Slack: every quantity above is nonnegative, and each rounding moves
       the sum, product or quotient it makes by at most u of itself (a libm
-      log by at most 2u).  rel, the node's bound with its L(x), |value| and
-      tol |value| take fewer than 40 roundings between them, d's counted
-      twice; the factor 1 + 64u covers them.
+      log or pow by at most 2u).  rel, the node's bound with its L(x),
+      |value| and tol |value| take fewer than 40 roundings between them,
+      d's counted twice; the factor 1 + 64u covers them.
+
+    Sub-range.  For c > 0, :func:`_double_rel` at w is the same argument
+    on (0, w], w <= xmax: rho0 at the computed (w/2)**2, which bounds every
+    node's computed v there, and the tail T q**(2R), with q the rounded
+    w/xmax, which bounds every node's T (x/xmax)**(2R) (the same rounded
+    quotient, monotone in x).  At w = xmax it is rel, and at any w its
+    value <= tol implies the per-node test at every node in (0, w].
 
     So rel <= tol implies, in floating point, the per-node test at every
     node, and then every node returns rel |value|, skipping the tail, the
@@ -507,21 +569,64 @@ def _double_horner(params: StruveParams, xmax: float, tol: float):
     sign = -1.0 if params.c > 0.0 else 1.0
     rounding = UNIT * (consts.step_ulps * degree + degree + 2.0)
 
-    log_extent = max(-math.log(_MIN_NORMAL), abs(math.log(max(half_max, _MIN_NORMAL))))
-    t_max = abs(consts.power_delta) * log_extent
-    lead_err_max = consts.lead_err + (t_max * t_max + 3.0 * UNIT * t_max)
-    rel = math.inf
-    if params.c <= 0.0:
-        rel = tail + rounding
-    else:
-        rho0 = ck * vmax / (base * 1.5)
-        d = 1.0 - rho0 * (1.0 + 8.0 * UNIT)
-        if d > 0.0 and rounding <= 0.25 * d * d:
-            kappa = rounding / (d * d)
-            rel = (tail / d + kappa) * (1.0 + 3.0 * kappa)
-    rel = (rel + lead_err_max + UNIT) * (1.0 + 64.0 * UNIT)
+    lead_err_max = _lead_err_max(consts, xmax)
     # the tail scales by (x/xmax)**(2R), not (v/V)**R: V is 0.0 for xmax below about 3e-162
-    return pairs, sign, 2.0**-e, tail, 2 * degree, rounding, rel
+    span = 2 * degree
+    if params.c <= 0.0:
+        rel = (tail + rounding + lead_err_max + UNIT) * (1.0 + 64.0 * UNIT)
+    else:
+        rel = _double_rel(xmax, xmax, ck, base, tail, span, rounding, lead_err_max)
+    return pairs, sign, 2.0**-e, tail, span, rounding, rel
+
+
+def _double_rel(
+    w: float, xmax: float, ck: float, base: float, tail: float, span: int, rounding: float,
+    lead_err_max: float,
+) -> float:
+    """For c > 0, :func:`_double_horner`'s certificate on (0, w], w <= xmax, or inf.
+
+    ck = |c|/k and base = nu/k + 3/2 as doubles; tail, span = 2R and
+    rounding = eps from :func:`_double_horner`; lead_err_max at xmax.
+    """
+    half = 0.5 * w
+    rho0 = ck * (half * half) / (base * 1.5)
+    d = 1.0 - rho0 * (1.0 + 8.0 * UNIT)
+    if not (d > 0.0 and rounding <= 0.25 * d * d):
+        return math.inf
+    kappa = rounding / (d * d)
+    rel = (tail * (w / xmax) ** span / d + kappa) * (1.0 + 3.0 * kappa)
+    return (rel + lead_err_max + UNIT) * (1.0 + 64.0 * UNIT)
+
+
+def _sub_range(
+    params: StruveParams, xmax: float, tol: float, tail: float, span: int, rounding: float
+) -> float:
+    """For c > 0, the largest w <= xmax at which :func:`_double_rel` is at most tol, or 0.0.
+
+    kappa (1 + 3 kappa) <= room, the room that tol leaves beside L_max, u
+    and the slack, bounds d below with the tail aside, and so w above: hi,
+    from rho0 = (1 - d) / (1 + 8u).  Where the certificate holds at hi, that
+    is the answer; where the tail is too large there, a bisection below hi
+    finds the largest w to 2**-16 of hi, keeping its lower end certified.
+    """
+    ck = abs(params.c) / params.k
+    base = params._series.base
+    lead_err_max = _lead_err_max(params._series, xmax)
+    args = (xmax, ck, base, tail, span, rounding, lead_err_max)
+    room = tol / (1.0 + 64.0 * UNIT) - lead_err_max - UNIT
+    kappa = min(room / (1.0 + 3.0 * room), 0.25) * (1.0 - 2.0**-20)
+    rho0 = (1.0 - math.sqrt(rounding / kappa)) / (1.0 + 8.0 * UNIT) if kappa > 0.0 else 0.0
+    hi = min(xmax, 2.0 * math.sqrt(max(rho0, 0.0) * 1.5 * base / ck))
+    if _double_rel(hi, *args) <= tol:
+        return hi
+    lo = 0.0
+    for _ in range(_SUB_RANGE_STEPS):
+        mid = 0.5 * (lo + hi)
+        if _double_rel(mid, *args) <= tol:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def _integer_horner(params: StruveParams, xmax: float, tol: float):
@@ -605,7 +710,9 @@ def _taylor_at_one(terms: list[int], bits: int, tol: float):
     for Horner's rule in -sigma, the order N + 1, sum |q_j| in units of
     2**-bits, and the rounding term: (6N + 8) ulps of sum |b_n| sigma_max**n
     plus N + 1 subnormal ulps for the conversions, to be scaled by the
-    leading term.
+    leading term.  Each node checks its own bound; :func:`_taylor_rel`
+    certifies all of sigma <= sigma_max at once, where |b_0| outweighs the
+    other terms and the rounding.
     """
     unit = 1 << bits
     rev = terms[::-1]
@@ -632,6 +739,39 @@ def _taylor_at_one(terms: list[int], bits: int, tol: float):
     order = len(coefs)
     rounding = (6.0 * (order - 1) + 8.0) * UNIT * majorant + order * SUBNORMAL_ULP
     return tuple(coefs), order, remainder, rounding
+
+
+def _taylor_rel(integer: tuple, lead_err_max: float) -> float:
+    """The Taylor shift's certificate: a relative bound for every node with sigma <= sigma_max.
+
+    ``integer`` is :func:`_integer_horner`'s tuple, and ``lead_err_max``
+    L_max at xmax (:func:`_lead_err_max`).  At a computed sigma <=
+    sigma_max, the shifted sum in doubles is within the rounding term of
+    sum_n b_n (-sigma)**n, so |acc| >= low = |b_0| - sum_{n>=1} |b_n|
+    sigma_max**n - rounding, and |acc| <= high = |b_0| + sum_{n>=1} |b_n|
+    sigma_max**n + rounding (each |b_n| sigma_max**n is within 3 ulps and
+    the fsum within one: 8 ulps cover them).  A node's bound over |value|
+    is then at most rel = top / low + L_max + 3u, where top takes each
+    per-node term at its largest: the floors, the pass's tail times
+    _S_PAD**(R + 1) (s <= 1), the remainder at sigma_max and the rounding
+    term.  The node's bound, its test and rel take fewer than 40 roundings,
+    which the factor 1 + 64u covers, as in :func:`_double_horner`.  So
+    rel <= tol implies the node's test; high <= 1e8 keeps tol |value| <
+    1e300 high finite for tol <= 1.  inf where there is no shifted
+    polynomial, and where g comes near a zero on sigma <= sigma_max (low <= 0).
+    """
+    (_, _, bits, _, _, tail, tail_power, _, floors, shifted, order, remainder, rounding,
+     sigma_max) = integer
+    if sigma_max < 0.0:
+        return math.inf
+    at_max = [abs(b) * sigma_max**n for n, b in enumerate(reversed(shifted))]
+    others = math.fsum(at_max[1:]) * (1.0 + 8.0 * UNIT)
+    low = at_max[0] - others - rounding
+    if not (low > 0.0 and at_max[0] + others + rounding <= 1e8):
+        return math.inf
+    units = floors + tail * _S_PAD**tail_power + remainder * (sigma_max * _S_PAD) ** order
+    top = math.ldexp(units, -bits) * (1.0 + 8.0 * UNIT) + rounding
+    return (top / low + lead_err_max + 3.0 * UNIT) * (1.0 + 64.0 * UNIT)
 
 
 def struve_h(nu: float, x: float, tol: float = 1e-12) -> EvaluationResult:

@@ -700,7 +700,34 @@ def _fused_points():
             points.append((which, TheoremParams(alpha, rng.uniform(0.1, 1.1),
                                                 0.5 * rng.uniform(-1.35, -1.15), 1.0, 0.5,
                                                 rng.uniform(0.5, 5.0))))
+    # the fixed-point regime, c = +1 with W sqrt(c/k) from 8 to about 60 (W = y in
+    # theorem1, 4y/9 in theorem2): the double polynomial's sub-range and the Taylor shift
+    points += [
+        ("theorem1", TheoremParams(1.3, 0.6, 2.4, 1.0, 1.0, 9.5)),
+        ("theorem1", TheoremParams(0.8, 0.3, 1.3, 1.0, 0.5, 18.0)),
+        ("theorem1", TheoremParams(1.1, 0.7, 2.6, 1.0, 1.0, 58.0)),
+        ("theorem2", TheoremParams(1.2, 0.4, 2.2, 1.0, 1.0, 20.5)),
+        ("theorem2", TheoremParams(0.9, 0.6, 5.1, 1.0, 2.0, 75.0)),
+        ("theorem2", TheoremParams(1.4, 0.5, 1.1, 1.0, 0.5, 55.0)),
+        # power_delta = 2.8e-16: nu/k + 1 is not a double
+        ("theorem1", TheoremParams(1.2, 0.5, 2.3, 1.0, 0.3, 12.0)),
+        # nu = 0.3: g has zeros, one near W, so no Taylor certificate
+        ("theorem1", TheoremParams(1.2, 0.5, 0.3, 1.0, 1.0, 30.0)),
+        # small y, first term ratio above 1 at W: the double polynomial on a sub-range only
+        ("theorem1", TheoremParams(1.5, 0.5, 1.0, 1.0, 0.5, 4.5)),
+    ]
     return points
+
+
+def _inline_branches(poly, xmax):
+    """The integrand's inline branches at a point: its double polynomial on all of
+    (0, xmax] or on part of it, and the Taylor shift; "none" without a certificate."""
+    cert = poly and poly.certified()
+    if cert is None:
+        return {"none"}
+    wc, taylor_from, *_ = cert
+    branches = {"all" if wc == xmax else "part"} if wc else set()
+    return branches | ({"taylor"} if taylor_from < math.inf else set())
 
 
 def _reference_integrand(which, p, tol):
@@ -733,7 +760,7 @@ def _outcome(call, *args):
 
 
 class TestFusedIntegrand:
-    """The integrand's inline certified node gives the evaluator's value, to the bit."""
+    """The integrand's inline certified nodes give the evaluator's values, to the bit."""
 
     def test_every_node_of_levels_0_to_4_matches_the_reference(self):
         nodes = [(0.5, 0.5)]
@@ -741,15 +768,38 @@ class TestFusedIntegrand:
             for small, big, _, _ in quadrature._ts_level(level):
                 nodes += [(small, big), (big, small)]
         assert any(x == 1.0 and omx > 0.0 for x, omx in nodes)
-        certified = set()
+        branches = set()
         for which, p in _fused_points():
             f, series_tol = identities._integrand(which, p, 1e-10)
             ref, ref_tol, poly = _reference_integrand(which, p, 1e-10)
             assert series_tol == ref_tol
-            certified.add(poly is not None and poly.certified is not None)
+            xmax = (abs(p.y) if which == "theorem1" else abs(p.y) * (4.0 / 9.0)) * identities._ARGUMENT_MARGIN
+            branches |= _inline_branches(poly, xmax)
             for x, omx in nodes:
                 assert _outcome(f, x, omx) == _outcome(ref, x, omx), (which, p, x, omx)
-        assert certified == {True, False}
+        # every point has a certificate for some of its nodes; the others take the evaluator
+        assert branches == {"all", "part", "taylor"}
+
+    @pytest.mark.parametrize("which, calls, evaluations", [("theorem1", 33, 183), ("theorem2", 26, 167)])
+    def test_certified_nodes_do_not_call_the_evaluator(self, which, calls, evaluations, monkeypatch):
+        # in the fixed-point regime no point is certified on all of (0, W]; before
+        # the sub-range and Taylor certificates every node called the evaluator
+        build = identities.k_struve_poly
+        arguments = []
+
+        def counting_poly(*args):
+            evaluate = build(*args)
+
+            def counting(w):
+                arguments.append(w)
+                return evaluate(w)
+
+            counting.__dict__.update(evaluate.__dict__)
+            return counting
+
+        monkeypatch.setattr(identities, "k_struve_poly", counting_poly)
+        quad = lhs(which, TheoremParams(0.5, 0.25, 2.0, 1.0, 1.0, 40.0))
+        assert (len(arguments), quad.evaluations) == (calls, evaluations)
 
     def test_tanh_sinh_results_match_the_reference_field_by_field(self):
         outcomes = set()
@@ -767,7 +817,7 @@ class TestFusedIntegrand:
         # OverflowError and k_struve serves the node
         p = TheoremParams(1.0, 0.5, 300.0, -1.0, 1.0, 40.0)
         _, series_tol, poly = _reference_integrand("theorem1", p, 1e-12)
-        assert poly.certified
+        assert poly.certified()[0] == 40.0 * identities._ARGUMENT_MARGIN
         x = 1e-3
         omx, third, quarter = 1.0 - x, 1.0 - x / 3.0, 1.0 - x / 4.0
         w = p.y * quarter * omx * omx

@@ -486,6 +486,147 @@ class TestPolynomial:
             assert poly(w) is None
 
 
+def _certificate_cases():
+    """Seeded fixed-point polynomials: c = +1, xmax sqrt(c/k) in [8, 60], tol 1e-10 and 1e-12."""
+    rng = random.Random(20261021)
+    cases = []
+    for _ in range(32):
+        k = rng.choice((0.3, 0.7, 1.0, 1.9))
+        # below nu/k = 6 the first term ratio at W = 8 sqrt(k/c) exceeds 1, so wc < W;
+        # nu/k up to 40 makes power_delta, a few ulps of nu/k, large enough to matter
+        nuk = rng.uniform(1.5, 6.0) if rng.random() < 0.5 else rng.uniform(6.0, 40.0)
+        params = StruveParams(nu=k * nuk + rng.uniform(-1e-3, 1e-3), c=1.0, k=k)
+        xmax = rng.uniform(8.0, 60.0) * math.sqrt(k)
+        cases.append((params, xmax, rng.choice((1e-10, 1e-12))))
+    return cases
+
+
+def _inline_node(cert, xmax, w):
+    """What a caller of ``certified()`` computes at w (identities._integrand's node), or None."""
+    wc, taylor_from, power, scale0, delta, vscale, pairs, sign, shifted, sigma_max = cert
+    half = 0.5 * w
+    lead = half**power * scale0
+    if not 1e-300 < lead < 1e300:
+        return None
+    if delta:
+        lead *= 1.0 + delta * math.log(half)
+    if w <= wc:
+        v = half * half * vscale
+        s = v * v
+        even = odd = 0.0
+        for a_even, a_odd in pairs:
+            even = even * s + a_even
+            odd = odd * s + a_odd
+        odd *= v
+        return lead * (even + sign * odd)
+    sigma = (xmax - w) * (xmax + w) / (xmax * xmax)
+    if taylor_from < w <= xmax and sigma <= sigma_max:
+        acc = 0.0
+        for b in shifted:
+            acc = acc * -sigma + b
+        return lead * acc
+    return None
+
+
+class TestCertificates:
+    """k_struve_poly's certificates on (0, Wc] and on sigma <= sigma_max imply each node's own test."""
+
+    def test_cases_cover_both_signs_of_the_power_correction_and_both_certificates(self):
+        deltas = {math.copysign(1.0, p._series.power_delta) for p, _, _ in _certificate_cases()
+                  if p._series.power_delta}
+        certs = [k_struve_poly(*case).certified() for case in _certificate_cases()]
+        assert deltas == {1.0, -1.0}
+        assert all(wc > 0.0 for wc, *_ in certs)
+        assert sum(taylor_from < math.inf for _, taylor_from, *_ in certs) >= 12
+
+    def test_the_sub_range_is_the_largest_that_its_certificate_allows(self):
+        for params, xmax, tol in _certificate_cases():
+            wmax = 8.0 * math.sqrt(params.k / params.c)
+            *_, tail, span, rounding, rel = struve_module._double_horner(params, wmax, tol)
+            wc = k_struve_poly(params, xmax, tol).certified()[0]
+            if rel <= tol:
+                assert wc == wmax
+                continue
+            args = (wmax, abs(params.c) / params.k, params._series.base, tail, span, rounding,
+                    struve_module._lead_err_max(params._series, wmax))
+            assert struve_module._double_rel(wc, *args) <= tol
+            assert struve_module._double_rel(wc * (1.0 + 2.0**-14), *args) > tol
+
+    def test_every_certified_node_passes_its_own_test_in_the_same_form(self):
+        served = 0
+        for params, xmax, tol in _certificate_cases():
+            poly = k_struve_poly(params, xmax, tol)
+            cert = poly.certified()
+            wc, taylor_from, *_ = cert
+            nodes = [wc * j / 64 for j in range(1, 65)]
+            if taylor_from < math.inf:
+                nodes += [xmax * math.sqrt(1.0 - 0.2 * j / 64 * (1.0 - 1e-9)) for j in range(65)]
+            for w in nodes:
+                value = _inline_node(cert, xmax, w)
+                if value is None:
+                    continue
+                served += 1
+                # the evaluator's own per-node test passed in the form the caller repeated
+                assert poly(w)[0] == value, (params, xmax, tol, w)
+                assert poly(w)[1] <= tol * abs(value)
+        assert served >= 2500
+
+    def test_each_certificate_bounds_its_formula_in_exact_arithmetic(self):
+        """The floating-point certificates are at least their formulas, evaluated exactly.
+
+        Inputs are the doubles the code builds.  The double polynomial's rel
+        on (0, w] is ((T q**2R / d + kappa)(1 + 3 kappa) + L_max + u), with q
+        the rounded w / W, rho0 = (c/k) V / (1.5 base) at the rounded
+        V = (w/2)**2, d = 1 - rho0 (1 + 4u) and kappa = eps / d**2.  The
+        Taylor shift's is top / low + L_max + 3u, with low = |b_0| -
+        sum_{n>=1} |b_n| sigma_max**n - rounding.  L_max = lead_err + t**2 +
+        3u t at t = |power_delta| max(|log m|, |log(x/2)|).
+        """
+        u = Fraction(UNIT)
+        F = Fraction
+        checked = 0
+        for params, xmax, tol in _certificate_cases():
+            consts = params._series
+
+            def lead_err_max(x):
+                extent = max(-math.log(2.0**-1022), abs(math.log(0.5 * x)))
+                t = F(abs(consts.power_delta)) * F(extent)
+                return F(consts.lead_err) + t * t + 3 * u * t
+
+            wmax = 8.0 * math.sqrt(params.k / params.c)
+            *_, tail, span, rounding, _ = struve_module._double_horner(params, wmax, tol)
+            lead_err_max_float = struve_module._lead_err_max(consts, wmax)
+            for j in range(1, 17):
+                w = wmax * j / 16
+                rel = struve_module._double_rel(w, wmax, abs(params.c) / params.k, consts.base, tail,
+                                                span, rounding, lead_err_max_float)
+                if rel == math.inf:
+                    continue
+                half = 0.5 * w
+                rho0 = F(abs(params.c) / params.k) * F(half * half) / (F(consts.base) * F(3, 2))
+                d = 1 - rho0 * (1 + 4 * u)
+                kappa = F(rounding) / (d * d)
+                exact = (F(tail) * F(w / wmax) ** span / d + kappa) * (1 + 3 * kappa)
+                assert d > 0 and F(rel) >= exact + lead_err_max(wmax) + u, (params, xmax, tol, w)
+                checked += 1
+            integer = struve_module._integer_horner(params, xmax, tol)
+            rel = struve_module._taylor_rel(integer, struve_module._lead_err_max(consts, xmax))
+            if rel == math.inf:
+                continue
+            (_, _, bits, _, _, pass_tail, tail_power, _, floors, shifted, order, remainder,
+             rounding, sigma_max) = integer
+            coefs = [F(b) for b in reversed(shifted)]
+            low = abs(coefs[0]) - sum(abs(b) * F(sigma_max) ** n for n, b in enumerate(coefs) if n)
+            low -= F(rounding)
+            s_pad = 1 + 8 * u
+            units = F(floors) + F(pass_tail) * s_pad**tail_power
+            units += F(remainder) * (F(sigma_max) * s_pad) ** order
+            top = units / 2**bits * (1 + 8 * u) + F(rounding)
+            assert low > 0 and F(rel) >= top / low + lead_err_max(xmax) + 3 * u, (params, xmax, tol)
+            checked += 1
+        assert checked >= 200
+
+
 class TestOdeResidual:
     @pytest.mark.parametrize("nu", [0.0, 1.0])
     @pytest.mark.parametrize("x", [0.5, 1.0, 2.0, 4.0])
