@@ -7,9 +7,15 @@ compare a value with mpmath or an exact reference, against its bound) and
 prints whether any of them failed: "killed", with the failing tests, or
 "survived".  The unmutated copy runs first and must pass.
 
-    python3 scripts/bound_mutants.py            # every mutant
-    python3 scripts/bound_mutants.py taylor     # mutants whose name contains "taylor"
-    python3 scripts/bound_mutants.py --all ...  # the whole test suite instead of the oracle tests
+    python3 scripts/bound_mutants.py               # every mutant
+    python3 scripts/bound_mutants.py certificate/  # mutants whose name starts with "certificate/"
+    python3 scripts/bound_mutants.py --all ...     # the whole test suite instead of the oracle tests
+
+The mutants of the k-Struve polynomial's certificates (``struve._double_rel``,
+``_sub_range``, ``_taylor_rel`` and ``_lead_err_max``) share the name prefix
+``certificate/``.  The exit status is 0 when every selected mutant is
+killed, 1 when one survives, and 2 when no name matches, a mutant's text
+is not found once, or the unmutated tree fails.
 
 Stdlib only; it needs pytest, mpmath and hypothesis for the tests it runs.
 A mutant takes as long as its test run: about 8 s on the oracle tests and
@@ -35,33 +41,63 @@ ROOT = Path(__file__).resolve().parent.parent
 # (name, file under src/kstruve, exact text, replacement)
 MUTANTS = [
     # the double polynomial's certificate on (0, w] (struve._double_rel)
-    ("double: tail T (w/W)**2R", "struve.py",
+    ("certificate/double: tail T (w/W)**2R", "struve.py",
      "rel = (tail * (w / xmax) ** span / d + kappa)", "rel = (0.0 + kappa)"),
-    ("double: kappa", "struve.py",
+    ("certificate/double: kappa", "struve.py",
      "rel = (tail * (w / xmax) ** span / d + kappa)", "rel = (tail * (w / xmax) ** span / d)"),
-    ("double: 8u on rho0", "struve.py",
+    ("certificate/double: 8u on rho0", "struve.py",
      "d = 1.0 - rho0 * (1.0 + 8.0 * UNIT)", "d = 1.0 - rho0"),
-    ("double: 1 + 64u slack", "struve.py",
+    ("certificate/double: 1 + 64u slack", "struve.py",
      "return (rel + lead_err_max + UNIT) * (1.0 + 64.0 * UNIT)", "return rel + lead_err_max + UNIT"),
+    # the end of the sub-range (struve._sub_range)
+    ("certificate/sub_range: 7/4 t tail correction", "struve.py",
+     "wc = end(room - 1.75 * tail * (hi / xmax) ** span / d)", "wc = end(room)"),
     # L_max, shared by both certificates
-    ("L_max: power correction", "struve.py",
+    ("certificate/L_max: power correction", "struve.py",
      "return consts.lead_err + (t_max * t_max + 3.0 * UNIT * t_max)", "return consts.lead_err"),
     # the Taylor shift's certificate (struve._taylor_rel)
-    ("taylor: Horner rounding in low", "struve.py",
+    ("certificate/taylor: Horner rounding in low", "struve.py",
      "low = at_max[0] - others - rounding", "low = at_max[0] - others"),
-    ("taylor: floors", "struve.py",
+    ("certificate/taylor: floors", "struve.py",
      "units = floors + tail * _S_PAD**tail_power", "units = tail * _S_PAD**tail_power"),
-    ("taylor: pass tail", "struve.py",
+    ("certificate/taylor: pass tail", "struve.py",
      "units = floors + tail * _S_PAD**tail_power + remainder", "units = floors + remainder"),
-    ("taylor: remainder", "struve.py",
+    ("certificate/taylor: remainder", "struve.py",
      "+ remainder * (sigma_max * _S_PAD) ** order", "+ 0.0"),
-    ("taylor: rounding in top", "struve.py",
+    ("certificate/taylor: rounding in top", "struve.py",
      "top = math.ldexp(units, -bits) * (1.0 + 8.0 * UNIT) + rounding",
      "top = math.ldexp(units, -bits) * (1.0 + 8.0 * UNIT)"),
-    ("taylor: 1 + 64u slack", "struve.py",
+    ("certificate/taylor: 1 + 64u slack", "struve.py",
      "return (top / low + lead_err_max + 3.0 * UNIT) * (1.0 + 64.0 * UNIT)",
      "return top / low + lead_err_max + 3.0 * UNIT"),
-    # terms that no oracle test needed at 66df275
+    # terms that an oracle test killed at 66df275, with the whole suite
+    ("struve: _S_PAD -> 1", "struve.py", "_S_PAD = 1.0 + 8.0 * UNIT", "_S_PAD = 1.0"),
+    ("lavoie: factor_ulps -> 0", "identities.py",
+     "factor_ulps = 2.0 * (abs(e_third) + abs(e_quarter)) + 8.0", "factor_ulps = 0.0"),
+    ("struve: double Horner rounding eps -> 0", "struve.py",
+     "rounding = UNIT * (consts.step_ulps * degree + degree + 2.0)", "rounding = 0.0"),
+    ("wright: _log_path_term error -> 0", "wright.py",
+     "return log_mag, sign, UNIT * ((6.0 + count) * size + 4.0 * (count + 1) + 2.0)",
+     "return log_mag, sign, 0.0"),
+    ("tanh_sinh: 1.1e-16 |value| floor", "quadrature.py",
+     "max(estimate, 1.1e-16 * abs(total))", "estimate"),
+    ("jacobi_cc: beta_err -> 0", "quadrature.py",
+     "beta_err = UNIT * (7.0 * magnitude + 92.0 + s * abs(math.log(s)))", "beta_err = 0.0"),
+    ("jacobi_cc: round_err -> 0", "quadrature.py",
+     "round_err = beta * UNIT * rounding + abs(value) * beta_err", "round_err = 0.0"),
+    ("wright: _Plan.lead_err -> 0", "wright.py",
+     "self.lead_err = UNIT * ((4.0 + count) * size + 4.0 * count + 2.0)", "self.lead_err = 0.0"),
+    # terms that only pins, the golden file or path tests caught at 66df275
+    ("identities: _WEIGHT_ULPS -> 0", "identities.py", "_WEIGHT_ULPS = 16.0", "_WEIGHT_ULPS = 0.0"),
+    ("wright: double loop per-step rounding", "wright.py",
+     "rounding = UNIT * (step_ulps * m + 2.0) * mags + lead_err * abs(total)",
+     "rounding = lead_err * abs(total)"),
+    ("struve: step_ulps -> 0", "struve.py",
+     "self.step_ulps = 7.0 + abs(_gap(self.base, bn, bd)) / self.base / UNIT",
+     "self.step_ulps = 0.0"),
+    ("identities: _ARGUMENT_MARGIN -> 1 (a range margin)", "identities.py",
+     "_ARGUMENT_MARGIN = 1.0 + 8.0 * UNIT", "_ARGUMENT_MARGIN = 1.0"),
+    # terms that no test needed at 66df275
     ("jacobi_cc: 3k**2 moment drift", "quadrature.py",
      "(n + 2) * abs_s + 3.0 * drift", "(n + 2) * abs_s"),
     ("jacobi_cc: (N/2 + 4) row sums", "quadrature.py",
@@ -74,6 +110,7 @@ MUTANTS = [
 ORACLE_TESTS = [
     "tests/test_struve.py::TestCertificates",
     "tests/test_struve.py::test_a_targeted_hunt_finds_no_k_struve_bound_below_its_error",
+    "tests/test_struve.py::test_a_targeted_hunt_finds_no_certified_node_beyond_tol",
     "tests/test_struve.py::TestPolynomial::test_fixed_point_regime_is_served",
     "tests/test_struve.py::TestPolynomial::test_one_node_polynomial_serves_a_random_scan",
     "tests/test_struve.py::TestPolynomial::test_agrees_with_k_struve_inside_and_declines_outside",
@@ -123,7 +160,10 @@ def _run_tests(tree: Path, tests: list[str]) -> list[str]:
 def main(argv: list[str]) -> int:
     tests = ["tests"] if "--all" in argv else ORACLE_TESTS
     pattern = next((a for a in argv if not a.startswith("--")), "")
-    chosen = [m for m in MUTANTS if pattern in m[0]]
+    chosen = [m for m in MUTANTS if m[0].startswith(pattern)]
+    if not chosen:
+        print(f"no mutant's name starts with {pattern!r}", file=sys.stderr)
+        return 2
     for name, module, old, _ in chosen:
         count = (ROOT / "src" / "kstruve" / module).read_text().count(old)
         if count != 1:
@@ -155,7 +195,7 @@ def main(argv: list[str]) -> int:
         shown = ", ".join(f"`{f.split('::', 1)[1]}`" for f in failed[:3])
         more = f" and {len(failed) - 3} more" if len(failed) > 3 else ""
         print(f"| {name} | {outcome} | {shown}{more} |")
-    return 0
+    return 1 if any(outcome == "survived" for _, outcome, _, _ in rows) else 0
 
 
 if __name__ == "__main__":

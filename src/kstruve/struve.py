@@ -23,10 +23,10 @@ polynomial, in this order, until a value's bound fits:
 
 - double: Horner's rule on double coefficients, on all of (0, X] below the
   fixed-point regime (c <= 0, or X sqrt(c/k) < 8) and on (0, 8 sqrt(k/c)]
-  in it.  Where the terms cannot cancel much (c <= 0, or a first term
-  ratio below 1 at that range's end), one relative bound, proved once for
-  the whole interval, serves every node; otherwise each node computes its
-  own;
+  in it.  Each node computes its own bound.  Where the terms cannot
+  cancel much (c <= 0, or a first term ratio below 1 at that range's end),
+  one relative bound, proved once for the whole interval, shows that every
+  node's bound passes;
 - Taylor at X: wherever that one bound does not hold on all of (0, X]
   and tol is not below the floor of the integer bounds, next to X, where
   sigma = 1 - (x/X)**2 is small, the integer terms u_m of one fixed-point
@@ -72,9 +72,6 @@ _S_PAD = 1.0 + 8.0 * UNIT
 # rounding grows with it, and at xmax sqrt(c/k) = 20-57 bounds start to fail
 # from about 0.5 on
 _SIGMA_MAX = 0.2
-# bisection steps for the end of the double polynomial's sub-range certificate,
-# where its closed form leaves out too large a tail
-_SUB_RANGE_STEPS = 16
 
 
 def _lead_err_max(consts: "_SeriesConstants", xmax: float) -> float:
@@ -302,9 +299,10 @@ def k_struve_poly(params: StruveParams, xmax: float, tol: float):
     node of (0, wc] (wc = 0.0 for none) from (power, ..., sign), and the
     Taylor shift every node of (taylor_from, xmax] with sigma <= sigma_max
     from ``shifted`` (taylor_from = W, or inf and () for none).  It costs
-    a search for wc and a pass over the shifted terms, so ``evaluate`` does
-    not pay for it, and :func:`k_struve` never asks.  k_struve_poly itself
-    returns None when no degree up to 500 serves.
+    up to two :func:`_double_rel` calls for wc and a pass over the shifted
+    terms, so ``evaluate`` does not pay for it, and :func:`k_struve` never
+    asks.  k_struve_poly itself returns None when no degree up to 500
+    serves.
 
     ``evaluate`` computes the leading term once, inline as (x/2)**power *
     scale0 with the exact-power correction.  Where that leaves
@@ -316,16 +314,16 @@ def k_struve_poly(params: StruveParams, xmax: float, tol: float):
 
     - double: Horner's rule on double coefficients on (0, W]
       (:func:`_double_horner`), with W = xmax below the fixed-point regime
-      (c <= 0, or xmax sqrt(c/k) < 8) and W = 8 sqrt(k/c) in it.  When the
-      polynomial's certificate, a relative bound rel proved once for all of
-      (0, W], is at most tol, every value's bound is rel |value|; rel
-      exists for c <= 0, and for c > 0 when the first term ratio at W,
-      (c/k)(W/2)**2 / ((nu/k + 3/2) 3/2), is below 1.  The certificate
-      implies the per-node test, so the same nodes are served with the same
-      values either way.  For c > 0 without it, ``certified()`` finds the
-      largest wc whose certificate on (0, wc] holds (in closed form, the
-      tail aside, or else by bisection to 2**-16 of that bound): there
-      each node still computes its own bound, and passes;
+      (c <= 0, or xmax sqrt(c/k) < 8) and W = 8 sqrt(k/c) in it.  Every
+      node computes its own bound.  The polynomial's certificate, a
+      relative bound rel proved once for all of (0, W], implies that
+      bound's test at every node where rel <= tol; rel exists for c <= 0,
+      and for c > 0 when the first term ratio at W,
+      (c/k)(W/2)**2 / ((nu/k + 3/2) 3/2), is below 1.  Where it holds on
+      all of (0, xmax], no integer terms are built.  For c > 0 without it,
+      ``certified()`` takes wc from the same certificate on (0, wc], in
+      closed form with at most one correction for the tail
+      (:func:`_sub_range`);
     - unless the certificate holds on all of (0, xmax], or tol is below
       the floor of their bounds, the integer terms of one fixed-point pass
       at xmax
@@ -378,7 +376,7 @@ def k_struve_poly(params: StruveParams, xmax: float, tol: float):
         else:
             lead = 0.0
         if 1e-300 < lead < 1e300:
-            lead_err, fits, scale = lead_err0, certified, 1.0
+            lead_err, scale = lead_err0, 1.0
             if delta:
                 # the exact power: (x/2)**delta = exp(t), within t**2 of 1 + t for
                 # |t| < 1/2; delta is a few ulps of nu/k, so t is of order 1e-13
@@ -388,7 +386,6 @@ def k_struve_poly(params: StruveParams, xmax: float, tol: float):
         elif x == xmax:
             lead, lead_err, scale = _lead(params, x)
             evaluate.lead_err = lead_err
-            fits = False
         elif x < 0.0 and flip:
             out = evaluate(-x)
             return out and (flip * out[0], out[1])
@@ -404,16 +401,12 @@ def k_struve_poly(params: StruveParams, xmax: float, tol: float):
             odd *= v
             value = lead * (even + sign * odd)
             size = abs(value)
-            if fits:
-                if size < inf:  # an overflowed value fails
-                    return value, rel * size
-            else:
-                bound = scale * (
-                    lead * (tail * (x / wmax) ** span + rounding * (even + odd))
-                    + (lead_err + UNIT) * size
-                )
-                if bound <= tol * size * scale < inf:
-                    return value * scale, bound + subnormal
+            bound = scale * (
+                lead * (tail * (x / wmax) ** span + rounding * (even + odd))
+                + (lead_err + UNIT) * size
+            )
+            if bound <= tol * size * scale < inf:
+                return value * scale, bound + subnormal
         if integer is None or x > xmax:
             return None
         (inv, guard, bits, top, rest, pass_tail, tail_power, units_fixed, floors,
@@ -527,9 +520,10 @@ def _double_horner(params: StruveParams, xmax: float, tol: float):
     value <= tol implies the per-node test at every node in (0, w].
 
     So rel <= tol implies, in floating point, the per-node test at every
-    node, and then every node returns rel |value|, skipping the tail, the
-    power of x/xmax and the rounding arithmetic.  Otherwise each node
-    computes its own bound.
+    node, and each node's own bound is at most rel |value|.  Every node
+    still computes and returns its own bound; rel only tells
+    :func:`k_struve_poly` that no node needs the integer terms, and its
+    ``certified()`` which nodes a caller may evaluate inline.
 
     Scaling.  The coefficients are stored as |a_r| 2**(e r), with 2**e <= V
     a power of two, and evaluated at v 2**-e.  Every coefficient, partial
@@ -601,32 +595,37 @@ def _double_rel(
 def _sub_range(
     params: StruveParams, xmax: float, tol: float, tail: float, span: int, rounding: float
 ) -> float:
-    """For c > 0, the largest w <= xmax at which :func:`_double_rel` is at most tol, or 0.0.
+    """For c > 0, an end w <= xmax at which :func:`_double_rel` is at most tol, or 0.0.
 
-    kappa (1 + 3 kappa) <= room, the room that tol leaves beside L_max, u
-    and the slack, bounds d below with the tail aside, and so w above: hi,
-    from rho0 = (1 - d) / (1 + 8u).  Where the certificate holds at hi, that
-    is the answer; where the tail is too large there, a bisection below hi
-    finds the largest w to 2**-16 of hi, keeping its lower end certified.
+    With the tail aside, kappa (1 + 3 kappa) <= room, the room that tol
+    leaves beside L_max, u and the slack, bounds d = 1 - rho0 (1 + 8u)
+    below, and so w above: hi, from rho0 = (1 - d) / (1 + 8u).  Where the
+    certificate holds at hi, that is the end.  Otherwise the tail does not
+    fit there.  Its term in :func:`_double_rel`, T (w/xmax)**(2R) (1 + 3
+    kappa) / d, does not decrease as w grows, and 1 + 3 kappa <= 7/4, so on
+    (0, hi] it is at most t = 7/4 T (hi/xmax)**(2R) / d(hi): the end is
+    computed once more from room - t, and kept where the certificate holds
+    there.  Soundness rests on :func:`_double_rel` alone.
     """
     ck = abs(params.c) / params.k
     base = params._series.base
     lead_err_max = _lead_err_max(params._series, xmax)
     args = (xmax, ck, base, tail, span, rounding, lead_err_max)
+
+    def end(room: float) -> float:
+        kappa = min(room / (1.0 + 3.0 * room), 0.25) * (1.0 - 2.0**-20)
+        rho0 = (1.0 - math.sqrt(rounding / kappa)) / (1.0 + 8.0 * UNIT) if kappa > 0.0 else 0.0
+        return min(xmax, 2.0 * math.sqrt(max(rho0, 0.0) * 1.5 * base / ck))
+
     room = tol / (1.0 + 64.0 * UNIT) - lead_err_max - UNIT
-    kappa = min(room / (1.0 + 3.0 * room), 0.25) * (1.0 - 2.0**-20)
-    rho0 = (1.0 - math.sqrt(rounding / kappa)) / (1.0 + 8.0 * UNIT) if kappa > 0.0 else 0.0
-    hi = min(xmax, 2.0 * math.sqrt(max(rho0, 0.0) * 1.5 * base / ck))
+    hi = end(room)
     if _double_rel(hi, *args) <= tol:
         return hi
-    lo = 0.0
-    for _ in range(_SUB_RANGE_STEPS):
-        mid = 0.5 * (lo + hi)
-        if _double_rel(mid, *args) <= tol:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    # d(hi) > 0: hi's rho0 leaves d at least sqrt(8u), far above its few ulps of rounding
+    half = 0.5 * hi
+    d = 1.0 - ck * (half * half) / (base * 1.5) * (1.0 + 8.0 * UNIT)
+    wc = end(room - 1.75 * tail * (hi / xmax) ** span / d)
+    return wc if _double_rel(wc, *args) <= tol else 0.0
 
 
 def _integer_horner(params: StruveParams, xmax: float, tol: float):

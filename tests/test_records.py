@@ -25,9 +25,9 @@ NAN = math.nan
 # each record's repr as the package printed it when the records were frozen dataclasses
 RECORDS = [
     (
-        # struve_h's value and bound are those of its one-node polynomial
+        # struve_h's value and bound are those of its one-node polynomial (the node's own bound)
         lambda: struve_h(0.0, 1.0),
-        "EvaluationResult(value=0.5686566270482876, error_bound=6.016500623056556e-15,"
+        "EvaluationResult(value=0.5686566270482876, error_bound=5.952930808529347e-15,"
         " terms_used=8)",
     ),
     (

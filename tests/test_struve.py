@@ -540,6 +540,7 @@ class TestCertificates:
         assert sum(taylor_from < math.inf for _, taylor_from, *_ in certs) >= 12
 
     def test_the_sub_range_is_the_largest_that_its_certificate_allows(self):
+        """wc is certified, and within 1% of the largest certified w*, found here by bisection."""
         for params, xmax, tol in _certificate_cases():
             wmax = 8.0 * math.sqrt(params.k / params.c)
             *_, tail, span, rounding, rel = struve_module._double_horner(params, wmax, tol)
@@ -549,8 +550,12 @@ class TestCertificates:
                 continue
             args = (wmax, abs(params.c) / params.k, params._series.base, tail, span, rounding,
                     struve_module._lead_err_max(params._series, wmax))
-            assert struve_module._double_rel(wc, *args) <= tol
-            assert struve_module._double_rel(wc * (1.0 + 2.0**-14), *args) > tol
+            lo, hi = 0.0, wmax
+            for _ in range(40):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if struve_module._double_rel(mid, *args) <= tol else (lo, mid)
+            assert struve_module._double_rel(wc, *args) <= tol, (params, xmax, tol)
+            assert wc >= 0.99 * lo, (params, xmax, tol, wc, lo)
 
     def test_every_certified_node_passes_its_own_test_in_the_same_form(self):
         served = 0
@@ -672,3 +677,48 @@ def test_a_targeted_hunt_finds_no_k_struve_bound_below_its_error(order, c, k, lo
     err = abs(mp.mpf(res.value) - mp_k_struve(mp, params.nu, c, k, x))
     target(float(err / res.error_bound))
     assert err <= res.error_bound, (params, x, tol, res)
+
+
+@settings(
+    max_examples=300, deadline=None, derandomize=True, database=None,
+    phases=(Phase.generate, Phase.target),
+)
+@given(
+    nuk=st.floats(-1.4, 40.0),
+    c=st.floats(0.1, 4.0),
+    k=st.sampled_from([0.3, 0.7, 1.0, 1.9]),
+    reach=st.floats(1.0, 60.0),
+    tol=st.sampled_from([1e-10, 1e-12]),
+    where=st.floats(0.0, 1.0, exclude_min=True),
+    taylor=st.booleans(),
+)
+def test_a_targeted_hunt_finds_no_certified_node_beyond_tol(nuk, c, k, reach, tol, where, taylor):
+    """|value - S(w)| <= tol |value| against mpmath at the nodes that ``certified()`` names.
+
+    c > 0 and xmax sqrt(c/k) = reach; the node is where * wc on the double
+    polynomial's sub-range, or at sigma = where * sigma_max on the Taylor
+    shift.  The value is the one a caller computes inline on the
+    certificate's word, and the evaluator must return it too; hypothesis
+    steers toward the largest error over tol |value|.
+    """
+    mp = pytest.importorskip("mpmath")
+    params = StruveParams(nuk * k, c, k)
+    xmax = reach * math.sqrt(k / c)
+    poly = k_struve_poly(params, xmax, tol)
+    cert = poly and poly.certified()
+    if not cert:
+        return
+    wc, taylor_from, *_, sigma_max = cert
+    if taylor and taylor_from < math.inf or not wc:
+        w = xmax * math.sqrt(1.0 - where * sigma_max)
+        if w <= taylor_from:
+            return
+    else:
+        w = where * wc
+    value = _inline_node(cert, xmax, w) if 0.5 * w >= 2.0**-1022 else None
+    if value is None:
+        return  # w/2 is subnormal or the leading term leaves (1e-300, 1e300): the caller asks k_struve
+    err = abs(mp.mpf(value) - mp_k_struve(mp, params.nu, c, k, w))
+    target(float(err / (tol * abs(value))))
+    assert err <= tol * abs(value), (params, xmax, tol, w, value)
+    assert poly(w)[0] == value, (params, xmax, tol, w)
