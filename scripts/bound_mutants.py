@@ -8,12 +8,12 @@ prints whether any of them failed: "killed", with the failing tests, or
 "survived".  The unmutated copy runs first and must pass.
 
     python3 scripts/bound_mutants.py               # every mutant
-    python3 scripts/bound_mutants.py certificate/  # mutants whose name starts with "certificate/"
+    python3 scripts/bound_mutants.py threshold/    # mutants whose name starts with "threshold/"
     python3 scripts/bound_mutants.py --all ...     # the whole test suite instead of the oracle tests
 
-The mutants of the k-Struve polynomial's certificates (``struve._double_rel``,
-``_sub_range``, ``_taylor_rel`` and ``_lead_err_max``) share the name prefix
-``certificate/``.  The exit status is 0 when every selected mutant is
+The mutants of the k-Struve polynomial's inline thresholds (g_min and
+t_min in ``struve.k_struve_poly``, and ``struve._threshold``) share the name
+prefix ``threshold/``.  The exit status is 0 when every selected mutant is
 killed, 1 when one survives, and 2 when no name matches, a mutant's text
 is not found once, or the unmutated tree fails.
 
@@ -40,36 +40,32 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # (name, file under src/kstruve, exact text, replacement)
 MUTANTS = [
-    # the double polynomial's certificate on (0, w] (struve._double_rel)
-    ("certificate/double: tail T (w/W)**2R", "struve.py",
-     "rel = (tail * (w / xmax) ** span / d + kappa)", "rel = (0.0 + kappa)"),
-    ("certificate/double: kappa", "struve.py",
-     "rel = (tail * (w / xmax) ** span / d + kappa)", "rel = (tail * (w / xmax) ** span / d)"),
-    ("certificate/double: 8u on rho0", "struve.py",
-     "d = 1.0 - rho0 * (1.0 + 8.0 * UNIT)", "d = 1.0 - rho0"),
-    ("certificate/double: 1 + 64u slack", "struve.py",
-     "return (rel + lead_err_max + UNIT) * (1.0 + 64.0 * UNIT)", "return rel + lead_err_max + UNIT"),
-    # the end of the sub-range (struve._sub_range)
-    ("certificate/sub_range: 7/4 t tail correction", "struve.py",
-     "wc = end(room - 1.75 * tail * (hi / xmax) ** span / d)", "wc = end(room)"),
-    # L_max, shared by both certificates
-    ("certificate/L_max: power correction", "struve.py",
-     "return consts.lead_err + (t_max * t_max + 3.0 * UNIT * t_max)", "return consts.lead_err"),
-    # the Taylor shift's certificate (struve._taylor_rel)
-    ("certificate/taylor: Horner rounding in low", "struve.py",
-     "low = at_max[0] - others - rounding", "low = at_max[0] - others"),
-    ("certificate/taylor: floors", "struve.py",
-     "units = floors + tail * _S_PAD**tail_power", "units = tail * _S_PAD**tail_power"),
-    ("certificate/taylor: pass tail", "struve.py",
-     "units = floors + tail * _S_PAD**tail_power + remainder", "units = floors + remainder"),
-    ("certificate/taylor: remainder", "struve.py",
-     "+ remainder * (sigma_max * _S_PAD) ** order", "+ 0.0"),
-    ("certificate/taylor: rounding in top", "struve.py",
-     "top = math.ldexp(units, -bits) * (1.0 + 8.0 * UNIT) + rounding",
+    # the double polynomial's inline threshold g_min (struve.k_struve_poly)
+    ("threshold/double: tail T", "struve.py",
+     "g_min = _threshold(tail + rounding * mags,", "g_min = _threshold(rounding * mags,"),
+    ("threshold/double: eps M(W)", "struve.py",
+     "g_min = _threshold(tail + rounding * mags,", "g_min = _threshold(tail,"),
+    ("threshold/double: eps S in E where c <= 0", "struve.py",
+     "lead_err_max + UNIT + rounding * _SLACK", "lead_err_max + UNIT"),
+    # L_max, the slack and the room, shared by both thresholds (struve._threshold)
+    ("threshold/L_max: power correction", "struve.py",
+     "lead_err_max = lead_err0 + (t_max * t_max + 3.0 * UNIT * t_max)", "lead_err_max = lead_err0"),
+    ("threshold/slack", "struve.py", "_SLACK = 1.0 + 2.0**-20", "_SLACK = 1.0"),
+    ("threshold/room: 1 + 64u", "struve.py",
+     "room = tol / (1.0 + 64.0 * UNIT) - lead_err", "room = tol - lead_err"),
+    # the Taylor shift's inline threshold t_min (struve.k_struve_poly)
+    ("threshold/taylor: floors", "struve.py",
+     "units = floors + pass_tail * _S_PAD**tail_power", "units = pass_tail * _S_PAD**tail_power"),
+    ("threshold/taylor: pass tail", "struve.py",
+     "units = floors + pass_tail * _S_PAD**tail_power + rest_units", "units = floors + rest_units"),
+    ("threshold/taylor: remainder", "struve.py",
+     "+ rest_units * (sigma_max * _S_PAD) ** order", "+ 0.0"),
+    ("threshold/taylor: rounding", "struve.py",
+     "top = math.ldexp(units, -bits) * (1.0 + 8.0 * UNIT) + taylor_rounding",
      "top = math.ldexp(units, -bits) * (1.0 + 8.0 * UNIT)"),
-    ("certificate/taylor: 1 + 64u slack", "struve.py",
-     "return (top / low + lead_err_max + 3.0 * UNIT) * (1.0 + 64.0 * UNIT)",
-     "return top / low + lead_err_max + 3.0 * UNIT"),
+    ("threshold/taylor: 3u", "struve.py",
+     "t_min = _threshold(top, tol, lead_err_max + 3.0 * UNIT)",
+     "t_min = _threshold(top, tol, lead_err_max + UNIT)"),
     # terms that an oracle test killed at 66df275, with the whole suite
     ("struve: _S_PAD -> 1", "struve.py", "_S_PAD = 1.0 + 8.0 * UNIT", "_S_PAD = 1.0"),
     ("lavoie: factor_ulps -> 0", "identities.py",
@@ -130,6 +126,7 @@ ORACLE_TESTS = [
     "tests/test_quadrature.py::TestJacobiClenshawCurtis::test_estimate_bounds_the_error",
     "tests/test_quadrature.py::TestJacobiClenshawCurtis::test_moments_match_the_hypergeometric_oracle",
     "tests/test_quadrature.py::test_lavoie_estimate_holds_against_mpmath_oracle",
+    "tests/test_quadrature.py::test_lavoie_estimate_holds_against_mpmath_at_large_exponents",
     "tests/test_wright.py::test_a_targeted_hunt_finds_no_wright_bound_below_its_error",
     "tests/test_wright.py::test_a_targeted_hunt_finds_no_wright_bound_below_its_error_where_the_first_term_underflows",
     "tests/test_wright.py::test_pair_sums_hold_against_mpmath_and_the_printed_sum_is_wright_evals",

@@ -248,23 +248,31 @@ def _integrand(which: str, p: TheoremParams, tol: float):
 
     |w| is at most |y| in theorem1 and 4|y|/9 in theorem2.  The point's
     k-Struve polynomial (:func:`k_struve_poly`) is built once for that range
-    (xmax), and its certificates once (``certified()``).  f evaluates each
-    certified node whose leading term is in range inline, with the
-    operations of the polynomial's evaluator in their order, so the value
-    is the evaluator's to the bit: w <= wc by the double polynomial, and
-    w in (W, xmax] with sigma = 1 - (w/xmax)**2 <= sigma_max by the Taylor
-    shift (W = 8 sqrt(k/c), in the fixed-point regime only).  A point
-    certified on all of (0, xmax] takes no more operations per node than
-    the first test, w <= wc.  Every other node goes through the
-    evaluator, and through :func:`k_struve` where that returns None: at
-    w = 0, and where the leading term is outside (1e-300, 1e300) or |w|/2
-    below the normal range.  A negative y (integer nu/k + 1) gives w < 0,
-    which the evaluator serves by its sign rule.  Each value has a bound of
-    at most ``series_tol * |S(w)|``, plus a few subnormal spacings.  Where
-    no polynomial exists, this raises the ConvergenceError of
-    :func:`k_struve` at the range's end.  ``series_tol`` is tol / 100, but
-    no tighter than the leading coefficient allows: its error is a smooth
-    factor across the interval, not quadrature noise.
+    (xmax).  f evaluates a node whose leading term is in range inline, with
+    the operations of the polynomial's evaluator in their order, where the
+    value passes its form's threshold (``inline``): w <= W by the double
+    polynomial with g_min |lead| <= |value|, and w in (W, xmax] with sigma
+    = 1 - (w/xmax)**2 <= sigma_max by the Taylor shift with t_min |lead| <=
+    |value| (W = 8 sqrt(k/c) < xmax in the fixed-point regime only).  Each
+    threshold implies the evaluator's own per-node test in that form, so
+    the value is the evaluator's to the bit.  Every other node goes through
+    the evaluator, and through :func:`k_struve` where that returns None:
+    where the leading term is outside (1e-300, 1e300), and at y = 0.
+
+    A node whose |w|/2 is below the normal range, where the product w has
+    underflowed or lost its digits, is not a zero of S: there g = 1 +
+    O(w**2) is 1 to rounding, so f is the weight times the leading term,
+    (w/2)**lam scale0, taken whole in logs from x, 1 - x and y, never from
+    w.  Its relative error is a few ulps of the sum of the logs'
+    magnitudes, about 1e-13 at lam = 1.  A negative y (integer nu/k + 1)
+    gives w < 0, which takes the sign (-1)**lam.
+
+    Each other value has a bound of at most ``series_tol * |S(w)|``, plus
+    a few subnormal spacings.  Where no polynomial exists, this raises the
+    ConvergenceError of :func:`k_struve` at the range's end.
+    ``series_tol`` is tol / 100, but no tighter than the leading
+    coefficient allows: its error is a smooth factor across the interval,
+    not quadrature noise.
     """
     require_tol(tol)
     a, b, fed_a = _weight(which, p)
@@ -274,16 +282,22 @@ def _integrand(which: str, p: TheoremParams, tol: float):
     wmax = abs(p.y) * (4.0 / 9.0) if fed_a else abs(p.y)
     xmax = wmax * _ARGUMENT_MARGIN
     poly = k_struve_poly(sp, xmax, series_tol)
-    certified = poly and poly.certified()
-    # no node is served inline
-    wc, taylor_from = -math.inf, math.inf
     if poly is None:
         # at y = 0 k_struve serves every node, w = 0; at any other y it raises here
         k_struve(sp, xmax, tol=series_tol)
         poly = lambda w: None
-    elif certified:
-        wc, taylor_from, power, scale0, delta, vscale, pairs, sign, shifted, sigma_max = certified
+        inline = (-math.inf, math.inf, math.inf, 0.0, 0.0, 0.0, 0.0, (), 0.0, (), -1.0)
+    else:
+        inline = poly.inline
+    w_top, g_min, t_min, power, scale0, delta, vscale, pairs, sign, shifted, sigma_max = inline
+    # the Taylor shift's nodes lie in (W, xmax]; without it no node above W is inline
+    t_top = xmax if shifted else -math.inf
     y = p.y
+    # an underflowed node's sign and log(|y|/2) (|y|/2 may round to 0); y = 0 and a
+    # negative y with a fractional power (no real value) go to k_struve
+    sign_y = 1.0 if y > 0.0 else (-1.0) ** power if y < 0.0 and power.is_integer() else 0.0
+    log_half_y = math.log(abs(y)) - math.log(2.0) if sign_y else 0.0
+    log_scale = sp.log_scale
     xmax_sq = xmax * xmax
     log = math.log
     inf = math.inf
@@ -292,8 +306,8 @@ def _integrand(which: str, p: TheoremParams, tol: float):
         third, quarter = 1.0 - x / 3.0, 1.0 - x / 4.0
         w = y * x * third * third if fed_a else y * quarter * omx * omx
         weight = x**e_x * omx**e_omx * third**e_third * quarter**e_quarter
-        if w <= wc:
-            half = 0.5 * w
+        half = 0.5 * w
+        if w <= w_top:
             if half >= _MIN_NORMAL:
                 try:
                     lead = half**power * scale0
@@ -310,12 +324,20 @@ def _integrand(which: str, p: TheoremParams, tol: float):
                         odd = odd * s + a_odd
                     odd *= v
                     value = lead * (even + sign * odd)
-                    if abs(value) < inf:
+                    if g_min * lead <= abs(value) < inf:
                         return weight * value
-        elif taylor_from < w <= xmax:
+            elif -_MIN_NORMAL < half and sign_y:
+                # log(u / 2) + log(y): u = x (1 - x/3)**2 or (1 - x/4)(1 - x)**2
+                log_u = log(x) + 2.0 * log(third) if fed_a else log(quarter) + 2.0 * log(omx)
+                log_half = log_half_y + log_u
+                log_f = (
+                    e_x * log(x) + e_omx * log(omx) + e_third * log(third) + e_quarter * log(quarter)
+                    + ((power * log_half + delta * log_half) + log_scale)
+                )
+                return sign_y * math.exp(log_f)
+        elif w <= t_top:
             sigma = (xmax - w) * (xmax + w) / xmax_sq
             if sigma <= sigma_max:
-                half = 0.5 * w
                 try:
                     lead = half**power * scale0
                 except OverflowError:
@@ -328,7 +350,7 @@ def _integrand(which: str, p: TheoremParams, tol: float):
                     for b in shifted:
                         acc = acc * neg + b
                     value = lead * acc
-                    if abs(value) < inf:
+                    if t_min * lead <= abs(value) < inf:
                         return weight * value
         return weight * (poly(w) or k_struve(sp, w, tol=series_tol))[0]
 

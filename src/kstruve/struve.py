@@ -23,22 +23,18 @@ polynomial, in this order, until a value's bound fits:
 
 - double: Horner's rule on double coefficients, on all of (0, X] below the
   fixed-point regime (c <= 0, or X sqrt(c/k) < 8) and on (0, 8 sqrt(k/c)]
-  in it.  Each node computes its own bound.  Where the terms cannot
-  cancel much (c <= 0, or a first term ratio below 1 at that range's end),
-  one relative bound, proved once for the whole interval, shows that every
-  node's bound passes;
-- Taylor at X: wherever that one bound does not hold on all of (0, X]
-  and tol is not below the floor of the integer bounds, next to X, where
-  sigma = 1 - (x/X)**2 is small, the integer terms u_m of one fixed-point
-  pass at X (:func:`kstruve.fixedpoint.fixed_terms`), shifted exactly to
-  x = X and evaluated in doubles in -sigma;
+  in it;
+- Taylor at X: where tol is not below the floor of the integer bounds,
+  next to X, where sigma = 1 - (x/X)**2 is small, the integer terms u_m of
+  one fixed-point pass at X (:func:`kstruve.fixedpoint.fixed_terms`),
+  shifted exactly to x = X and evaluated in doubles in -sigma;
 - integer: the same u_m, evaluated by integer Horner's rule in s = (x/X)**2.
 
-Two more certificates, proved once on demand, name the nodes at which the
-per-node test of the double or the Taylor form is sure to pass: a sub-range
-(0, wc] of the double polynomial's range, and every sigma up to its limit
-above 8 sqrt(k/c).  A caller that evaluates many nodes repeats the
-evaluator's operations there without calling it.
+The integer terms are built only where a node needs them.  Each node
+computes its own bound.  For the double and the Taylor form one constant
+threshold, from the numbers the polynomial already has, names the values
+whose per-node test is sure to pass: a caller that evaluates many nodes
+repeats the evaluator's operations there without calling it.
 
 :func:`k_struve` is one node of that evaluator: it evaluates at x the
 polynomial built for X = |x|.  There, and only there, a leading term outside
@@ -72,18 +68,6 @@ _S_PAD = 1.0 + 8.0 * UNIT
 # rounding grows with it, and at xmax sqrt(c/k) = 20-57 bounds start to fail
 # from about 0.5 on
 _SIGMA_MAX = 0.2
-
-
-def _lead_err_max(consts: "_SeriesConstants", xmax: float) -> float:
-    """L_max: the leading term's relative error at every in-range node x in (0, xmax].
-
-    lead_err plus t**2 + 3u t at t = |power_delta| max(|log m|, |log(xmax/2)|),
-    m the smallest normal: the power correction t = power_delta log(x/2) for
-    every served x/2 in [m, xmax/2].
-    """
-    log_extent = max(-math.log(_MIN_NORMAL), abs(math.log(max(0.5 * xmax, _MIN_NORMAL))))
-    t_max = abs(consts.power_delta) * log_extent
-    return consts.lead_err + (t_max * t_max + 3.0 * UNIT * t_max)
 
 
 def _gap(f: float, num: int, den: int) -> float:
@@ -286,52 +270,36 @@ def k_struve_poly(params: StruveParams, xmax: float, tol: float):
     added for values below the normal range, or None when |x| is not in
     (0, xmax] or when that bound fails.  A negative x takes the value at -x
     times (-1)**(nu/k + 1), and None when that power is fractional.
-    ``evaluate.degree`` is the largest degree it holds, and
-    ``evaluate.lead_err`` the relative error of its leading term at xmax
-    (the inline term's, until it takes that term from its logarithm).
-    ``evaluate.certified()`` proves which nodes pass their own test in a
-    known form (a caller asks once), and returns the tuple (wc, taylor_from,
-    power, scale0, power_delta, vscale, pairs, sign, shifted, sigma_max)
-    with which a caller can repeat, operation for operation, what
-    ``evaluate`` does at such a node whose leading term is in range, and
-    get the same value (:func:`kstruve.identities._integrand` does); or
-    None where no node is certified.  The double polynomial serves every
-    node of (0, wc] (wc = 0.0 for none) from (power, ..., sign), and the
-    Taylor shift every node of (taylor_from, xmax] with sigma <= sigma_max
-    from ``shifted`` (taylor_from = W, or inf and () for none).  It costs
-    up to two :func:`_double_rel` calls for wc and a pass over the shifted
-    terms, so ``evaluate`` does not pay for it, and :func:`k_struve` never
-    asks.  k_struve_poly itself returns None when no degree up to 500
-    serves.
+    ``evaluate.degree`` is the largest degree of the forms built so far,
+    and ``evaluate.lead_err`` the relative error of its leading term at
+    xmax (the inline term's, until it takes that term from its logarithm).
+    k_struve_poly itself returns None when no degree up to 500 serves.
 
     ``evaluate`` computes the leading term once, inline as (x/2)**power *
     scale0 with the exact-power correction.  Where that leaves
     (1e-300, 1e300), or x/2 is below the normal range, it returns None,
     except at x = xmax, the node :func:`k_struve` asks for: there it takes
-    the term from its logarithm (:func:`_lead`) and every form computes
-    its own bound.  Then it tries up to three forms of g, in this order,
-    until one value's bound fits tol:
+    the term from its logarithm (:func:`_lead`).  Then it tries up to three
+    forms of g, in this order, until one value's own bound fits tol:
 
     - double: Horner's rule on double coefficients on (0, W]
       (:func:`_double_horner`), with W = xmax below the fixed-point regime
-      (c <= 0, or xmax sqrt(c/k) < 8) and W = 8 sqrt(k/c) in it.  Every
-      node computes its own bound.  The polynomial's certificate, a
-      relative bound rel proved once for all of (0, W], implies that
-      bound's test at every node where rel <= tol; rel exists for c <= 0,
-      and for c > 0 when the first term ratio at W,
-      (c/k)(W/2)**2 / ((nu/k + 3/2) 3/2), is below 1.  Where it holds on
-      all of (0, xmax], no integer terms are built.  For c > 0 without it,
-      ``certified()`` takes wc from the same certificate on (0, wc], in
-      closed form with at most one correction for the tail
-      (:func:`_sub_range`);
-    - unless the certificate holds on all of (0, xmax], or tol is below
-      the floor of their bounds, the integer terms of one fixed-point pass
-      at xmax
-      (:func:`_integer_horner`): first, where sigma = 1 - (x/xmax)**2 <=
-      ``_SIGMA_MAX``, their exact Taylor shift to x = xmax in doubles,
-      then integer Horner's rule.  The Taylor shift's certificate
-      (:func:`_taylor_rel`) bounds its per-node test at every sigma <=
-      ``_SIGMA_MAX`` at once.
+      (c <= 0, or xmax sqrt(c/k) < 8) and W = 8 sqrt(k/c) in it;
+    - unless tol is below the floor of their bounds, the integer terms of
+      one fixed-point pass at xmax (:func:`_integer_horner`): first, where
+      sigma = 1 - (x/xmax)**2 <= ``_SIGMA_MAX``, their exact Taylor shift
+      to x = xmax in doubles, then integer Horner's rule.  They are built
+      up front where W < xmax, since every node above W needs them, and
+      otherwise at the first node whose double value fails its bound.
+
+    ``evaluate.inline`` is the tuple (W, g_min, t_min, power, scale0,
+    power_delta, vscale, pairs, sign, shifted, sigma_max), with which a
+    caller repeats, operation for operation, what ``evaluate`` does at a
+    node whose leading term is in range (:func:`kstruve.identities._integrand`
+    does): the double polynomial at x <= W, the Taylor shift at W < x <=
+    xmax with sigma <= sigma_max (shifted = () and sigma_max = -1 for none).
+    A value with g_min |lead| <= |value| < inf (t_min on the Taylor shift)
+    passes the evaluator's own test in that form (:func:`_threshold`).
     """
     if not 0.0 < xmax < math.inf:
         return None
@@ -341,18 +309,16 @@ def k_struve_poly(params: StruveParams, xmax: float, tol: float):
     double = _double_horner(params, wmax, tol)
     if double is None:
         return None
-    pairs, sign, vscale, tail, span, rounding, rel = double
-    certified = rel <= tol
+    pairs, sign, vscale, tail, span, rounding, mags = double
     consts = params._series
-    # the integer terms serve wherever the certificate does not hold, and
-    # where tol is not below the floor of their bounds: both integer bounds
-    # exceed (lead_err + 3u) |value|, and the leading term's lead_err is at
-    # least scale_err + 7u inline and scale_err + 2u from its logarithm
-    # (:func:`_lead`), so below scale_err + 5u (less u for the roundings of
-    # the bound) no node can take them
-    whole = certified and wmax == xmax
+    # the integer terms serve only where tol is not below the floor of their
+    # bounds: both integer bounds exceed (lead_err + 3u) |value|, and the
+    # leading term's lead_err is at least scale_err + 7u inline and
+    # scale_err + 2u from its logarithm (:func:`_lead`), so below
+    # scale_err + 5u (less u for the roundings of the bound) no node can take them
     reach = consts.scale_err + 4.0 * UNIT <= tol
-    integer = _integer_horner(params, xmax, tol) if reach and not whole else None
+    integer = _integer_horner(params, xmax, tol) if reach and wmax < xmax else None
+    pending = reach and wmax == xmax
     power = consts.power
     # S(-x) = (-1)**power S(x); 0 marks a fractional power, which has no real value
     flip = (-1.0) ** power if power.is_integer() else 0.0
@@ -366,7 +332,28 @@ def k_struve_poly(params: StruveParams, xmax: float, tol: float):
     log = math.log
     inf = math.inf
 
+    # L_max, the inline leading term's error at every node x/2 in [m, xmax/2], m the
+    # smallest normal: lead_err + t**2 + 3u t at the largest |t| = |power_delta log(x/2)|
+    t_max = abs(delta) * max(-log(_MIN_NORMAL), abs(log(max(half_max, _MIN_NORMAL))))
+    lead_err_max = lead_err0 + (t_max * t_max + 3.0 * UNIT * t_max)
+    if params.c > 0.0:
+        # the double form's numerator at W: its tail and the rounding of M(W)
+        g_min = _threshold(tail + rounding * mags, tol, lead_err_max + UNIT)
+    else:
+        # every a_r >= 0: the computed g is the computed M, so eps M joins L + u
+        g_min = _threshold(tail, tol, lead_err_max + UNIT + rounding * _SLACK)
+    shifted, sigma_max, t_min = (), -1.0, inf
+    if integer and integer[13] > 0.0:
+        (_, _, bits, _, _, pass_tail, tail_power, _, floors, shifted, order, rest_units,
+         taylor_rounding, sigma_max) = integer
+        # the Taylor shift's numerator at s = 1 and sigma = sigma_max: its units
+        # (floors, pass tail, remainder) and its rounding
+        units = floors + pass_tail * _S_PAD**tail_power + rest_units * (sigma_max * _S_PAD) ** order
+        top = math.ldexp(units, -bits) * (1.0 + 8.0 * UNIT) + taylor_rounding
+        t_min = _threshold(top, tol, lead_err_max + 3.0 * UNIT)
+
     def evaluate(x: float) -> tuple[float, float] | None:
+        nonlocal integer, pending, degree, subnormal
         half = 0.5 * x
         if half >= _MIN_NORMAL:  # not for x <= 0 and nan
             try:
@@ -407,7 +394,15 @@ def k_struve_poly(params: StruveParams, xmax: float, tol: float):
             )
             if bound <= tol * size * scale < inf:
                 return value * scale, bound + subnormal
-        if integer is None or x > xmax:
+        if x > xmax:
+            return None
+        if pending:
+            pending = False
+            integer = _integer_horner(params, xmax, tol)
+            if integer:
+                evaluate.degree = degree = max(degree, len(integer[4]))
+                subnormal = (degree + 3) * SUBNORMAL_ULP
+        if integer is None:
             return None
         (inv, guard, bits, top, rest, pass_tail, tail_power, units_fixed, floors,
          shifted, order, rest_units, taylor_rounding, sigma_max) = integer
@@ -443,31 +438,55 @@ def k_struve_poly(params: StruveParams, xmax: float, tol: float):
             return value * scale, bound + subnormal
         return None
 
-    def certified_nodes() -> tuple | None:
-        wc = wmax if certified else 0.0
-        taylor = False
-        # the per-node tests need tol |value| < inf, which tol <= 1 ensures:
-        # |value| < 1e300 (1 + kappa) / d < 4e307 on the double polynomial's
-        # sub-range, and < 1e300 high <= 1e308 on the Taylor shift
-        if tol <= 1.0:
-            if not certified and params.c > 0.0:
-                wc = _sub_range(params, wmax, tol, tail, span, rounding)
-            # below the fixed-point regime W = xmax, and no node lies above W
-            taylor = (
-                wmax < xmax and integer is not None
-                and _taylor_rel(integer, _lead_err_max(params._series, xmax)) <= tol
-            )
-        if not (wc or taylor):
-            return None
-        # the shifted coefficients and sigma_max of _integer_horner's tuple
-        shifted, sigma_max = (integer[9], integer[13]) if taylor else ((), -1.0)
-        taylor_from = wmax if taylor else math.inf
-        return wc, taylor_from, power, scale0, delta, vscale, pairs, sign, shifted, sigma_max
-
     evaluate.degree = degree
     evaluate.lead_err = lead_err0
-    evaluate.certified = certified_nodes
+    evaluate.inline = (wmax, g_min, t_min, power, scale0, delta, vscale, pairs, sign, shifted,
+                       sigma_max)
     return evaluate
+
+
+# each inline threshold's factor over its numerator; see _threshold
+_SLACK = 1.0 + 2.0**-20
+
+
+def _threshold(numerator: float, tol: float, lead_err: float) -> float:
+    """A form's inline threshold: g_min (or t_min), with g_min |lead| <= |value| passing its test.
+
+    ``numerator`` N is at least the form's per-node bound over |lead|, less
+    its leading-term part, at every node of its range: it is computed in
+    the evaluator's own operations at the range's end, and each of them, a
+    sum, product or pow of nonnegative doubles, is monotone.  ``lead_err``
+    E is at least every node's rounded L(x) + u (double) or L(x) + 3u
+    (Taylor), L(x) <= L_max.  Returns N' _SLACK / room, N' = max(N, 2u) and
+    room = tol / (1 + 64u) - E, or inf where tol > 1 or room <= 0.
+
+    Proof that a node with fl(g_min lead) <= size = |value| < inf and lead
+    in (1e-300, 1e300) (scale = 1) passes B = fl(fl(lead A) + fl(E_x size))
+    <= fl(tol size) < inf, A <= N' and E_x <= E.  Each operation is within
+    u relative, and within eta = 2**-1075 absolute below the normal range.
+    g_min >= N' S (1 - u)**2 / room, so lead N' <= (size + eta) room / (S
+    (1 - u)**3).  With S = _SLACK >= (1 + s)(1 + u)**2 / (1 - u)**3, s =
+    2**-21, and room <= (tol' - E)(1 + u), tol' the rounded tol / (1 + 64u):
+
+        B <= (1 + u) ((size + eta) room / (1 + s) + E size (1 + u) + 2 eta)
+          <= size tol (1 + u)**3 / (1 + 64u) - size room s / (1 + s) + 3.01 eta.
+
+    fl(tol size) >= tol size (1 - u) - eta and (1 + u)**3 / (1 + 64u) <
+    1 - 58u, so B <= fl(tol size) once size room s / (1 + s) >= 4.01 eta;
+    and size room >= N' lead (1 - 3u) - eta > 2**-1049 (1 - 2**-25), since
+    N' >= 2**-52 and lead > 2**-997, which gives 2**-1070 > 4.01 eta.
+    tol <= 1 keeps fl(tol size) <= size < inf.
+
+    For c <= 0 the double form passes N = T and E = L_max + u + eps S:
+    every coefficient is nonnegative, so its computed g is the double m >=
+    1 whose eps m the bound adds, and lead eps m <= eps (size + eta)(1 +
+    2u).  With A = T q**(2R) + eps m, the eps S in E covers that part,
+    with the roundings of E at most 3u tol size, within the 58u above.
+    """
+    room = tol / (1.0 + 64.0 * UNIT) - lead_err
+    if not (tol <= 1.0 and room > 0.0):
+        return math.inf
+    return max(numerator, 2.0 * UNIT) * _SLACK / room
 
 
 def _double_horner(params: StruveParams, xmax: float, tol: float):
@@ -485,45 +504,11 @@ def _double_horner(params: StruveParams, xmax: float, tol: float):
     the coefficients and the argument; and the leading term's error L(x)
     and the final product, (L(x) + u) |value|, with u the unit roundoff.
 
-    Certificate.  Once per polynomial, rel bounds that node bound over
-    |value| at every x in (0, xmax] where the leading term is in range
-    (for c > 0, :func:`_double_rel` at xmax):
-
-    - c <= 0: every a_r >= 0, so the computed g is the computed M, and it is
-      at least 1 (Horner's rule on nonnegative numbers ending in + 1).  With
-      (x/xmax)**(2R) <= 1, rel = T + eps + L_max + u.
-    - c > 0 and rho0 = (c/k) V / ((nu/k + 3/2) 3/2) < 1: the ratio's
-      denominators grow with r, so each ratio |a_{r+1}| v / |a_r| of the
-      computed coefficients at a computed v <= V is at most rho0 (1 + 4u),
-      and r0 = rho0 (1 + 8u) bounds it.  The terms alternate and decrease,
-      so the exact sums of the computed coefficients obey g >= d = 1 - r0
-      and M <= 1/d.  The computed g and M are within eps M of them (eps is
-      at least Horner's (2R + 4) ulps with the argument's rounding), so
-      |g| >= d (1 - kappa) and M <= (1 + kappa) / d, with kappa = eps / d**2.
-      For kappa <= 1/4, (1 + kappa) / (1 - kappa) <= 1 + 3 kappa, and
-      rel = (T/d + kappa)(1 + 3 kappa) + L_max + u.  Otherwise rel = inf.
-    - L_max (:func:`_lead_err_max`) = lead_err + t**2 + 3u t at
-      t = |power_delta| max(|log m|, |log(xmax/2)|), m the smallest normal:
-      the power correction t = power_delta log(x/2) for every served x/2 in
-      [m, xmax/2].
-    - Slack: every quantity above is nonnegative, and each rounding moves
-      the sum, product or quotient it makes by at most u of itself (a libm
-      log or pow by at most 2u).  rel, the node's bound with its L(x),
-      |value| and tol |value| take fewer than 40 roundings between them,
-      d's counted twice; the factor 1 + 64u covers them.
-
-    Sub-range.  For c > 0, :func:`_double_rel` at w is the same argument
-    on (0, w], w <= xmax: rho0 at the computed (w/2)**2, which bounds every
-    node's computed v there, and the tail T q**(2R), with q the rounded
-    w/xmax, which bounds every node's T (x/xmax)**(2R) (the same rounded
-    quotient, monotone in x).  At w = xmax it is rel, and at any w its
-    value <= tol implies the per-node test at every node in (0, w].
-
-    So rel <= tol implies, in floating point, the per-node test at every
-    node, and each node's own bound is at most rel |value|.  Every node
-    still computes and returns its own bound; rel only tells
-    :func:`k_struve_poly` that no node needs the integer terms, and its
-    ``certified()`` which nodes a caller may evaluate inline.
+    M(W), W = xmax, is M as a node at W computes it.  Every step of the
+    loop, a product or a sum of nonnegative doubles, is monotone in v, and
+    v in x, so every node x <= W computes an M of at most M(W); and
+    (x/xmax)**(2R) <= 1, so T + eps M(W) bounds every node's bound over
+    its leading term, less (L(x) + u) |value|.
 
     Scaling.  The coefficients are stored as |a_r| 2**(e r), with 2**e <= V
     a power of two, and evaluated at v 2**-e.  Every coefficient, partial
@@ -531,8 +516,8 @@ def _double_horner(params: StruveParams, xmax: float, tol: float):
     so the rounding, and every value whose coefficients are normal, is the
     same; but |a_r| alone underflows for c < 0 once x sqrt(|c|/k) exceeds
     about 120, while |a_r| 2**(e r) <= |a_r| V**r stays in range.  Returns
-    (pairs, sign, 2**-e, T, 2R, eps, rel), with pairs the scaled (even, odd)
-    coefficients from the top and sign that of c's odd terms.
+    (pairs, sign, 2**-e, T, 2R, eps, M(W)), with pairs the scaled (even,
+    odd) coefficients from the top and sign that of c's odd terms.
     """
     consts = params._series
     base = consts.base
@@ -562,70 +547,15 @@ def _double_horner(params: StruveParams, xmax: float, tol: float):
     pairs = tuple(zip(reversed(evens), reversed(odds)))
     sign = -1.0 if params.c > 0.0 else 1.0
     rounding = UNIT * (consts.step_ulps * degree + degree + 2.0)
-
-    lead_err_max = _lead_err_max(consts, xmax)
+    vscale = 2.0**-e
+    v = vmax * vscale
+    s = v * v
+    even = odd = 0.0
+    for a_even, a_odd in pairs:
+        even = even * s + a_even
+        odd = odd * s + a_odd
     # the tail scales by (x/xmax)**(2R), not (v/V)**R: V is 0.0 for xmax below about 3e-162
-    span = 2 * degree
-    if params.c <= 0.0:
-        rel = (tail + rounding + lead_err_max + UNIT) * (1.0 + 64.0 * UNIT)
-    else:
-        rel = _double_rel(xmax, xmax, ck, base, tail, span, rounding, lead_err_max)
-    return pairs, sign, 2.0**-e, tail, span, rounding, rel
-
-
-def _double_rel(
-    w: float, xmax: float, ck: float, base: float, tail: float, span: int, rounding: float,
-    lead_err_max: float,
-) -> float:
-    """For c > 0, :func:`_double_horner`'s certificate on (0, w], w <= xmax, or inf.
-
-    ck = |c|/k and base = nu/k + 3/2 as doubles; tail, span = 2R and
-    rounding = eps from :func:`_double_horner`; lead_err_max at xmax.
-    """
-    half = 0.5 * w
-    rho0 = ck * (half * half) / (base * 1.5)
-    d = 1.0 - rho0 * (1.0 + 8.0 * UNIT)
-    if not (d > 0.0 and rounding <= 0.25 * d * d):
-        return math.inf
-    kappa = rounding / (d * d)
-    rel = (tail * (w / xmax) ** span / d + kappa) * (1.0 + 3.0 * kappa)
-    return (rel + lead_err_max + UNIT) * (1.0 + 64.0 * UNIT)
-
-
-def _sub_range(
-    params: StruveParams, xmax: float, tol: float, tail: float, span: int, rounding: float
-) -> float:
-    """For c > 0, an end w <= xmax at which :func:`_double_rel` is at most tol, or 0.0.
-
-    With the tail aside, kappa (1 + 3 kappa) <= room, the room that tol
-    leaves beside L_max, u and the slack, bounds d = 1 - rho0 (1 + 8u)
-    below, and so w above: hi, from rho0 = (1 - d) / (1 + 8u).  Where the
-    certificate holds at hi, that is the end.  Otherwise the tail does not
-    fit there.  Its term in :func:`_double_rel`, T (w/xmax)**(2R) (1 + 3
-    kappa) / d, does not decrease as w grows, and 1 + 3 kappa <= 7/4, so on
-    (0, hi] it is at most t = 7/4 T (hi/xmax)**(2R) / d(hi): the end is
-    computed once more from room - t, and kept where the certificate holds
-    there.  Soundness rests on :func:`_double_rel` alone.
-    """
-    ck = abs(params.c) / params.k
-    base = params._series.base
-    lead_err_max = _lead_err_max(params._series, xmax)
-    args = (xmax, ck, base, tail, span, rounding, lead_err_max)
-
-    def end(room: float) -> float:
-        kappa = min(room / (1.0 + 3.0 * room), 0.25) * (1.0 - 2.0**-20)
-        rho0 = (1.0 - math.sqrt(rounding / kappa)) / (1.0 + 8.0 * UNIT) if kappa > 0.0 else 0.0
-        return min(xmax, 2.0 * math.sqrt(max(rho0, 0.0) * 1.5 * base / ck))
-
-    room = tol / (1.0 + 64.0 * UNIT) - lead_err_max - UNIT
-    hi = end(room)
-    if _double_rel(hi, *args) <= tol:
-        return hi
-    # d(hi) > 0: hi's rho0 leaves d at least sqrt(8u), far above its few ulps of rounding
-    half = 0.5 * hi
-    d = 1.0 - ck * (half * half) / (base * 1.5) * (1.0 + 8.0 * UNIT)
-    wc = end(room - 1.75 * tail * (hi / xmax) ** span / d)
-    return wc if _double_rel(wc, *args) <= tol else 0.0
+    return pairs, sign, vscale, tail, 2 * degree, rounding, even + odd * v
 
 
 def _integer_horner(params: StruveParams, xmax: float, tol: float):
@@ -709,9 +639,7 @@ def _taylor_at_one(terms: list[int], bits: int, tol: float):
     for Horner's rule in -sigma, the order N + 1, sum |q_j| in units of
     2**-bits, and the rounding term: (6N + 8) ulps of sum |b_n| sigma_max**n
     plus N + 1 subnormal ulps for the conversions, to be scaled by the
-    leading term.  Each node checks its own bound; :func:`_taylor_rel`
-    certifies all of sigma <= sigma_max at once, where |b_0| outweighs the
-    other terms and the rounding.
+    leading term.  Each node checks its own bound.
     """
     unit = 1 << bits
     rev = terms[::-1]
@@ -738,39 +666,6 @@ def _taylor_at_one(terms: list[int], bits: int, tol: float):
     order = len(coefs)
     rounding = (6.0 * (order - 1) + 8.0) * UNIT * majorant + order * SUBNORMAL_ULP
     return tuple(coefs), order, remainder, rounding
-
-
-def _taylor_rel(integer: tuple, lead_err_max: float) -> float:
-    """The Taylor shift's certificate: a relative bound for every node with sigma <= sigma_max.
-
-    ``integer`` is :func:`_integer_horner`'s tuple, and ``lead_err_max``
-    L_max at xmax (:func:`_lead_err_max`).  At a computed sigma <=
-    sigma_max, the shifted sum in doubles is within the rounding term of
-    sum_n b_n (-sigma)**n, so |acc| >= low = |b_0| - sum_{n>=1} |b_n|
-    sigma_max**n - rounding, and |acc| <= high = |b_0| + sum_{n>=1} |b_n|
-    sigma_max**n + rounding (each |b_n| sigma_max**n is within 3 ulps and
-    the fsum within one: 8 ulps cover them).  A node's bound over |value|
-    is then at most rel = top / low + L_max + 3u, where top takes each
-    per-node term at its largest: the floors, the pass's tail times
-    _S_PAD**(R + 1) (s <= 1), the remainder at sigma_max and the rounding
-    term.  The node's bound, its test and rel take fewer than 40 roundings,
-    which the factor 1 + 64u covers, as in :func:`_double_horner`.  So
-    rel <= tol implies the node's test; high <= 1e8 keeps tol |value| <
-    1e300 high finite for tol <= 1.  inf where there is no shifted
-    polynomial, and where g comes near a zero on sigma <= sigma_max (low <= 0).
-    """
-    (_, _, bits, _, _, tail, tail_power, _, floors, shifted, order, remainder, rounding,
-     sigma_max) = integer
-    if sigma_max < 0.0:
-        return math.inf
-    at_max = [abs(b) * sigma_max**n for n, b in enumerate(reversed(shifted))]
-    others = math.fsum(at_max[1:]) * (1.0 + 8.0 * UNIT)
-    low = at_max[0] - others - rounding
-    if not (low > 0.0 and at_max[0] + others + rounding <= 1e8):
-        return math.inf
-    units = floors + tail * _S_PAD**tail_power + remainder * (sigma_max * _S_PAD) ** order
-    top = math.ldexp(units, -bits) * (1.0 + 8.0 * UNIT) + rounding
-    return (top / low + lead_err_max + 3.0 * UNIT) * (1.0 + 64.0 * UNIT)
 
 
 def struve_h(nu: float, x: float, tol: float = 1e-12) -> EvaluationResult:

@@ -378,13 +378,13 @@ def test_k_struve_poly_taylor_at_w_against_mpmath_oracle(monkeypatch):
 
 
 def _per_node(params, xmax, tol, x):
-    """(value, bound) of the double polynomial at x, with the bound computed at the node.
+    """(value, bound, lead) of the double polynomial at x, with the bound computed at the node.
 
     The polynomial is rebuilt as ``struve._double_horner`` builds it, the
     leading term is computed as the evaluator computes it inline, and the bound is the
-    per-node formula that served every node before the certificate: the
-    tail scaled by (v / V)**R, the rounding of M and the leading term's
-    error.  The caller passes only nodes that the polynomial served.
+    per-node formula: the tail scaled by (v / V)**R, the rounding of M and
+    the leading term's error.  The caller passes only nodes that the
+    polynomial served.
     """
     consts = params._series
     base = consts.base
@@ -420,11 +420,15 @@ def _per_node(params, xmax, tol, x):
     size = abs(value)
     rounding = unit * (consts.step_ulps * degree + degree + 2.0)
     bound = lead * (tail * (v / vmax) ** degree + rounding * mags) + (lead_err + unit) * size
-    return value, bound
+    return value, bound, lead
 
 
 def test_double_polynomial_certificate_against_mpmath_oracle(monkeypatch):
-    """Each node returns its own bound, a true one; where rel <= tol it is within rel |value|.
+    """Each node returns its own bound, a true one; a value past the threshold fits tol.
+
+    Where a node's value passes the double polynomial's threshold, g_min
+    |lead| <= |value|, the per-node formula, recomputed here, is within tol
+    |value|.
 
     xmax puts rho0 = (|c|/k) V / ((nu/k + 3/2) 3/2) on both sides of 1; the
     nodes are xmax, its neighbour, x/2 at the smallest normal and a leading
@@ -436,7 +440,7 @@ def test_double_polynomial_certificate_against_mpmath_oracle(monkeypatch):
     monkeypatch.setattr(struve_module, "_FIXED_RATIO_SCALE", -math.inf)
     monkeypatch.setattr(struve_module, "_integer_horner", lambda *args: None)
     rng = random.Random(99)
-    certified = per_node = 0
+    certified = {False: 0, True: 0}  # by whether rho0 >= 1
     for c in (-2.0, -1.0, -0.3, 0.3, 1.0, 2.0):
         for k in (0.5, 1.0, 2.0):
             for nuk in (-1.4, rng.uniform(-1.4, 8.0), 8.0):
@@ -450,7 +454,7 @@ def test_double_polynomial_certificate_against_mpmath_oracle(monkeypatch):
                         nodes.append(2.0 * (2e-300 / scale0) ** (1.0 / params.power))
                     for tol in (1e-8, 1e-12):
                         poly = k_struve_poly(params, xmax, tol)
-                        rel = struve_module._double_horner(params, xmax, tol)[-1]
+                        g_min = poly.inline[1]
                         for x in nodes:
                             res = poly(x)
                             if res is None:
@@ -458,15 +462,12 @@ def test_double_polynomial_certificate_against_mpmath_oracle(monkeypatch):
                             value, bound = res
                             error = abs(mp.mpf(value) - mp_k_struve(mp, params.nu, c, k, x))
                             assert error <= bound <= tol * abs(value), (params, xmax, x, tol, res)
-                            node_value, node_bound = _per_node(params, xmax, tol, x)
+                            node_value, node_bound, lead = _per_node(params, xmax, tol, x)
                             assert value == node_value, (params, xmax, x, tol)
-                            if rel <= tol:
-                                certified += 1
+                            if g_min * lead <= abs(node_value):
+                                certified[rho0 >= 1.0] += 1
                                 assert node_bound <= tol * abs(node_value), (params, xmax, x, tol)
-                                assert bound <= rel * abs(value), (params, xmax, x, tol, rel, bound)
-                            else:
-                                per_node += 1
-    assert certified >= 300 and per_node >= 100, (certified, per_node)
+    assert certified[False] >= 300 and certified[True] >= 300, certified
 
 
 def test_wright_log_sum_floor_is_relative():

@@ -626,10 +626,8 @@ class TestWorkPerPoint:
     @pytest.mark.parametrize("which", ["theorem1", "theorem2"])
     def test_integrand_rarely_calls_k_struve(self, which, monkeypatch):
         # the point's polynomial serves the integrand, where the parent called
-        # k_struve at every node.  At the theorem1 point 7 of 135 nodes still
-        # do: six within 2e-31 of x = 1, whose leading term (w/2)**5 is
-        # below 1e-300, and one where w underflows to 0.  No call follows a
-        # failed bound
+        # k_struve at every node.  A node calls it only where its leading term
+        # leaves (1e-300, 1e300); no call follows a failed bound
         counts = {"k_struve": 0, "evaluations": 0}
         series, quadrature = identities.k_struve, identities.integrate
 
@@ -695,7 +693,7 @@ def _fused_points():
                                             1.0, -rng.uniform(0.5, 5.0))))
         points.append((which, TheoremParams(rng.uniform(0.5, 2.5), rng.uniform(0.1, 1.1), 1.0, -1.0,
                                             0.5, -rng.uniform(0.5, 5.0))))
-        # the corner nu/k < -1, where a node at w = 0 diverges
+        # the corner nu/k < -1, where w underflows at a node near x = 1 and S(w) grows
         for alpha in (rng.uniform(0.45, 0.53), rng.uniform(1.15, 1.45)):
             points.append((which, TheoremParams(alpha, rng.uniform(0.1, 1.1),
                                                 0.5 * rng.uniform(-1.35, -1.15), 1.0, 0.5,
@@ -719,19 +717,31 @@ def _fused_points():
     return points
 
 
-def _inline_branches(poly, xmax):
-    """The integrand's inline branches at a point: its double polynomial on all of
-    (0, xmax] or on part of it, and the Taylor shift; "none" without a certificate."""
-    cert = poly and poly.certified()
-    if cert is None:
-        return {"none"}
-    wc, taylor_from, *_ = cert
-    branches = {"all" if wc == xmax else "part"} if wc else set()
-    return branches | ({"taylor"} if taylor_from < math.inf else set())
+def _inline_branch(poly, xmax, w):
+    """The integrand's inline branch at a node w: "double", "taylor", or None for the evaluator."""
+    wmax, g_min, t_min, power, scale0, delta, vscale, pairs, sign, shifted, sigma_max = poly.inline
+    half = 0.5 * w
+    if half < sys.float_info.min or not 1e-300 < half**power * scale0 < 1e300:
+        return None
+    value, bound = poly(w) or (None, None)
+    if value is None:
+        return None
+    lead = half**power * scale0
+    if delta:
+        lead *= 1.0 + delta * math.log(half)
+    if w <= wmax:
+        return "double" if g_min * lead <= abs(value) else None
+    sigma = (xmax - w) * (xmax + w) / (xmax * xmax)
+    return "taylor" if sigma <= sigma_max and t_min * lead <= abs(value) else None
 
 
 def _reference_integrand(which, p, tol):
-    """The weight times (k_struve_poly(...)(w) or k_struve(...))[0], from public pieces."""
+    """The weight times (k_struve_poly(...)(w) or k_struve(...))[0], from public pieces.
+
+    Where |w|/2 is below the normal range (and y != 0), the weight times the
+    leading term, (w/2)**lam scale0 with lam = nu/k + 1 and its exact-power
+    correction, taken in logs from x, 1 - x and y.
+    """
     first = which == "theorem1"
     a, b = (p.alpha + p.mu, p.alpha) if first else (p.alpha, p.alpha + p.mu)
     e_x, e_omx, e_third, e_quarter = a - 1.0, 2.0 * b - 1.0, 2.0 * a - 1.0, b - 1.0
@@ -739,12 +749,19 @@ def _reference_integrand(which, p, tol):
     series_tol = max(tol * 0.01, 4.0 * sp.lead_error)
     xmax = (abs(p.y) if first else abs(p.y) * (4.0 / 9.0)) * identities._ARGUMENT_MARGIN
     poly = struve.k_struve_poly(sp, xmax, series_tol)
-    y = p.y
+    y, lam, delta = p.y, sp.power, sp._series.power_delta
+    signed = y > 0.0 or y < 0.0 and lam.is_integer()
 
     def f(x, omx):
         third, quarter = 1.0 - x / 3.0, 1.0 - x / 4.0
         w = y * quarter * omx * omx if first else y * x * third * third
         weight = x**e_x * omx**e_omx * third**e_third * quarter**e_quarter
+        if abs(0.5 * w) < sys.float_info.min and signed:
+            log_u = math.log(quarter) + 2.0 * math.log(omx) if first else math.log(x) + 2.0 * math.log(third)
+            log_half = (math.log(abs(y)) - math.log(2.0)) + log_u
+            log_f = (e_x * math.log(x) + e_omx * math.log(omx) + e_third * math.log(third)
+                     + e_quarter * math.log(quarter) + ((lam * log_half + delta * log_half) + sp.log_scale))
+            return (1.0 if y > 0.0 else (-1.0) ** lam) * math.exp(log_f)
         return weight * ((poly and poly(w)) or struve.k_struve(sp, w, tol=series_tol))[0]
 
     return f, series_tol, poly
@@ -774,16 +791,18 @@ class TestFusedIntegrand:
             ref, ref_tol, poly = _reference_integrand(which, p, 1e-10)
             assert series_tol == ref_tol
             xmax = (abs(p.y) if which == "theorem1" else abs(p.y) * (4.0 / 9.0)) * identities._ARGUMENT_MARGIN
-            branches |= _inline_branches(poly, xmax)
             for x, omx in nodes:
                 assert _outcome(f, x, omx) == _outcome(ref, x, omx), (which, p, x, omx)
-        # every point has a certificate for some of its nodes; the others take the evaluator
-        assert branches == {"all", "part", "taylor"}
+                third = 1.0 - x / 3.0
+                w = p.y * x * third * third if which == "theorem2" else p.y * (1.0 - x / 4.0) * omx * omx
+                branches.add(_inline_branch(poly, xmax, w))
+        # nodes pass each form's threshold, and others take the evaluator
+        assert branches == {"double", "taylor", None}
 
-    @pytest.mark.parametrize("which, calls, evaluations", [("theorem1", 33, 183), ("theorem2", 26, 167)])
+    @pytest.mark.parametrize("which, calls, evaluations", [("theorem1", 32, 183), ("theorem2", 24, 167)])
     def test_certified_nodes_do_not_call_the_evaluator(self, which, calls, evaluations, monkeypatch):
-        # in the fixed-point regime no point is certified on all of (0, W]; before
-        # the sub-range and Taylor certificates every node called the evaluator
+        # in the fixed-point regime a node calls the evaluator where |g| is below
+        # its form's threshold, near a zero of g, or above W outside the Taylor shift
         build = identities.k_struve_poly
         arguments = []
 
@@ -809,15 +828,16 @@ class TestFusedIntegrand:
             ours = _outcome(quadrature.integrate, f, 1e-10, "tanh_sinh")
             assert ours == _outcome(quadrature.integrate, ref, 1e-10, "tanh_sinh"), (which, p)
             outcomes.add(ours[0])
-        assert outcomes == {"value", "DomainError"}  # corner points meet w = 0
+        # corner points, where w underflows at a node near x = 1, converge too
+        assert outcomes == {"value"}
 
     def test_a_node_whose_leading_power_overflows_calls_k_struve(self, monkeypatch):
-        # theorem1 at lam = 301 and y = 40 is certified on all of (0, 40], yet at
-        # x = 1e-3 (w/2)**301 overflows: the inline node catches the
-        # OverflowError and k_struve serves the node
+        # theorem1 at lam = 301 and y = 40 (c = -1, g >= 1) passes the double
+        # polynomial's threshold on all of (0, 40], yet at x = 1e-3 (w/2)**301
+        # overflows: the inline node catches the OverflowError and k_struve serves the node
         p = TheoremParams(1.0, 0.5, 300.0, -1.0, 1.0, 40.0)
         _, series_tol, poly = _reference_integrand("theorem1", p, 1e-12)
-        assert poly.certified()[0] == 40.0 * identities._ARGUMENT_MARGIN
+        assert poly.inline[0] == 40.0 * identities._ARGUMENT_MARGIN and poly.inline[1] < 1.0
         x = 1e-3
         omx, third, quarter = 1.0 - x, 1.0 - x / 3.0, 1.0 - x / 4.0
         w = p.y * quarter * omx * omx
@@ -874,6 +894,43 @@ class TestFusedIntegrand:
         small, big, _, _ = quadrature._ts_level(1)[3]
         assert arguments == [p.y * (1.0 - big / 4.0) * small * small] == [3.6291419799284706e-46]
         assert not _leading_term_in_range(p.struve_params(), arguments[0])
+
+    @pytest.mark.parametrize(
+        "which, point",
+        [
+            # a grid_small_y corner point, lam = -0.2: (w/2)**lam grows as w underflows
+            ("theorem1", (0.5, 0.5, -0.6, 1.0, 0.5, 3.0)),
+            ("theorem2", (1.5, 0.5, -0.6, -1.0, 0.5, 3.0)),
+            # y < 0 with lam = 0 and lam = 1: w < 0, sign (-1)**lam
+            ("theorem1", (1.2, 0.3, -1.0, 1.0, 1.0, -2.0)),
+            ("theorem2", (1.2, 0.3, 0.0, -1.0, 1.0, -2.0)),
+        ],
+    )
+    def test_an_underflowed_node_is_not_a_zero(self, which, point, monkeypatch):
+        # where |w|/2 is below the normal range, S(w) is its leading term to
+        # rounding; f takes it with the weight in logs, never k_struve(sp, 0.0)
+        mp = pytest.importorskip("mpmath")
+        p = TheoremParams(*point)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("k_struve called")
+
+        monkeypatch.setattr(identities, "k_struve", refuse)
+        f, _ = identities._integrand(which, p, 1e-10)
+        a, b = (p.alpha + p.mu, p.alpha) if which == "theorem1" else (p.alpha, p.alpha + p.mu)
+        lam, k = mp.mpf(p.nu) / p.k + 1, mp.mpf(p.k)
+        base = mp.mpf(p.nu) / k + mp.mpf(3) / 2
+        scale0 = 1 / (k ** (base - 1) * mp.gamma(base) * mp.gamma(mp.mpf(3) / 2))
+        for tiny in (1e-160, 1e-200, 1e-300, 5e-324):
+            x, omx = (1.0, tiny) if which == "theorem1" else (tiny, 1.0)
+            mx, momx = (1 - mp.mpf(tiny), mp.mpf(tiny)) if which == "theorem1" else (mp.mpf(tiny), 1 - mp.mpf(tiny))
+            third, quarter = 1 - mx / 3, 1 - mx / 4
+            w = p.y * (mx * third**2 if which == "theorem2" else quarter * momx**2)
+            lead = (-1) ** int(lam) * (-w / 2) ** lam if w < 0 else (w / 2) ** lam
+            weight = mx ** (a - 1) * momx ** (2 * b - 1) * third ** (2 * a - 1) * quarter ** (b - 1)
+            exact = weight * lead * scale0
+            value = f(x, omx)
+            assert abs(value - exact) <= 1e-12 * abs(exact) + 5e-324, (which, p, tiny, value)
 
 
 class TestLhsError:
@@ -976,9 +1033,10 @@ class TestLargeArgument:
 # (which, (alpha, mu, nu, c, k, y), branch, (value, error_estimate, evaluations,
 # abs_integral)), recorded with float.hex before the integrands called the
 # polynomial directly; the fixed-point row since its double polynomial
-# covers (0, 8 sqrt(k/c)].  branch names how the point's double polynomial
-# bounds its nodes: once per point, at each node, or (in the fixed-point
-# regime) at each node below 8 sqrt(k/c), with integer Horner above.
+# covers (0, 8 sqrt(k/c)].  branch names the point's double polynomial:
+# every node past its threshold ("certified"), some nodes below it, near
+# small |g| ("per-node"), or (in the fixed-point regime) on (0, 8 sqrt(k/c)]
+# only, with the integer terms above.
 # Re-recorded when tanh-sinh began to sample each side from level 2 on only
 # up to the t that levels 0 and 1 located, with the tail term in its estimate;
 # theorem2-certified again when tanh-sinh gave each side its own loop, which
@@ -1017,8 +1075,11 @@ class TestPinnedTheoremResults:
         if -sp.c * (0.5 * wmax) ** 2 / sp.k <= struve._FIXED_RATIO_SCALE:
             regime = "fixed-point"
         else:
-            rel = struve._double_horner(sp, wmax, series_tol)[-1]
-            regime = "certified" if rel <= series_tol else "per-node"
+            # where the terms alternate and decrease from the first, |g| >= 1 - rho0 on
+            # all of (0, W]; every node passes the threshold once that exceeds g_min
+            g_min = struve.k_struve_poly(sp, wmax, series_tol).inline[1]
+            rho0 = max(sp.c, 0.0) / sp.k * (0.5 * wmax) ** 2 / ((sp.nu / sp.k + 1.5) * 1.5)
+            regime = "certified" if g_min < 1.0 - rho0 else "per-node"
         assert branch == regime
         quad = lhs(which, p)
         value, estimate, evaluations, abs_integral = pinned

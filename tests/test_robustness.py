@@ -177,5 +177,5 @@ def test_broad_scan_rows_all_state_a_reason():
     inconclusive = [r for r in rows if r.verdict is Verdict.INCONCLUSIVE]
     assert {r.verdict for r in rows} == {Verdict.CONFIRMED_CORRECTED, Verdict.INCONCLUSIVE}
     assert all(r.error for r in inconclusive)
-    # 419 points confirm; a quadrature change that loses reach shows here
-    assert sum(r.verdict is Verdict.CONFIRMED_CORRECTED for r in rows) >= 419
+    # 423 points confirm; a quadrature change that loses reach shows here
+    assert sum(r.verdict is Verdict.CONFIRMED_CORRECTED for r in rows) >= 423

@@ -393,7 +393,8 @@ class TestPolynomial:
 
     @pytest.mark.parametrize("c, wmax", [(-1.0, 3.0), (1.0, 1.5), (1.0, 5.0)])
     def test_double_polynomial_computes_its_leading_term_inline(self, c, wmax, monkeypatch):
-        # a certified point (c = -1; c = 1 at W = 1.5) and a per-node one (c = 1 at W = 5)
+        # terms that decrease from the first (c = -1; c = 1 at W = 1.5), and a first
+        # term ratio above 1 at W (c = 1 at W = 5)
         params = StruveParams(nu=2.3, c=c, k=1.0)
         expected = [k_struve_poly(params, wmax, 1e-12)(w) for w in (1e-3, 0.7, wmax)]
 
@@ -402,8 +403,6 @@ class TestPolynomial:
 
         monkeypatch.setattr(struve_module, "_lead", refuse)
         poly = k_struve_poly(params, wmax, 1e-12)
-        rel = struve_module._double_horner(params, wmax, 1e-12)[-1]
-        assert (rel <= 1e-12) is (wmax < 5.0)
         assert [poly(w) for w in (1e-3, 0.7, wmax)] == expected
 
     # nu = 2, c = k = 1, W = 40: (w, value, bound) for a node of the double
@@ -492,8 +491,8 @@ def _certificate_cases():
     cases = []
     for _ in range(32):
         k = rng.choice((0.3, 0.7, 1.0, 1.9))
-        # below nu/k = 6 the first term ratio at W = 8 sqrt(k/c) exceeds 1, so wc < W;
-        # nu/k up to 40 makes power_delta, a few ulps of nu/k, large enough to matter
+        # below nu/k = 6 the first term ratio at W = 8 sqrt(k/c) exceeds 1, so g may come
+        # near 0 on (0, W]; nu/k up to 40 makes power_delta, a few ulps of nu/k, large
         nuk = rng.uniform(1.5, 6.0) if rng.random() < 0.5 else rng.uniform(6.0, 40.0)
         params = StruveParams(nu=k * nuk + rng.uniform(-1e-3, 1e-3), c=1.0, k=k)
         xmax = rng.uniform(8.0, 60.0) * math.sqrt(k)
@@ -501,16 +500,32 @@ def _certificate_cases():
     return cases
 
 
-def _inline_node(cert, xmax, w):
-    """What a caller of ``certified()`` computes at w (identities._integrand's node), or None."""
-    wc, taylor_from, power, scale0, delta, vscale, pairs, sign, shifted, sigma_max = cert
+def _negative_c_cases():
+    """Seeded c <= 0 polynomials, at tols from loose to the double form's own rounding."""
+    rng = random.Random(20261022)
+    cases = []
+    for _ in range(12):
+        k = rng.choice((0.5, 1.0, 2.0))
+        params = StruveParams(nu=k * rng.uniform(-1.3, 30.0), c=rng.choice((-2.0, -1.0, 0.0)), k=k)
+        cases.append((params, rng.uniform(0.5, 30.0) * math.sqrt(k), rng.choice((1e-8, 1e-12, 4e-14))))
+    return cases
+
+
+def _inline_node(poly, xmax, w):
+    """What a caller of ``evaluate.inline`` computes at w (identities._integrand's node).
+
+    (value, lead, threshold): the node's value passes its form's threshold
+    where threshold * lead <= |value| < inf.  None where the node is not in
+    a form's range or its leading term leaves (1e-300, 1e300).
+    """
+    wmax, g_min, t_min, power, scale0, delta, vscale, pairs, sign, shifted, sigma_max = poly.inline
     half = 0.5 * w
     lead = half**power * scale0
     if not 1e-300 < lead < 1e300:
         return None
     if delta:
         lead *= 1.0 + delta * math.log(half)
-    if w <= wc:
+    if w <= wmax:
         v = half * half * vscale
         s = v * v
         even = odd = 0.0
@@ -518,118 +533,105 @@ def _inline_node(cert, xmax, w):
             even = even * s + a_even
             odd = odd * s + a_odd
         odd *= v
-        return lead * (even + sign * odd)
+        return lead * (even + sign * odd), lead, g_min
     sigma = (xmax - w) * (xmax + w) / (xmax * xmax)
-    if taylor_from < w <= xmax and sigma <= sigma_max:
+    if w <= xmax and sigma <= sigma_max:
         acc = 0.0
         for b in shifted:
             acc = acc * -sigma + b
-        return lead * acc
+        return lead * acc, lead, t_min
     return None
 
 
+def _passes(node):
+    value, lead, threshold = node
+    return threshold * lead <= abs(value) < math.inf
+
+
 class TestCertificates:
-    """k_struve_poly's certificates on (0, Wc] and on sigma <= sigma_max imply each node's own test."""
+    """Each form's threshold certifies a node: g_min |lead| <= |value| (t_min on the Taylor
+    shift) implies the evaluator's own per-node test in that form."""
 
     def test_cases_cover_both_signs_of_the_power_correction_and_both_certificates(self):
         deltas = {math.copysign(1.0, p._series.power_delta) for p, _, _ in _certificate_cases()
                   if p._series.power_delta}
-        certs = [k_struve_poly(*case).certified() for case in _certificate_cases()]
+        thresholds = [k_struve_poly(*case).inline[1:3] for case in _certificate_cases()]
         assert deltas == {1.0, -1.0}
-        assert all(wc > 0.0 for wc, *_ in certs)
-        assert sum(taylor_from < math.inf for _, taylor_from, *_ in certs) >= 12
-
-    def test_the_sub_range_is_the_largest_that_its_certificate_allows(self):
-        """wc is certified, and within 1% of the largest certified w*, found here by bisection."""
-        for params, xmax, tol in _certificate_cases():
-            wmax = 8.0 * math.sqrt(params.k / params.c)
-            *_, tail, span, rounding, rel = struve_module._double_horner(params, wmax, tol)
-            wc = k_struve_poly(params, xmax, tol).certified()[0]
-            if rel <= tol:
-                assert wc == wmax
-                continue
-            args = (wmax, abs(params.c) / params.k, params._series.base, tail, span, rounding,
-                    struve_module._lead_err_max(params._series, wmax))
-            lo, hi = 0.0, wmax
-            for _ in range(40):
-                mid = 0.5 * (lo + hi)
-                lo, hi = (mid, hi) if struve_module._double_rel(mid, *args) <= tol else (lo, mid)
-            assert struve_module._double_rel(wc, *args) <= tol, (params, xmax, tol)
-            assert wc >= 0.99 * lo, (params, xmax, tol, wc, lo)
+        assert all(g_min < math.inf for g_min, _ in thresholds)
+        assert sum(t_min < math.inf for _, t_min in thresholds) >= 12
 
     def test_every_certified_node_passes_its_own_test_in_the_same_form(self):
-        served = 0
-        for params, xmax, tol in _certificate_cases():
+        served = declined = 0
+        for params, xmax, tol in _certificate_cases() + _negative_c_cases():
             poly = k_struve_poly(params, xmax, tol)
-            cert = poly.certified()
-            wc, taylor_from, *_ = cert
-            nodes = [wc * j / 64 for j in range(1, 65)]
-            if taylor_from < math.inf:
+            wmax = poly.inline[0]
+            nodes = [wmax * j / 64 for j in range(1, 65)]
+            if wmax < xmax:
                 nodes += [xmax * math.sqrt(1.0 - 0.2 * j / 64 * (1.0 - 1e-9)) for j in range(65)]
             for w in nodes:
-                value = _inline_node(cert, xmax, w)
-                if value is None:
+                node = _inline_node(poly, xmax, w)
+                if node is None:
                     continue
+                if not _passes(node):
+                    declined += 1
+                    continue
+                value = node[0]
                 served += 1
                 # the evaluator's own per-node test passed in the form the caller repeated
                 assert poly(w)[0] == value, (params, xmax, tol, w)
                 assert poly(w)[1] <= tol * abs(value)
-        assert served >= 2500
+        assert served >= 3000 and declined >= 10, (served, declined)
 
     def test_each_certificate_bounds_its_formula_in_exact_arithmetic(self):
-        """The floating-point certificates are at least their formulas, evaluated exactly.
+        """Each threshold is at least its formula, evaluated exactly, and the slack what its proof needs.
 
-        Inputs are the doubles the code builds.  The double polynomial's rel
-        on (0, w] is ((T q**2R / d + kappa)(1 + 3 kappa) + L_max + u), with q
-        the rounded w / W, rho0 = (c/k) V / (1.5 base) at the rounded
-        V = (w/2)**2, d = 1 - rho0 (1 + 4u) and kappa = eps / d**2.  The
-        Taylor shift's is top / low + L_max + 3u, with low = |b_0| -
-        sum_{n>=1} |b_n| sigma_max**n - rounding.  L_max = lead_err + t**2 +
-        3u t at t = |power_delta| max(|log m|, |log(x/2)|).
+        Inputs are the doubles the code builds.  The formula is N' S / room,
+        with S = ``struve._SLACK`` at least (1 + 2**-21)(1 + u)**2 / (1 - u)**3
+        (``struve._threshold``):
+        N' = max(N, 2u) with N = T + eps M(W) (c > 0) or T (c <= 0) on the
+        double polynomial, and ldexp(floors + pass tail _S_PAD**(R + 1) +
+        remainder (sigma_max _S_PAD)**order, -bits) (1 + 8u) + rounding on
+        the Taylor shift; room = tol / (1 + 64u) - E with E = L_max + u on
+        the double polynomial (plus eps S where c <= 0) and L_max + 3u on the
+        Taylor shift; L_max = lead_err + t**2 + 3u t at t = |power_delta|
+        max(|log m|, |log(xmax/2)|), m the smallest normal.  The threshold's
+        own roundings and those of its numerator, within 16u of it, are
+        allowed for.
         """
         u = Fraction(UNIT)
         F = Fraction
+        slack = F(struve_module._SLACK)
+        assert slack >= (1 + F(1, 2**21)) * (1 + u) ** 2 / (1 - u) ** 3
         checked = 0
-        for params, xmax, tol in _certificate_cases():
+        for params, xmax, tol in _certificate_cases() + _negative_c_cases():
             consts = params._series
-
-            def lead_err_max(x):
-                extent = max(-math.log(2.0**-1022), abs(math.log(0.5 * x)))
-                t = F(abs(consts.power_delta)) * F(extent)
-                return F(consts.lead_err) + t * t + 3 * u * t
-
-            wmax = 8.0 * math.sqrt(params.k / params.c)
-            *_, tail, span, rounding, _ = struve_module._double_horner(params, wmax, tol)
-            lead_err_max_float = struve_module._lead_err_max(consts, wmax)
-            for j in range(1, 17):
-                w = wmax * j / 16
-                rel = struve_module._double_rel(w, wmax, abs(params.c) / params.k, consts.base, tail,
-                                                span, rounding, lead_err_max_float)
-                if rel == math.inf:
+            extent = max(-math.log(2.0**-1022), abs(math.log(max(0.5 * xmax, 2.0**-1022))))
+            t = F(abs(consts.power_delta)) * F(extent)
+            lead_err_max = F(consts.lead_err) + t * t + 3 * u * t
+            poly = k_struve_poly(params, xmax, tol)
+            wmax, g_min, t_min = poly.inline[:3]
+            *_, tail, _, rounding, mags = struve_module._double_horner(params, wmax, tol)
+            if params.c > 0.0:
+                forms = [(g_min, F(tail) + F(rounding) * F(mags), lead_err_max + u)]
+            else:
+                forms = [(g_min, F(tail), lead_err_max + u + F(rounding) * slack)]
+            if t_min < math.inf:
+                (_, _, bits, _, _, pass_tail, tail_power, _, floors, _, order, remainder,
+                 taylor_rounding, sigma_max) = struve_module._integer_horner(params, xmax, tol)
+                s_pad = 1 + 8 * u
+                units = F(floors) + F(pass_tail) * s_pad**tail_power
+                units += F(remainder) * (F(sigma_max) * s_pad) ** order
+                top = units / 2**bits * (1 + 8 * u) + F(taylor_rounding)
+                forms.append((t_min, top, lead_err_max + 3 * u))
+            for threshold, numerator, lead_err in forms:
+                room = F(tol) / (1 + 64 * u) - lead_err
+                if room <= 0:
+                    assert threshold == math.inf, (params, xmax, tol)
                     continue
-                half = 0.5 * w
-                rho0 = F(abs(params.c) / params.k) * F(half * half) / (F(consts.base) * F(3, 2))
-                d = 1 - rho0 * (1 + 4 * u)
-                kappa = F(rounding) / (d * d)
-                exact = (F(tail) * F(w / wmax) ** span / d + kappa) * (1 + 3 * kappa)
-                assert d > 0 and F(rel) >= exact + lead_err_max(wmax) + u, (params, xmax, tol, w)
+                exact = max(numerator, 2 * u) * slack / room
+                assert F(threshold) >= exact * (1 - 16 * u), (params, xmax, tol, threshold)
                 checked += 1
-            integer = struve_module._integer_horner(params, xmax, tol)
-            rel = struve_module._taylor_rel(integer, struve_module._lead_err_max(consts, xmax))
-            if rel == math.inf:
-                continue
-            (_, _, bits, _, _, pass_tail, tail_power, _, floors, shifted, order, remainder,
-             rounding, sigma_max) = integer
-            coefs = [F(b) for b in reversed(shifted)]
-            low = abs(coefs[0]) - sum(abs(b) * F(sigma_max) ** n for n, b in enumerate(coefs) if n)
-            low -= F(rounding)
-            s_pad = 1 + 8 * u
-            units = F(floors) + F(pass_tail) * s_pad**tail_power
-            units += F(remainder) * (F(sigma_max) * s_pad) ** order
-            top = units / 2**bits * (1 + 8 * u) + F(rounding)
-            assert low > 0 and F(rel) >= top / low + lead_err_max(xmax) + 3 * u, (params, xmax, tol)
-            checked += 1
-        assert checked >= 200
+        assert checked >= 50
 
 
 class TestOdeResidual:
@@ -684,41 +686,63 @@ def test_a_targeted_hunt_finds_no_k_struve_bound_below_its_error(order, c, k, lo
     phases=(Phase.generate, Phase.target),
 )
 @given(
-    nuk=st.floats(-1.4, 40.0),
+    nuk=st.floats(-1.4, 0.5),
     c=st.floats(0.1, 4.0),
     k=st.sampled_from([0.3, 0.7, 1.0, 1.9]),
-    reach=st.floats(1.0, 60.0),
+    reach=st.floats(3.0, 60.0),
     tol=st.sampled_from([1e-10, 1e-12]),
-    where=st.floats(0.0, 1.0, exclude_min=True),
+    where=st.floats(1.0, 2.0),
     taylor=st.booleans(),
+    after=st.booleans(),
 )
-def test_a_targeted_hunt_finds_no_certified_node_beyond_tol(nuk, c, k, reach, tol, where, taylor):
-    """|value - S(w)| <= tol |value| against mpmath at the nodes that ``certified()`` names.
+def test_a_targeted_hunt_finds_no_certified_node_beyond_tol(nuk, c, k, reach, tol, where, taylor, after):
+    """|value - S(w)| <= tol |value| against mpmath where |g| is within 2x of its threshold.
 
-    c > 0 and xmax sqrt(c/k) = reach; the node is where * wc on the double
-    polynomial's sub-range, or at sigma = where * sigma_max on the Taylor
-    shift.  The value is the one a caller computes inline on the
-    certificate's word, and the evaluator must return it too; hypothesis
-    steers toward the largest error over tol |value|.
+    c > 0, nu/k < 1/2 (so that g has zeros) and xmax sqrt(c/k) = reach.
+    The node lies next to the zero of g nearest the top of the double
+    polynomial's range, or of the Taylor shift's, before or after it, where
+    |g| = where times the form's threshold: the nodes that pass it with the
+    least to spare, found by bisection from the nearest of 256 nodes where
+    |g| exceeds that to the zero.  The value is the one a caller computes
+    inline on the threshold's word, and the evaluator must return it too;
+    hypothesis steers toward the largest error over tol |value|, and toward
+    the largest own bound of the evaluator over tol |value|.
     """
     mp = pytest.importorskip("mpmath")
     params = StruveParams(nuk * k, c, k)
     xmax = reach * math.sqrt(k / c)
     poly = k_struve_poly(params, xmax, tol)
-    cert = poly and poly.certified()
-    if not cert:
+    if not poly:
         return
-    wc, taylor_from, *_, sigma_max = cert
-    if taylor and taylor_from < math.inf or not wc:
-        w = xmax * math.sqrt(1.0 - where * sigma_max)
-        if w <= taylor_from:
-            return
-    else:
-        w = where * wc
-    value = _inline_node(cert, xmax, w) if 0.5 * w >= 2.0**-1022 else None
-    if value is None:
-        return  # w/2 is subnormal or the leading term leaves (1e-300, 1e300): the caller asks k_struve
+    wmax, sigma_max = poly.inline[0], poly.inline[-1]
+    lo, hi = (max(wmax, xmax * math.sqrt(1.0 - sigma_max)), xmax) if taylor else (0.0, wmax)
+    if taylor and not (wmax < xmax and sigma_max > 0.0):
+        return
+    nodes = [(w, _inline_node(poly, xmax, w)) for w in (lo + (hi - lo) * j / 256 for j in range(1, 257))]
+    nodes = [(w, node[0] / node[1], node[2]) for w, node in nodes if node]
+    flips = [i for i in range(1, len(nodes)) if (nodes[i - 1][1] > 0.0) != (nodes[i][1] > 0.0)]
+    if not flips:
+        return
+    # the zero nearest the top of the range, approached from below or from above
+    i = flips[-1]
+    run = range(i, len(nodes)) if after else range(i - 1, -1, -1)
+    side, goal = math.copysign(1.0, nodes[run[0]][1]), where * nodes[i][2]
+    start = next((j for j in run if side * nodes[j][1] >= goal), None)
+    if start is None or any(side * nodes[j][1] <= 0.0 for j in range(min(start, i), max(start, i))):
+        return  # |g| stays below the goal on that side of the zero
+    a, b = nodes[start][0], nodes[i - 1 if after else i][0]
+    for _ in range(60):
+        mid = 0.5 * (a + b)
+        value, lead, _ = _inline_node(poly, xmax, mid)
+        a, b = (mid, b) if side * value / lead >= goal else (a, mid)
+    w = a
+    node = _inline_node(poly, xmax, w)
+    if not _passes(node):
+        return
+    value = node[0]
     err = abs(mp.mpf(value) - mp_k_struve(mp, params.nu, c, k, w))
-    target(float(err / (tol * abs(value))))
+    target(float(err / (tol * abs(value))), label="error")
+    out = poly(w)
+    target(out[1] / (tol * abs(value)), label="bound")
     assert err <= tol * abs(value), (params, xmax, tol, w, value)
-    assert poly(w)[0] == value, (params, xmax, tol, w)
+    assert out[0] == value, (params, xmax, tol, w)
